@@ -5,6 +5,11 @@ profile codes (agent 0 most significant), tops codes over the m**n tops
 cells, and tops-table rules as outcome tuples indexed by tops code.  The
 object layer in ``prefs``/``rules`` stays definitional and readable; these
 tables keep exhaustive rule-space scans fast.
+
+Rule-space scans decide strategy-proofness with ``table_manipulation``, a
+definitional integer scan over every profile, agent and misreport.
+``rules.find_manipulation`` is its object-level twin, and the tests pin the
+two to the same witness over whole small rule spaces.
 """
 
 from __future__ import annotations
@@ -233,6 +238,35 @@ def table_efficient_definitional(table: Table, sp: Space) -> bool:
             if all(position[p][x] < position[p][out] for p in pref_codes):
                 return False
     return True
+
+
+def table_manipulation(
+    table: Table, sp: Space
+) -> tuple[int, int, int, int, int] | None:
+    """First manipulation of a tops-table rule, or None if it is strategy-proof.
+
+    Definitional scan in (profile code, agent, misreport code) order: every
+    profile, every agent, every one of the m! misreports.  Returns
+    (profile_code, agent, misreport_code, sincere, improved), the integer
+    form of the witness ``rules.find_manipulation`` finds on the same rule.
+    """
+    position = sp.position
+    top_of = sp.top_of
+    weights = sp.tops_weights
+    pref_range = range(sp.fact)
+    for pc, pref_codes in enumerate(product(pref_range, repeat=sp.n)):
+        tc = sp.tops_code_of(pref_codes)
+        out = table[tc]
+        for i, p in enumerate(pref_codes):
+            pos = position[p]
+            out_rank = pos[out]
+            w = weights[i]
+            base = tc - top_of[p] * w
+            for q in pref_range:
+                y = table[base + top_of[q] * w]
+                if pos[y] < out_rank:
+                    return pc, i, q, out, y
+    return None
 
 
 def table_dictator(table: Table, sp: Space) -> int | None:

@@ -23,8 +23,6 @@ from .errors import DimensionMismatchError
 from .prefs import (
     Preference,
     Profile,
-    check_agent_count,
-    check_alternative_count,
     enumerate_preferences,
     enumerate_profiles,
     preferences_with_top,
@@ -32,6 +30,7 @@ from .prefs import (
 from .rules import (
     ManipulationWitness,
     Rule,
+    _check_caps,
     as_tops_table,
     find_dictator,
     is_efficient,
@@ -78,11 +77,6 @@ class ClassificationSummary:
     unanimous: bool
     m_set: int | None = None
     d_set: int | None = None
-
-
-def _check_caps(rule: Rule) -> None:
-    check_agent_count(rule.n)
-    check_alternative_count(rule.m)
 
 
 def find_dictatorial_violation(

@@ -119,10 +119,6 @@ def main() -> None:
     sys.exit(run())
 
 
-if __name__ == "__main__":
-    main()
-
-
 # ---------------------------------------------------------------------------
 # Command execution.
 # ---------------------------------------------------------------------------
@@ -131,6 +127,8 @@ if __name__ == "__main__":
 def _execute(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     handler = {
         "classify": _cmd_classify,
         "census": _cmd_census,
@@ -439,3 +437,7 @@ def _render_text(payload: dict) -> str:
         lines.append(f"  dictator: {cert['dictator']}")
         lines.append(f"  valid: {_bool(cert['valid'])}")
     return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    main()

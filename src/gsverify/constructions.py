@@ -42,7 +42,6 @@ from .rules import (
     as_full_table,
     as_tops_table,
     find_dictator,
-    find_manipulation,
     is_efficient,
     is_strategy_proof,
     is_tops_only,
@@ -59,7 +58,7 @@ RULE_SPACE_NOTE = (
 )
 
 FILTER_NAMES = ("unanimous", "efficient", "strategy-proof", "dictatorial")
-# cheapest checks first; strategy-proofness runs the definitional scanner
+# cheapest checks first; strategy-proofness runs the definitional integer scan
 _FILTER_ORDER = ("unanimous", "efficient", "dictatorial", "strategy-proof")
 
 LEMMA_DESCRIPTIONS = {
@@ -224,6 +223,8 @@ def _resolve_mode(
     limit = rule_space_budget() if budget is None else budget
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if mode == "exhaustive" or (mode == "auto" and required <= limit):
         if required > limit:
             raise BudgetExceededError(
@@ -233,7 +234,7 @@ def _resolve_mode(
         return "exhaustive", None, None
     if seed is None:
         raise ValueError("sampled mode needs a seed")
-    return "sampled", samples or default_samples, seed
+    return "sampled", default_samples if samples is None else samples, seed
 
 
 def _iter_rule_digits(
@@ -306,7 +307,7 @@ def enumerate_tops_only_rules(
 
     def gen() -> Iterator[TopsTableRule]:
         for _, digits in _iter_rule_digits(n, m, resolved, eff_samples, eff_seed):
-            if all(_digit_filter(name, digits, sp, n, m) for name in ordered):
+            if all(_digit_filter(name, digits, sp) for name in ordered):
                 yield TopsTableRule(n, m, tuple(digits))
 
     return gen()
@@ -321,16 +322,14 @@ def _ordered_filters(filters: Sequence[str]) -> tuple[str, ...]:
     return tuple(name for name in _FILTER_ORDER if name in filters)
 
 
-def _digit_filter(
-    name: str, digits: Sequence[int], sp: _engine.Space, n: int, m: int
-) -> bool:
+def _digit_filter(name: str, digits: Sequence[int], sp: _engine.Space) -> bool:
     if name == "unanimous":
         return _engine.table_unanimous(digits, sp)
     if name == "efficient":
         return _engine.table_efficient_cells(digits, sp)
     if name == "dictatorial":
         return _engine.table_dictator(digits, sp) is not None
-    return find_manipulation(TopsTableRule(n, m, tuple(digits))) is None
+    return _engine.table_manipulation(digits, sp) is None
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def _census_pass(
     seen = 0
     for _, digits in digit_stream:
         seen += 1
-        if not all(_digit_filter(name, digits, sp, n, m) for name in filters):
+        if not all(_digit_filter(name, digits, sp) for name in filters):
             continue
         counts["total"] += 1
         if not _engine.table_unanimous(digits, sp):
@@ -417,14 +416,14 @@ def _census_pass(
         if not _engine.table_efficient_cells(digits, sp):
             continue
         counts["efficient"] += 1
-        rule = TopsTableRule(n, m, tuple(digits))
-        if find_manipulation(rule) is not None:
+        if _engine.table_manipulation(digits, sp) is not None:
             continue
         counts["strategy_proof"] += 1
-        sp_rules.append(rule.to_string())
+        rule_string = _rule_string_from_digits(n, m, digits)
+        sp_rules.append(rule_string)
         if _engine.table_dictator(digits, sp) is not None:
             counts["dictatorial"] += 1
-            dict_rules.append(rule.to_string())
+            dict_rules.append(rule_string)
     return counts, sp_rules, dict_rules, seen
 
 
@@ -541,7 +540,7 @@ def census_rows(
     def gen() -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
         digits = [0] * sp.tops_count
         for code in range(size):
-            if all(_digit_filter(name, digits, sp, n, m) for name in ordered):
+            if all(_digit_filter(name, digits, sp) for name in ordered):
                 d_mask, m_mask = _engine.cells_masks(digits, sp)
                 m_count = m_mask.bit_count() * sp.cell_profile_count
                 d_count = d_mask.bit_count() * sp.cell_profile_count
@@ -613,11 +612,10 @@ def _verify_l1(n, m, mode, samples, seed, workers):
         checks += 1
         if _engine.table_efficient_definitional(digits, sp):
             continue
-        rule = TopsTableRule(n, m, tuple(digits))
-        if find_manipulation(rule) is None:
+        if _engine.table_manipulation(digits, sp) is None:
             counterexample = {
                 "kind": "strategy-proof unanimous rule that is not efficient",
-                "rule": rule.to_string(),
+                "rule": _rule_string_from_digits(n, m, digits),
             }
             break
     closed = 0
@@ -782,15 +780,14 @@ def _verify_c1(n, m, mode, samples, seed, workers):
         if not _engine.table_unanimous(digits, sp):
             continue
         checks += 1
-        rule = TopsTableRule(n, m, tuple(digits))
-        if find_manipulation(rule) is not None:
+        if _engine.table_manipulation(digits, sp) is not None:
             continue
         strategy_proof_seen += 1
         # tops-only holds by construction over this space
         if not _engine.table_efficient_definitional(digits, sp):
             counterexample = {
                 "kind": "strategy-proof unanimous rule outside tops-only efficient",
-                "rule": rule.to_string(),
+                "rule": _rule_string_from_digits(n, m, digits),
             }
             break
     closed = 0
@@ -882,7 +879,7 @@ def _verify_r1(n, m, mode, samples, seed, workers):
 
     def add(digits) -> None:
         m_count, _ = _table_counts(digits, sp)
-        strategy_proof = find_manipulation(TopsTableRule(n, m, tuple(digits))) is None
+        strategy_proof = _engine.table_manipulation(digits, sp) is None
         records.append((tuple(digits), m_count, strategy_proof))
 
     for _, digits in _iter_rule_digits(n, m, mode, samples, seed):

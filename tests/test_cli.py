@@ -1,6 +1,12 @@
 """Command-line interface: exit codes, formats, and byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from gsverify import parse_rule
 from gsverify.cli import run
@@ -246,3 +252,32 @@ class TestDeterminismAndOutput:
 
     def test_usage_error_exit_code(self, capsys):
         assert run(["no-such-command"]) == 2
+
+
+class TestSamplesValidation:
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["census", "lemmas"])
+    def test_non_positive_samples_rejected(self, capsys, command, samples):
+        code, out, err = invoke(
+            capsys, command, "--agents", "3", "--alts", "3", "--mode", "sampled",
+            "--samples", samples, "--workers", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--samples must be at least 1" in err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["gsverify", "gsverify.cli"])
+    def test_python_dash_m(self, module):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", module, "lemmas", "L3", "--format", "text"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("L3 PASS (n=2, m=3, mode=exhaustive")

@@ -222,6 +222,18 @@ class TestCensus:
         with pytest.raises(BudgetExceededError):
             census(2, 4, mode="exhaustive")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_non_positive_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            census(3, 3, mode="sampled", samples=samples, seed=1)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_lemma("L1", 3, 3, mode="sampled", samples=samples, seed=1)
+
+    def test_one_sample_is_honoured(self):
+        report = census(3, 3, mode="sampled", samples=1, seed=1)
+        assert report.samples == 1
+        assert report.total == 1
+
     def test_report_serialization_has_no_wall_time(self):
         payload = census(2, 2).to_json_dict()
         assert "elapsed" not in str(payload)
