@@ -10,6 +10,14 @@ Rule-space scans decide strategy-proofness with ``table_manipulation``, a
 definitional integer scan over every profile, agent and misreport.
 ``rules.find_manipulation`` is its object-level twin, and the tests pin the
 two to the same witness over whole small rule spaces.
+
+Per-profile kernels (``table_profile_verdicts`` and
+``table_efficient_definitional``) read ``profile_rows``, which is built
+lazily once per (n, m), never at import or in ``Space``.  A row's
+Pareto-dominated mask is enumerated in full from the agents' rankings, never
+taken from the tops-cell masks, and each profile's verdict is computed from
+its own row: nothing is cached per tops cell.  Their object-level twins are
+``classify.classify_profile`` and ``rules.is_efficient``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Table = Sequence[int]
 
@@ -113,57 +121,92 @@ def space(n: int, m: int) -> Space:
 
 
 # ---------------------------------------------------------------------------
-# Per-profile verdicts, definitional path.
+# Per-profile rows and verdicts, definitional path.
 # ---------------------------------------------------------------------------
 
+DICTATORIAL = 1
+MANIPULABLE = 2
 
-def profile_verdicts(
-    table: Table, sp: Space, pref_codes: Sequence[int], tc: int
-) -> tuple[bool, bool]:
-    """(dictatorial, manipulable) for one profile of a tops-table rule.
 
-    Raw quantifiers: misreports range over all m! preferences, stand-ins
-    over every preference with the agent's top.
+@lru_cache(maxsize=None)
+def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
+    """One (tops_code, dominated_mask, agents) row per profile code, ascending.
+
+    ``agents`` holds, per agent i, ``(top, base, offsets, stand_ins)``: the
+    agent's top, ``base = tops_code - top * w_i``, the offsets
+    ``top_of[q] * w_i`` of all m! misreports q, and the "ranked strictly
+    above x" masks of every preference with that top.  Bit x of
+    ``dominated_mask`` is set when some other alternative is ranked above x
+    by every agent.  Built on first use, never at import.
     """
-    out = table[tc]
-    top_of = sp.top_of
-    position = sp.position
-    weights = sp.tops_weights
-    dictatorial = True
-    manipulable = False
-    for i in range(sp.n):
-        ti = top_of[pref_codes[i]]
-        if ti == out:
-            continue
-        w = weights[i]
-        base = tc - ti * w
-        achievable = set()
-        for q in range(sp.fact):
-            y = table[base + top_of[q] * w]
-            if y != out:
-                achievable.add(y)
-        if achievable:
-            dictatorial = False
-            if not manipulable:
-                for pstar in sp.prefs_with_top[ti]:
-                    pos = position[pstar]
-                    out_rank = pos[out]
-                    if any(pos[y] < out_rank for y in achievable):
-                        manipulable = True
-                        break
-            if manipulable:
-                break
-    return dictatorial, manipulable
-
-
-def iter_profile_verdicts(
-    table: Table, sp: Space
-) -> Iterator[tuple[int, int, bool, bool]]:
-    """Yield (profile_code, tops_code, dictatorial, manipulable) over the space."""
-    for pc, pref_codes in enumerate(product(range(sp.fact), repeat=sp.n)):
+    sp = space(n, m)
+    above = tuple(
+        tuple(
+            sum(1 << y for y in range(m) if pos[y] < pos[x]) for x in range(m)
+        )
+        for pos in sp.position
+    )
+    stand_ins = tuple(
+        tuple(above[p] for p in sp.prefs_with_top[t]) for t in range(m)
+    )
+    offsets = tuple(
+        tuple(sp.top_of[q] * w for q in range(sp.fact)) for w in sp.tops_weights
+    )
+    cell_agents = tuple(
+        tuple(
+            (t, tc - t * w, offs, stand_ins[t])
+            for t, w, offs in zip(tops, sp.tops_weights, offsets)
+        )
+        for tc, tops in enumerate(sp.tops_tuples)
+    )
+    everything = (1 << m) - 1
+    rows = []
+    for pref_codes in product(range(sp.fact), repeat=n):
+        dominated = 0
+        for x in range(m):
+            beaten_by = everything
+            for p in pref_codes:
+                beaten_by &= above[p][x]
+            if beaten_by:
+                dominated |= 1 << x
         tc = sp.tops_code_of(pref_codes)
-        d, mnp = profile_verdicts(table, sp, pref_codes, tc)
-        yield pc, tc, d, mnp
+        rows.append((tc, dominated, cell_agents[tc]))
+    return tuple(rows)
+
+
+def table_profile_verdicts(table: Table, sp: Space) -> list[int]:
+    """Verdict per profile code of a tops-table rule: DICTATORIAL | MANIPULABLE bits.
+
+    Raw quantifiers, each profile from its own row: for each agent whose top
+    is not the outcome, the outcomes reached by all m! misreports form a
+    bitmask.  The agent has power if it reaches anything but the outcome, and
+    the profile is manipulable if some stand-in preference with that agent's
+    top ranks a reached outcome strictly above the outcome.
+    """
+    bits = tuple(1 << x for x in range(sp.m))
+    verdicts = []
+    append = verdicts.append
+    for tc, _dominated, agents in profile_rows(sp.n, sp.m):
+        out = table[tc]
+        out_bit = bits[out]
+        verdict = DICTATORIAL
+        for top, base, offsets, stand_ins in agents:
+            if top == out:
+                continue
+            reached = 0
+            for off in offsets:
+                reached |= bits[table[base + off]]
+            if reached == out_bit:  # the sincere top always reaches the outcome
+                continue
+            verdict = 0
+            for above in stand_ins:
+                if reached & above[out]:
+                    verdict = MANIPULABLE
+                    break
+            if verdict:
+                break
+        append(verdict)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +270,10 @@ def table_efficient_cells(table: Table, sp: Space) -> bool:
 
 def table_efficient_definitional(table: Table, sp: Space) -> bool:
     """Pareto check over every profile: no alternative beats the outcome
-    in every agent's ranking."""
-    position = sp.position
-    m = sp.m
-    for pref_codes in product(range(sp.fact), repeat=sp.n):
-        out = table[sp.tops_code_of(pref_codes)]
-        for x in range(m):
-            if x == out:
-                continue
-            if all(position[p][x] < position[p][out] for p in pref_codes):
-                return False
+    in every agent's ranking (the enumerated dominated masks of the rows)."""
+    for tc, dominated, _agents in profile_rows(sp.n, sp.m):
+        if (dominated >> table[tc]) & 1:
+            return False
     return True
 
 

@@ -168,18 +168,18 @@ def classify_all(
     elif method == "scan":
         d_count = m_count = 0
         d_set = m_set = 0
-        for pc, _tc, dictatorial, manipulable in _engine.iter_profile_verdicts(table, sp):
-            if dictatorial == manipulable:
+        for pc, verdict in enumerate(_engine.table_profile_verdicts(table, sp)):
+            if verdict == _engine.DICTATORIAL:
+                d_count += 1
+                d_set |= 1 << pc
+            elif verdict == _engine.MANIPULABLE:
+                m_count += 1
+                m_set |= 1 << pc
+            else:
                 raise RuntimeError(
                     f"profile code {pc} is not exactly one of "
                     "dictatorial/manipulable; rule is not tops-only"
                 )
-            if dictatorial:
-                d_count += 1
-                d_set |= 1 << pc
-            else:
-                m_count += 1
-                m_set |= 1 << pc
         if not materialize_sets:
             d_set = m_set = None
     else:

@@ -102,18 +102,10 @@ def rule_space_size(n: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class CoalescedRule(Rule):
-    """An (n-1)-agent rule feeding its first preference into two slots of the base."""
+class _DerivedRule(Rule):
+    """A rule built from a base rule; its string is its materialized table."""
 
     base: Rule
-
-    def __post_init__(self) -> None:
-        if self.base.n < 3:
-            raise ValueError("coalescing needs a base rule with at least 3 agents")
-
-    @property
-    def n(self) -> int:
-        return self.base.n - 1
 
     @property
     def m(self) -> int:
@@ -122,6 +114,24 @@ class CoalescedRule(Rule):
     @property
     def tops_only_by_construction(self) -> bool:
         return self.base.tops_only_by_construction
+
+    def to_string(self) -> str:
+        if is_tops_only(self):
+            return as_tops_table(self).to_string()
+        return as_full_table(self).to_string()
+
+
+@dataclass(frozen=True)
+class CoalescedRule(_DerivedRule):
+    """An (n-1)-agent rule feeding its first preference into two slots of the base."""
+
+    def __post_init__(self) -> None:
+        if self.base.n < 3:
+            raise ValueError("coalescing needs a base rule with at least 3 agents")
+
+    @property
+    def n(self) -> int:
+        return self.base.n - 1
 
     def evaluate(self, profile: Profile):
         self._check_profile(profile)
@@ -132,17 +142,11 @@ class CoalescedRule(Rule):
         self._check_tops(tops)
         return self.base.evaluate_tops((tops[0], tops[0]) + tuple(tops[1:]))
 
-    def to_string(self) -> str:
-        if is_tops_only(self):
-            return as_tops_table(self).to_string()
-        return as_full_table(self).to_string()
-
 
 @dataclass(frozen=True)
-class RestrictedRule(Rule):
+class RestrictedRule(_DerivedRule):
     """A 2-agent rule obtained by pinning the base rule's agents 3..n."""
 
-    base: Rule
     fixed: tuple[Preference, ...]
 
     def __post_init__(self) -> None:
@@ -161,14 +165,6 @@ class RestrictedRule(Rule):
     def n(self) -> int:
         return 2
 
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def tops_only_by_construction(self) -> bool:
-        return self.base.tops_only_by_construction
-
     def evaluate(self, profile: Profile):
         self._check_profile(profile)
         return self.base.evaluate(Profile(profile.prefs + self.fixed))
@@ -176,11 +172,6 @@ class RestrictedRule(Rule):
     def evaluate_tops(self, tops):
         self._check_tops(tops)
         return self.base.evaluate_tops(tuple(tops) + tuple(p.top for p in self.fixed))
-
-    def to_string(self) -> str:
-        if is_tops_only(self):
-            return as_tops_table(self).to_string()
-        return as_full_table(self).to_string()
 
 
 def coalesce(rule: Rule) -> Rule:
@@ -287,7 +278,7 @@ def enumerate_tops_only_rules(
     *,
     mode: str = "exhaustive",
     samples: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     budget: int | None = None,
 ) -> Iterator[TopsTableRule]:
     """Stream tops-table rules in ascending rule-code order, optionally filtered.
@@ -453,7 +444,7 @@ def census(
     *,
     mode: str = "auto",
     samples: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     workers: int = 1,
     filters: Sequence[str] = (),
     budget: int | None = None,
@@ -688,7 +679,7 @@ def _verify_l4(n, m, mode, samples, seed, workers):
     for digits in _te_digit_stream(n, m, mode, samples, seed):
         checks += 1
         d_count = sum(
-            1 for _, _, d, _mnp in _engine.iter_profile_verdicts(digits, sp) if d
+            v & _engine.DICTATORIAL for v in _engine.table_profile_verdicts(digits, sp)
         )
         rule = TopsTableRule(n, m, tuple(digits))
         dict_agent = find_dictator(rule)
@@ -709,26 +700,24 @@ def _verify_l4(n, m, mode, samples, seed, workers):
 
 def _l5_rule_scan(digits, sp, n, m, checks: int) -> tuple[int, dict | None]:
     """Scan one rule: every profile exactly one verdict, constant per tops cell."""
-    cell_verdicts: dict[int, tuple[bool, bool]] = {}
-    for pc, tc, d, mnp in _engine.iter_profile_verdicts(digits, sp):
+    dictatorial, manipulable = _engine.DICTATORIAL, _engine.MANIPULABLE
+    rows = _engine.profile_rows(n, m)
+    cell_verdicts: dict[int, int] = {}
+    for pc, verdict in enumerate(_engine.table_profile_verdicts(digits, sp)):
         checks += 1
-        if d == mnp:
-            return checks, {
-                "kind": "profile not exactly one of dictatorial/manipulable",
-                "rule": _rule_string_from_digits(n, m, digits),
-                "profile": profile_from_code(pc, n, m).to_text(),
-                "dictatorial": d,
-                "manipulable": mnp,
-            }
-        seen = cell_verdicts.setdefault(tc, (d, mnp))
-        if seen != (d, mnp):
-            return checks, {
-                "kind": "verdict not constant on a same-tops cell",
-                "rule": _rule_string_from_digits(n, m, digits),
-                "profile": profile_from_code(pc, n, m).to_text(),
-                "dictatorial": d,
-                "manipulable": mnp,
-            }
+        if verdict != dictatorial and verdict != manipulable:
+            kind = "profile not exactly one of dictatorial/manipulable"
+        elif cell_verdicts.setdefault(rows[pc][0], verdict) != verdict:
+            kind = "verdict not constant on a same-tops cell"
+        else:
+            continue
+        return checks, {
+            "kind": kind,
+            "rule": _rule_string_from_digits(n, m, digits),
+            "profile": profile_from_code(pc, n, m).to_text(),
+            "dictatorial": bool(verdict & dictatorial),
+            "manipulable": bool(verdict & manipulable),
+        }
     return checks, None
 
 
@@ -1022,7 +1011,7 @@ def verify_lemma(
     *,
     mode: str = "auto",
     samples: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     workers: int = 1,
     budget: int | None = None,
 ) -> VerificationReport:

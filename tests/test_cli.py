@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, and byte determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -252,6 +253,25 @@ class TestDeterminismAndOutput:
 
     def test_usage_error_exit_code(self, capsys):
         assert run(["no-such-command"]) == 2
+
+
+class TestGoldenReports:
+    """Report bytes pinned by SHA-256; any change to them is a format change."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (
+            ("lemmas", "--suite", "all", "--agents", "2", "--alts", "3", "--workers", "1"),
+            "069e1df96407bb4b661bd534840b07a1faaefe5df4fcdeeaeeddb8bdfe32b568",
+        ),
+        (
+            ("census", "--agents", "2", "--alts", "3", "--format", "csv", "--verbose"),
+            "5576e95fab07250cdd041f8cc09d177a81f45ec62d416fce21094b0a5cab7211",
+        ),
+    ])
+    def test_report_digest(self, capsys, argv, digest):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSamplesValidation:

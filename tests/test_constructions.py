@@ -3,6 +3,7 @@
 import pytest
 
 from gsverify import (
+    BordaLexRule,
     BudgetExceededError,
     ConstantRule,
     DictatorRule,
@@ -10,6 +11,8 @@ from gsverify import (
     Preference,
     TopsTableRule,
     UnknownLemmaError,
+    as_full_table,
+    as_tops_table,
     census,
     classify_all,
     coalesce,
@@ -22,12 +25,15 @@ from gsverify import (
     is_unanimous,
     majority_counterexample,
     parse_rule,
+    profile_from_code,
     restrict,
     rule_space_size,
     sample_efficient_tops_tables,
     verify_lemma,
 )
+from gsverify import _engine
 from gsverify._engine import code_from_digits
+from gsverify.constructions import _l5_rule_scan
 
 
 def pref(text):
@@ -148,6 +154,13 @@ class TestEnumeration:
             list(enumerate_tops_only_rules(2, 4, mode="exhaustive"))
         assert str(rule_space_size(2, 4)) in str(excinfo.value)
 
+    def test_sampled_defaults_to_seed_zero(self):
+        rules = list(enumerate_tops_only_rules(3, 3, mode="sampled", samples=5))
+        assert rules == list(
+            enumerate_tops_only_rules(3, 3, mode="sampled", samples=5, seed=0)
+        )
+        assert len(rules) == 5
+
     def test_sampled_is_deterministic(self):
         draw = lambda: [
             r.outcomes
@@ -217,6 +230,15 @@ class TestCensus:
     def test_sampled_needs_seed(self):
         with pytest.raises(ValueError):
             census(3, 3, mode="sampled", samples=10, seed=None)
+
+    def test_sampling_fallback_defaults_to_seed_zero(self):
+        report = census(3, 3, samples=500)
+        assert report.mode == "sampled"
+        assert report.seed == 0
+        assert report.to_json_dict() == census(3, 3, samples=500, seed=0).to_json_dict()
+
+    def test_exhaustive_report_has_no_seed(self):
+        assert census(2, 2).to_json_dict()["seed"] is None
 
     def test_exhaustive_over_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -304,6 +326,40 @@ class TestVerifyLemma:
         parallel = verify_lemma("L5", 2, 2, workers=3)
         assert serial.to_json_dict() == parallel.to_json_dict()
 
+    def test_workers_match_serial_on_l5_at_n2_m3(self):
+        serial = verify_lemma("L5", 2, 3, workers=1)
+        parallel = verify_lemma("L5", 2, 3, workers=2)
+        assert parallel.checks == 708_588
+        assert serial.to_json_dict() == parallel.to_json_dict()
+
+    @pytest.mark.parametrize("doctored,kind,checks", [
+        ({0: 3}, "profile not exactly one of dictatorial/manipulable", 1),
+        ({1: 2}, "verdict not constant on a same-tops cell", 2),
+    ])
+    def test_l5_scan_reports_both_counterexample_kinds(
+        self, monkeypatch, doctored, kind, checks
+    ):
+        honest = _engine.table_profile_verdicts
+
+        def doctored_verdicts(table, sp):
+            verdicts = honest(table, sp)
+            for pc, verdict in doctored.items():
+                verdicts[pc] = verdict
+            return verdicts
+
+        monkeypatch.setattr(_engine, "table_profile_verdicts", doctored_verdicts)
+        sp = _engine.space(2, 3)
+        seen, counterexample = _l5_rule_scan(list(sp.dictator_tables[0]), sp, 2, 3, 10)
+        assert seen == 10 + checks
+        assert counterexample["kind"] == kind
+        assert counterexample["profile"] == profile_from_code(checks - 1, 2, 3).to_text()
+
+    def test_sampling_fallback_defaults_to_seed_zero(self):
+        report = verify_lemma("C2", 2, 3)
+        assert report.mode == "sampled"
+        assert report.seed == 0
+        assert report.to_json_dict() == verify_lemma("C2", 2, 3, seed=0).to_json_dict()
+
     def test_auto_mode_falls_back_to_sampling(self):
         report = verify_lemma("L5", 3, 3, samples=50, seed=73)
         assert report.mode == "sampled"
@@ -330,6 +386,18 @@ class TestMajorityCounterexample:
 
 
 class TestDerivedRuleStrings:
+    @pytest.mark.parametrize("base", [DictatorRule(3, 3, 2), BordaLexRule(3, 3)])
+    def test_strings_are_the_materialized_tables(self, base):
+        fixed = [pref("b,c,a")]
+        for derived in (coalesce(base), restrict(base, fixed)):
+            if base.tops_only_by_construction:
+                expected = as_tops_table(derived).to_string()
+                assert expected.startswith("TOPS:")
+            else:
+                expected = as_full_table(derived).to_string()
+                assert expected.startswith("FULL:")
+            assert derived.to_string() == expected
+
     def test_coalesced_rule_serializes_as_table(self):
         merged = coalesce(DictatorRule(3, 3, 1))
         assert parse_rule(merged.to_string(), 2, 3) == TopsTableRule(

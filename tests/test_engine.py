@@ -1,4 +1,4 @@
-"""Integer manipulation kernel against its definitional object twin."""
+"""Integer kernels against their definitional object twins."""
 
 import random
 from itertools import product
@@ -8,11 +8,24 @@ import pytest
 from gsverify import (
     ManipulationWitness,
     TopsTableRule,
+    Verdict,
+    classify_profile,
     decode_preference,
+    enumerate_profiles,
     find_manipulation,
+    is_efficient,
     profile_from_code,
 )
-from gsverify._engine import space, table_manipulation
+from gsverify._engine import (
+    DICTATORIAL,
+    MANIPULABLE,
+    space,
+    table_efficient_definitional,
+    table_manipulation,
+    table_profile_verdicts,
+)
+
+VERDICT_BITS = {Verdict.DICTATORIAL: DICTATORIAL, Verdict.MANIPULABLE: MANIPULABLE}
 
 
 def object_witness(n, m, table):
@@ -66,3 +79,60 @@ def test_every_n2_m3_witness_revalidates():
         assert witness.is_valid(TopsTableRule(2, 3, t))
         checked += 1
     assert checked == 3**9 - 5
+
+
+def object_verdicts(n, m, table):
+    """classify_profile on the materialized rule, per profile code, as kernel bits."""
+    rule = TopsTableRule(n, m, tuple(table))
+    return [
+        VERDICT_BITS[classify_profile(rule, profile).verdict]
+        for profile in enumerate_profiles(n, m)
+    ]
+
+
+def seeded_tables(n, m, count, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(m) for _ in range(m**n)) for _ in range(count)]
+
+
+def constants_and_dictators(n, m):
+    sp = space(n, m)
+    return [(x,) * m**n for x in range(m)] + list(sp.dictator_tables)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+def test_verdict_kernel_matches_object_layer_on_whole_space(n, m):
+    sp = space(n, m)
+    for t in all_tables(n, m):
+        assert table_profile_verdicts(t, sp) == object_verdicts(n, m, t), t
+
+
+@pytest.mark.parametrize("n,m,count", [(2, 3, 200), (3, 3, 20)])
+def test_verdict_kernel_matches_object_layer_on_sampled_tables(n, m, count):
+    sp = space(n, m)
+    for t in seeded_tables(n, m, count, 20261) + constants_and_dictators(n, m):
+        assert table_profile_verdicts(t, sp) == object_verdicts(n, m, t), t
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+def test_pareto_kernel_matches_object_layer_on_whole_space(n, m):
+    sp = space(n, m)
+    for t in all_tables(n, m):
+        assert table_efficient_definitional(t, sp) == is_efficient(TopsTableRule(n, m, t)), t
+
+
+def test_pareto_kernel_matches_object_layer_on_sampled_n2_m3():
+    sp = space(2, 3)
+    # uniform tables are almost never efficient, so half the sample draws
+    # every cell from its agents' tops (efficient) with one cell perturbed
+    rng = random.Random(20262)
+    tables = seeded_tables(2, 3, 150, 20263)
+    for _ in range(150):
+        t = [rng.choice(sp.cell_tops_sets[tc]) for tc in range(sp.tops_count)]
+        if rng.random() < 0.5:
+            t[rng.randrange(9)] = rng.randrange(3)
+        tables.append(tuple(t))
+    tables += constants_and_dictators(2, 3)
+    verdicts = [table_efficient_definitional(t, sp) for t in tables]
+    assert verdicts == [is_efficient(TopsTableRule(2, 3, t)) for t in tables]
+    assert 0 < sum(verdicts) < len(tables)
