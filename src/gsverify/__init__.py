@@ -39,7 +39,6 @@ from .prefs import (
     satisfies_property_t_star,
     supporters,
     top,
-    tops_of,
     weakly_prefers,
     with_replaced,
 )
@@ -68,7 +67,6 @@ from .rules import (
     is_tops_only,
     is_unanimous,
     parse_rule,
-    rule_to_string,
 )
 from .classify import (
     ClassificationSummary,

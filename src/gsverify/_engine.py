@@ -25,7 +25,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Sequence
+
+from .prefs import check_profile_work
 
 Table = Sequence[int]
 
@@ -47,7 +50,8 @@ class Space:
         "tops_weights",
         "profile_weights",
         "cell_profile_count",
-        "unanimous_cells",
+        "unanimous_outcomes",
+        "unanimous_tops",
         "cell_tops_mask",
         "cell_tops_sets",
         "dictator_tables",
@@ -75,9 +79,12 @@ class Space:
         self.tops_weights = tuple(m ** (n - 1 - i) for i in range(n))
         self.profile_weights = tuple(self.fact ** (n - 1 - i) for i in range(n))
         self.cell_profile_count = math.factorial(m - 1) ** n
-        self.unanimous_cells = tuple(
+        unanimous_cells = [
             (tc, t[0]) for tc, t in enumerate(self.tops_tuples) if len(set(t)) == 1
-        )
+        ]
+        # m >= 2 cells, so the getter always returns a tuple
+        self.unanimous_outcomes = itemgetter(*(tc for tc, _ in unanimous_cells))
+        self.unanimous_tops = tuple(x for _, x in unanimous_cells)
         self.cell_tops_mask = tuple(
             self._mask(t) for t in self.tops_tuples
         )
@@ -137,8 +144,10 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     ``top_of[q] * w_i`` of all m! misreports q, and the "ranked strictly
     above x" masks of every preference with that top.  Bit x of
     ``dominated_mask`` is set when some other alternative is ranked above x
-    by every agent.  Built on first use, never at import.
+    by every agent.  Built on first use, never at import, and only within the
+    profile-work budget.
     """
+    check_profile_work(n, m)
     sp = space(n, m)
     above = tuple(
         tuple(
@@ -243,6 +252,7 @@ def cells_masks(table: Table, sp: Space) -> tuple[int, int]:
 
 def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:
     """Bitset over profile codes covering every profile in the masked cells."""
+    check_profile_work(sp.n, sp.m)
     bits = 0
     for tc in range(sp.tops_count):
         if not (cells_mask >> tc) & 1:
@@ -259,7 +269,8 @@ def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:
 
 
 def table_unanimous(table: Table, sp: Space) -> bool:
-    return all(table[tc] == x for tc, x in sp.unanimous_cells)
+    """Every unanimous cell selects the shared top (one C-level comparison)."""
+    return sp.unanimous_outcomes(table) == sp.unanimous_tops
 
 
 def table_efficient_cells(table: Table, sp: Space) -> bool:

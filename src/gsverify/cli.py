@@ -20,7 +20,7 @@ import sys
 from . import classify as classify_mod
 from . import constructions
 from .errors import GsverifyError
-from .prefs import Profile, alternative_name, enumerate_profiles
+from .prefs import Profile, alternative_name, check_profile_work, enumerate_profiles
 from .rules import (
     ManipulationWitness,
     Rule,
@@ -182,6 +182,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _classification_examples(rule: Rule, summary) -> dict:
+    check_profile_work(rule.n, rule.m)
     manipulable = None
     dictatorial = None
     for profile in enumerate_profiles(rule.n, rule.m):

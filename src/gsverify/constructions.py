@@ -11,7 +11,11 @@ that restriction.
 
 Rule-space exhaustion is guarded by a budget (``GSVERIFY_MAX_RULE_SPACE``);
 larger spaces run in sampled mode with an explicit seed, and sampled runs
-with the same seed reproduce byte for byte.
+with the same seed reproduce byte for byte.  The sampled stream is defined
+as ``randrange(m)`` per tops cell from ``random.Random(seed)``, so reports
+also reproduce across gsverify versions; ``_sampled_tables`` draws exactly
+those digits in blocks, and the tests pin it to the ``randrange`` loop and
+two sampled reports to their SHA-256 digests.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .prefs import (
     Profile,
     check_agent_count,
     check_alternative_count,
+    check_profile_work,
     profile_from_code,
 )
 from .rules import (
@@ -230,23 +235,61 @@ def _resolve_mode(
 
 def _iter_rule_digits(
     n: int, m: int, mode: str, samples: int | None, seed: int | None
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield (code-or-index, digit list) per candidate rule.
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """Yield (code-or-index, digits) per candidate rule.
 
-    The digit list is reused between iterations; callers materialize with
-    tuple() before keeping a reference.
+    Exhaustive mode yields one digit list, reused between iterations; callers
+    materialize with tuple() before keeping a reference.  Sampled mode yields
+    immutable ``bytes`` from ``_sampled_tables``.
     """
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
+    cells = _engine.space(n, m).tops_count
     if mode == "exhaustive":
         digits = [0] * cells
         for code in range(rule_space_size(n, m)):
             yield code, digits
             _engine.increment_digits(digits, m)
     else:
-        rng = random.Random(seed)
-        for idx in range(samples or 0):
-            yield idx, [rng.randrange(m) for _ in range(cells)]
+        yield from enumerate(_sampled_tables(m, cells, samples or 0, seed))
+
+
+# Mersenne Twister words drawn per block by the sampled rule stream (32 KB).
+_BLOCK_WORDS = 8192
+
+
+def _sampled_tables(
+    m: int, cells: int, count: int, seed: int | None
+) -> Iterator[bytes]:
+    """``count`` tables of ``cells`` digits: exactly the digits of
+    ``[rng.randrange(m) for _ in range(cells)]`` per table, ``rng =
+    random.Random(seed)``, drawn a block of generator words at a time.
+
+    ``randrange(m)`` returns ``getrandbits(k)`` with ``k = m.bit_length()``,
+    drawn again while it is >= m, and ``getrandbits(k)`` is the top k bits of
+    one 32-bit generator word.  ``getrandbits(32 * B)`` packs B consecutive
+    words, the first in the lowest 32 bits, so byte 3 of every little-endian
+    4-byte group is a word's top byte.  ``translate`` maps each top byte to
+    its top k bits and deletes the rejected ones, leaving the accepted draws
+    in order; the tail of a block carries over to the next table.  This is
+    the layout of CPython's ``random`` (3.10 to 3.13 checked).
+    """
+    k = m.bit_length()
+    if k > 8:
+        raise ValueError(f"the sampled rule stream needs m < 256, got m={m}")
+    shift = 8 - k
+    top_bits = bytes(b >> shift for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= m)
+    rng = random.Random(seed)
+    buf = b""
+    pos = 0
+    for _ in range(count):
+        while len(buf) - pos < cells:
+            block = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(
+                4 * _BLOCK_WORDS, "little"
+            )
+            buf = buf[pos:] + block[3::4].translate(top_bits, rejected)
+            pos = 0
+        yield buf[pos : pos + cells]
+        pos += cells
 
 
 def _sample_efficient_digits(rng: random.Random, sp: _engine.Space) -> list[int]:
@@ -294,6 +337,8 @@ def enumerate_tops_only_rules(
         rule_space_size(n, m), mode, samples, seed, DEFAULT_CENSUS_SAMPLES,
         f"enumeration at (n={n}, m={m})", budget,
     )
+    if "strategy-proof" in ordered:
+        check_profile_work(n, m)
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[TopsTableRule]:
@@ -382,7 +427,7 @@ class CensusReport:
 def _census_pass(
     n: int,
     m: int,
-    digit_stream: Iterator[tuple[int, list[int]]],
+    digit_stream: Iterator[tuple[int, Sequence[int]]],
     filters: tuple[str, ...],
 ) -> tuple[dict, list[str], list[str], int]:
     sp = _engine.space(n, m)
@@ -398,7 +443,7 @@ def _census_pass(
     seen = 0
     for _, digits in digit_stream:
         seen += 1
-        if not all(_digit_filter(name, digits, sp) for name in filters):
+        if filters and not all(_digit_filter(name, digits, sp) for name in filters):
             continue
         counts["total"] += 1
         if not _engine.table_unanimous(digits, sp):
@@ -464,6 +509,7 @@ def census(
         rule_space_size(n, m), mode, samples, seed, DEFAULT_CENSUS_SAMPLES,
         f"census at (n={n}, m={m})", budget,
     )
+    check_profile_work(n, m)  # the cascade's strategy-proofness stage
     t0 = perf_counter()
     if resolved == "exhaustive":
         size = rule_space_size(n, m)
@@ -526,6 +572,8 @@ def census_rows(
     check_alternative_count(m)
     size = _check_rule_space(n, m, budget)
     ordered = _ordered_filters(filters)
+    if "strategy-proof" in ordered:
+        check_profile_work(n, m)
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
@@ -1032,6 +1080,8 @@ def verify_lemma(
         required, mode, samples, seed, _DEFAULT_SAMPLES[lemma],
         f"{lemma} at (n={n}, m={m})", budget,
     )
+    if lemma != "C2":  # C2 compares tops-cell counts only
+        check_profile_work(n, m)
     t0 = perf_counter()
     passed, checks, counterexample, detail = _LEMMA_IMPLS[lemma](
         n, m, resolved, eff_samples, eff_seed, workers

@@ -10,7 +10,7 @@ class CapExceededError(GsverifyError, ValueError):
 
 
 class BudgetExceededError(GsverifyError, ValueError):
-    """An exhaustive rule-space run would exceed the configured budget."""
+    """A rule-space run or a profile-space walk would exceed its configured budget."""
 
 
 class DimensionMismatchError(GsverifyError, ValueError):

@@ -22,7 +22,7 @@ from itertools import permutations, product
 from string import ascii_lowercase
 from typing import Iterator
 
-from .errors import CapExceededError
+from .errors import BudgetExceededError, CapExceededError
 
 Alternative = int
 TopsProfile = tuple[int, ...]
@@ -32,6 +32,10 @@ DEFAULT_MAX_AGENTS = 5
 
 MAX_ALTERNATIVES_ENV = "GSVERIFY_MAX_ALTS"
 MAX_AGENTS_ENV = "GSVERIFY_MAX_AGENTS"
+
+# (3, 4) needs 995328 and fits; (2, 5) needs 3456000 and (4, 4) 31850496
+DEFAULT_MAX_PROFILE_WORK = 2_000_000
+MAX_PROFILE_WORK_ENV = "GSVERIFY_MAX_PROFILE_WORK"
 
 
 def max_alternatives() -> int:
@@ -62,6 +66,26 @@ def check_agent_count(n: int, cap: int | None = None) -> None:
     if n > limit:
         raise CapExceededError(
             f"n={n} exceeds the agent cap {limit}; set {MAX_AGENTS_ENV} to override"
+        )
+
+
+def profile_work_budget() -> int:
+    """Current budget on the work of one walk over the profile space."""
+    return int(os.environ.get(MAX_PROFILE_WORK_ENV, DEFAULT_MAX_PROFILE_WORK))
+
+
+def check_profile_work(n: int, m: int) -> None:
+    """Reject (n, m) before a walk over its whole profile space starts; the
+    work is that of one strategy-proofness scan, (m!)^n profiles x n agents
+    x m! misreports."""
+    fact = math.factorial(m)
+    work = fact**n * n * fact
+    limit = profile_work_budget()
+    if work > limit:
+        raise BudgetExceededError(
+            f"a walk over the profile space at (n={n}, m={m}) needs {work} steps "
+            f"({fact}**{n} profiles x {n} agents x {fact} misreports), over the "
+            f"budget of {limit}; raise {MAX_PROFILE_WORK_ENV}"
         )
 
 
@@ -261,11 +285,6 @@ class Profile:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def tops_of(profile: Profile) -> TopsProfile:
-    """The tops profile of a profile."""
-    return profile.tops
 
 
 def supporters(profile: Profile, x: Alternative) -> frozenset[int]:

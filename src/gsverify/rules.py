@@ -27,6 +27,7 @@ from .prefs import (
     TopsProfile,
     check_agent_count,
     check_alternative_count,
+    check_profile_work,
     enumerate_preferences,
     enumerate_profiles,
     preferences_with_top,
@@ -270,11 +271,6 @@ class MajorityLexRule(Rule):
 _TABLE_HEADER = re.compile(r"n=(\d+),m=(\d+):")
 
 
-def rule_to_string(rule: Rule) -> str:
-    """Canonical string form of a rule."""
-    return rule.to_string()
-
-
 def parse_rule(text: str, n: int | None = None, m: int | None = None) -> Rule:
     """Parse a canonical rule string.
 
@@ -386,6 +382,12 @@ def _check_caps(rule: Rule) -> None:
     check_alternative_count(rule.m)
 
 
+def _check_walk(rule: Rule) -> None:
+    """Caps plus the profile-work budget, before a walk over the profile space."""
+    _check_caps(rule)
+    check_profile_work(rule.n, rule.m)
+
+
 def evaluate(rule: Rule, profile: Profile) -> Alternative:
     """Functional form of :meth:`Rule.evaluate`."""
     return rule.evaluate(profile)
@@ -393,7 +395,7 @@ def evaluate(rule: Rule, profile: Profile) -> Alternative:
 
 def find_unanimity_violation(rule: Rule) -> Profile | None:
     """First common-top profile whose outcome is not the shared top."""
-    _check_caps(rule)
+    _check_walk(rule)
     by_top = [preferences_with_top(rule.m, x) for x in range(rule.m)]
     for x in range(rule.m):
         for combo in product(by_top[x], repeat=rule.n):
@@ -409,7 +411,7 @@ def is_unanimous(rule: Rule) -> bool:
 
 def find_tops_only_violation(rule: Rule) -> tuple[Profile, Profile] | None:
     """Two profiles with equal tops and different outcomes, if any exist."""
-    _check_caps(rule)
+    _check_walk(rule)
     by_top = [preferences_with_top(rule.m, x) for x in range(rule.m)]
     for tops in product(range(rule.m), repeat=rule.n):
         first = None
@@ -438,7 +440,7 @@ def require_tops_only(rule: Rule) -> None:
 
 def find_efficiency_violation(rule: Rule) -> tuple[Profile, Alternative] | None:
     """A profile and an alternative every agent strictly prefers to the outcome."""
-    _check_caps(rule)
+    _check_walk(rule)
     for profile in enumerate_profiles(rule.n, rule.m):
         out = rule.evaluate(profile)
         for x in range(rule.m):
@@ -475,7 +477,7 @@ def _tops_outcome(rule: Rule, tops: TopsProfile) -> Alternative:
 
 def find_manipulation(rule: Rule) -> ManipulationWitness | None:
     """First manipulation in (profile code, agent, misreport code) order."""
-    _check_caps(rule)
+    _check_walk(rule)
     misreports = enumerate_preferences(rule.m)
     for profile in enumerate_profiles(rule.n, rule.m):
         out = rule.evaluate(profile)
@@ -494,7 +496,7 @@ def is_strategy_proof(rule: Rule) -> bool:
 
 def find_dictator(rule: Rule) -> int | None:
     """The dictator's index, or None; unique when it exists."""
-    _check_caps(rule)
+    _check_walk(rule)
     for i in range(rule.n):
         if all(
             rule.evaluate(profile) == profile.prefs[i].top
@@ -514,6 +516,7 @@ def extensionally_equal(f: Rule, g: Rule) -> bool:
         raise DimensionMismatchError(
             f"cannot compare (n={f.n}, m={f.m}) with (n={g.n}, m={g.m})"
         )
+    _check_walk(f)
     return all(
         f.evaluate(profile) == g.evaluate(profile)
         for profile in enumerate_profiles(f.n, f.m)
@@ -535,6 +538,6 @@ def as_tops_table(rule: Rule) -> TopsTableRule:
 
 def as_full_table(rule: Rule) -> FullTableRule:
     """Materialize any rule as an explicit per-profile table."""
-    _check_caps(rule)
+    _check_walk(rule)
     outcomes = tuple(rule.evaluate(p) for p in enumerate_profiles(rule.n, rule.m))
     return FullTableRule(rule.n, rule.m, outcomes)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -267,11 +268,47 @@ class TestGoldenReports:
             ("census", "--agents", "2", "--alts", "3", "--format", "csv", "--verbose"),
             "5576e95fab07250cdd041f8cc09d177a81f45ec62d416fce21094b0a5cab7211",
         ),
+        (
+            ("census", "--agents", "3", "--alts", "3", "--mode", "sampled",
+             "--samples", "20000", "--seed", "1", "--workers", "1"),
+            "a332a4d52788986b8fb2ab52dec8d1b3db8c17f694ccad8c211d99f4e1212419",
+        ),
+        (
+            ("lemmas", "L1", "L3", "L5", "C1", "R1", "THM", "--agents", "3", "--alts", "3",
+             "--mode", "sampled", "--samples", "300", "--seed", "5", "--workers", "1"),
+            "462eaae02073cb90a52f61daffa84c3705af3ffd6b9ffd7d410858a1591aa81f",
+        ),
     ])
     def test_report_digest(self, capsys, argv, digest):
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestProfileWorkBudget:
+    @pytest.mark.parametrize("argv,work", [
+        (("inspect", "--rule", "DICT:0", "--agents", "5", "--alts", "6"), 720**5 * 5 * 720),
+        (("inspect", "--rule", "DICT:0", "--agents", "4", "--alts", "4"), 24**4 * 4 * 24),
+        (("classify", "--rule", "DICT:0", "--agents", "5", "--alts", "4",
+          "--method", "scan"), 24**5 * 5 * 24),
+    ])
+    def test_rejected_up_front(self, capsys, argv, work):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv, "--workers", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"needs {work} steps" in err
+        assert "GSVERIFY_MAX_PROFILE_WORK" in err
+
+    @pytest.mark.parametrize("budget,expected", [("431", 2), ("432", 0)])
+    def test_env_sets_the_budget(self, capsys, monkeypatch, budget, expected):
+        # (2, 3): 6**2 profiles x 2 agents x 6 misreports = 432
+        monkeypatch.setenv("GSVERIFY_MAX_PROFILE_WORK", budget)
+        code, _, _ = invoke(
+            capsys, "inspect", "--rule", "DICT:0", "--agents", "2", "--alts", "3"
+        )
+        assert code == expected
 
 
 class TestSamplesValidation:

@@ -1,5 +1,7 @@
 """Coalescing, restriction, the census engine, and the verification suite."""
 
+import random
+
 import pytest
 
 from gsverify import (
@@ -33,7 +35,13 @@ from gsverify import (
 )
 from gsverify import _engine
 from gsverify._engine import code_from_digits
-from gsverify.constructions import _l5_rule_scan
+from gsverify.constructions import (
+    _BLOCK_WORDS,
+    _iter_rule_digits,
+    _l5_rule_scan,
+    _sampled_tables,
+)
+from gsverify.prefs import DEFAULT_MAX_AGENTS, DEFAULT_MAX_ALTERNATIVES
 
 
 def pref(text):
@@ -169,6 +177,38 @@ class TestEnumeration:
         assert draw() == draw()
 
 
+def randrange_tables(n, m, count, seed):
+    """The definition of the sampled rule stream: randrange(m) per cell."""
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(m) for _ in range(m**n)) for _ in range(count)]
+
+
+STREAM_DIMS = [
+    (n, m)
+    for n in range(2, DEFAULT_MAX_AGENTS + 1)
+    for m in range(2, DEFAULT_MAX_ALTERNATIVES + 1)
+    if m**n <= 1296
+]
+
+
+class TestSampledStream:
+    @pytest.mark.parametrize("n,m", STREAM_DIMS)
+    def test_equals_randrange_per_cell(self, n, m):
+        # every rule takes at least one generator word per cell
+        several_blocks = 3 * _BLOCK_WORDS // m**n + 2
+        for seed in (0, 1, 7, -5, 2**40 + 3):
+            for count in (0, 1, several_blocks):
+                drawn = [d for _, d in _iter_rule_digits(n, m, "sampled", count, seed)]
+                assert all(type(d) is bytes for d in drawn)
+                assert [tuple(d) for d in drawn] == randrange_tables(
+                    n, m, count, seed
+                ), (seed, count)
+
+    def test_rejects_digits_wider_than_a_byte(self):
+        with pytest.raises(ValueError, match="m < 256"):
+            next(_sampled_tables(256, 1, 1, 0))
+
+
 class TestCensus:
     def test_exhaustive_n2_m3(self):
         report = census(2, 3)
@@ -243,6 +283,16 @@ class TestCensus:
     def test_exhaustive_over_budget(self):
         with pytest.raises(BudgetExceededError):
             census(2, 4, mode="exhaustive")
+
+    def test_profile_work_over_budget(self):
+        with pytest.raises(BudgetExceededError, match="needs 31850496 steps"):
+            census(4, 4, mode="sampled", samples=10, seed=1)
+        with pytest.raises(BudgetExceededError, match="needs 3456000 steps"):
+            verify_lemma("L1", 2, 5, mode="sampled", samples=10, seed=1)
+        with pytest.raises(BudgetExceededError, match="needs 31850496 steps"):
+            _engine.profile_rows(4, 4)
+        # C2 compares tops-cell counts and walks no profile space
+        assert verify_lemma("C2", 2, 5, mode="sampled", samples=10, seed=1).passed
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_non_positive_samples_rejected(self, samples):

@@ -14,6 +14,7 @@ from gsverify import (
     enumerate_profiles,
     find_manipulation,
     is_efficient,
+    is_unanimous,
     profile_from_code,
 )
 from gsverify._engine import (
@@ -23,6 +24,7 @@ from gsverify._engine import (
     table_efficient_definitional,
     table_manipulation,
     table_profile_verdicts,
+    table_unanimous,
 )
 
 VERDICT_BITS = {Verdict.DICTATORIAL: DICTATORIAL, Verdict.MANIPULABLE: MANIPULABLE}
@@ -135,4 +137,16 @@ def test_pareto_kernel_matches_object_layer_on_sampled_n2_m3():
     tables += constants_and_dictators(2, 3)
     verdicts = [table_efficient_definitional(t, sp) for t in tables]
     assert verdicts == [is_efficient(TopsTableRule(2, 3, t)) for t in tables]
+    assert 0 < sum(verdicts) < len(tables)
+
+
+@pytest.mark.parametrize("n,m,count", [(2, 2, 0), (3, 2, 0), (2, 3, 300)])
+def test_unanimity_kernel_matches_object_layer(n, m, count):
+    sp = space(n, m)
+    tables = seeded_tables(n, m, count, 20264) if count else all_tables(n, m)
+    tables += constants_and_dictators(n, m)
+    verdicts = [table_unanimous(t, sp) for t in tables]
+    assert verdicts == [is_unanimous(TopsTableRule(n, m, t)) for t in tables]
+    # the sampled rule stream hands the kernels bytes
+    assert verdicts == [table_unanimous(bytes(t), sp) for t in tables]
     assert 0 < sum(verdicts) < len(tables)
