@@ -34,13 +34,8 @@ from .prefs import (
     enumerate_profiles,
     is_minimally_rich,
     preferences_with_top,
-    prefers,
     profile_from_code,
     satisfies_property_t_star,
-    supporters,
-    top,
-    weakly_prefers,
-    with_replaced,
 )
 from .rules import (
     BordaLexRule,
@@ -54,14 +49,12 @@ from .rules import (
     as_full_table,
     as_tops_table,
     efficient_via_tops,
-    evaluate,
     extensionally_equal,
     find_dictator,
     find_efficiency_violation,
     find_manipulation,
     find_tops_only_violation,
     find_unanimity_violation,
-    is_dictatorial,
     is_efficient,
     is_strategy_proof,
     is_tops_only,

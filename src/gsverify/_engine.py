@@ -100,15 +100,6 @@ class Space:
             mask |= 1 << t
         return mask
 
-    def pref_codes_of(self, profile_code: int) -> tuple[int, ...]:
-        codes = []
-        rest = profile_code
-        for _ in range(self.n):
-            rest, r = divmod(rest, self.fact)
-            codes.append(r)
-        codes.reverse()
-        return tuple(codes)
-
     def profile_code_of(self, pref_codes: Sequence[int]) -> int:
         code = 0
         for p in pref_codes:
@@ -248,6 +239,15 @@ def cells_masks(table: Table, sp: Space) -> tuple[int, int]:
         else:
             m_mask |= 1 << tc
     return d_mask, m_mask
+
+
+def cell_counts(table: Table, sp: Space) -> tuple[int, int]:
+    """(manipulable, dictatorial) profile counts |M_f|, |D_f| from the cells."""
+    d_mask, m_mask = cells_masks(table, sp)
+    return (
+        m_mask.bit_count() * sp.cell_profile_count,
+        d_mask.bit_count() * sp.cell_profile_count,
+    )
 
 
 def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:

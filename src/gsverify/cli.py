@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,
-        help="worker processes for exhaustive scans (default: machine parallelism)",
+        help="worker processes for the exhaustive census and L5 scans; reports are "
+             "identical for every value (default: machine parallelism)",
     )
     common.add_argument(
         "--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
@@ -208,6 +209,8 @@ def _classification_examples(rule: Rule, summary) -> dict:
 def _cmd_census(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.verbose and args.format != "csv":
         raise ValueError("--verbose census output is csv only")
+    if args.verbose and args.mode == "sampled":
+        raise ValueError("--verbose per-rule output is exhaustive only; drop --mode sampled")
     payload = _base_payload(args)
     if args.verbose:
         rows = list(
@@ -322,75 +325,51 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+# csv columns per command, read from the row dicts of ``_csv_rows``; a column
+# missing from the rows (classify without --sets) is left out
+_CSV_COLUMNS = {
+    "census": ("agents", "alternatives", "mode", "samples", "seed",
+               *constructions.CENSUS_STAGES, "sp_equals_dictators"),
+    "lemmas": ("lemma", "agents", "alternatives", "mode", "samples", "seed",
+               "passed", "checks"),
+    "classify": ("rule", "agents", "alternatives", "unanimous", "total", "m_count",
+                 "d_count", "m_set_hex", "d_set_hex"),
+    "inspect": ("rule", "agents", "alternatives", "unanimous", "tops_only",
+                "efficient", "strategy_proof", "dictator"),
+    "counterexample": ("rule", "agents", "alternatives", "unanimous", "strategy_proof",
+                       "tops_only", "efficient", "dictator", "valid"),
+}
+# nested payload dicts whose keys join the top-level ones in the csv row
+_CSV_NESTED = {"census": "counts", "counterexample": "certificate"}
+_PER_RULE_COLUMNS = ("rule_code", "unanimous", "efficient", "strategy_proof",
+                     "dictatorial", "m_count", "d_count")
+
+
+def _csv_rows(payload: dict) -> list[dict]:
+    command = payload["command"]
+    if command == "lemmas":
+        return payload["results"]
+    if command in _CSV_NESTED:
+        return [{**payload, **payload[_CSV_NESTED[command]]}]
+    return [payload]
+
+
 def _render_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    command = payload["command"]
-    if command == "census" and "per_rule" in payload:
-        writer.writerow(
-            ["rule_code", "unanimous", "efficient", "strategy_proof",
-             "dictatorial", "m_count", "d_count"]
-        )
+    if "per_rule" in payload:
+        writer.writerow(_PER_RULE_COLUMNS)
         for code, unan, eff, spf, dic, m_count, d_count in payload["per_rule"]:
             writer.writerow(
                 [code, _bool(unan), _bool(eff), _bool(spf), _bool(dic), m_count, d_count]
             )
-    elif command == "census":
+        return buf.getvalue()
+    rows = _csv_rows(payload)
+    columns = [c for c in _CSV_COLUMNS[payload["command"]] if c in rows[0]]
+    writer.writerow(columns)
+    for row in rows:
         writer.writerow(
-            ["agents", "alternatives", "mode", "samples", "seed", "total", "unanimous",
-             "efficient", "strategy_proof", "dictatorial", "sp_equals_dictators"]
-        )
-        counts = payload["counts"]
-        writer.writerow(
-            [payload["agents"], payload["alternatives"], payload["mode"],
-             payload["samples"], payload["seed"], counts["total"], counts["unanimous"],
-             counts["efficient"], counts["strategy_proof"], counts["dictatorial"],
-             _bool(payload["sp_equals_dictators"])]
-        )
-    elif command == "lemmas":
-        writer.writerow(
-            ["lemma", "agents", "alternatives", "mode", "samples", "seed",
-             "passed", "checks"]
-        )
-        for result in payload["results"]:
-            writer.writerow(
-                [result["lemma"], result["agents"], result["alternatives"],
-                 result["mode"], result["samples"], result["seed"],
-                 _bool(result["passed"]), result["checks"]]
-            )
-    elif command == "classify":
-        header = ["rule", "agents", "alternatives", "unanimous", "total",
-                  "m_count", "d_count"]
-        row = [payload["rule"], payload["agents"], payload["alternatives"],
-               _bool(payload["unanimous"]), payload["total"], payload["m_count"],
-               payload["d_count"]]
-        if "m_set_hex" in payload:
-            header += ["m_set_hex", "d_set_hex"]
-            row += [payload["m_set_hex"], payload["d_set_hex"]]
-        writer.writerow(header)
-        writer.writerow(row)
-    elif command == "inspect":
-        writer.writerow(
-            ["rule", "agents", "alternatives", "unanimous", "tops_only",
-             "efficient", "strategy_proof", "dictator"]
-        )
-        writer.writerow(
-            [payload["rule"], payload["agents"], payload["alternatives"],
-             _bool(payload["unanimous"]), _bool(payload["tops_only"]),
-             _bool(payload["efficient"]), _bool(payload["strategy_proof"]),
-             payload["dictator"]]
-        )
-    else:  # counterexample
-        cert = payload["certificate"]
-        writer.writerow(
-            ["rule", "agents", "alternatives", "unanimous", "strategy_proof",
-             "tops_only", "efficient", "dictator", "valid"]
-        )
-        writer.writerow(
-            [payload["rule"], payload["agents"], payload["alternatives"],
-             _bool(cert["unanimous"]), _bool(cert["strategy_proof"]),
-             _bool(cert["tops_only"]), _bool(cert["efficient"]), cert["dictator"],
-             _bool(cert["valid"])]
+            [_bool(row[c]) if isinstance(row[c], bool) else row[c] for c in columns]
         )
     return buf.getvalue()
 
@@ -415,7 +394,7 @@ def _render_text(payload: dict) -> str:
             f"census n={payload['agents']} m={payload['alternatives']} "
             f"mode={payload['mode']}"
         )
-        for key in ("total", "unanimous", "efficient", "strategy_proof", "dictatorial"):
+        for key in constructions.CENSUS_STAGES:
             lines.append(f"  {key}: {counts[key]}")
         lines.append(f"  strategy_proof_rules: {', '.join(payload['strategy_proof_rules']) or '-'}")
         lines.append(f"  sp_equals_dictators: {_bool(payload['sp_equals_dictators'])}")

@@ -11,11 +11,14 @@ that restriction.
 
 Rule-space exhaustion is guarded by a budget (``GSVERIFY_MAX_RULE_SPACE``);
 larger spaces run in sampled mode with an explicit seed, and sampled runs
-with the same seed reproduce byte for byte.  The sampled stream is defined
-as ``randrange(m)`` per tops cell from ``random.Random(seed)``, so reports
-also reproduce across gsverify versions; ``_sampled_tables`` draws exactly
-those digits in blocks, and the tests pin it to the ``randrange`` loop and
-two sampled reports to their SHA-256 digests.
+with the same seed reproduce byte for byte.  Every rule walk reads the one
+rule stream, ``_iter_rule_digits``: ascending rule codes when exhaustive,
+else ``randrange(m)`` per tops cell from ``random.Random(seed)``, drawn in
+blocks by ``_sampled_tables`` (the tests pin it to the ``randrange`` loop).
+``_scan_rules`` is the one runner that splits an exhaustive stream over
+worker processes (the census and L5 use it); it merges the parts in code
+order and stops where a serial scan stops, so no report depends on
+``workers``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ RULE_SPACE_NOTE = (
     "quantification over rules covers the tops-table space plus the "
     "closed-form library; full-table rule spaces are not enumerated"
 )
+
+# the census cascade, each stage counted within the one before it
+CENSUS_STAGES = ("total", "unanimous", "efficient", "strategy_proof", "dictatorial")
 
 FILTER_NAMES = ("unanimous", "efficient", "strategy-proof", "dictatorial")
 # cheapest checks first; strategy-proofness runs the definitional integer scan
@@ -234,22 +240,75 @@ def _resolve_mode(
 
 
 def _iter_rule_digits(
-    n: int, m: int, mode: str, samples: int | None, seed: int | None
+    n: int,
+    m: int,
+    mode: str,
+    samples: int | None,
+    seed: int | None,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> Iterator[tuple[int, Sequence[int]]]:
-    """Yield (code-or-index, digits) per candidate rule.
+    """Yield (code-or-index, digits) per candidate rule: the one rule stream.
 
-    Exhaustive mode yields one digit list, reused between iterations; callers
-    materialize with tuple() before keeping a reference.  Sampled mode yields
-    immutable ``bytes`` from ``_sampled_tables``.
+    Exhaustive mode walks rule codes ``lo <= code < hi`` (``hi`` defaults to
+    the whole space) and yields one digit list, reused between iterations;
+    callers materialize with tuple() before keeping a reference.  Sampled
+    mode yields immutable ``bytes`` from ``_sampled_tables`` and ignores
+    ``lo`` and ``hi``.
     """
     cells = _engine.space(n, m).tops_count
     if mode == "exhaustive":
-        digits = [0] * cells
-        for code in range(rule_space_size(n, m)):
+        digits = _engine.digits_from_code(lo, cells, m)
+        for code in range(lo, rule_space_size(n, m) if hi is None else hi):
             yield code, digits
             _engine.increment_digits(digits, m)
     else:
         yield from enumerate(_sampled_tables(m, cells, samples or 0, seed))
+
+
+def _scan_rules(scan, n, m, mode, samples, seed, workers, *args):
+    """Run ``scan(stream, n, m, *args)`` over the rule stream; merge its parts.
+
+    A scan returns ``(tallies, found, counterexample)``: a list of counts, a
+    list of findings in stream order, and the counterexample it stopped at or
+    None.  Exhaustive streams are split into ascending code ranges, one per
+    worker process; sampled streams run in this process.  Parts merge in
+    ascending code order (tallies summed, findings concatenated), and the
+    merge ends with the first part that stopped, so the result is the serial
+    scan's for every ``workers``.
+    """
+    if mode == "exhaustive":
+        size = rule_space_size(n, m)
+        count = max(1, min(workers, size))
+        bounds = [i * (size // count) for i in range(count)] + [size]
+        ranges = list(zip(bounds, bounds[1:]))
+    else:
+        ranges = [(0, None)]
+    jobs = [(scan, n, m, mode, samples, seed, lo, hi, args) for lo, hi in ranges]
+    if len(jobs) == 1:
+        return _merge_parts(map(_run_scan, jobs))
+    with multiprocessing.Pool(len(jobs)) as pool:
+        # leaving the pool before the last part terminates the later scans
+        return _merge_parts(pool.imap(_run_scan, jobs))
+
+
+def _merge_parts(parts: Iterator[tuple]) -> tuple:
+    tallies = None
+    found: list = []
+    for part_tallies, part_found, counterexample in parts:
+        if tallies is None:
+            tallies = part_tallies
+        else:
+            tallies = [a + b for a, b in zip(tallies, part_tallies)]
+        found.extend(part_found)
+        if counterexample is not None:
+            break
+    return tallies, found, counterexample
+
+
+def _run_scan(job: tuple):
+    scan, n, m, mode, samples, seed, lo, hi, args = job
+    return scan(_iter_rule_digits(n, m, mode, samples, seed, lo, hi), n, m, *args)
 
 
 # Mersenne Twister words drawn per block by the sampled rule stream (32 KB).
@@ -401,6 +460,10 @@ class CensusReport:
     note: str = RULE_SPACE_NOTE
     elapsed_seconds: float = 0.0
 
+    def counts(self) -> dict[str, int]:
+        """The cascade counts keyed by ``CENSUS_STAGES``, in stage order."""
+        return {stage: getattr(self, stage) for stage in CENSUS_STAGES}
+
     def to_json_dict(self) -> dict:
         return {
             "agents": self.n,
@@ -411,76 +474,42 @@ class CensusReport:
             "filters": list(self.filters),
             "rule_space": self.rule_space,
             "note": self.note,
-            "counts": {
-                "total": self.total,
-                "unanimous": self.unanimous,
-                "efficient": self.efficient,
-                "strategy_proof": self.strategy_proof,
-                "dictatorial": self.dictatorial,
-            },
+            "counts": self.counts(),
             "strategy_proof_rules": list(self.strategy_proof_rules),
             "dictator_rules": list(self.dictator_rules),
             "sp_equals_dictators": self.sp_equals_dictators,
         }
 
 
-def _census_pass(
+def _census_scan(
+    stream: Iterator[tuple[int, Sequence[int]]],
     n: int,
     m: int,
-    digit_stream: Iterator[tuple[int, Sequence[int]]],
     filters: tuple[str, ...],
-) -> tuple[dict, list[str], list[str], int]:
+) -> tuple[list[int], list[tuple[str, bool]], None]:
+    """Cascade tallies in ``CENSUS_STAGES`` order, and (rule string,
+    dictatorial) per strategy-proof survivor."""
     sp = _engine.space(n, m)
-    counts = {
-        "total": 0,
-        "unanimous": 0,
-        "efficient": 0,
-        "strategy_proof": 0,
-        "dictatorial": 0,
-    }
-    sp_rules: list[str] = []
-    dict_rules: list[str] = []
-    seen = 0
-    for _, digits in digit_stream:
-        seen += 1
+    total = unanimous = efficient = strategy_proof = dictatorial = 0
+    survivors: list[tuple[str, bool]] = []
+    for _, digits in stream:
         if filters and not all(_digit_filter(name, digits, sp) for name in filters):
             continue
-        counts["total"] += 1
+        total += 1
         if not _engine.table_unanimous(digits, sp):
             continue
-        counts["unanimous"] += 1
+        unanimous += 1
         if not _engine.table_efficient_cells(digits, sp):
             continue
-        counts["efficient"] += 1
+        efficient += 1
         if _engine.table_manipulation(digits, sp) is not None:
             continue
-        counts["strategy_proof"] += 1
-        rule_string = _rule_string_from_digits(n, m, digits)
-        sp_rules.append(rule_string)
-        if _engine.table_dictator(digits, sp) is not None:
-            counts["dictatorial"] += 1
-            dict_rules.append(rule_string)
-    return counts, sp_rules, dict_rules, seen
-
-
-def _census_chunk(args: tuple) -> tuple[dict, list[str], list[str], int]:
-    n, m, lo, hi, filters = args
-    sp = _engine.space(n, m)
-    digits = _engine.digits_from_code(lo, sp.tops_count, m)
-
-    def stream() -> Iterator[tuple[int, list[int]]]:
-        for code in range(lo, hi):
-            yield code, digits
-            _engine.increment_digits(digits, m)
-
-    return _census_pass(n, m, stream(), filters)
-
-
-def _chunk_ranges(size: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, size))
-    step = size // workers
-    bounds = [i * step for i in range(workers)] + [size]
-    return [(bounds[i], bounds[i + 1]) for i in range(workers)]
+        strategy_proof += 1
+        is_dictator = _engine.table_dictator(digits, sp) is not None
+        if is_dictator:
+            dictatorial += 1
+        survivors.append((_rule_string_from_digits(n, m, digits), is_dictator))
+    return [total, unanimous, efficient, strategy_proof, dictatorial], survivors, None
 
 
 def census(
@@ -511,29 +540,11 @@ def census(
     )
     check_profile_work(n, m)  # the cascade's strategy-proofness stage
     t0 = perf_counter()
-    if resolved == "exhaustive":
-        size = rule_space_size(n, m)
-        chunks = [
-            (n, m, lo, hi, ordered_filters) for lo, hi in _chunk_ranges(size, workers)
-        ]
-        parts = _map_chunks(_census_chunk, chunks, workers)
-    else:
-        parts = [
-            _census_pass(
-                n,
-                m,
-                _iter_rule_digits(n, m, "sampled", eff_samples, eff_seed),
-                ordered_filters,
-            )
-        ]
-    counts = {k: 0 for k in ("total", "unanimous", "efficient", "strategy_proof", "dictatorial")}
-    sp_rules: list[str] = []
-    dict_rules: list[str] = []
-    for part_counts, part_sp, part_dict, _ in parts:
-        for k in counts:
-            counts[k] += part_counts[k]
-        sp_rules.extend(part_sp)
-        dict_rules.extend(part_dict)
+    tallies, survivors, _ = _scan_rules(
+        _census_scan, n, m, resolved, eff_samples, eff_seed, workers, ordered_filters
+    )
+    sp_rules = tuple(rule for rule, _ in survivors)
+    dict_rules = tuple(rule for rule, is_dictator in survivors if is_dictator)
     return CensusReport(
         n=n,
         m=m,
@@ -541,23 +552,12 @@ def census(
         samples=eff_samples,
         seed=eff_seed,
         filters=ordered_filters,
-        total=counts["total"],
-        unanimous=counts["unanimous"],
-        efficient=counts["efficient"],
-        strategy_proof=counts["strategy_proof"],
-        dictatorial=counts["dictatorial"],
-        strategy_proof_rules=tuple(sp_rules),
-        dictator_rules=tuple(dict_rules),
+        **dict(zip(CENSUS_STAGES, tallies)),
+        strategy_proof_rules=sp_rules,
+        dictator_rules=dict_rules,
         sp_equals_dictators=sp_rules == dict_rules,
         elapsed_seconds=perf_counter() - t0,
     )
-
-
-def _map_chunks(worker_fn, args_list: list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker_fn(a) for a in args_list]
-    with multiprocessing.Pool(processes=min(workers, len(args_list))) as pool:
-        return pool.map(worker_fn, args_list)
 
 
 def census_rows(
@@ -570,19 +570,16 @@ def census_rows(
     """
     check_agent_count(n)
     check_alternative_count(m)
-    size = _check_rule_space(n, m, budget)
+    _check_rule_space(n, m, budget)
     ordered = _ordered_filters(filters)
     if "strategy-proof" in ordered:
         check_profile_work(n, m)
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
-        digits = [0] * sp.tops_count
-        for code in range(size):
+        for code, digits in _iter_rule_digits(n, m, "exhaustive", None, None):
             if all(_digit_filter(name, digits, sp) for name in ordered):
-                d_mask, m_mask = _engine.cells_masks(digits, sp)
-                m_count = m_mask.bit_count() * sp.cell_profile_count
-                d_count = d_mask.bit_count() * sp.cell_profile_count
+                m_count, d_count = _engine.cell_counts(digits, sp)
                 yield (
                     code,
                     _engine.table_unanimous(digits, sp),
@@ -592,7 +589,6 @@ def census_rows(
                     m_count,
                     d_count,
                 )
-            _engine.increment_digits(digits, m)
 
     return gen()
 
@@ -769,41 +765,26 @@ def _l5_rule_scan(digits, sp, n, m, checks: int) -> tuple[int, dict | None]:
     return checks, None
 
 
-def _l5_chunk(args: tuple) -> tuple[int, dict | None]:
-    n, m, lo, hi = args
+def _l5_scan(stream, n: int, m: int) -> tuple[list[int], list, dict | None]:
+    """Tallies [rules, checks] of the L5 partition scan, up to its first
+    counterexample."""
     sp = _engine.space(n, m)
-    digits = _engine.digits_from_code(lo, sp.tops_count, m)
-    checks = 0
+    rules = checks = 0
     counterexample = None
-    for code in range(lo, hi):
+    for _, digits in stream:
+        rules += 1
         checks, counterexample = _l5_rule_scan(digits, sp, n, m, checks)
         if counterexample:
             break
-        _engine.increment_digits(digits, m)
-    return checks, counterexample
+    return [rules, checks], [], counterexample
 
 
 def _verify_l5(n, m, mode, samples, seed, workers):
     """Partition: per rule and profile, exactly one verdict holds."""
-    sp = _engine.space(n, m)
-    checks = 0
-    counterexample = None
-    rules_seen = 0
-    if mode == "exhaustive":
-        size = rule_space_size(n, m)
-        chunks = [(n, m, lo, hi) for lo, hi in _chunk_ranges(size, workers)]
-        for part_checks, part_cx in _map_chunks(_l5_chunk, chunks, workers):
-            checks += part_checks
-            if counterexample is None and part_cx is not None:
-                counterexample = part_cx
-        rules_seen = size
-    else:
-        for _, digits in _iter_rule_digits(n, m, "sampled", samples, seed):
-            rules_seen += 1
-            checks, counterexample = _l5_rule_scan(digits, sp, n, m, checks)
-            if counterexample:
-                break
-    detail = {"rules": rules_seen, "profiles_per_rule": sp.profile_count}
+    (rules, checks), _, counterexample = _scan_rules(
+        _l5_scan, n, m, mode, samples, seed, workers
+    )
+    detail = {"rules": rules, "profiles_per_rule": _engine.space(n, m).profile_count}
     return counterexample is None, checks, counterexample, detail
 
 
@@ -844,49 +825,28 @@ def _verify_c1(n, m, mode, samples, seed, workers):
     return counterexample is None, checks, counterexample, detail
 
 
-def _table_counts(digits, sp) -> tuple[int, int]:
-    d_mask, m_mask = _engine.cells_masks(digits, sp)
-    return (
-        m_mask.bit_count() * sp.cell_profile_count,
-        d_mask.bit_count() * sp.cell_profile_count,
-    )
-
-
 def _verify_c2(n, m, mode, samples, seed, workers):
     """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
     sp = _engine.space(n, m)
     size = rule_space_size(n, m)
-    checks = 0
-    counterexample = None
+    cache: dict[int, tuple[int, int]] = {}
+
+    def counts_of(code: int) -> tuple[int, int]:
+        if code not in cache:
+            digits = _engine.digits_from_code(code, sp.tops_count, m)
+            cache[code] = _engine.cell_counts(digits, sp)
+        return cache[code]
+
     if mode == "exhaustive":
-        tables = []
-        for _, digits in _iter_rule_digits(n, m, "exhaustive", None, None):
-            tables.append(_table_counts(digits, sp))
         pairs = ((f, g) for f in range(size) for g in range(size))
-        rules_seen = size
     else:
         rng = random.Random(seed)
-        cache: dict[int, tuple[int, int]] = {}
-
-        def counts_of(code: int) -> tuple[int, int]:
-            if code not in cache:
-                digits = _engine.digits_from_code(code, sp.tops_count, m)
-                cache[code] = _table_counts(digits, sp)
-            return cache[code]
-
-        pair_list = [
-            (rng.randrange(size), rng.randrange(size)) for _ in range(samples or 0)
-        ]
-        tables = None
-        pairs = iter(pair_list)
-        rules_seen = None
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples or 0)]
+    checks = 0
+    counterexample = None
     for f_code, g_code in pairs:
-        if tables is not None:
-            mf, df = tables[f_code]
-            mg, dg = tables[g_code]
-        else:
-            mf, df = counts_of(f_code)
-            mg, dg = counts_of(g_code)
+        mf, df = counts_of(f_code)
+        mg, dg = counts_of(g_code)
         checks += 1
         if (df >= dg) != (mg >= mf):
             counterexample = {
@@ -903,9 +863,7 @@ def _verify_c2(n, m, mode, samples, seed, workers):
                 "d_g": dg,
             }
             break
-    if rules_seen is None:
-        rules_seen = len({c for pair in pair_list for c in pair})
-    detail = {"distinct_rules": rules_seen}
+    detail = {"distinct_rules": size if mode == "exhaustive" else len(cache)}
     return counterexample is None, checks, counterexample, detail
 
 
@@ -915,7 +873,7 @@ def _verify_r1(n, m, mode, samples, seed, workers):
     records = []
 
     def add(digits) -> None:
-        m_count, _ = _table_counts(digits, sp)
+        m_count, _ = _engine.cell_counts(digits, sp)
         strategy_proof = _engine.table_manipulation(digits, sp) is None
         records.append((tuple(digits), m_count, strategy_proof))
 
@@ -950,7 +908,7 @@ def _verify_r2(n, m, mode, samples, seed, workers):
     records = []
 
     def add(digits) -> None:
-        _, d_count = _table_counts(digits, sp)
+        _, d_count = _engine.cell_counts(digits, sp)
         rule = TopsTableRule(n, m, tuple(digits))
         records.append((rule, d_count, find_dictator(rule) is not None))
 
@@ -1008,15 +966,7 @@ def _verify_thm(n, m, mode, samples, seed, workers):
                 "dictator": find_dictator(rule),
             },
         }
-    detail = {
-        "counts": {
-            "total": report.total,
-            "unanimous": report.unanimous,
-            "efficient": report.efficient,
-            "strategy_proof": report.strategy_proof,
-            "dictatorial": report.dictatorial,
-        }
-    }
+    detail = {"counts": report.counts()}
     return passed, report.total, counterexample, detail
 
 

@@ -171,21 +171,6 @@ class Preference:
         return self.to_text()
 
 
-def top(p: Preference) -> Alternative:
-    """The best alternative of a preference."""
-    return p.top
-
-
-def prefers(p: Preference, x: Alternative, y: Alternative) -> bool:
-    """Functional form of :meth:`Preference.prefers`."""
-    return p.prefers(x, y)
-
-
-def weakly_prefers(p: Preference, x: Alternative, y: Alternative) -> bool:
-    """Functional form of :meth:`Preference.weakly_prefers`."""
-    return p.weakly_prefers(x, y)
-
-
 def encode_preference(p: Preference) -> int:
     """Canonical integer code of a preference (lexicographic rank)."""
     return p.rank_code
@@ -287,16 +272,6 @@ class Profile:
         return self.to_text()
 
 
-def supporters(profile: Profile, x: Alternative) -> frozenset[int]:
-    """Agents in the profile whose top is x."""
-    return profile.supporters(x)
-
-
-def with_replaced(profile: Profile, agent: int, pref: Preference) -> Profile:
-    """Functional form of :meth:`Profile.with_replaced`."""
-    return profile.with_replaced(agent, pref)
-
-
 def profile_from_code(code: int, n: int, m: int) -> Profile:
     """Inverse of :attr:`Profile.code` at given (n, m)."""
     check_agent_count(n)
@@ -327,18 +302,8 @@ def enumerate_profiles(n: int, m: int) -> Iterator[Profile]:
     return gen()
 
 
-def tops_code(tops: TopsProfile, m: int) -> int:
-    """Mixed-radix code of a tops profile, agent 0 most significant."""
-    code = 0
-    for t in tops:
-        if not 0 <= t < m:
-            raise ValueError(f"alternative {t} out of range for m={m}")
-        code = code * m + t
-    return code
-
-
 def tops_from_code(code: int, n: int, m: int) -> TopsProfile:
-    """Inverse of :func:`tops_code`."""
+    """Tops profile of a mixed-radix tops code, agent 0 most significant."""
     total = m**n
     if not 0 <= code < total:
         raise ValueError(f"tops code {code} out of range [0, {total})")

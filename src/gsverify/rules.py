@@ -388,11 +388,6 @@ def _check_walk(rule: Rule) -> None:
     check_profile_work(rule.n, rule.m)
 
 
-def evaluate(rule: Rule, profile: Profile) -> Alternative:
-    """Functional form of :meth:`Rule.evaluate`."""
-    return rule.evaluate(profile)
-
-
 def find_unanimity_violation(rule: Rule) -> Profile | None:
     """First common-top profile whose outcome is not the shared top."""
     _check_walk(rule)
@@ -504,10 +499,6 @@ def find_dictator(rule: Rule) -> int | None:
         ):
             return i
     return None
-
-
-def is_dictatorial(rule: Rule) -> bool:
-    return find_dictator(rule) is not None
 
 
 def extensionally_equal(f: Rule, g: Rule) -> bool:

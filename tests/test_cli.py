@@ -73,6 +73,15 @@ class TestCensusCommand:
         assert code == 2
         assert "csv" in err
 
+    def test_verbose_rejects_sampled_mode(self, capsys):
+        code, out, err = invoke(
+            capsys, "census", "--agents", "2", "--alts", "2", "--format", "csv",
+            "--verbose", "--mode", "sampled", "--samples", "3", "--seed", "9",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exhaustive only" in err
+
     def test_budget_exceeded(self, capsys):
         code, _, err = invoke(
             capsys, "census", "--agents", "2", "--alts", "4", "--mode", "exhaustive",
@@ -277,6 +286,28 @@ class TestGoldenReports:
             ("lemmas", "L1", "L3", "L5", "C1", "R1", "THM", "--agents", "3", "--alts", "3",
              "--mode", "sampled", "--samples", "300", "--seed", "5", "--workers", "1"),
             "462eaae02073cb90a52f61daffa84c3705af3ffd6b9ffd7d410858a1591aa81f",
+        ),
+        (
+            ("census", "--agents", "2", "--alts", "3", "--workers", "1", "--format", "csv"),
+            "0b535ba92601c760f80ce9261a019b22dc027f6ff99b91c807f4cad5046148f4",
+        ),
+        (
+            ("lemmas", "--suite", "all", "--agents", "2", "--alts", "3", "--workers", "1",
+             "--format", "csv"),
+            "44bf5983dba45f73e261bd08341b85d634ce15a63d3a713d4b778bb9093bb14d",
+        ),
+        (
+            ("classify", "--rule", "DICT:1", "--agents", "3", "--alts", "3", "--sets",
+             "--format", "csv"),
+            "c89612256c7200e3fd4f0b997769cfdf5a49ebf2078850ceea8e784495b66fa0",
+        ),
+        (
+            ("inspect", "--rule", "BORDALEX", "--agents", "2", "--alts", "3", "--format", "csv"),
+            "a9f9abde1596b079340f4fd08663aec2fbda2d2e943d9646fa882bc5b0701aea",
+        ),
+        (
+            ("counterexample", "--agents", "3", "--format", "csv"),
+            "1622dbf8f64fe5b70bbbe429f092f975875b821a14614ca2c4e50f5553f024ee",
         ),
     ])
     def test_report_digest(self, capsys, argv, digest):

@@ -371,9 +371,14 @@ class TestVerifyLemma:
         report = verify_lemma("C2", 3, 3, mode="sampled", samples=400, seed=71)
         assert report.passed
 
-    def test_workers_match_serial_on_l5(self):
-        serial = verify_lemma("L5", 2, 2, workers=1)
-        parallel = verify_lemma("L5", 2, 2, workers=3)
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize(
+        "lemma", ["L1", "L3", "L4", "L5", "C1", "C2", "R1", "R2", "THM"]
+    )
+    def test_workers_match_serial(self, lemma, n, m):
+        # L4, R2 and THM fail at m=2, so failing merges are covered too
+        serial = verify_lemma(lemma, n, m, workers=1)
+        parallel = verify_lemma(lemma, n, m, workers=3)
         assert serial.to_json_dict() == parallel.to_json_dict()
 
     def test_workers_match_serial_on_l5_at_n2_m3(self):
@@ -381,6 +386,26 @@ class TestVerifyLemma:
         parallel = verify_lemma("L5", 2, 3, workers=2)
         assert parallel.checks == 708_588
         assert serial.to_json_dict() == parallel.to_json_dict()
+
+    def test_workers_match_serial_when_l5_fails(self, monkeypatch):
+        # one doctored profile of rule code 1; the forked pool workers inherit
+        # the patch (fork is the Linux start method through Python 3.13)
+        honest = _engine.table_profile_verdicts
+        target = (0, 0, 0, 0, 0, 0, 0, 0, 1)
+
+        def doctored_verdicts(table, sp):
+            verdicts = honest(table, sp)
+            if tuple(table) == target:
+                verdicts[5] = _engine.DICTATORIAL | _engine.MANIPULABLE
+            return verdicts
+
+        monkeypatch.setattr(_engine, "table_profile_verdicts", doctored_verdicts)
+        serial = verify_lemma("L5", 2, 3, workers=1)
+        parallel = verify_lemma("L5", 2, 3, workers=2)
+        assert serial.to_json_dict() == parallel.to_json_dict()
+        assert serial.counterexample["rule"] == "TOPS:n=2,m=3:000000001"
+        assert serial.detail["rules"] == 2
+        assert serial.checks == 36 + 6
 
     @pytest.mark.parametrize("doctored,kind,checks", [
         ({0: 3}, "profile not exactly one of dictatorial/manipulable", 1),
