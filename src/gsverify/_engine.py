@@ -11,13 +11,24 @@ definitional integer scan over every profile, agent and misreport.
 ``rules.find_manipulation`` is its object-level twin, and the tests pin the
 two to the same witness over whole small rule spaces.
 
-Per-profile kernels (``table_profile_verdicts`` and
-``table_efficient_definitional``) read ``profile_rows``, which is built
+Per-profile kernels (``table_profile_verdicts``, ``block_profile_verdicts``
+and ``table_efficient_definitional``) read ``profile_rows``, which is built
 lazily once per (n, m), never at import or in ``Space``.  A row's
 Pareto-dominated mask is enumerated in full from the agents' rankings, never
 taken from the tops-cell masks, and each profile's verdict is computed from
-its own row: nothing is cached per tops cell.  Their object-level twins are
-``classify.classify_profile`` and ``rules.is_efficient``.
+its own row, with every agent, all m! misreports and every stand-in: nothing
+is computed once per tops cell and copied to its profiles.  Their
+object-level twins are ``classify.classify_profile`` and ``rules.is_efficient``.
+
+Rule streams go through the rule-block kernels a block at a time: a block is
+its rules' digits back to back in one ``bytes``, and bit r of every bitset
+the kernels return stands for rule r, so each visit above is a few big-int
+operations covering the whole block.  ``block_profile_verdicts`` gives the
+per-profile verdicts of L4 and L5; ``block_cell_masks`` gives the
+non-dictatorial tops cells and the exact |M_f| and |D_f| of R1, R2, C2,
+``census_rows`` and ``classify --method cells`` (a block of one rule).
+``table_profile_verdicts`` is the per-rule kernel for a single rule
+(``classify --method scan``) and the tests' reference for the block kernel.
 """
 
 from __future__ import annotations
@@ -25,8 +36,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter
-from typing import Sequence
+from operator import add, itemgetter
+from typing import Iterable, Sequence
 
 from .prefs import check_profile_work
 
@@ -210,44 +221,135 @@ def table_profile_verdicts(table: Table, sp: Space) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Per-cell verdicts (constant across same-tops profiles for tops-table rules).
+# Rule-block kernels: bit r of every bitset stands for rule r of the block.
 # ---------------------------------------------------------------------------
 
 
-def cell_is_dictatorial(table: Table, sp: Space, tc: int) -> bool:
-    tops = sp.tops_tuples[tc]
-    out = table[tc]
-    for i in range(sp.n):
-        ti = tops[i]
-        if ti == out:
-            continue
-        w = sp.tops_weights[i]
-        base = tc - ti * w
-        for x in range(sp.m):
-            if table[base + x * w] != out:
-                return False
-    return True
+def _block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
+    """(rules in the block, per tops code the bitset of rules selecting each outcome).
+
+    ``joined`` holds the block's tables back to back, ``tops_count`` digits
+    each, so ``joined[c::cells]`` is column c: one byte per rule.
+    """
+    cells = sp.tops_count
+    eq = []  # per outcome x: byte x -> b"1", any other byte -> b"0"
+    for x in range(sp.m):
+        table = bytearray(b"0" * 256)
+        table[x] = ord("1")
+        eq.append(table)
+    cols = []
+    for c in range(cells):
+        col = joined[c::cells]
+        # reversed: int() reads the most significant digit first
+        cols.append(tuple(int(col.translate(t)[::-1], 2) for t in eq))
+    return len(joined) // cells, cols
 
 
-def cells_masks(table: Table, sp: Space) -> tuple[int, int]:
-    """(dictatorial, manipulable) cell bitmasks over tops codes."""
-    d_mask = 0
-    m_mask = 0
-    for tc in range(sp.tops_count):
-        if cell_is_dictatorial(table, sp, tc):
-            d_mask |= 1 << tc
-        else:
-            m_mask |= 1 << tc
-    return d_mask, m_mask
+def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
+    """Per rule r < count, how many of ``bitsets`` have bit r set (exact).
+
+    Each bitset is spread to one byte per rule and at most 255 of them are
+    summed in these byte lanes before the lanes are added to the totals, so
+    no lane ever carries into the next.
+    """
+    ascii_bits = bytes.maketrans(b"01", b"\x00\x01")
+    totals = [0] * count
+    lanes = pending = 0
+    for bits in bitsets:
+        spread = format(bits, f"0{count}b").encode().translate(ascii_bits)
+        lanes += int.from_bytes(spread, "big")
+        pending += 1
+        if pending == 255:
+            totals = list(map(add, totals, lanes.to_bytes(count, "little")))
+            lanes = pending = 0
+    if pending:
+        totals = list(map(add, totals, lanes.to_bytes(count, "little")))
+    return totals
 
 
-def cell_counts(table: Table, sp: Space) -> tuple[int, int]:
-    """(manipulable, dictatorial) profile counts |M_f|, |D_f| from the cells."""
-    d_mask, m_mask = cells_masks(table, sp)
-    return (
-        m_mask.bit_count() * sp.cell_profile_count,
-        d_mask.bit_count() * sp.cell_profile_count,
+def block_profile_verdicts(joined: bytes, sp: Space) -> tuple[list[int], list[int]]:
+    """(dictatorial, manipulable) rule bitsets per profile code for a block of
+    tops-table rules: bit r of entry pc is rule r's verdict at profile pc.
+
+    The semantics of ``table_profile_verdicts``, for every rule at once.  Each
+    profile is computed from its own row.  For every agent, the rules reaching
+    each outcome by some of all m! misreports; the agent has power under the
+    rules whose outcome is not its top and which reach another outcome.  For
+    every stand-in with the agent's top, walked in its ranking order, the
+    manipulable rules are those whose outcome is ranked below a reached one.
+    """
+    m = sp.m
+    count, cols = _block_columns(joined, sp)
+    full = (1 << count) - 1
+    shifts = tuple(range(0, m * count, count))
+    # outcome x of cell c in bits [x * count, (x + 1) * count)
+    wide = [sum(s << shift for s, shift in zip(col, shifts)) for col in cols]
+    orders = tuple(
+        tuple(sp.rankings[p] for p in sp.prefs_with_top[t]) for t in range(m)
     )
+    dictatorial = []
+    manipulable = []
+    for tc, _dominated, agents in profile_rows(sp.n, m):
+        outs = cols[tc]
+        powerful = manip = 0
+        for top, base, offsets, _stand_ins in agents:
+            reached = 0
+            for off in offsets:
+                reached |= wide[base + off]
+            by_outcome = []
+            seen = several = 0  # rules reaching some / at least two outcomes
+            for shift in shifts:
+                hits = (reached >> shift) & full
+                several |= seen & hits
+                seen |= hits
+                by_outcome.append(hits)
+            for x in range(m):
+                if x != top:
+                    # rules selecting x here that reach an outcome other than x
+                    powerful |= outs[x] & (several | (seen & ~by_outcome[x]))
+            for order in orders[top]:
+                above = by_outcome[top]
+                for x in order[1:]:
+                    manip |= outs[x] & above
+                    above |= by_outcome[x]
+        dictatorial.append(full ^ powerful)
+        manipulable.append(manip)
+    return dictatorial, manipulable
+
+
+def block_cell_masks(
+    joined: bytes, sp: Space
+) -> tuple[list[int], list[int], list[int]]:
+    """Non-dictatorial-cell rule bitsets per tops code, and |M_f| and |D_f| per rule.
+
+    A cell is dictatorial for a rule when every agent whose top is not the
+    outcome gets the outcome at all m cells of its line (the cell with its
+    top replaced by each alternative).  Manipulable profiles are the profiles
+    of the other cells, ``cell_profile_count`` per cell.
+    """
+    m = sp.m
+    count, cols = _block_columns(joined, sp)
+    full = (1 << count) - 1
+    nondictatorial = []
+    for tc, tops in enumerate(sp.tops_tuples):
+        lines = [
+            (t, range(tc - t * w, tc - t * w + m * w, w))
+            for t, w in zip(tops, sp.tops_weights)
+        ]
+        outs = cols[tc]
+        nd = 0
+        for x in range(m):
+            stays = full
+            for t, line in lines:
+                if t != x:
+                    for c in line:
+                        stays &= cols[c][x]
+            nd |= outs[x] & ~stays
+        nondictatorial.append(nd)
+    cpc = sp.cell_profile_count
+    m_counts = [k * cpc for k in bit_counts(nondictatorial, count)]
+    d_counts = [sp.profile_count - k for k in m_counts]
+    return nondictatorial, m_counts, d_counts
 
 
 def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:

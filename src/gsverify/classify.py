@@ -158,9 +158,12 @@ def classify_all(
     table = as_tops_table(rule).outcomes
     sp = _engine.space(rule.n, rule.m)
     if method == "cells":
-        d_mask, m_mask = _engine.cells_masks(table, sp)
-        d_count = d_mask.bit_count() * sp.cell_profile_count
-        m_count = m_mask.bit_count() * sp.cell_profile_count
+        # a block of one rule: each cell's bitset is that rule's bit
+        nondictatorial, (m_count,), (d_count,) = _engine.block_cell_masks(
+            bytes(table), sp
+        )
+        m_mask = sum(bit << tc for tc, bit in enumerate(nondictatorial))
+        d_mask = ((1 << sp.tops_count) - 1) ^ m_mask
         d_set = m_set = None
         if materialize_sets:
             d_set = _engine.expand_cells_to_profiles(sp, d_mask)

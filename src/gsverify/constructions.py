@@ -18,7 +18,9 @@ blocks by ``_sampled_tables`` (the tests pin it to the ``randrange`` loop).
 ``_scan_rules`` is the one runner that splits an exhaustive stream over
 worker processes (the census and L5 use it); it merges the parts in code
 order and stops where a serial scan stops, so no report depends on
-``workers``.
+``workers``.  L4, L5, R1, R2, C2 and ``census_rows`` cut their stream into
+blocks of at most ``_BLOCK_RULES`` rules (``_rule_blocks``) for the
+rule-block kernels of ``_engine``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _engine
 from .errors import BudgetExceededError, UnknownLemmaError
@@ -311,6 +314,32 @@ def _run_scan(job: tuple):
     return scan(_iter_rule_digits(n, m, mode, samples, seed, lo, hi), n, m, *args)
 
 
+# Rules per block handed to the rule-block kernels; bounds a block's memory.
+_BLOCK_RULES = 2048
+
+
+def _rule_blocks(
+    stream: Iterable[tuple[int, Sequence[int]]], cells: int
+) -> Iterator[tuple[list[int], bytes]]:
+    """Cut a (code, digits) stream into blocks of at most ``_BLOCK_RULES``
+    rules: the codes, and the rules' digits back to back in one ``bytes``."""
+    codes: list[int] = []
+    joined = bytearray()
+    for code, digits in stream:
+        codes.append(code)
+        joined.extend(digits)
+        if len(codes) == _BLOCK_RULES:
+            yield codes, bytes(joined)
+            codes, joined = [], bytearray()
+    if codes:
+        yield codes, bytes(joined)
+
+
+def _block_tables(block: bytes, cells: int) -> Iterator[bytes]:
+    """The digits of each rule in a block, in block order."""
+    return (block[i : i + cells] for i in range(0, len(block), cells))
+
+
 # Mersenne Twister words drawn per block by the sampled rule stream (32 KB).
 _BLOCK_WORDS = 8192
 
@@ -577,9 +606,15 @@ def census_rows(
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
-        for code, digits in _iter_rule_digits(n, m, "exhaustive", None, None):
-            if all(_digit_filter(name, digits, sp) for name in ordered):
-                m_count, d_count = _engine.cell_counts(digits, sp)
+        kept = (
+            (code, digits)
+            for code, digits in _iter_rule_digits(n, m, "exhaustive", None, None)
+            if all(_digit_filter(name, digits, sp) for name in ordered)
+        )
+        for codes, block in _rule_blocks(kept, sp.tops_count):
+            _, m_counts, d_counts = _engine.block_cell_masks(block, sp)
+            tables = _block_tables(block, sp.tops_count)
+            for code, digits, m_count, d_count in zip(codes, tables, m_counts, d_counts):
                 yield (
                     code,
                     _engine.table_unanimous(digits, sp),
@@ -699,19 +734,19 @@ def _verify_l3(n, m, mode, samples, seed, workers):
 
 
 def _te_digit_stream(n, m, mode, samples, seed):
-    """Unanimous and cell-efficient rule digits; sampled mode draws directly
-    from the cell-efficient space."""
+    """(code-or-index, digits) of unanimous and cell-efficient rules; sampled
+    mode draws directly from the cell-efficient space."""
     sp = _engine.space(n, m)
     if mode == "exhaustive":
-        for _, digits in _iter_rule_digits(n, m, "exhaustive", None, None):
+        for code, digits in _iter_rule_digits(n, m, "exhaustive", None, None):
             if _engine.table_unanimous(digits, sp) and _engine.table_efficient_cells(
                 digits, sp
             ):
-                yield digits
+                yield code, digits
     else:
         rng = random.Random(seed)
-        for _ in range(samples or 0):
-            yield _sample_efficient_digits(rng, sp)
+        for index in range(samples or 0):
+            yield index, _sample_efficient_digits(rng, sp)
 
 
 def _verify_l4(n, m, mode, samples, seed, workers):
@@ -720,49 +755,71 @@ def _verify_l4(n, m, mode, samples, seed, workers):
     checks = 0
     counterexample = None
     dictators = 0
-    for digits in _te_digit_stream(n, m, mode, samples, seed):
-        checks += 1
-        d_count = sum(
-            v & _engine.DICTATORIAL for v in _engine.table_profile_verdicts(digits, sp)
-        )
-        rule = TopsTableRule(n, m, tuple(digits))
-        dict_agent = find_dictator(rule)
-        if dict_agent is not None:
-            dictators += 1
-        if (d_count == sp.profile_count) != (dict_agent is not None):
-            counterexample = {
-                "kind": "all-profiles-dictatorial mismatch",
-                "rule": rule.to_string(),
-                "dictatorial_profiles": d_count,
-                "profiles": sp.profile_count,
-                "dictator": dict_agent,
-            }
+    for codes, block in _rule_blocks(
+        _te_digit_stream(n, m, mode, samples, seed), sp.tops_count
+    ):
+        dictatorial, _ = _engine.block_profile_verdicts(block, sp)
+        d_counts = _engine.bit_counts(dictatorial, len(codes))
+        for digits, d_count in zip(_block_tables(block, sp.tops_count), d_counts):
+            checks += 1
+            rule = TopsTableRule(n, m, tuple(digits))
+            dict_agent = find_dictator(rule)
+            if dict_agent is not None:
+                dictators += 1
+            if (d_count == sp.profile_count) != (dict_agent is not None):
+                counterexample = {
+                    "kind": "all-profiles-dictatorial mismatch",
+                    "rule": rule.to_string(),
+                    "dictatorial_profiles": d_count,
+                    "profiles": sp.profile_count,
+                    "dictator": dict_agent,
+                }
+                break
+        if counterexample:
             break
     detail = {"dictators": dictators}
     return counterexample is None, checks, counterexample, detail
 
 
-def _l5_rule_scan(digits, sp, n, m, checks: int) -> tuple[int, dict | None]:
-    """Scan one rule: every profile exactly one verdict, constant per tops cell."""
-    dictatorial, manipulable = _engine.DICTATORIAL, _engine.MANIPULABLE
-    rows = _engine.profile_rows(n, m)
-    cell_verdicts: dict[int, int] = {}
-    for pc, verdict in enumerate(_engine.table_profile_verdicts(digits, sp)):
-        checks += 1
-        if verdict != dictatorial and verdict != manipulable:
-            kind = "profile not exactly one of dictatorial/manipulable"
-        elif cell_verdicts.setdefault(rows[pc][0], verdict) != verdict:
-            kind = "verdict not constant on a same-tops cell"
-        else:
-            continue
-        return checks, {
-            "kind": kind,
-            "rule": _rule_string_from_digits(n, m, digits),
-            "profile": profile_from_code(pc, n, m).to_text(),
-            "dictatorial": bool(verdict & dictatorial),
-            "manipulable": bool(verdict & manipulable),
-        }
-    return checks, None
+def _l5_block(block: bytes, sp: _engine.Space) -> tuple[int, int, dict | None]:
+    """Rules and checks of the partition scan over one block of rules, which
+    stops at the first failing (rule, profile) in (rule, profile code) order.
+
+    Per profile and rule, the verdict must be exactly one of dictatorial and
+    manipulable, and equal to the verdict at the first profile of its tops
+    cell (which passed, or the scan would have stopped there).
+    """
+    count = len(block) // sp.tops_count
+    full = (1 << count) - 1
+    dictatorial, manipulable = _engine.block_profile_verdicts(block, sp)
+    first_in_cell: dict[int, int] = {}
+    not_one = []
+    failing = []
+    any_failing = 0
+    for pc, (tc, _dominated, _agents) in enumerate(_engine.profile_rows(sp.n, sp.m)):
+        d, mp = dictatorial[pc], manipulable[pc]
+        first = first_in_cell.setdefault(tc, pc)
+        not_one.append(full ^ d ^ mp)
+        failing.append(
+            not_one[pc] | (d ^ dictatorial[first]) | (mp ^ manipulable[first])
+        )
+        any_failing |= failing[pc]
+    if not any_failing:
+        return count, count * sp.profile_count, None
+    r = (any_failing & -any_failing).bit_length() - 1
+    pc = next(pc for pc, bits in enumerate(failing) if (bits >> r) & 1)
+    if (not_one[pc] >> r) & 1:
+        kind = "profile not exactly one of dictatorial/manipulable"
+    else:
+        kind = "verdict not constant on a same-tops cell"
+    cells = sp.tops_count
+    return r + 1, r * sp.profile_count + pc + 1, {
+        "kind": kind,
+        "rule": _rule_string_from_digits(sp.n, sp.m, block[r * cells : (r + 1) * cells]),
+        "profile": profile_from_code(pc, sp.n, sp.m).to_text(),
+        "dictatorial": bool((dictatorial[pc] >> r) & 1),
+        "manipulable": bool((manipulable[pc] >> r) & 1),
+    }
 
 
 def _l5_scan(stream, n: int, m: int) -> tuple[list[int], list, dict | None]:
@@ -771,9 +828,10 @@ def _l5_scan(stream, n: int, m: int) -> tuple[list[int], list, dict | None]:
     sp = _engine.space(n, m)
     rules = checks = 0
     counterexample = None
-    for _, digits in stream:
-        rules += 1
-        checks, counterexample = _l5_rule_scan(digits, sp, n, m, checks)
+    for _, block in _rule_blocks(stream, sp.tops_count):
+        block_rules, block_checks, counterexample = _l5_block(block, sp)
+        rules += block_rules
+        checks += block_checks
         if counterexample:
             break
     return [rules, checks], [], counterexample
@@ -829,24 +887,25 @@ def _verify_c2(n, m, mode, samples, seed, workers):
     """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
     sp = _engine.space(n, m)
     size = rule_space_size(n, m)
-    cache: dict[int, tuple[int, int]] = {}
-
-    def counts_of(code: int) -> tuple[int, int]:
-        if code not in cache:
-            digits = _engine.digits_from_code(code, sp.tops_count, m)
-            cache[code] = _engine.cell_counts(digits, sp)
-        return cache[code]
-
     if mode == "exhaustive":
         pairs = ((f, g) for f in range(size) for g in range(size))
+        rules = _iter_rule_digits(n, m, "exhaustive", None, None)
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples or 0)]
+        rules = (
+            (code, _engine.digits_from_code(code, sp.tops_count, m))
+            for code in dict.fromkeys(chain.from_iterable(pairs))
+        )
+    counts: dict[int, tuple[int, int]] = {}
+    for codes, block in _rule_blocks(rules, sp.tops_count):
+        _, m_counts, d_counts = _engine.block_cell_masks(block, sp)
+        counts.update(zip(codes, zip(m_counts, d_counts)))
     checks = 0
     counterexample = None
     for f_code, g_code in pairs:
-        mf, df = counts_of(f_code)
-        mg, dg = counts_of(g_code)
+        mf, df = counts[f_code]
+        mg, dg = counts[g_code]
         checks += 1
         if (df >= dg) != (mg >= mf):
             counterexample = {
@@ -863,26 +922,28 @@ def _verify_c2(n, m, mode, samples, seed, workers):
                 "d_g": dg,
             }
             break
-    detail = {"distinct_rules": size if mode == "exhaustive" else len(cache)}
+    if mode == "exhaustive":
+        distinct = size
+    else:  # the rules met up to the last pair checked
+        distinct = len(set(chain.from_iterable(pairs[:checks])))
+    detail = {"distinct_rules": distinct}
     return counterexample is None, checks, counterexample, detail
 
 
 def _verify_r1(n, m, mode, samples, seed, workers):
     """Strategy-proof iff minimal in the manipulability order (iff M empty)."""
     sp = _engine.space(n, m)
-    records = []
-
-    def add(digits) -> None:
-        m_count, _ = _engine.cell_counts(digits, sp)
-        strategy_proof = _engine.table_manipulation(digits, sp) is None
-        records.append((tuple(digits), m_count, strategy_proof))
-
-    for _, digits in _iter_rule_digits(n, m, mode, samples, seed):
-        add(digits)
+    stream = _iter_rule_digits(n, m, mode, samples, seed)
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
-        for table in sp.dictator_tables:
-            add(list(table))
+        stream = chain(stream, enumerate(sp.dictator_tables))
+    records = []
+    for _, block in _rule_blocks(stream, sp.tops_count):
+        _, m_counts, _ = _engine.block_cell_masks(block, sp)
+        for digits, m_count in zip(_block_tables(block, sp.tops_count), m_counts):
+            # the scan indexes a list faster than bytes; records keep the bytes
+            strategy_proof = _engine.table_manipulation(list(digits), sp) is None
+            records.append((digits, m_count, strategy_proof))
     min_m = min(r[1] for r in records)
     checks = 0
     counterexample = None
@@ -905,19 +966,16 @@ def _verify_r2(n, m, mode, samples, seed, workers):
     """Dictatorial iff maximal in the dictatorial-power order over the
     tops-only efficient pool (iff every profile is dictatorial)."""
     sp = _engine.space(n, m)
-    records = []
-
-    def add(digits) -> None:
-        _, d_count = _engine.cell_counts(digits, sp)
-        rule = TopsTableRule(n, m, tuple(digits))
-        records.append((rule, d_count, find_dictator(rule) is not None))
-
-    for digits in _te_digit_stream(n, m, mode, samples, seed):
-        add(digits)
+    stream = _te_digit_stream(n, m, mode, samples, seed)
     if mode == "sampled":
         # the pool always contains the dictatorships; anchor the sample
-        for table in sp.dictator_tables:
-            add(list(table))
+        stream = chain(stream, enumerate(sp.dictator_tables))
+    records = []
+    for _, block in _rule_blocks(stream, sp.tops_count):
+        _, _, d_counts = _engine.block_cell_masks(block, sp)
+        for digits, d_count in zip(_block_tables(block, sp.tops_count), d_counts):
+            rule = TopsTableRule(n, m, tuple(digits))
+            records.append((rule, d_count, find_dictator(rule) is not None))
     max_d = max(r[1] for r in records)
     checks = 0
     counterexample = None

@@ -309,11 +309,32 @@ class TestGoldenReports:
             ("counterexample", "--agents", "3", "--format", "csv"),
             "1622dbf8f64fe5b70bbbe429f092f975875b821a14614ca2c4e50f5553f024ee",
         ),
+        (
+            ("lemmas", "L4", "L5", "R1", "R2", "C2", "--agents", "3", "--alts", "3",
+             "--mode", "sampled", "--samples", "200", "--seed", "3", "--workers", "1"),
+            "bbcb64e7ff9786511c7ec5e8ec27f74e847bf9550226cf2e7d2d397697821231",
+        ),
+        (
+            ("census", "--agents", "3", "--alts", "2", "--format", "csv", "--verbose",
+             "--filter", "unanimous"),
+            "20a6dc9c96a514bf0f4c8e19a93b0d6e89fefb9ef697b299de2d609827aa5ec8",
+        ),
     ])
     def test_report_digest(self, capsys, argv, digest):
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_failing_suite_digest(self, capsys):
+        # L4, R2 and THM fail at m=2; the report carries their counterexamples
+        code, out, _ = invoke(
+            capsys, "lemmas", "--suite", "all", "--agents", "3", "--alts", "2",
+            "--workers", "2",
+        )
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4fb923c03a931899fa46af5664d243663c799a252af8142e460b7d45e2bc1bf5"
+        )
 
 
 class TestProfileWorkBudget:

@@ -33,19 +33,47 @@ from gsverify import (
     sample_efficient_tops_tables,
     verify_lemma,
 )
-from gsverify import _engine
+from gsverify import _engine, constructions
 from gsverify._engine import code_from_digits
 from gsverify.constructions import (
     _BLOCK_WORDS,
     _iter_rule_digits,
-    _l5_rule_scan,
+    _l5_scan,
     _sampled_tables,
+    census_rows,
 )
 from gsverify.prefs import DEFAULT_MAX_AGENTS, DEFAULT_MAX_ALTERNATIVES
 
 
 def pref(text):
     return Preference.from_text(text)
+
+
+def doctor_block_verdicts(monkeypatch, target, doctored):
+    """Patch the block verdict kernel so that the rule with digits ``target``
+    gets the verdict bits ``doctored[pc]`` (DICTATORIAL | MANIPULABLE) at the
+    listed profile codes; the forked pool workers inherit the patch (fork is
+    the Linux start method through Python 3.13)."""
+    honest = _engine.block_profile_verdicts
+    target = bytes(target)
+
+    def doctored_verdicts(block, sp):
+        dictatorial, manipulable = honest(block, sp)
+        cells = sp.tops_count
+        for r in range(len(block) // cells):
+            if block[r * cells : (r + 1) * cells] != target:
+                continue
+            bit = 1 << r
+            for pc, verdict in doctored.items():
+                dictatorial[pc] &= ~bit
+                manipulable[pc] &= ~bit
+                if verdict & _engine.DICTATORIAL:
+                    dictatorial[pc] |= bit
+                if verdict & _engine.MANIPULABLE:
+                    manipulable[pc] |= bit
+        return dictatorial, manipulable
+
+    monkeypatch.setattr(_engine, "block_profile_verdicts", doctored_verdicts)
 
 
 class TestCoalesce:
@@ -388,18 +416,11 @@ class TestVerifyLemma:
         assert serial.to_json_dict() == parallel.to_json_dict()
 
     def test_workers_match_serial_when_l5_fails(self, monkeypatch):
-        # one doctored profile of rule code 1; the forked pool workers inherit
-        # the patch (fork is the Linux start method through Python 3.13)
-        honest = _engine.table_profile_verdicts
-        target = (0, 0, 0, 0, 0, 0, 0, 0, 1)
-
-        def doctored_verdicts(table, sp):
-            verdicts = honest(table, sp)
-            if tuple(table) == target:
-                verdicts[5] = _engine.DICTATORIAL | _engine.MANIPULABLE
-            return verdicts
-
-        monkeypatch.setattr(_engine, "table_profile_verdicts", doctored_verdicts)
+        # one doctored profile of rule code 1
+        doctor_block_verdicts(
+            monkeypatch, (0, 0, 0, 0, 0, 0, 0, 0, 1),
+            {5: _engine.DICTATORIAL | _engine.MANIPULABLE},
+        )
         serial = verify_lemma("L5", 2, 3, workers=1)
         parallel = verify_lemma("L5", 2, 3, workers=2)
         assert serial.to_json_dict() == parallel.to_json_dict()
@@ -414,20 +435,46 @@ class TestVerifyLemma:
     def test_l5_scan_reports_both_counterexample_kinds(
         self, monkeypatch, doctored, kind, checks
     ):
-        honest = _engine.table_profile_verdicts
-
-        def doctored_verdicts(table, sp):
-            verdicts = honest(table, sp)
-            for pc, verdict in doctored.items():
-                verdicts[pc] = verdict
-            return verdicts
-
-        monkeypatch.setattr(_engine, "table_profile_verdicts", doctored_verdicts)
+        # an honest rule first, so the doctored rule's checks follow its 36
         sp = _engine.space(2, 3)
-        seen, counterexample = _l5_rule_scan(list(sp.dictator_tables[0]), sp, 2, 3, 10)
-        assert seen == 10 + checks
+        doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], doctored)
+        stream = iter([(0, sp.dictator_tables[1]), (1, sp.dictator_tables[0])])
+        (rules, seen), _, counterexample = _l5_scan(stream, 2, 3)
+        assert rules == 2
+        assert seen == 36 + checks
         assert counterexample["kind"] == kind
         assert counterexample["profile"] == profile_from_code(checks - 1, 2, 3).to_text()
+        assert counterexample["rule"] == "TOPS:n=2,m=3:000111222"
+
+    @pytest.mark.parametrize("block_rules", [7, constructions._BLOCK_RULES])
+    def test_l5_failure_in_the_last_worker_range(self, monkeypatch, block_rules):
+        # the last rule code, scanned by the second worker: its checks count
+        # every rule of the first range exactly once
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
+        doctor_block_verdicts(monkeypatch, (2,) * 9, {7: 0})
+        serial = verify_lemma("L5", 2, 3, workers=1)
+        parallel = verify_lemma("L5", 2, 3, workers=2)
+        assert serial.to_json_dict() == parallel.to_json_dict()
+        assert serial.counterexample["rule"] == "TOPS:n=2,m=3:222222222"
+        assert serial.counterexample["kind"] == (
+            "profile not exactly one of dictatorial/manipulable"
+        )
+        assert serial.counterexample["profile"] == profile_from_code(7, 2, 3).to_text()
+        assert serial.detail["rules"] == 19683
+        assert serial.checks == 19682 * 36 + 7 + 1
+
+    @pytest.mark.parametrize("n,m,kwargs", [
+        (2, 3, {}),  # exhaustive but for C2, which samples pairs
+        (3, 3, {"mode": "sampled", "samples": 150, "seed": 3}),
+    ])
+    def test_block_boundaries_inside_the_stream(self, monkeypatch, n, m, kwargs):
+        # blocks of 7 rules cut every stream mid-way; reports must not change
+        ids = ["L4", "L5", "R1", "R2", "C2"]
+        expected = [verify_lemma(i, n, m, **kwargs).to_json_dict() for i in ids]
+        rows = list(census_rows(2, 3, filters=("unanimous",)))
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        assert [verify_lemma(i, n, m, **kwargs).to_json_dict() for i in ids] == expected
+        assert list(census_rows(2, 3, filters=("unanimous",))) == rows
 
     def test_sampling_fallback_defaults_to_seed_zero(self):
         report = verify_lemma("C2", 2, 3)

@@ -17,9 +17,12 @@ from gsverify import (
     is_unanimous,
     profile_from_code,
 )
+from gsverify import _engine, constructions
 from gsverify._engine import (
     DICTATORIAL,
     MANIPULABLE,
+    block_cell_masks,
+    block_profile_verdicts,
     space,
     table_efficient_definitional,
     table_manipulation,
@@ -150,3 +153,122 @@ def test_unanimity_kernel_matches_object_layer(n, m, count):
     # the sampled rule stream hands the kernels bytes
     assert verdicts == [table_unanimous(bytes(t), sp) for t in tables]
     assert 0 < sum(verdicts) < len(tables)
+
+
+# ---------------------------------------------------------------------------
+# Rule-block kernels against the per-rule kernels.
+# ---------------------------------------------------------------------------
+
+
+def cell_is_dictatorial(table, sp, tc):
+    """Per-rule reference: every agent whose top is not the outcome gets the
+    outcome at every cell of its line."""
+    tops = sp.tops_tuples[tc]
+    out = table[tc]
+    for i in range(sp.n):
+        ti = tops[i]
+        if ti == out:
+            continue
+        w = sp.tops_weights[i]
+        base = tc - ti * w
+        for x in range(sp.m):
+            if table[base + x * w] != out:
+                return False
+    return True
+
+
+def cells_masks(table, sp):
+    """(dictatorial, manipulable) cell bitmasks over tops codes."""
+    d_mask = 0
+    m_mask = 0
+    for tc in range(sp.tops_count):
+        if cell_is_dictatorial(table, sp, tc):
+            d_mask |= 1 << tc
+        else:
+            m_mask |= 1 << tc
+    return d_mask, m_mask
+
+
+def cell_counts(table, sp):
+    """(manipulable, dictatorial) profile counts |M_f|, |D_f| from the cells."""
+    d_mask, m_mask = cells_masks(table, sp)
+    return (
+        m_mask.bit_count() * sp.cell_profile_count,
+        d_mask.bit_count() * sp.cell_profile_count,
+    )
+
+
+def rule_blocks(tables, cells):
+    """The tables cut into blocks by the rule stream's block builder."""
+    return [block for _, block in constructions._rule_blocks(enumerate(tables), cells)]
+
+
+def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
+    sp = space(n, m)
+    rule = 0
+    for block in rule_blocks(tables, sp.tops_count):
+        nondictatorial, m_counts, d_counts = block_cell_masks(block, sp)
+        if verdicts:
+            dictatorial, manipulable = block_profile_verdicts(block, sp)
+        for r in range(len(m_counts)):
+            table = tables[rule]
+            rule += 1
+            assert (m_counts[r], d_counts[r]) == cell_counts(table, sp), table
+            m_mask = sum(((bits >> r) & 1) << tc for tc, bits in enumerate(nondictatorial))
+            assert m_mask == cells_masks(table, sp)[1], table
+            if verdicts:
+                got = [
+                    ((d >> r) & 1) * DICTATORIAL | ((mp >> r) & 1) * MANIPULABLE
+                    for d, mp in zip(dictatorial, manipulable)
+                ]
+                assert got == table_profile_verdicts(table, sp), table
+    assert rule == len(tables)
+
+
+@pytest.fixture
+def odd_blocks(monkeypatch):
+    # block boundaries fall inside every stream
+    monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+def test_block_kernels_match_per_rule_on_whole_space(odd_blocks, n, m):
+    assert_blocks_match_per_rule(n, m, all_tables(n, m))
+
+
+@pytest.mark.parametrize("n,m,count", [(3, 3, 200), (2, 4, 50)])
+def test_block_kernels_match_per_rule_on_sampled_tables(odd_blocks, n, m, count):
+    tables = seeded_tables(n, m, count, 20265) + constants_and_dictators(n, m)
+    assert_blocks_match_per_rule(n, m, tables)
+
+
+def test_block_cell_counts_exact_past_255_cells(odd_blocks):
+    # (4, 4) has 256 cells; the last table is non-dictatorial at every one
+    # (agent 0 never gets its top and moves the outcome), so a count lane
+    # that wraps at 255 fails here
+    sp = space(4, 4)
+    every_cell = tuple((t[0] + 1) % 4 for t in sp.tops_tuples)
+    tables = seeded_tables(4, 4, 50, 20266) + constants_and_dictators(4, 4)
+    tables += [every_cell] * 3
+    assert_blocks_match_per_rule(4, 4, tables, verdicts=False)
+    assert cell_counts(every_cell, sp) == (sp.profile_count, 0)
+
+
+def test_block_verdicts_read_each_profile_row(monkeypatch):
+    # give profile 1 the agents of another cell while keeping its tops code:
+    # a kernel that copies one verdict per tops cell to its profiles cannot
+    # follow, both per-profile kernels must
+    sp = space(2, 3)
+    rows = list(_engine.profile_rows(2, 3))
+    tc, dominated, _ = rows[1]
+    rows[1] = (tc, dominated, rows[12][2])
+    monkeypatch.setattr(_engine, "profile_rows", lambda n, m: tuple(rows))
+    tables = seeded_tables(2, 3, 50, 20267)
+    dictatorial, manipulable = block_profile_verdicts(b"".join(map(bytes, tables)), sp)
+    per_rule = [table_profile_verdicts(t, sp) for t in tables]
+    assert sum(v[1] != v[0] for v in per_rule) > 0
+    for r, verdicts in enumerate(per_rule):
+        assert [
+            ((d >> r) & 1) * DICTATORIAL | ((mp >> r) & 1) * MANIPULABLE
+            for d, mp in zip(dictatorial, manipulable)
+        ] == verdicts

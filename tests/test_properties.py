@@ -1,0 +1,48 @@
+"""Property tests: random rule blocks through the block kernels equal the
+per-rule kernels, rule by rule."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gsverify._engine import (  # noqa: E402
+    DICTATORIAL,
+    MANIPULABLE,
+    block_cell_masks,
+    block_profile_verdicts,
+    space,
+    table_profile_verdicts,
+)
+from test_engine import cell_counts  # noqa: E402
+
+
+def rule_blocks(n, m, max_rules):
+    cells = m**n
+    table = st.lists(st.integers(0, m - 1), min_size=cells, max_size=cells)
+    return st.lists(table, min_size=1, max_size=max_rules)
+
+
+def check_block(n, m, tables):
+    sp = space(n, m)
+    block = b"".join(bytes(t) for t in tables)
+    _, m_counts, d_counts = block_cell_masks(block, sp)
+    dictatorial, manipulable = block_profile_verdicts(block, sp)
+    for r, table in enumerate(tables):
+        assert (m_counts[r], d_counts[r]) == cell_counts(table, sp)
+        assert [
+            ((d >> r) & 1) * DICTATORIAL | ((mp >> r) & 1) * MANIPULABLE
+            for d, mp in zip(dictatorial, manipulable)
+        ] == table_profile_verdicts(table, sp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_blocks(3, 3, 12))
+def test_block_kernels_equal_per_rule_at_n3_m3(tables):
+    check_block(3, 3, tables)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rule_blocks(2, 4, 6))
+def test_block_kernels_equal_per_rule_at_n2_m4(tables):
+    check_block(2, 4, tables)
