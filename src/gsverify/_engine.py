@@ -6,29 +6,30 @@ cells, and tops-table rules as outcome tuples indexed by tops code.  The
 object layer in ``prefs``/``rules`` stays definitional and readable; these
 tables keep exhaustive rule-space scans fast.
 
-Rule-space scans decide strategy-proofness with ``table_manipulation``, a
-definitional integer scan over every profile, agent and misreport.
-``rules.find_manipulation`` is its object-level twin, and the tests pin the
-two to the same witness over whole small rule spaces.
-
-Per-profile kernels (``table_profile_verdicts``, ``block_profile_verdicts``
-and ``table_efficient_definitional``) read ``profile_rows``, which is built
-lazily once per (n, m), never at import or in ``Space``.  A row's
-Pareto-dominated mask is enumerated in full from the agents' rankings, never
-taken from the tops-cell masks, and each profile's verdict is computed from
-its own row, with every agent, all m! misreports and every stand-in: nothing
-is computed once per tops cell and copied to its profiles.  Their
-object-level twins are ``classify.classify_profile`` and ``rules.is_efficient``.
+Per-profile kernels (``table_profile_verdicts``, ``block_profile_verdicts``,
+``block_manipulable`` and ``table_efficient_definitional``) read
+``profile_rows``, which is built lazily once per (n, m), never at import or
+in ``Space``.  A row's Pareto-dominated mask is enumerated in full from the
+agents' rankings, never taken from the tops-cell masks, and each profile is
+decided from its own row, with every agent and all m! misreports: nothing is
+computed once per tops cell and copied to its profiles.  The verdict kernels
+try every stand-in preference with the agent's top; ``block_manipulable``
+ranks the reached outcomes by the agent's own preference at that profile.
+The object-level twins are ``classify.classify_profile``,
+``rules.find_manipulation`` and ``rules.is_efficient``.
 
 Rule streams go through the rule-block kernels a block at a time: a block is
 its rules' digits back to back in one ``bytes``, and bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
-operations covering the whole block.  ``block_profile_verdicts`` gives the
-per-profile verdicts of L4 and L5; ``block_cell_masks`` gives the
+operations covering the whole block.  ``block_manipulable`` decides
+strategy-proofness for every rule-stream check; ``block_profile_verdicts``
+gives the per-profile verdicts of L4 and L5; ``block_cell_masks`` gives the
 non-dictatorial tops cells and the exact |M_f| and |D_f| of R1, R2, C2,
 ``census_rows`` and ``classify --method cells`` (a block of one rule).
 ``table_profile_verdicts`` is the per-rule kernel for a single rule
-(``classify --method scan``) and the tests' reference for the block kernel.
+(``classify --method scan``) and the tests' reference for the block kernel;
+the tests keep a per-rule manipulation scan as the reference for
+``block_manipulable``.
 """
 
 from __future__ import annotations
@@ -245,6 +246,17 @@ def _block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]
     return len(joined) // cells, cols
 
 
+def _block_wide_columns(
+    joined: bytes, sp: Space
+) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], list[int]]:
+    """``_block_columns`` plus, per tops code, one int holding every outcome's
+    rule bitset: outcome x in bits ``[shifts[x], shifts[x] + count)``."""
+    count, cols = _block_columns(joined, sp)
+    shifts = tuple(range(0, sp.m * count, count))
+    wide = [sum(s << shift for s, shift in zip(col, shifts)) for col in cols]
+    return count, cols, shifts, wide
+
+
 def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
     """Per rule r < count, how many of ``bitsets`` have bit r set (exact).
 
@@ -279,11 +291,8 @@ def block_profile_verdicts(joined: bytes, sp: Space) -> tuple[list[int], list[in
     manipulable rules are those whose outcome is ranked below a reached one.
     """
     m = sp.m
-    count, cols = _block_columns(joined, sp)
+    count, cols, shifts, wide = _block_wide_columns(joined, sp)
     full = (1 << count) - 1
-    shifts = tuple(range(0, m * count, count))
-    # outcome x of cell c in bits [x * count, (x + 1) * count)
-    wide = [sum(s << shift for s, shift in zip(col, shifts)) for col in cols]
     orders = tuple(
         tuple(sp.rankings[p] for p in sp.prefs_with_top[t]) for t in range(m)
     )
@@ -315,6 +324,37 @@ def block_profile_verdicts(joined: bytes, sp: Space) -> tuple[list[int], list[in
         dictatorial.append(full ^ powerful)
         manipulable.append(manip)
     return dictatorial, manipulable
+
+
+def block_manipulable(joined: bytes, sp: Space) -> int:
+    """Bitset of the rules of a block that some agent can manipulate (bit r =
+    rule r): the rules that are not strategy-proof.
+
+    Definitional, for every rule at once: every profile from its own row,
+    every agent and all m! misreports.  The rules reaching each outcome are
+    walked in the agent's own ranking at that profile; a rule is manipulable
+    there when its outcome is ranked strictly below an outcome it reaches.
+    The scan stops early only once every rule of the block is manipulable.
+    """
+    count, cols, shifts, wide = _block_wide_columns(joined, sp)
+    full = (1 << count) - 1
+    rankings = sp.rankings
+    manip = 0
+    for (tc, _dominated, agents), pref_codes in zip(
+        profile_rows(sp.n, sp.m), product(range(sp.fact), repeat=sp.n)
+    ):
+        outs = cols[tc]
+        for (_top, base, offsets, _stand_ins), p in zip(agents, pref_codes):
+            reached = 0
+            for off in offsets:
+                reached |= wide[base + off]
+            above = 0  # rules reaching an outcome ranked above x
+            for x in rankings[p]:
+                manip |= outs[x] & above
+                above |= (reached >> shifts[x]) & full
+        if manip == full:
+            break
+    return manip
 
 
 def block_cell_masks(
@@ -390,35 +430,6 @@ def table_efficient_definitional(table: Table, sp: Space) -> bool:
     return True
 
 
-def table_manipulation(
-    table: Table, sp: Space
-) -> tuple[int, int, int, int, int] | None:
-    """First manipulation of a tops-table rule, or None if it is strategy-proof.
-
-    Definitional scan in (profile code, agent, misreport code) order: every
-    profile, every agent, every one of the m! misreports.  Returns
-    (profile_code, agent, misreport_code, sincere, improved), the integer
-    form of the witness ``rules.find_manipulation`` finds on the same rule.
-    """
-    position = sp.position
-    top_of = sp.top_of
-    weights = sp.tops_weights
-    pref_range = range(sp.fact)
-    for pc, pref_codes in enumerate(product(pref_range, repeat=sp.n)):
-        tc = sp.tops_code_of(pref_codes)
-        out = table[tc]
-        for i, p in enumerate(pref_codes):
-            pos = position[p]
-            out_rank = pos[out]
-            w = weights[i]
-            base = tc - top_of[p] * w
-            for q in pref_range:
-                y = table[base + top_of[q] * w]
-                if pos[y] < out_rank:
-                    return pc, i, q, out, y
-    return None
-
-
 def table_dictator(table: Table, sp: Space) -> int | None:
     for i, dict_table in enumerate(sp.dictator_tables):
         if tuple(table) == dict_table:
@@ -444,14 +455,3 @@ def code_from_digits(digits: Sequence[int], m: int) -> int:
     for d in digits:
         code = code * m + d
     return code
-
-
-def increment_digits(digits: list[int], m: int) -> None:
-    """Odometer step; wraps to all zeros after the last code."""
-    i = len(digits) - 1
-    while i >= 0:
-        digits[i] += 1
-        if digits[i] < m:
-            return
-        digits[i] = 0
-        i -= 1

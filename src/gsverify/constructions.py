@@ -12,15 +12,20 @@ that restriction.
 Rule-space exhaustion is guarded by a budget (``GSVERIFY_MAX_RULE_SPACE``);
 larger spaces run in sampled mode with an explicit seed, and sampled runs
 with the same seed reproduce byte for byte.  Every rule walk reads the one
-rule stream, ``_iter_rule_digits``: ascending rule codes when exhaustive,
-else ``randrange(m)`` per tops cell from ``random.Random(seed)``, drawn in
-blocks by ``_sampled_tables`` (the tests pin it to the ``randrange`` loop).
-``_scan_rules`` is the one runner that splits an exhaustive stream over
-worker processes (the census and L5 use it); it merges the parts in code
-order and stops where a serial scan stops, so no report depends on
-``workers``.  L4, L5, R1, R2, C2 and ``census_rows`` cut their stream into
-blocks of at most ``_BLOCK_RULES`` rules (``_rule_blocks``) for the
-rule-block kernels of ``_engine``.
+rule stream, ``_iter_rule_digits``: the digit tuples of ascending rule codes
+from ``itertools.product`` when exhaustive, else ``randrange(m)`` per tops
+cell from ``random.Random(seed)``, drawn in blocks by ``_sampled_tables``
+(the tests pin it to the ``randrange`` loop).  ``_scan_rules`` is the one
+runner that splits an exhaustive stream over worker processes (the census
+and L5 use it); it merges the parts in code order and stops where a serial
+scan stops, so no report depends on ``workers``.
+
+Streams are cut into blocks of at most ``_BLOCK_RULES`` rules
+(``_rule_blocks``) for the rule-block kernels of ``_engine``: L4, L5, R1, R2,
+C2 and ``census_rows`` read per-profile verdicts and cell counts a block at a
+time, and every strategy-proofness decision (R1, L1, C1, the census cascade
+that THM also runs, and the ``strategy-proof`` filter) goes through
+``_strategy_proofness``, one ``_engine.block_manipulable`` call per block.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, product
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -251,22 +256,18 @@ def _iter_rule_digits(
     lo: int = 0,
     hi: int | None = None,
 ) -> Iterator[tuple[int, Sequence[int]]]:
-    """Yield (code-or-index, digits) per candidate rule: the one rule stream.
+    """(code-or-index, digits) per candidate rule: the one rule stream.
 
     Exhaustive mode walks rule codes ``lo <= code < hi`` (``hi`` defaults to
-    the whole space) and yields one digit list, reused between iterations;
-    callers materialize with tuple() before keeping a reference.  Sampled
-    mode yields immutable ``bytes`` from ``_sampled_tables`` and ignores
-    ``lo`` and ``hi``.
+    the whole space) and yields each code's digits as a tuple: ``product``
+    varies the last digit fastest, the order of ascending base-m codes.
+    Sampled mode yields ``bytes`` from ``_sampled_tables`` and ignores ``lo``
+    and ``hi``.  Both kinds of digits are immutable and safe to keep.
     """
     cells = _engine.space(n, m).tops_count
     if mode == "exhaustive":
-        digits = _engine.digits_from_code(lo, cells, m)
-        for code in range(lo, rule_space_size(n, m) if hi is None else hi):
-            yield code, digits
-            _engine.increment_digits(digits, m)
-    else:
-        yield from enumerate(_sampled_tables(m, cells, samples or 0, seed))
+        return enumerate(islice(product(range(m), repeat=cells), lo, hi), lo)
+    return enumerate(_sampled_tables(m, cells, samples or 0, seed))
 
 
 def _scan_rules(scan, n, m, mode, samples, seed, workers, *args):
@@ -338,6 +339,19 @@ def _rule_blocks(
 def _block_tables(block: bytes, cells: int) -> Iterator[bytes]:
     """The digits of each rule in a block, in block order."""
     return (block[i : i + cells] for i in range(0, len(block), cells))
+
+
+def _strategy_proofness(
+    stream: Iterable[tuple[int, Sequence[int]]], sp: _engine.Space
+) -> Iterator[tuple[int, bytes, bool]]:
+    """(code, digits, strategy-proof) per rule of a (code, digits) stream, in
+    stream order, one ``_engine.block_manipulable`` call per block."""
+    for codes, block in _rule_blocks(stream, sp.tops_count):
+        manipulable = _engine.block_manipulable(block, sp)
+        for r, (code, digits) in enumerate(
+            zip(codes, _block_tables(block, sp.tops_count))
+        ):
+            yield code, digits, not (manipulable >> r) & 1
 
 
 # Mersenne Twister words drawn per block by the sampled rule stream (32 KB).
@@ -430,9 +444,9 @@ def enumerate_tops_only_rules(
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[TopsTableRule]:
-        for _, digits in _iter_rule_digits(n, m, resolved, eff_samples, eff_seed):
-            if all(_digit_filter(name, digits, sp) for name in ordered):
-                yield TopsTableRule(n, m, tuple(digits))
+        stream = _iter_rule_digits(n, m, resolved, eff_samples, eff_seed)
+        for _, digits in _filter_rules(stream, ordered, sp):
+            yield TopsTableRule(n, m, tuple(digits))
 
     return gen()
 
@@ -451,9 +465,30 @@ def _digit_filter(name: str, digits: Sequence[int], sp: _engine.Space) -> bool:
         return _engine.table_unanimous(digits, sp)
     if name == "efficient":
         return _engine.table_efficient_cells(digits, sp)
-    if name == "dictatorial":
-        return _engine.table_dictator(digits, sp) is not None
-    return _engine.table_manipulation(digits, sp) is None
+    return _engine.table_dictator(digits, sp) is not None
+
+
+def _filter_rules(
+    stream: Iterable[tuple[int, Sequence[int]]],
+    filters: tuple[str, ...],
+    sp: _engine.Space,
+) -> Iterable[tuple[int, Sequence[int]]]:
+    """The (code, digits) of the rules passing every one of the ordered
+    ``filters``; "strategy-proof", always last, is decided a block at a time."""
+    per_rule = [name for name in filters if name != "strategy-proof"]
+    if per_rule:
+        stream = (
+            (code, digits)
+            for code, digits in stream
+            if all(_digit_filter(name, digits, sp) for name in per_rule)
+        )
+    if "strategy-proof" in filters:
+        stream = (
+            (code, digits)
+            for code, digits, strategy_proof in _strategy_proofness(stream, sp)
+            if strategy_proof
+        )
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +556,21 @@ def _census_scan(
     sp = _engine.space(n, m)
     total = unanimous = efficient = strategy_proof = dictatorial = 0
     survivors: list[tuple[str, bool]] = []
-    for _, digits in stream:
-        if filters and not all(_digit_filter(name, digits, sp) for name in filters):
-            continue
-        total += 1
-        if not _engine.table_unanimous(digits, sp):
-            continue
-        unanimous += 1
-        if not _engine.table_efficient_cells(digits, sp):
-            continue
-        efficient += 1
-        if _engine.table_manipulation(digits, sp) is not None:
+
+    def efficient_rules() -> Iterator[tuple[int, Sequence[int]]]:
+        nonlocal total, unanimous, efficient
+        for code, digits in _filter_rules(stream, filters, sp):
+            total += 1
+            if not _engine.table_unanimous(digits, sp):
+                continue
+            unanimous += 1
+            if not _engine.table_efficient_cells(digits, sp):
+                continue
+            efficient += 1
+            yield code, digits
+
+    for _, digits, is_strategy_proof in _strategy_proofness(efficient_rules(), sp):
+        if not is_strategy_proof:
             continue
         strategy_proof += 1
         is_dictator = _engine.table_dictator(digits, sp) is not None
@@ -606,11 +645,8 @@ def census_rows(
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
-        kept = (
-            (code, digits)
-            for code, digits in _iter_rule_digits(n, m, "exhaustive", None, None)
-            if all(_digit_filter(name, digits, sp) for name in ordered)
-        )
+        stream = _iter_rule_digits(n, m, "exhaustive", None, None)
+        kept = _filter_rules(stream, ordered, sp)
         for codes, block in _rule_blocks(kept, sp.tops_count):
             _, m_counts, d_counts = _engine.block_cell_masks(block, sp)
             tables = _block_tables(block, sp.tops_count)
@@ -674,20 +710,17 @@ def _verify_l1(n, m, mode, samples, seed, workers):
     sp = _engine.space(n, m)
     checks = 0
     counterexample = None
-    unanimous_seen = 0
-    for _, digits in _iter_rule_digits(n, m, mode, samples, seed):
-        if not _engine.table_unanimous(digits, sp):
-            continue
-        unanimous_seen += 1
+    for _, digits, strategy_proof in _strategy_proofness(
+        _unanimous_rules(n, m, mode, samples, seed), sp
+    ):
         checks += 1
-        if _engine.table_efficient_definitional(digits, sp):
-            continue
-        if _engine.table_manipulation(digits, sp) is None:
+        if strategy_proof and not _engine.table_efficient_definitional(digits, sp):
             counterexample = {
                 "kind": "strategy-proof unanimous rule that is not efficient",
                 "rule": _rule_string_from_digits(n, m, digits),
             }
             break
+    unanimous_seen = checks
     closed = 0
     if counterexample is None:
         for rule in _closed_form_library(n, m):
@@ -705,6 +738,16 @@ def _verify_l1(n, m, mode, samples, seed, workers):
                 break
     detail = {"unanimous_rules": unanimous_seen, "closed_forms": closed}
     return counterexample is None, checks, counterexample, detail
+
+
+def _unanimous_rules(n, m, mode, samples, seed):
+    """(code-or-index, digits) of the unanimous rules of the rule stream."""
+    sp = _engine.space(n, m)
+    return (
+        (code, digits)
+        for code, digits in _iter_rule_digits(n, m, mode, samples, seed)
+        if _engine.table_unanimous(digits, sp)
+    )
 
 
 def _verify_l3(n, m, mode, samples, seed, workers):
@@ -762,14 +805,13 @@ def _verify_l4(n, m, mode, samples, seed, workers):
         d_counts = _engine.bit_counts(dictatorial, len(codes))
         for digits, d_count in zip(_block_tables(block, sp.tops_count), d_counts):
             checks += 1
-            rule = TopsTableRule(n, m, tuple(digits))
-            dict_agent = find_dictator(rule)
+            dict_agent = _engine.table_dictator(digits, sp)
             if dict_agent is not None:
                 dictators += 1
             if (d_count == sp.profile_count) != (dict_agent is not None):
                 counterexample = {
                     "kind": "all-profiles-dictatorial mismatch",
-                    "rule": rule.to_string(),
+                    "rule": _rule_string_from_digits(n, m, digits),
                     "dictatorial_profiles": d_count,
                     "profiles": sp.profile_count,
                     "dictator": dict_agent,
@@ -852,11 +894,11 @@ def _verify_c1(n, m, mode, samples, seed, workers):
     checks = 0
     counterexample = None
     strategy_proof_seen = 0
-    for _, digits in _iter_rule_digits(n, m, mode, samples, seed):
-        if not _engine.table_unanimous(digits, sp):
-            continue
+    for _, digits, strategy_proof in _strategy_proofness(
+        _unanimous_rules(n, m, mode, samples, seed), sp
+    ):
         checks += 1
-        if _engine.table_manipulation(digits, sp) is not None:
+        if not strategy_proof:
             continue
         strategy_proof_seen += 1
         # tops-only holds by construction over this space
@@ -937,17 +979,17 @@ def _verify_r1(n, m, mode, samples, seed, workers):
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
         stream = chain(stream, enumerate(sp.dictator_tables))
-    records = []
-    for _, block in _rule_blocks(stream, sp.tops_count):
-        _, m_counts, _ = _engine.block_cell_masks(block, sp)
-        for digits, m_count in zip(_block_tables(block, sp.tops_count), m_counts):
-            # the scan indexes a list faster than bytes; records keep the bytes
-            strategy_proof = _engine.table_manipulation(list(digits), sp) is None
-            records.append((digits, m_count, strategy_proof))
-    min_m = min(r[1] for r in records)
+    rules = [
+        (digits, strategy_proof)
+        for _, digits, strategy_proof in _strategy_proofness(stream, sp)
+    ]
+    m_counts: list[int] = []
+    for _, block in _rule_blocks(enumerate(d for d, _ in rules), sp.tops_count):
+        m_counts.extend(_engine.block_cell_masks(block, sp)[1])
+    min_m = min(m_counts)
     checks = 0
     counterexample = None
-    for digits, m_count, strategy_proof in records:
+    for (digits, strategy_proof), m_count in zip(rules, m_counts):
         checks += 1
         if strategy_proof != (m_count == 0) or strategy_proof != (m_count == min_m):
             counterexample = {
@@ -958,7 +1000,7 @@ def _verify_r1(n, m, mode, samples, seed, workers):
                 "strategy_proof": strategy_proof,
             }
             break
-    detail = {"min_m_count": min_m, "rules": len(records)}
+    detail = {"min_m_count": min_m, "rules": len(rules)}
     return counterexample is None, checks, counterexample, detail
 
 
@@ -974,19 +1016,19 @@ def _verify_r2(n, m, mode, samples, seed, workers):
     for _, block in _rule_blocks(stream, sp.tops_count):
         _, _, d_counts = _engine.block_cell_masks(block, sp)
         for digits, d_count in zip(_block_tables(block, sp.tops_count), d_counts):
-            rule = TopsTableRule(n, m, tuple(digits))
-            records.append((rule, d_count, find_dictator(rule) is not None))
+            dictatorial = _engine.table_dictator(digits, sp) is not None
+            records.append((digits, d_count, dictatorial))
     max_d = max(r[1] for r in records)
     checks = 0
     counterexample = None
-    for rule, d_count, dictatorial in records:
+    for digits, d_count, dictatorial in records:
         checks += 1
         if dictatorial != (d_count == max_d) or dictatorial != (
             d_count == sp.profile_count
         ):
             counterexample = {
                 "kind": "maximality mismatch",
-                "rule": rule.to_string(),
+                "rule": _rule_string_from_digits(n, m, digits),
                 "d_count": d_count,
                 "max_d_count": max_d,
                 "profiles": sp.profile_count,

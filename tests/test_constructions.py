@@ -76,6 +76,24 @@ def doctor_block_verdicts(monkeypatch, target, doctored):
     monkeypatch.setattr(_engine, "block_profile_verdicts", doctored_verdicts)
 
 
+def doctor_block_manipulable(monkeypatch, target):
+    """Patch the block manipulation kernel to clear the bit of the rule with
+    digits ``target`` wherever it occurs; forked pool workers inherit it."""
+    honest = _engine.block_manipulable
+    target = bytes(target)
+
+    def doctored(block, sp):
+        manipulable = honest(block, sp)
+        cells = sp.tops_count
+        for r in range(len(block) // cells):
+            if block[r * cells : (r + 1) * cells] == target:
+                assert (manipulable >> r) & 1, "the doctored rule is manipulable"
+                manipulable &= ~(1 << r)
+        return manipulable
+
+    monkeypatch.setattr(_engine, "block_manipulable", doctored)
+
+
 class TestCoalesce:
     def test_dictator_zero_stays(self):
         assert extensionally_equal(coalesce(DictatorRule(3, 3, 0)), DictatorRule(2, 3, 0))
@@ -235,6 +253,28 @@ class TestSampledStream:
     def test_rejects_digits_wider_than_a_byte(self):
         with pytest.raises(ValueError, match="m < 256"):
             next(_sampled_tables(256, 1, 1, 0))
+
+
+class TestExhaustiveStream:
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("where", ["all", "from 0", "mid", "last", "empty"])
+    def test_yields_each_code_and_its_digits(self, n, m, where):
+        size = rule_space_size(n, m)
+        mid = size // 2
+        lo, hi = {
+            "all": (0, None),
+            "from 0": (0, mid),
+            "mid": (mid - 3, mid + 4),
+            "last": (size - 1, size),
+            "empty": (mid, mid),
+        }[where]
+        cells = m**n
+        # kept as a list: no yield may be changed by a later one
+        drawn = list(_iter_rule_digits(n, m, "exhaustive", None, None, lo, hi))
+        codes = range(lo, size if hi is None else hi)
+        assert drawn == [
+            (code, tuple(_engine.digits_from_code(code, cells, m))) for code in codes
+        ]
 
 
 class TestCensus:
@@ -469,12 +509,67 @@ class TestVerifyLemma:
     ])
     def test_block_boundaries_inside_the_stream(self, monkeypatch, n, m, kwargs):
         # blocks of 7 rules cut every stream mid-way; reports must not change
-        ids = ["L4", "L5", "R1", "R2", "C2"]
-        expected = [verify_lemma(i, n, m, **kwargs).to_json_dict() for i in ids]
-        rows = list(census_rows(2, 3, filters=("unanimous",)))
+        ids = ["L1", "L4", "L5", "C1", "R1", "R2", "C2", "THM"]
+
+        def outputs():
+            return (
+                [verify_lemma(i, n, m, **kwargs).to_json_dict() for i in ids],
+                list(census_rows(2, 3, filters=("unanimous",))),
+                list(census_rows(2, 3, filters=("strategy-proof",))),
+                list(enumerate_tops_only_rules(2, 3, ("strategy-proof",))),
+            )
+
+        expected = outputs()
         monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
-        assert [verify_lemma(i, n, m, **kwargs).to_json_dict() for i in ids] == expected
-        assert list(census_rows(2, 3, filters=("unanimous",))) == rows
+        assert outputs() == expected
+
+    # Failing reports when the block manipulation kernel wrongly calls one
+    # manipulable rule strategy-proof.  The expected reports are the ones the
+    # per-rule scan gave when it was doctored the same way (before the block
+    # kernel decided strategy-proofness), so the block path fails identically.
+    L1_C1_DOCTORED = (0, 1, 1, 0, 1, 0, 0, 1, 2)  # unanimous, inefficient
+    THM_DOCTORED = (0, 1, 2, 0, 1, 1, 0, 1, 2)  # unanimous, efficient
+
+    @pytest.mark.parametrize("block_rules", [7, constructions._BLOCK_RULES])
+    @pytest.mark.parametrize("lemma,kind,checks,detail", [
+        ("L1", "strategy-proof unanimous rule that is not efficient", 326,
+         {"unanimous_rules": 326, "closed_forms": 0}),
+        ("C1", "strategy-proof unanimous rule outside tops-only efficient", 326,
+         {"strategy_proof_unanimous": 2, "closed_forms": 0}),
+    ])
+    def test_doctored_strategy_proofness_fails_l1_and_c1(
+        self, monkeypatch, lemma, kind, checks, detail, block_rules
+    ):
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
+        doctor_block_manipulable(monkeypatch, self.L1_C1_DOCTORED)
+        report = verify_lemma(lemma, 2, 3)
+        assert not report.passed
+        assert report.checks == checks
+        assert report.detail == detail
+        assert report.counterexample == {
+            "kind": kind, "rule": "TOPS:n=2,m=3:011010012"
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_doctored_strategy_proofness_fails_thm(self, monkeypatch, workers):
+        doctor_block_manipulable(monkeypatch, self.THM_DOCTORED)
+        report = verify_lemma("THM", 2, 3, workers=workers)
+        assert not report.passed
+        assert report.checks == 19683
+        assert report.detail == {"counts": {
+            "total": 19683, "unanimous": 729, "efficient": 64,
+            "strategy_proof": 3, "dictatorial": 2,
+        }}
+        assert report.counterexample == {
+            "kind": "strategy-proof unanimous efficient rule with no dictator",
+            "rule": "TOPS:n=2,m=3:012011012",
+            "equals": None,
+            # the certificate re-checks with the object layer, not the kernel
+            "certificate": {
+                "unanimous": True, "tops_only": True, "efficient": True,
+                "strategy_proof": False, "dictator": None,
+            },
+        }
 
     def test_sampling_fallback_defaults_to_seed_zero(self):
         report = verify_lemma("C2", 2, 3)

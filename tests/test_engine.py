@@ -12,25 +12,55 @@ from gsverify import (
     classify_profile,
     decode_preference,
     enumerate_profiles,
+    find_dictator,
     find_manipulation,
     is_efficient,
     is_unanimous,
     profile_from_code,
+    sample_efficient_tops_tables,
 )
 from gsverify import _engine, constructions
 from gsverify._engine import (
     DICTATORIAL,
     MANIPULABLE,
     block_cell_masks,
+    block_manipulable,
     block_profile_verdicts,
     space,
+    table_dictator,
     table_efficient_definitional,
-    table_manipulation,
     table_profile_verdicts,
     table_unanimous,
 )
 
 VERDICT_BITS = {Verdict.DICTATORIAL: DICTATORIAL, Verdict.MANIPULABLE: MANIPULABLE}
+
+
+def table_manipulation(table, sp):
+    """First manipulation of a tops-table rule, or None if it is strategy-proof.
+
+    Per-rule reference scan in (profile code, agent, misreport code) order:
+    every profile, every agent, every one of the m! misreports.  Returns
+    (profile_code, agent, misreport_code, sincere, improved), the integer
+    form of the witness ``rules.find_manipulation`` finds on the same rule.
+    """
+    position = sp.position
+    top_of = sp.top_of
+    weights = sp.tops_weights
+    pref_range = range(sp.fact)
+    for pc, pref_codes in enumerate(product(pref_range, repeat=sp.n)):
+        tc = sp.tops_code_of(pref_codes)
+        out = table[tc]
+        for i, p in enumerate(pref_codes):
+            pos = position[p]
+            out_rank = pos[out]
+            w = weights[i]
+            base = tc - top_of[p] * w
+            for q in pref_range:
+                y = table[base + top_of[q] * w]
+                if pos[y] < out_rank:
+                    return pc, i, q, out, y
+    return None
 
 
 def object_witness(n, m, table):
@@ -143,6 +173,18 @@ def test_pareto_kernel_matches_object_layer_on_sampled_n2_m3():
     assert 0 < sum(verdicts) < len(tables)
 
 
+@pytest.mark.parametrize("n,m,count", [(2, 2, 0), (3, 2, 0), (2, 3, 0), (3, 3, 200)])
+def test_dictator_kernel_matches_object_layer(n, m, count):
+    tables = seeded_tables(n, m, count, 20269) if count else all_tables(n, m)
+    tables += constants_and_dictators(n, m)
+    sp = space(n, m)
+    verdicts = [table_dictator(t, sp) for t in tables]
+    assert verdicts == [find_dictator(TopsTableRule(n, m, t)) for t in tables]
+    # the block streams hand the kernel bytes
+    assert verdicts == [table_dictator(bytes(t), sp) for t in tables]
+    assert verdicts[-n:] == list(range(n))
+
+
 @pytest.mark.parametrize("n,m,count", [(2, 2, 0), (3, 2, 0), (2, 3, 300)])
 def test_unanimity_kernel_matches_object_layer(n, m, count):
     sp = space(n, m)
@@ -204,12 +246,15 @@ def rule_blocks(tables, cells):
 
 
 def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
+    """Every block kernel against its per-rule reference, rule by rule; returns
+    how many of the tables are strategy-proof."""
     sp = space(n, m)
-    rule = 0
+    rule = strategy_proof = 0
     for block in rule_blocks(tables, sp.tops_count):
         nondictatorial, m_counts, d_counts = block_cell_masks(block, sp)
         if verdicts:
             dictatorial, manipulable = block_profile_verdicts(block, sp)
+            manipulable_rules = block_manipulable(block, sp)
         for r in range(len(m_counts)):
             table = tables[rule]
             rule += 1
@@ -222,7 +267,11 @@ def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
                     for d, mp in zip(dictatorial, manipulable)
                 ]
                 assert got == table_profile_verdicts(table, sp), table
+                is_manipulable = table_manipulation(table, sp) is not None
+                assert (manipulable_rules >> r) & 1 == is_manipulable, table
+                strategy_proof += not is_manipulable
     assert rule == len(tables)
+    return strategy_proof
 
 
 @pytest.fixture
@@ -233,13 +282,26 @@ def odd_blocks(monkeypatch):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
 def test_block_kernels_match_per_rule_on_whole_space(odd_blocks, n, m):
-    assert_blocks_match_per_rule(n, m, all_tables(n, m))
+    strategy_proof = {(2, 2): 6, (3, 2): 20, (2, 3): 5}[n, m]
+    assert assert_blocks_match_per_rule(n, m, all_tables(n, m)) == strategy_proof
 
 
 @pytest.mark.parametrize("n,m,count", [(3, 3, 200), (2, 4, 50)])
 def test_block_kernels_match_per_rule_on_sampled_tables(odd_blocks, n, m, count):
     tables = seeded_tables(n, m, count, 20265) + constants_and_dictators(n, m)
-    assert_blocks_match_per_rule(n, m, tables)
+    # the constants and the dictators are the strategy-proof ones
+    assert assert_blocks_match_per_rule(n, m, tables) == m + n
+
+
+def test_block_manipulable_on_cell_efficient_tables(odd_blocks):
+    # cell-efficient tables get past more profiles before a manipulation
+    # than uniform ones, which mostly fail at the first few
+    tables = [rule.outcomes for rule in sample_efficient_tops_tables(3, 3, 200, 20268)]
+    tables += constants_and_dictators(3, 3)
+    sp = space(3, 3)
+    first = [table_manipulation(t, sp) for t in tables]
+    assert max(w[0] for w in first if w is not None) > 0
+    assert assert_blocks_match_per_rule(3, 3, tables) == 3 + 3
 
 
 def test_block_cell_counts_exact_past_255_cells(odd_blocks):
@@ -272,3 +334,26 @@ def test_block_verdicts_read_each_profile_row(monkeypatch):
             ((d >> r) & 1) * DICTATORIAL | ((mp >> r) & 1) * MANIPULABLE
             for d, mp in zip(dictatorial, manipulable)
         ] == verdicts
+
+
+def test_block_manipulable_tries_every_misreport(monkeypatch):
+    # what a rule reaches depends only on the set of misreport offsets; these
+    # rows list each offset once, in reverse, so a kernel that skips an entry
+    # of the list misses every misreport to some top (the real rows hold each
+    # top (m-1)! times, which hides a skipped entry at m >= 3; at m = 2 every
+    # manipulation has a mirror image by the other misreport)
+    n, m = 2, 3
+    rows = tuple(
+        (tc, dominated, tuple(
+            (top, base, tuple(sorted(set(offsets), reverse=True)), stand_ins)
+            for top, base, offsets, stand_ins in agents
+        ))
+        for tc, dominated, agents in _engine.profile_rows(n, m)
+    )
+    monkeypatch.setattr(_engine, "profile_rows", lambda n, m: rows)
+    sp = space(n, m)
+    tables = all_tables(n, m)
+    manipulable = block_manipulable(b"".join(map(bytes, tables)), sp)
+    assert [(manipulable >> r) & 1 == 1 for r in range(len(tables))] == [
+        table_manipulation(t, sp) is not None for t in tables
+    ]

@@ -1,5 +1,5 @@
 """Property tests: random rule blocks through the block kernels equal the
-per-rule kernels, rule by rule."""
+per-rule kernels and the per-rule reference scans, rule by rule."""
 
 import pytest
 
@@ -10,11 +10,12 @@ from gsverify._engine import (  # noqa: E402
     DICTATORIAL,
     MANIPULABLE,
     block_cell_masks,
+    block_manipulable,
     block_profile_verdicts,
     space,
     table_profile_verdicts,
 )
-from test_engine import cell_counts  # noqa: E402
+from test_engine import cell_counts, table_manipulation  # noqa: E402
 
 
 def rule_blocks(n, m, max_rules):
@@ -46,3 +47,35 @@ def test_block_kernels_equal_per_rule_at_n3_m3(tables):
 @given(rule_blocks(2, 4, 6))
 def test_block_kernels_equal_per_rule_at_n2_m4(tables):
     check_block(2, 4, tables)
+
+
+def mixed_rule_blocks(n, m, max_rules):
+    """Blocks mixing uniform tables, cell-efficient tables (each cell selects
+    one of its agents' tops, so manipulations come later or not at all) and
+    the dictators and constants (strategy-proof)."""
+    sp = space(n, m)
+    uniform = st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n)
+    efficient = st.tuples(*(st.sampled_from(tops) for tops in sp.cell_tops_sets))
+    fixed = st.sampled_from(
+        list(sp.dictator_tables) + [(x,) * m**n for x in range(m)]
+    )
+    return st.lists(st.one_of(uniform, efficient, fixed), min_size=1, max_size=max_rules)
+
+
+def check_manipulable(n, m, tables):
+    sp = space(n, m)
+    manipulable = block_manipulable(b"".join(bytes(t) for t in tables), sp)
+    for r, table in enumerate(tables):
+        assert (manipulable >> r) & 1 == (table_manipulation(table, sp) is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_rule_blocks(3, 3, 12))
+def test_block_manipulable_equals_per_rule_scan_at_n3_m3(tables):
+    check_manipulable(3, 3, tables)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_rule_blocks(2, 4, 8))
+def test_block_manipulable_equals_per_rule_scan_at_n2_m4(tables):
+    check_manipulable(2, 4, tables)
