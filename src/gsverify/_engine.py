@@ -23,8 +23,8 @@ its rules' digits back to back in one ``bytes``, and bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
 operations covering the whole block.  ``block_manipulable`` decides
 strategy-proofness for every rule-stream check; ``block_profile_verdicts``
-gives the per-profile verdicts of L4 and L5; ``block_cell_masks`` gives the
-non-dictatorial tops cells and the exact |M_f| and |D_f| of R1, R2, C2,
+gives the per-profile verdicts of L4, L5 and C2; ``block_cell_masks`` gives
+the non-dictatorial tops cells and the exact |M_f| and |D_f| of R1, R2,
 ``census_rows`` and ``classify --method cells`` (a block of one rule).
 ``table_profile_verdicts`` is the per-rule kernel for a single rule
 (``classify --method scan``) and the tests' reference for the block kernel;
@@ -60,7 +60,6 @@ class Space:
         "tops_count",
         "tops_tuples",
         "tops_weights",
-        "profile_weights",
         "cell_profile_count",
         "unanimous_outcomes",
         "unanimous_tops",
@@ -89,7 +88,6 @@ class Space:
         self.tops_count = m**n
         self.tops_tuples = tuple(product(range(m), repeat=n))
         self.tops_weights = tuple(m ** (n - 1 - i) for i in range(n))
-        self.profile_weights = tuple(self.fact ** (n - 1 - i) for i in range(n))
         self.cell_profile_count = math.factorial(m - 1) ** n
         unanimous_cells = [
             (tc, t[0]) for tc, t in enumerate(self.tops_tuples) if len(set(t)) == 1
@@ -448,10 +446,3 @@ def digits_from_code(code: int, cells: int, m: int) -> list[int]:
     for i in range(cells - 1, -1, -1):
         rest, digits[i] = divmod(rest, m)
     return digits
-
-
-def code_from_digits(digits: Sequence[int], m: int) -> int:
-    code = 0
-    for d in digits:
-        code = code * m + d
-    return code

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import _engine
-from .errors import DimensionMismatchError
 from .prefs import (
     Preference,
     Profile,
@@ -31,6 +30,7 @@ from .rules import (
     ManipulationWitness,
     Rule,
     _check_caps,
+    _check_same_dims,
     as_tops_table,
     find_dictator,
     is_efficient,
@@ -215,13 +215,6 @@ def dictatorial_profile_count(rule: Rule) -> int:
         for profile in enumerate_profiles(rule.n, rule.m)
         if find_dictatorial_violation(rule, profile) is None
     )
-
-
-def _check_same_dims(f: Rule, g: Rule) -> None:
-    if (f.n, f.m) != (g.n, g.m):
-        raise DimensionMismatchError(
-            f"cannot compare (n={f.n}, m={f.m}) with (n={g.n}, m={g.m})"
-        )
 
 
 def at_least_as_manipulable(f: Rule, g: Rule) -> bool:

@@ -46,17 +46,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default json)",
     )
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument(
+    common.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
+    # the rule-space scans: census and lemmas only
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,
         help="worker processes for the exhaustive census and L5 scans; reports are "
              "identical for every value (default: machine parallelism)",
     )
-    common.add_argument(
+    scan.add_argument(
         "--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
         help="exhaustive when the rule space fits the budget, else sampled",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
-    common.add_argument("--samples", type=int, help="sample size for sampled modes")
+    scan.add_argument("--samples", type=int, help="sample size for sampled modes")
 
     parser = argparse.ArgumentParser(
         prog="gsverify",
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("cells", "scan"), default="cells",
                    help="tops-cell fast path or definitional per-profile scan")
 
-    p = sub.add_parser("census", parents=[common],
+    p = sub.add_parser("census", parents=[common, scan],
                        help="count the axiom cascade over the tops-table rule space")
     p.add_argument("--filter", action="append", default=[],
                    choices=constructions.FILTER_NAMES, dest="filters",
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="csv only: one row per rule instead of the summary")
 
-    p = sub.add_parser("lemmas", parents=[common],
+    p = sub.add_parser("lemmas", parents=[common, scan],
                        help="run verification suite checks")
     p.add_argument("ids", nargs="*", metavar="ID",
                    help=f"check ids ({', '.join(_LEMMA_CHOICES)}); default: all")
@@ -126,10 +128,6 @@ def main() -> None:
 
 
 def _execute(args: argparse.Namespace) -> tuple[dict, bool]:
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
-    if args.samples is not None and args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     handler = {
         "classify": _cmd_classify,
         "census": _cmd_census,
@@ -206,11 +204,21 @@ def _classification_examples(rule: Rule, summary) -> dict:
     return {"manipulable": manipulable, "dictatorial": dictatorial}
 
 
+def _check_scan_options(args: argparse.Namespace) -> None:
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+
+
 def _cmd_census(args: argparse.Namespace) -> tuple[dict, bool]:
+    _check_scan_options(args)
     if args.verbose and args.format != "csv":
         raise ValueError("--verbose census output is csv only")
     if args.verbose and args.mode == "sampled":
         raise ValueError("--verbose per-rule output is exhaustive only; drop --mode sampled")
+    if args.verbose and args.samples is not None:
+        raise ValueError("--verbose per-rule output is exhaustive only; drop --samples")
     payload = _base_payload(args)
     if args.verbose:
         rows = list(
@@ -233,6 +241,7 @@ def _cmd_census(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
+    _check_scan_options(args)
     ids = [i.upper() for i in args.ids]
     if args.suite == "all" or not ids:
         ids = list(_LEMMA_CHOICES)

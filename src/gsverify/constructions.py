@@ -20,12 +20,22 @@ runner that splits an exhaustive stream over worker processes (the census
 and L5 use it); it merges the parts in code order and stops where a serial
 scan stops, so no report depends on ``workers``.
 
+``_filter_rules`` is the one cascade filter: one nested generator per
+filter, its predicate chosen once per stream.  The census, ``census_rows``,
+``enumerate_tops_only_rules``, the unanimous stream of L1 and C1 and the
+exhaustive pool of L4 and R2 read it.
+
 Streams are cut into blocks of at most ``_BLOCK_RULES`` rules
-(``_rule_blocks``) for the rule-block kernels of ``_engine``: L4, L5, R1, R2,
-C2 and ``census_rows`` read per-profile verdicts and cell counts a block at a
-time, and every strategy-proofness decision (R1, L1, C1, the census cascade
-that THM also runs, and the ``strategy-proof`` filter) goes through
-``_strategy_proofness``, one ``_engine.block_manipulable`` call per block.
+(``_rule_blocks``) for the rule-block kernels of ``_engine``.  L4, L5 and C2
+read per-profile verdicts (``block_profile_verdicts``), R2 and
+``census_rows`` read cell counts (``block_cell_masks``), and R1 calls
+``block_manipulable`` and ``block_cell_masks`` on the same block.  Every
+other strategy-proofness decision (L1, C1, the census cascade that THM also
+runs, and the ``strategy-proof`` filter) goes through
+``_strategy_proofness``, one ``block_manipulable`` call per block.  L1 and C1
+are one scan (``_strategy_proof_unanimous_scan``) with their own
+counterexample kind and closed-form test.  C2 counts |M_f| and |D_f| apart,
+so the duality it checks is not built into its counts.
 """
 
 from __future__ import annotations
@@ -460,35 +470,39 @@ def _ordered_filters(filters: Sequence[str]) -> tuple[str, ...]:
     return tuple(name for name in _FILTER_ORDER if name in filters)
 
 
-def _digit_filter(name: str, digits: Sequence[int], sp: _engine.Space) -> bool:
-    if name == "unanimous":
-        return _engine.table_unanimous(digits, sp)
-    if name == "efficient":
-        return _engine.table_efficient_cells(digits, sp)
-    return _engine.table_dictator(digits, sp) is not None
-
-
 def _filter_rules(
     stream: Iterable[tuple[int, Sequence[int]]],
     filters: tuple[str, ...],
     sp: _engine.Space,
 ) -> Iterable[tuple[int, Sequence[int]]]:
     """The (code, digits) of the rules passing every one of the ordered
-    ``filters``; "strategy-proof", always last, is decided a block at a time."""
-    per_rule = [name for name in filters if name != "strategy-proof"]
-    if per_rule:
-        stream = (
-            (code, digits)
-            for code, digits in stream
-            if all(_digit_filter(name, digits, sp) for name in per_rule)
-        )
-    if "strategy-proof" in filters:
-        stream = (
+    ``filters``: one nested generator per filter, cheapest first."""
+    for name in filters:
+        stream = _filter_stage(name, stream, sp)
+    return stream
+
+
+def _filter_stage(
+    name: str, stream: Iterable[tuple[int, Sequence[int]]], sp: _engine.Space
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """The rules of ``stream`` passing one filter; its predicate is chosen once
+    here, not per rule.  "strategy-proof" is decided a block at a time."""
+    if name == "strategy-proof":
+        return (
             (code, digits)
             for code, digits, strategy_proof in _strategy_proofness(stream, sp)
             if strategy_proof
         )
-    return stream
+    if name == "dictatorial":
+        dictator = _engine.table_dictator
+        return (
+            (code, digits) for code, digits in stream if dictator(digits, sp) is not None
+        )
+    test = {
+        "unanimous": _engine.table_unanimous,
+        "efficient": _engine.table_efficient_cells,
+    }[name]
+    return ((code, digits) for code, digits in stream if test(digits, sp))
 
 
 # ---------------------------------------------------------------------------
@@ -707,47 +721,48 @@ def _rule_string_from_digits(n: int, m: int, digits: Sequence[int]) -> str:
 
 def _verify_l1(n, m, mode, samples, seed, workers):
     """No unanimous, inefficient, strategy-proof rule may exist."""
-    sp = _engine.space(n, m)
-    checks = 0
-    counterexample = None
-    for _, digits, strategy_proof in _strategy_proofness(
-        _unanimous_rules(n, m, mode, samples, seed), sp
-    ):
-        checks += 1
-        if strategy_proof and not _engine.table_efficient_definitional(digits, sp):
-            counterexample = {
-                "kind": "strategy-proof unanimous rule that is not efficient",
-                "rule": _rule_string_from_digits(n, m, digits),
-            }
-            break
-    unanimous_seen = checks
-    closed = 0
-    if counterexample is None:
-        for rule in _closed_form_library(n, m):
-            checks += 1
-            closed += 1
-            if (
-                is_strategy_proof(rule)
-                and is_unanimous(rule)
-                and not is_efficient(rule)
-            ):
-                counterexample = {
-                    "kind": "strategy-proof unanimous rule that is not efficient",
-                    "rule": rule.to_string(),
-                }
-                break
-    detail = {"unanimous_rules": unanimous_seen, "closed_forms": closed}
+    checks, counterexample, (unanimous, _, closed) = _strategy_proof_unanimous_scan(
+        n, m, mode, samples, seed,
+        "strategy-proof unanimous rule that is not efficient",
+        lambda rule: not is_efficient(rule),
+    )
+    detail = {"unanimous_rules": unanimous, "closed_forms": closed}
     return counterexample is None, checks, counterexample, detail
 
 
-def _unanimous_rules(n, m, mode, samples, seed):
-    """(code-or-index, digits) of the unanimous rules of the rule stream."""
+def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_fails):
+    """The scan of L1 and C1: every unanimous rule of the stream, then the
+    closed-form library; stops at the first strategy-proof unanimous rule
+    that is not efficient (``closed_form_fails`` for the closed forms).
+
+    Returns checks, the counterexample of ``kind`` or None, and the counts
+    (unanimous stream rules, strategy-proof unanimous rules, closed forms).
+    """
     sp = _engine.space(n, m)
-    return (
-        (code, digits)
-        for code, digits in _iter_rule_digits(n, m, mode, samples, seed)
-        if _engine.table_unanimous(digits, sp)
+    stream = _filter_rules(
+        _iter_rule_digits(n, m, mode, samples, seed), ("unanimous",), sp
     )
+    unanimous = strategy_proof = closed = 0
+    counterexample = None
+    for _, digits, is_sp in _strategy_proofness(stream, sp):
+        unanimous += 1
+        if not is_sp:
+            continue
+        strategy_proof += 1
+        # tops-only (C1) holds by construction over this space
+        if not _engine.table_efficient_definitional(digits, sp):
+            rule_string = _rule_string_from_digits(n, m, digits)
+            counterexample = {"kind": kind, "rule": rule_string}
+            break
+    else:
+        for rule in _closed_form_library(n, m):
+            closed += 1
+            if is_strategy_proof(rule) and is_unanimous(rule):
+                strategy_proof += 1
+                if closed_form_fails(rule):
+                    counterexample = {"kind": kind, "rule": rule.to_string()}
+                    break
+    return unanimous + closed, counterexample, (unanimous, strategy_proof, closed)
 
 
 def _verify_l3(n, m, mode, samples, seed, workers):
@@ -781,15 +796,10 @@ def _te_digit_stream(n, m, mode, samples, seed):
     mode draws directly from the cell-efficient space."""
     sp = _engine.space(n, m)
     if mode == "exhaustive":
-        for code, digits in _iter_rule_digits(n, m, "exhaustive", None, None):
-            if _engine.table_unanimous(digits, sp) and _engine.table_efficient_cells(
-                digits, sp
-            ):
-                yield code, digits
-    else:
-        rng = random.Random(seed)
-        for index in range(samples or 0):
-            yield index, _sample_efficient_digits(rng, sp)
+        stream = _iter_rule_digits(n, m, mode, None, None)
+        return _filter_rules(stream, ("unanimous", "efficient"), sp)
+    rng = random.Random(seed)
+    return ((index, _sample_efficient_digits(rng, sp)) for index in range(samples or 0))
 
 
 def _verify_l4(n, m, mode, samples, seed, workers):
@@ -890,38 +900,12 @@ def _verify_l5(n, m, mode, samples, seed, workers):
 
 def _verify_c1(n, m, mode, samples, seed, workers):
     """Strategy-proof unanimous rules are tops-only and efficient."""
-    sp = _engine.space(n, m)
-    checks = 0
-    counterexample = None
-    strategy_proof_seen = 0
-    for _, digits, strategy_proof in _strategy_proofness(
-        _unanimous_rules(n, m, mode, samples, seed), sp
-    ):
-        checks += 1
-        if not strategy_proof:
-            continue
-        strategy_proof_seen += 1
-        # tops-only holds by construction over this space
-        if not _engine.table_efficient_definitional(digits, sp):
-            counterexample = {
-                "kind": "strategy-proof unanimous rule outside tops-only efficient",
-                "rule": _rule_string_from_digits(n, m, digits),
-            }
-            break
-    closed = 0
-    if counterexample is None:
-        for rule in _closed_form_library(n, m):
-            checks += 1
-            closed += 1
-            if is_strategy_proof(rule) and is_unanimous(rule):
-                strategy_proof_seen += 1
-                if not (is_tops_only(rule) and is_efficient(rule)):
-                    counterexample = {
-                        "kind": "strategy-proof unanimous rule outside tops-only efficient",
-                        "rule": rule.to_string(),
-                    }
-                    break
-    detail = {"strategy_proof_unanimous": strategy_proof_seen, "closed_forms": closed}
+    checks, counterexample, (_, strategy_proof, closed) = _strategy_proof_unanimous_scan(
+        n, m, mode, samples, seed,
+        "strategy-proof unanimous rule outside tops-only efficient",
+        lambda rule: not (is_tops_only(rule) and is_efficient(rule)),
+    )
+    detail = {"strategy_proof_unanimous": strategy_proof, "closed_forms": closed}
     return counterexample is None, checks, counterexample, detail
 
 
@@ -941,7 +925,10 @@ def _verify_c2(n, m, mode, samples, seed, workers):
         )
     counts: dict[int, tuple[int, int]] = {}
     for codes, block in _rule_blocks(rules, sp.tops_count):
-        _, m_counts, d_counts = _engine.block_cell_masks(block, sp)
+        # |M_f| and |D_f| counted apart, from the per-profile verdicts
+        dictatorial, manipulable = _engine.block_profile_verdicts(block, sp)
+        m_counts = _engine.bit_counts(manipulable, len(codes))
+        d_counts = _engine.bit_counts(dictatorial, len(codes))
         counts.update(zip(codes, zip(m_counts, d_counts)))
     checks = 0
     counterexample = None
@@ -979,17 +966,18 @@ def _verify_r1(n, m, mode, samples, seed, workers):
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
         stream = chain(stream, enumerate(sp.dictator_tables))
-    rules = [
-        (digits, strategy_proof)
-        for _, digits, strategy_proof in _strategy_proofness(stream, sp)
-    ]
-    m_counts: list[int] = []
-    for _, block in _rule_blocks(enumerate(d for d, _ in rules), sp.tops_count):
-        m_counts.extend(_engine.block_cell_masks(block, sp)[1])
-    min_m = min(m_counts)
+    rules = []
+    for _, block in _rule_blocks(stream, sp.tops_count):
+        manipulable = _engine.block_manipulable(block, sp)
+        _, m_counts, _ = _engine.block_cell_masks(block, sp)
+        for r, (digits, m_count) in enumerate(
+            zip(_block_tables(block, sp.tops_count), m_counts)
+        ):
+            rules.append((digits, not (manipulable >> r) & 1, m_count))
+    min_m = min(m_count for _, _, m_count in rules)
     checks = 0
     counterexample = None
-    for (digits, strategy_proof), m_count in zip(rules, m_counts):
+    for digits, strategy_proof, m_count in rules:
         checks += 1
         if strategy_proof != (m_count == 0) or strategy_proof != (m_count == min_m):
             counterexample = {
@@ -1058,16 +1046,21 @@ def _verify_thm(n, m, mode, samples, seed, workers):
             "kind": "strategy-proof unanimous efficient rule with no dictator",
             "rule": chosen,
             "equals": _known_equivalent(rule),
-            "certificate": {
-                "unanimous": is_unanimous(rule),
-                "tops_only": is_tops_only(rule),
-                "efficient": is_efficient(rule),
-                "strategy_proof": is_strategy_proof(rule),
-                "dictator": find_dictator(rule),
-            },
+            "certificate": _axiom_values(rule),
         }
     detail = {"counts": report.counts()}
     return passed, report.total, counterexample, detail
+
+
+def _axiom_values(rule: Rule) -> dict:
+    """The five axiom values of a counterexample certificate."""
+    return {
+        "unanimous": is_unanimous(rule),
+        "tops_only": is_tops_only(rule),
+        "efficient": is_efficient(rule),
+        "strategy_proof": is_strategy_proof(rule),
+        "dictator": find_dictator(rule),
+    }
 
 
 def _known_equivalent(rule: Rule) -> str | None:
@@ -1130,8 +1123,7 @@ def verify_lemma(
         required, mode, samples, seed, _DEFAULT_SAMPLES[lemma],
         f"{lemma} at (n={n}, m={m})", budget,
     )
-    if lemma != "C2":  # C2 compares tops-cell counts only
-        check_profile_work(n, m)
+    check_profile_work(n, m)
     t0 = perf_counter()
     passed, checks, counterexample, detail = _LEMMA_IMPLS[lemma](
         n, m, resolved, eff_samples, eff_seed, workers
@@ -1194,11 +1186,4 @@ def majority_counterexample(n: int = 3) -> CounterexampleCertificate:
     efficient, and non-dictatorial; shows two alternatives are not enough
     for the dictatorship conclusion."""
     rule = MajorityLexRule(n)
-    return CounterexampleCertificate(
-        rule=rule,
-        unanimous=is_unanimous(rule),
-        strategy_proof=is_strategy_proof(rule),
-        tops_only=is_tops_only(rule),
-        efficient=is_efficient(rule),
-        dictator=find_dictator(rule),
-    )
+    return CounterexampleCertificate(rule=rule, **_axiom_values(rule))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar
 
+from . import _engine
 from .errors import DimensionMismatchError, NotTopsOnlyError, RuleParseError
 from .prefs import (
     Alternative,
@@ -454,12 +455,8 @@ def efficient_via_tops(rule: Rule) -> bool:
     Must agree with :func:`is_efficient` on tops-only rules; the test suite
     verifies the equivalence exhaustively.
     """
-    _check_caps(rule)
-    require_tops_only(rule)
-    for tops in product(range(rule.m), repeat=rule.n):
-        if _tops_outcome(rule, tops) not in tops:
-            return False
-    return True
+    table = as_tops_table(rule).outcomes
+    return _engine.table_efficient_cells(table, _engine.space(rule.n, rule.m))
 
 
 def _tops_outcome(rule: Rule, tops: TopsProfile) -> Alternative:
@@ -501,12 +498,16 @@ def find_dictator(rule: Rule) -> int | None:
     return None
 
 
-def extensionally_equal(f: Rule, g: Rule) -> bool:
-    """Same dimensions and identical outcome on every profile."""
+def _check_same_dims(f: Rule, g: Rule) -> None:
     if (f.n, f.m) != (g.n, g.m):
         raise DimensionMismatchError(
             f"cannot compare (n={f.n}, m={f.m}) with (n={g.n}, m={g.m})"
         )
+
+
+def extensionally_equal(f: Rule, g: Rule) -> bool:
+    """Same dimensions and identical outcome on every profile."""
+    _check_same_dims(f, g)
     _check_walk(f)
     return all(
         f.evaluate(profile) == g.evaluate(profile)

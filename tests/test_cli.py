@@ -346,7 +346,7 @@ class TestProfileWorkBudget:
     ])
     def test_rejected_up_front(self, capsys, argv, work):
         start = time.perf_counter()
-        code, out, err = invoke(capsys, *argv, "--workers", "1")
+        code, out, err = invoke(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
@@ -374,6 +374,35 @@ class TestSamplesValidation:
         assert code == 2
         assert out == ""
         assert "--samples must be at least 1" in err
+
+
+class TestScanOptions:
+    # --mode, --samples and --workers steer the rule-space scans of census and
+    # lemmas; elsewhere they would be ignored, so argparse rejects them
+    @pytest.mark.parametrize("argv", [
+        ("inspect", "--rule", "DICT:0", "--agents", "2", "--alts", "3",
+         "--mode", "sampled", "--samples", "3", "--seed", "9"),
+        ("census", "--agents", "2", "--alts", "2", "--format", "csv", "--verbose",
+         "--samples", "3"),
+        ("classify", "--rule", "DICT:0", "--agents", "2", "--alts", "3",
+         "--workers", "3"),
+        ("counterexample", "--agents", "3", "--alts", "2", "--mode", "exhaustive"),
+    ])
+    def test_rejected_where_they_would_not_act(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err
+
+    @pytest.mark.parametrize("argv", [
+        ("inspect", "--rule", "DICT:0", "--agents", "2", "--alts", "3"),
+        ("classify", "--rule", "DICT:0", "--agents", "2", "--alts", "3"),
+        ("counterexample", "--agents", "3", "--alts", "2"),
+    ])
+    def test_seed_accepted_by_every_command(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv, "--seed", "4")
+        assert code == 0
+        assert out == invoke(capsys, *argv)[1]
 
 
 class TestModuleEntryPoints:

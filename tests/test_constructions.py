@@ -1,6 +1,7 @@
 """Coalescing, restriction, the census engine, and the verification suite."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,9 +35,9 @@ from gsverify import (
     verify_lemma,
 )
 from gsverify import _engine, constructions
-from gsverify._engine import code_from_digits
 from gsverify.constructions import (
     _BLOCK_WORDS,
+    _filter_rules,
     _iter_rule_digits,
     _l5_scan,
     _sampled_tables,
@@ -167,7 +168,7 @@ class TestEnumeration:
 
     def test_ascending_rule_codes(self):
         codes = [
-            code_from_digits(r.outcomes, 3)
+            int("".join(map(str, r.outcomes)), 3)
             for r in enumerate_tops_only_rules(2, 3, ("unanimous", "efficient"))
         ]
         assert codes == sorted(codes)
@@ -190,6 +191,24 @@ class TestEnumeration:
             (0, 0, 0, 1, 1, 1, 2, 2, 2),
             (0, 1, 2, 0, 1, 2, 0, 1, 2),
         ]
+
+    def test_filter_stages_call_their_own_predicates(self, monkeypatch):
+        # Every cell-efficient (2,3) table is unanimous, so a stage bound to
+        # the wrong predicate would keep the same 64 rules; only the call
+        # counts show that the unanimous stage sees the whole stream and the
+        # efficient stage its 729 unanimous survivors.
+        calls = Counter()
+        for name in ("table_unanimous", "table_efficient_cells"):
+
+            def counted(digits, sp, honest=getattr(_engine, name), name=name):
+                calls[name] += 1
+                return honest(digits, sp)
+
+            monkeypatch.setattr(_engine, name, counted)
+        stream = _iter_rule_digits(2, 3, "exhaustive", None, None)
+        kept = list(_filter_rules(stream, ("unanimous", "efficient"), _engine.space(2, 3)))
+        assert len(kept) == 64
+        assert calls == {"table_unanimous": 19683, "table_efficient_cells": 729}
 
     def test_dictatorial_filter(self):
         assert sum(1 for _ in enumerate_tops_only_rules(2, 3, ("dictatorial",))) == 2
@@ -359,8 +378,9 @@ class TestCensus:
             verify_lemma("L1", 2, 5, mode="sampled", samples=10, seed=1)
         with pytest.raises(BudgetExceededError, match="needs 31850496 steps"):
             _engine.profile_rows(4, 4)
-        # C2 compares tops-cell counts and walks no profile space
-        assert verify_lemma("C2", 2, 5, mode="sampled", samples=10, seed=1).passed
+        # C2 reads per-profile verdicts, so it walks the profile space too
+        with pytest.raises(BudgetExceededError, match="needs 3456000 steps"):
+            verify_lemma("C2", 2, 5, mode="sampled", samples=10, seed=1)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_non_positive_samples_rejected(self, samples):
@@ -569,6 +589,38 @@ class TestVerifyLemma:
                 "unanimous": True, "tops_only": True, "efficient": True,
                 "strategy_proof": False, "dictator": None,
             },
+        }
+
+    @pytest.mark.parametrize("lemma,kind,detail", [
+        ("L1", "strategy-proof unanimous rule that is not efficient",
+         {"unanimous_rules": 729, "closed_forms": 1}),
+        ("C1", "strategy-proof unanimous rule outside tops-only efficient",
+         {"strategy_proof_unanimous": 3, "closed_forms": 1}),
+    ])
+    def test_closed_form_counterexample(self, monkeypatch, lemma, kind, detail):
+        # the tops-table scan passes; with the object-layer efficiency check
+        # doctored, the first closed form (DICT:0) is the counterexample
+        monkeypatch.setattr(constructions, "is_efficient", lambda rule: False)
+        report = verify_lemma(lemma, 2, 3)
+        assert not report.passed
+        assert report.checks == 730
+        assert report.detail == detail
+        assert report.counterexample == {"kind": kind, "rule": "DICT:0"}
+
+    def test_doctored_verdicts_fail_c2(self, monkeypatch):
+        # profile 0 of TOPS:n=2,m=2:1000 is manipulable; calling it
+        # dictatorial as well breaks the duality of the two orders, which C2
+        # must see because it counts |M_f| and |D_f| apart
+        doctor_block_verdicts(
+            monkeypatch, (1, 0, 0, 0), {0: _engine.DICTATORIAL | _engine.MANIPULABLE}
+        )
+        report = verify_lemma("C2", 2, 2, mode="exhaustive")
+        assert not report.passed
+        assert report.checks == 105
+        assert report.counterexample == {
+            "kind": "duality violation",
+            "f": "TOPS:n=2,m=2:0110", "g": "TOPS:n=2,m=2:1000",
+            "m_f": 3, "d_f": 1, "m_g": 3, "d_g": 2,
         }
 
     def test_sampling_fallback_defaults_to_seed_zero(self):
