@@ -7,7 +7,7 @@ object layer in ``prefs``/``rules`` stays definitional and readable; these
 tables keep exhaustive rule-space scans fast.
 
 Per-profile kernels (``table_profile_verdicts``, ``block_profile_verdicts``,
-``block_manipulable`` and ``table_efficient_definitional``) read
+``block_manipulable`` and ``block_efficient_definitional``) read
 ``profile_rows``, which is built lazily once per (n, m), never at import or
 in ``Space``.  A row's Pareto-dominated mask is enumerated in full from the
 agents' rankings, never taken from the tops-cell masks, and each profile is
@@ -21,15 +21,23 @@ The object-level twins are ``classify.classify_profile``,
 Rule streams go through the rule-block kernels a block at a time: a block is
 its rules' digits back to back in one ``bytes``, and bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
-operations covering the whole block.  ``block_manipulable`` decides
-strategy-proofness for every rule-stream check; ``block_profile_verdicts``
-gives the per-profile verdicts of L4, L5 and C2; ``block_cell_masks`` gives
-the non-dictatorial tops cells and the exact |M_f| and |D_f| of R1, R2,
-``census_rows`` and ``classify --method cells`` (a block of one rule).
-``table_profile_verdicts`` is the per-rule kernel for a single rule
-(``classify --method scan``) and the tests' reference for the block kernel;
-the tests keep a per-rule manipulation scan as the reference for
-``block_manipulable``.
+operations covering the whole block.  ``block_columns`` gives, per tops
+code and outcome, the rules selecting it; the block predicates
+(``block_unanimous``, ``block_efficient_cells``,
+``block_efficient_definitional`` and ``block_dictators``) read these
+columns and answer for the rules of a given bitset.  ``block_manipulable``
+decides strategy-proofness for every rule-stream check;
+``block_profile_verdicts`` gives the per-profile verdicts of L4, L5 and C2;
+``block_cell_masks`` gives the non-dictatorial tops cells and the exact
+|M_f| and |D_f| of R1, R2, ``census_rows`` and ``classify --method cells``
+(a block of one rule).  ``table_profile_verdicts`` is the per-rule kernel
+for a single rule (``classify --method scan``) and the tests' reference for
+the block kernel.  Per-rule twins of the other block kernels and predicates
+are their test references: ``table_unanimous`` and ``table_efficient_cells``
+here (``classify`` and ``rules`` call them), the rest in the tests.
+``digits_from_code`` turns a rule code into its digits k at a time through
+the table of all k-digit strings that the exhaustive stream also builds its
+blocks from.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ class Space:
         "tops_tuples",
         "tops_weights",
         "cell_profile_count",
+        "unanimous_cells",
         "unanimous_outcomes",
         "unanimous_tops",
         "cell_tops_mask",
@@ -89,12 +98,13 @@ class Space:
         self.tops_tuples = tuple(product(range(m), repeat=n))
         self.tops_weights = tuple(m ** (n - 1 - i) for i in range(n))
         self.cell_profile_count = math.factorial(m - 1) ** n
-        unanimous_cells = [
+        # (tops code, shared top) of every cell where all agents share a top
+        self.unanimous_cells = tuple(
             (tc, t[0]) for tc, t in enumerate(self.tops_tuples) if len(set(t)) == 1
-        ]
+        )
         # m >= 2 cells, so the getter always returns a tuple
-        self.unanimous_outcomes = itemgetter(*(tc for tc, _ in unanimous_cells))
-        self.unanimous_tops = tuple(x for _, x in unanimous_cells)
+        self.unanimous_outcomes = itemgetter(*(tc for tc, _ in self.unanimous_cells))
+        self.unanimous_tops = tuple(x for _, x in self.unanimous_cells)
         self.cell_tops_mask = tuple(
             self._mask(t) for t in self.tops_tuples
         )
@@ -224,7 +234,7 @@ def table_profile_verdicts(table: Table, sp: Space) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
+def block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
     """(rules in the block, per tops code the bitset of rules selecting each outcome).
 
     ``joined`` holds the block's tables back to back, ``tops_count`` digits
@@ -247,9 +257,9 @@ def _block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]
 def _block_wide_columns(
     joined: bytes, sp: Space
 ) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], list[int]]:
-    """``_block_columns`` plus, per tops code, one int holding every outcome's
+    """``block_columns`` plus, per tops code, one int holding every outcome's
     rule bitset: outcome x in bits ``[shifts[x], shifts[x] + count)``."""
-    count, cols = _block_columns(joined, sp)
+    count, cols = block_columns(joined, sp)
     shifts = tuple(range(0, sp.m * count, count))
     wide = [sum(s << shift for s, shift in zip(col, shifts)) for col in cols]
     return count, cols, shifts, wide
@@ -366,7 +376,7 @@ def block_cell_masks(
     of the other cells, ``cell_profile_count`` per cell.
     """
     m = sp.m
-    count, cols = _block_columns(joined, sp)
+    count, cols = block_columns(joined, sp)
     full = (1 << count) - 1
     nondictatorial = []
     for tc, tops in enumerate(sp.tops_tuples):
@@ -404,7 +414,66 @@ def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Whole-rule predicates on outcome tables.
+# Rule-block predicates over a block's columns (``block_columns``).  Each
+# returns the rules of ``within`` that pass, bit r standing for rule r.
+# ---------------------------------------------------------------------------
+
+
+def block_unanimous(cols: Sequence[tuple[int, ...]], within: int, sp: Space) -> int:
+    """The rules of ``within`` selecting the shared top at every unanimous cell."""
+    for tc, x in sp.unanimous_cells:
+        within &= cols[tc][x]
+    return within
+
+
+def block_efficient_cells(
+    cols: Sequence[tuple[int, ...]], within: int, sp: Space
+) -> int:
+    """Tops-level criterion: the rules of ``within`` selecting one of the
+    agents' tops at every cell."""
+    for outs, tops in zip(cols, sp.cell_tops_sets):
+        selects_a_top = 0
+        for x in tops:
+            selects_a_top |= outs[x]
+        within &= selects_a_top
+    return within
+
+
+def block_efficient_definitional(
+    cols: Sequence[tuple[int, ...]], within: int, sp: Space
+) -> int:
+    """Pareto check over every profile: the rules of ``within`` whose outcome no
+    alternative beats in every agent's ranking, read from the enumerated
+    dominated masks of the rows (never from the tops-cell masks)."""
+    alternatives = range(sp.m)
+    for tc, dominated, _agents in profile_rows(sp.n, sp.m):
+        outs = cols[tc]
+        for x in alternatives:
+            if (dominated >> x) & 1:
+                within &= ~outs[x]
+        if not within:
+            break
+    return within
+
+
+def block_dictators(
+    cols: Sequence[tuple[int, ...]], within: int, sp: Space
+) -> list[int]:
+    """Per agent i, the rules of ``within`` that are agent i's dictatorship:
+    they select agent i's top at every cell."""
+    dictators = []
+    for i in range(sp.n):
+        rules = within
+        for outs, tops in zip(cols, sp.tops_tuples):
+            rules &= outs[tops[i]]
+            if not rules:
+                break
+        dictators.append(rules)
+    return dictators
+
+
+# ---------------------------------------------------------------------------
+# Whole-rule predicates on one outcome table.
 # ---------------------------------------------------------------------------
 
 
@@ -419,30 +488,45 @@ def table_efficient_cells(table: Table, sp: Space) -> bool:
     return all((masks[tc] >> table[tc]) & 1 for tc in range(sp.tops_count))
 
 
-def table_efficient_definitional(table: Table, sp: Space) -> bool:
-    """Pareto check over every profile: no alternative beats the outcome
-    in every agent's ranking (the enumerated dominated masks of the rows)."""
-    for tc, dominated, _agents in profile_rows(sp.n, sp.m):
-        if (dominated >> table[tc]) & 1:
-            return False
-    return True
-
-
-def table_dictator(table: Table, sp: Space) -> int | None:
-    for i, dict_table in enumerate(sp.dictator_tables):
-        if tuple(table) == dict_table:
-            return i
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Rule-code digit arithmetic (tops tables as base-m digit strings).
 # ---------------------------------------------------------------------------
 
+# Strings per digit table: a table of k-digit strings has m**k of them.
+DIGIT_TABLE_STRINGS = 2048
 
-def digits_from_code(code: int, cells: int, m: int) -> list[int]:
-    digits = [0] * cells
-    rest = code
-    for i in range(cells - 1, -1, -1):
-        rest, digits[i] = divmod(rest, m)
-    return digits
+
+def digit_width(m: int, cells: int, strings: int) -> int:
+    """The most digits k <= cells whose m**k strings fit ``strings`` (at least 1)."""
+    k = 1
+    while k < cells and m ** (k + 1) <= strings:
+        k += 1
+    return k
+
+
+@lru_cache(maxsize=None)
+def digit_strings(m: int, k: int) -> tuple[bytes, ...]:
+    """All k-digit base-m strings, ascending: entry c holds the digits of c."""
+    return tuple(map(bytes, product(range(m), repeat=k)))
+
+
+@lru_cache(maxsize=None)
+def _digit_plan(cells: int, m: int) -> tuple[int, tuple[bytes, ...], int, tuple[bytes, ...]]:
+    """(m**k, the k-digit table, whole k-digit groups, the table of the
+    leading ``cells % k`` digits) for ``digits_from_code``."""
+    k = digit_width(m, cells, DIGIT_TABLE_STRINGS)
+    table = digit_strings(m, k)
+    return len(table), table, cells // k, digit_strings(m, cells % k)
+
+
+def digits_from_code(code: int, cells: int, m: int) -> bytes:
+    """The ``cells`` base-m digits of a rule code, most significant first, k
+    digits per ``divmod`` through the k-digit table of ``digit_strings``."""
+    radix, table, whole, head = _digit_plan(cells, m)
+    parts = []
+    for _ in range(whole):
+        code, low = divmod(code, radix)
+        parts.append(table[low])
+    parts.append(head[code])
+    parts.reverse()
+    return b"".join(parts)

@@ -12,39 +12,44 @@ that restriction.
 Rule-space exhaustion is guarded by a budget (``GSVERIFY_MAX_RULE_SPACE``);
 larger spaces run in sampled mode with an explicit seed, and sampled runs
 with the same seed reproduce byte for byte.  Every rule walk reads the one
-rule stream, ``_iter_rule_digits``: the digit tuples of ascending rule codes
-from ``itertools.product`` when exhaustive, else ``randrange(m)`` per tops
-cell from ``random.Random(seed)``, drawn in blocks by ``_sampled_tables``
-(the tests pin it to the ``randrange`` loop).  ``_scan_rules`` is the one
+rule stream, ``_iter_rule_blocks``, a block of at most ``_BLOCK_RULES``
+rules at a time: the rules' digits back to back in one ``bytes``, with their
+codes.  Exhaustive blocks are runs of ascending codes built from their
+shared leading digits and one table of all k-digit suffixes; sampled blocks
+are consecutive slices of the ``randrange(m)``-per-tops-cell digits of
+``random.Random(seed)``, drawn a block of generator words at a time (the
+tests pin them to the ``randrange`` loop).  ``_scan_rules`` is the one
 runner that splits an exhaustive stream over worker processes (the census
 and L5 use it); it merges the parts in code order and stops where a serial
 scan stops, so no report depends on ``workers``.
 
-``_filter_rules`` is the one cascade filter: one nested generator per
-filter, its predicate chosen once per stream.  The census, ``census_rows``,
-``enumerate_tops_only_rules``, the unanimous stream of L1 and C1 and the
-exhaustive pool of L4 and R2 read it.
-
-Streams are cut into blocks of at most ``_BLOCK_RULES`` rules
-(``_rule_blocks``) for the rule-block kernels of ``_engine``.  L4, L5 and C2
-read per-profile verdicts (``block_profile_verdicts``), R2 and
-``census_rows`` read cell counts (``block_cell_masks``), and R1 calls
-``block_manipulable`` and ``block_cell_masks`` on the same block.  Every
-other strategy-proofness decision (L1, C1, the census cascade that THM also
-runs, and the ``strategy-proof`` filter) goes through
-``_strategy_proofness``, one ``block_manipulable`` call per block.  L1 and C1
-are one scan (``_strategy_proof_unanimous_scan``) with their own
-counterexample kind and closed-form test.  C2 counts |M_f| and |D_f| apart,
-so the duality it checks is not built into its counts.
+Within a block, bit r of every bitset stands for rule r.  The block's
+columns (``_engine.block_columns``) are computed once, and every cascade
+stage is a bitset over them: ``_stage_mask`` gives the rules of a bitset
+passing one filter, from the block predicates of ``_engine`` (unanimous,
+cell-efficient, dictatorial), and "strategy-proof" cuts just those rules out
+of the block for ``_engine.block_manipulable``, which decides every
+strategy-proofness question.  ``_filter_rules`` maps blocks to the blocks of
+their survivors (``enumerate_tops_only_rules`` and the exhaustive pool of L4
+and R2); the census, ``census_rows``, L1, C1 and L3 keep the bitsets and
+count them with ``int.bit_count``, and a census stage that is also a
+prefilter reuses the prefilter's bitset.  L4, L5 and C2 read per-profile
+verdicts (``block_profile_verdicts``), R1, R2 and ``census_rows`` read cell
+counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from
+the profile rows (``block_efficient_definitional``).  L1 and C1 are one scan
+(``_strategy_proof_unanimous_scan``) with their own counterexample kind and
+closed-form test.  C2 counts |M_f| and |D_f| apart, so the duality it
+checks is not built into its counts.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from functools import reduce
+from itertools import chain, compress, islice, product
+from operator import and_, or_
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -257,7 +262,11 @@ def _resolve_mode(
     return "sampled", default_samples if samples is None else samples, seed
 
 
-def _iter_rule_digits(
+# Rules per block handed to the rule-block kernels; bounds a block's memory.
+_BLOCK_RULES = 2048
+
+
+def _iter_rule_blocks(
     n: int,
     m: int,
     mode: str,
@@ -265,23 +274,43 @@ def _iter_rule_digits(
     seed: int | None,
     lo: int = 0,
     hi: int | None = None,
-) -> Iterator[tuple[int, Sequence[int]]]:
-    """(code-or-index, digits) per candidate rule: the one rule stream.
+) -> Iterator[tuple[Sequence[int], bytes]]:
+    """(codes-or-indices, joined) per block of candidate rules: the one rule stream.
 
-    Exhaustive mode walks rule codes ``lo <= code < hi`` (``hi`` defaults to
-    the whole space) and yields each code's digits as a tuple: ``product``
-    varies the last digit fastest, the order of ascending base-m codes.
-    Sampled mode yields ``bytes`` from ``_sampled_tables`` and ignores ``lo``
-    and ``hi``.  Both kinds of digits are immutable and safe to keep.
+    ``joined`` holds a block's tables back to back, one digit per byte, and
+    ``codes`` their rule codes (sample indices when sampled).  Exhaustive
+    mode walks rule codes ``lo <= code < hi`` (``hi`` defaults to the whole
+    space) in ascending order; sampled mode yields the tables of
+    ``_sampled_blocks`` and ignores ``lo`` and ``hi``.
     """
     cells = _engine.space(n, m).tops_count
     if mode == "exhaustive":
-        return enumerate(islice(product(range(m), repeat=cells), lo, hi), lo)
-    return enumerate(_sampled_tables(m, cells, samples or 0, seed))
+        return _exhaustive_blocks(m, cells, lo, rule_space_size(n, m) if hi is None else hi)
+    return _sampled_blocks(m, cells, samples or 0, seed)
+
+
+def _exhaustive_blocks(
+    m: int, cells: int, lo: int, hi: int
+) -> Iterator[tuple[range, bytes]]:
+    """Blocks of the rule codes ``lo <= code < hi``, one per run of codes that
+    share their leading digits: ``prefix + prefix.join(suffixes)`` over the
+    table of all k-digit suffixes, m**k <= ``_BLOCK_RULES`` (k >= 1).  The
+    first and last blocks take a slice of the table when ``lo`` and ``hi`` do
+    not fall on a block boundary."""
+    if lo >= hi:
+        return
+    k = _engine.digit_width(m, cells, _BLOCK_RULES)
+    suffixes = _engine.digit_strings(m, k)
+    width = len(suffixes)
+    first = lo // width
+    prefixes = islice(product(range(m), repeat=cells - k), first, None)
+    for start, prefix in zip(range(first * width, hi, width), map(bytes, prefixes)):
+        a, b = max(lo - start, 0), min(hi - start, width)
+        yield range(start + a, start + b), prefix + prefix.join(suffixes[a:b])
 
 
 def _scan_rules(scan, n, m, mode, samples, seed, workers, *args):
-    """Run ``scan(stream, n, m, *args)`` over the rule stream; merge its parts.
+    """Run ``scan(blocks, n, m, *args)`` over the rule stream; merge its parts.
 
     A scan returns ``(tallies, found, counterexample)``: a list of counts, a
     list of findings in stream order, and the counterexample it stopped at or
@@ -301,6 +330,8 @@ def _scan_rules(scan, n, m, mode, samples, seed, workers, *args):
     jobs = [(scan, n, m, mode, samples, seed, lo, hi, args) for lo, hi in ranges]
     if len(jobs) == 1:
         return _merge_parts(map(_run_scan, jobs))
+    import multiprocessing  # here, not at the top: serial runs skip its import time
+
     with multiprocessing.Pool(len(jobs)) as pool:
         # leaving the pool before the last part terminates the later scans
         return _merge_parts(pool.imap(_run_scan, jobs))
@@ -322,58 +353,41 @@ def _merge_parts(parts: Iterator[tuple]) -> tuple:
 
 def _run_scan(job: tuple):
     scan, n, m, mode, samples, seed, lo, hi, args = job
-    return scan(_iter_rule_digits(n, m, mode, samples, seed, lo, hi), n, m, *args)
+    return scan(_iter_rule_blocks(n, m, mode, samples, seed, lo, hi), n, m, *args)
 
 
-# Rules per block handed to the rule-block kernels; bounds a block's memory.
-_BLOCK_RULES = 2048
+def _bit_indices(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    text = format(bits, "b")[::-1]
+    found = []
+    r = text.find("1")
+    while r >= 0:
+        found.append(r)
+        r = text.find("1", r + 1)
+    return found
 
 
-def _rule_blocks(
-    stream: Iterable[tuple[int, Sequence[int]]], cells: int
-) -> Iterator[tuple[list[int], bytes]]:
-    """Cut a (code, digits) stream into blocks of at most ``_BLOCK_RULES``
-    rules: the codes, and the rules' digits back to back in one ``bytes``."""
-    codes: list[int] = []
-    joined = bytearray()
-    for code, digits in stream:
-        codes.append(code)
-        joined.extend(digits)
-        if len(codes) == _BLOCK_RULES:
-            yield codes, bytes(joined)
-            codes, joined = [], bytearray()
-    if codes:
-        yield codes, bytes(joined)
+def _rule_at(joined: bytes, r: int, cells: int) -> bytes:
+    """The digits of rule r of a block."""
+    return joined[r * cells : (r + 1) * cells]
 
 
-def _block_tables(block: bytes, cells: int) -> Iterator[bytes]:
-    """The digits of each rule in a block, in block order."""
-    return (block[i : i + cells] for i in range(0, len(block), cells))
+def _cut(joined: bytes, rows: Sequence[int], cells: int) -> bytes:
+    """The block of the listed rules of a block, in the order listed."""
+    return b"".join([joined[r * cells : (r + 1) * cells] for r in rows])
 
 
-def _strategy_proofness(
-    stream: Iterable[tuple[int, Sequence[int]]], sp: _engine.Space
-) -> Iterator[tuple[int, bytes, bool]]:
-    """(code, digits, strategy-proof) per rule of a (code, digits) stream, in
-    stream order, one ``_engine.block_manipulable`` call per block."""
-    for codes, block in _rule_blocks(stream, sp.tops_count):
-        manipulable = _engine.block_manipulable(block, sp)
-        for r, (code, digits) in enumerate(
-            zip(codes, _block_tables(block, sp.tops_count))
-        ):
-            yield code, digits, not (manipulable >> r) & 1
-
-
-# Mersenne Twister words drawn per block by the sampled rule stream (32 KB).
+# Mersenne Twister words drawn per generator call by the sampled rule stream (32 KB).
 _BLOCK_WORDS = 8192
 
 
-def _sampled_tables(
+def _sampled_blocks(
     m: int, cells: int, count: int, seed: int | None
-) -> Iterator[bytes]:
-    """``count`` tables of ``cells`` digits: exactly the digits of
-    ``[rng.randrange(m) for _ in range(cells)]`` per table, ``rng =
-    random.Random(seed)``, drawn a block of generator words at a time.
+) -> Iterator[tuple[range, bytes]]:
+    """``count`` tables of ``cells`` digits in blocks of at most
+    ``_BLOCK_RULES``: exactly the digits of ``[rng.randrange(m) for _ in
+    range(cells)]`` per table, ``rng = random.Random(seed)``, drawn a block
+    of generator words at a time.
 
     ``randrange(m)`` returns ``getrandbits(k)`` with ``k = m.bit_length()``,
     drawn again while it is >= m, and ``getrandbits(k)`` is the top k bits of
@@ -381,8 +395,8 @@ def _sampled_tables(
     words, the first in the lowest 32 bits, so byte 3 of every little-endian
     4-byte group is a word's top byte.  ``translate`` maps each top byte to
     its top k bits and deletes the rejected ones, leaving the accepted draws
-    in order; the tail of a block carries over to the next table.  This is
-    the layout of CPython's ``random`` (3.10 to 3.13 checked).
+    in order; each block of rules is the next slice of them.  This is the
+    layout of CPython's ``random`` (3.10 to 3.13 checked).
     """
     k = m.bit_length()
     if k > 8:
@@ -392,16 +406,18 @@ def _sampled_tables(
     rejected = bytes(b for b in range(256) if b >> shift >= m)
     rng = random.Random(seed)
     buf = b""
-    pos = 0
-    for _ in range(count):
-        while len(buf) - pos < cells:
-            block = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(
-                4 * _BLOCK_WORDS, "little"
-            )
-            buf = buf[pos:] + block[3::4].translate(top_bits, rejected)
-            pos = 0
-        yield buf[pos : pos + cells]
-        pos += cells
+    for start in range(0, count, _BLOCK_RULES):
+        rules = min(_BLOCK_RULES, count - start)
+        need = rules * cells
+        parts = [buf]
+        have = len(buf)
+        while have < need:
+            words = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
+            parts.append(words[3::4].translate(top_bits, rejected))
+            have += len(parts[-1])
+        buf = b"".join(parts)
+        yield range(start, start + rules), buf[:need]
+        buf = buf[need:]
 
 
 def _sample_efficient_digits(rng: random.Random, sp: _engine.Space) -> list[int]:
@@ -454,9 +470,11 @@ def enumerate_tops_only_rules(
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[TopsTableRule]:
-        stream = _iter_rule_digits(n, m, resolved, eff_samples, eff_seed)
-        for _, digits in _filter_rules(stream, ordered, sp):
-            yield TopsTableRule(n, m, tuple(digits))
+        blocks = _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed)
+        cells = sp.tops_count
+        for _, joined in _filter_rules(blocks, ordered, sp):
+            for start in range(0, len(joined), cells):
+                yield TopsTableRule(n, m, tuple(joined[start : start + cells]))
 
     return gen()
 
@@ -471,38 +489,70 @@ def _ordered_filters(filters: Sequence[str]) -> tuple[str, ...]:
 
 
 def _filter_rules(
-    stream: Iterable[tuple[int, Sequence[int]]],
+    blocks: Iterable[tuple[Sequence[int], bytes]],
     filters: tuple[str, ...],
     sp: _engine.Space,
-) -> Iterable[tuple[int, Sequence[int]]]:
-    """The (code, digits) of the rules passing every one of the ordered
-    ``filters``: one nested generator per filter, cheapest first."""
+) -> Iterator[tuple[Sequence[int], bytes]]:
+    """The blocks of a block stream cut down to the rules passing every one of
+    the ordered ``filters``; blocks left empty are dropped."""
+    if not filters:
+        yield from blocks
+        return
+    cells = sp.tops_count
+    for codes, joined in blocks:
+        count, cols = _engine.block_columns(joined, sp)
+        full = (1 << count) - 1
+        kept = _filter_mask(filters, joined, cols, full, sp)
+        if kept == full:
+            yield codes, joined
+        elif kept:
+            rows = _bit_indices(kept)
+            yield [codes[r] for r in rows], _cut(joined, rows, cells)
+
+
+def _filter_mask(
+    filters: Iterable[str],
+    joined: bytes,
+    cols: Sequence[tuple[int, ...]],
+    within: int,
+    sp: _engine.Space,
+) -> int:
+    """The rules of ``within`` passing every one of ``filters``, each stage
+    tested on the survivors of the stages before it."""
     for name in filters:
-        stream = _filter_stage(name, stream, sp)
-    return stream
+        within = _stage_mask(name, joined, cols, within, sp)
+    return within
 
 
-def _filter_stage(
-    name: str, stream: Iterable[tuple[int, Sequence[int]]], sp: _engine.Space
-) -> Iterator[tuple[int, Sequence[int]]]:
-    """The rules of ``stream`` passing one filter; its predicate is chosen once
-    here, not per rule.  "strategy-proof" is decided a block at a time."""
-    if name == "strategy-proof":
-        return (
-            (code, digits)
-            for code, digits, strategy_proof in _strategy_proofness(stream, sp)
-            if strategy_proof
-        )
+def _stage_mask(
+    name: str,
+    joined: bytes,
+    cols: Sequence[tuple[int, ...]],
+    within: int,
+    sp: _engine.Space,
+) -> int:
+    """The rules of ``within`` passing one filter, from the block's columns;
+    "strategy-proof" scans only those rules, cut out of the block."""
+    if not within:
+        return 0
+    if name == "unanimous":
+        return _engine.block_unanimous(cols, within, sp)
+    if name == "efficient":
+        return _engine.block_efficient_cells(cols, within, sp)
     if name == "dictatorial":
-        dictator = _engine.table_dictator
-        return (
-            (code, digits) for code, digits in stream if dictator(digits, sp) is not None
-        )
-    test = {
-        "unanimous": _engine.table_unanimous,
-        "efficient": _engine.table_efficient_cells,
-    }[name]
-    return ((code, digits) for code, digits in stream if test(digits, sp))
+        return reduce(or_, _engine.block_dictators(cols, within, sp))
+    return within & ~_manipulable(joined, within, sp)
+
+
+def _manipulable(joined: bytes, within: int, sp: _engine.Space) -> int:
+    """The rules of ``within`` that ``_engine.block_manipulable`` finds
+    manipulable; the other rules of the block are not scanned."""
+    cells = sp.tops_count
+    if within == (1 << (len(joined) // cells)) - 1:
+        return _engine.block_manipulable(joined, sp)
+    rows = _bit_indices(within)
+    found = _engine.block_manipulable(_cut(joined, rows, cells), sp)
+    return sum(1 << rows[j] for j in _bit_indices(found))
 
 
 # ---------------------------------------------------------------------------
@@ -560,38 +610,36 @@ class CensusReport:
 
 
 def _census_scan(
-    stream: Iterator[tuple[int, Sequence[int]]],
+    blocks: Iterator[tuple[Sequence[int], bytes]],
     n: int,
     m: int,
     filters: tuple[str, ...],
 ) -> tuple[list[int], list[tuple[str, bool]], None]:
     """Cascade tallies in ``CENSUS_STAGES`` order, and (rule string,
-    dictatorial) per strategy-proof survivor."""
+    dictatorial) per strategy-proof survivor.
+
+    Per block, each stage is one bitset within the stage before it.  The
+    rules passing the prefilters pass those stages already, so a stage that
+    is also a prefilter keeps its input and is not tested again.
+    """
     sp = _engine.space(n, m)
-    total = unanimous = efficient = strategy_proof = dictatorial = 0
+    cells = sp.tops_count
+    tallies = [0] * len(CENSUS_STAGES)
     survivors: list[tuple[str, bool]] = []
-
-    def efficient_rules() -> Iterator[tuple[int, Sequence[int]]]:
-        nonlocal total, unanimous, efficient
-        for code, digits in _filter_rules(stream, filters, sp):
-            total += 1
-            if not _engine.table_unanimous(digits, sp):
-                continue
-            unanimous += 1
-            if not _engine.table_efficient_cells(digits, sp):
-                continue
-            efficient += 1
-            yield code, digits
-
-    for _, digits, is_strategy_proof in _strategy_proofness(efficient_rules(), sp):
-        if not is_strategy_proof:
-            continue
-        strategy_proof += 1
-        is_dictator = _engine.table_dictator(digits, sp) is not None
-        if is_dictator:
-            dictatorial += 1
-        survivors.append((_rule_string_from_digits(n, m, digits), is_dictator))
-    return [total, unanimous, efficient, strategy_proof, dictatorial], survivors, None
+    for _, joined in blocks:
+        count, cols = _engine.block_columns(joined, sp)
+        kept = _filter_mask(filters, joined, cols, (1 << count) - 1, sp)
+        cascade = [kept]
+        for name in FILTER_NAMES:  # the cascade order
+            if name not in filters:
+                kept = _stage_mask(name, joined, cols, kept, sp)
+            cascade.append(kept)
+        tallies = [t + bits.bit_count() for t, bits in zip(tallies, cascade)]
+        strategy_proof, dictatorial = cascade[3], cascade[4]
+        for r in _bit_indices(strategy_proof):
+            rule = _rule_string_from_digits(n, m, _rule_at(joined, r, cells))
+            survivors.append((rule, bool((dictatorial >> r) & 1)))
+    return tallies, survivors, None
 
 
 def census(
@@ -648,34 +696,49 @@ def census_rows(
     """Per-rule census detail, ascending rule code (exhaustive only).
 
     Yields (rule code, unanimous, efficient, strategy-proof, dictatorial,
-    |M_f|, |D_f|); the strategy-proof column reports |M_f| = 0.
+    |M_f|, |D_f|).  Strategy-proofness is decided by the definitional
+    ``_engine.block_manipulable``, not read off |M_f|.
     """
     check_agent_count(n)
     check_alternative_count(m)
     _check_rule_space(n, m, budget)
     ordered = _ordered_filters(filters)
-    if "strategy-proof" in ordered:
-        check_profile_work(n, m)
+    check_profile_work(n, m)  # the strategy-proof column
     sp = _engine.space(n, m)
 
     def gen() -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
-        stream = _iter_rule_digits(n, m, "exhaustive", None, None)
-        kept = _filter_rules(stream, ordered, sp)
-        for codes, block in _rule_blocks(kept, sp.tops_count):
-            _, m_counts, d_counts = _engine.block_cell_masks(block, sp)
-            tables = _block_tables(block, sp.tops_count)
-            for code, digits, m_count, d_count in zip(codes, tables, m_counts, d_counts):
-                yield (
-                    code,
-                    _engine.table_unanimous(digits, sp),
-                    _engine.table_efficient_cells(digits, sp),
-                    m_count == 0,
-                    _engine.table_dictator(digits, sp) is not None,
-                    m_count,
-                    d_count,
-                )
+        cells = sp.tops_count
+        for codes, joined in _iter_rule_blocks(n, m, "exhaustive", None, None):
+            count, cols = _engine.block_columns(joined, sp)
+            full = (1 << count) - 1
+            kept = _filter_mask(ordered, joined, cols, full, sp)
+            if not kept:
+                continue
+            # a column that is also a prefilter holds for every kept rule
+            columns = [
+                kept if name in ordered else _stage_mask(name, joined, cols, kept, sp)
+                for name in FILTER_NAMES
+            ]
+            if kept != full:
+                joined = _cut(joined, _bit_indices(kept), cells)
+            _, m_counts, d_counts = _engine.block_cell_masks(joined, sp)
+            selected = _bools(kept, count)
+            yield from zip(
+                compress(codes, selected),
+                *(compress(_bools(bits, count), selected) for bits in columns),
+                m_counts,
+                d_counts,
+            )
 
     return gen()
+
+
+def _bools(bits: int, count: int) -> list[bool]:
+    """Bit r of ``bits`` as a bool, for r < count."""
+    return list(map(bool, format(bits, f"0{count}b")[::-1].encode().translate(_BIT_BYTES)))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -739,21 +802,25 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
     (unanimous stream rules, strategy-proof unanimous rules, closed forms).
     """
     sp = _engine.space(n, m)
-    stream = _filter_rules(
-        _iter_rule_digits(n, m, mode, samples, seed), ("unanimous",), sp
-    )
+    cells = sp.tops_count
     unanimous = strategy_proof = closed = 0
     counterexample = None
-    for _, digits, is_sp in _strategy_proofness(stream, sp):
-        unanimous += 1
-        if not is_sp:
-            continue
-        strategy_proof += 1
+    for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
+        count, cols = _engine.block_columns(joined, sp)
+        unanimous_rules = _engine.block_unanimous(cols, (1 << count) - 1, sp)
+        sp_rules = _stage_mask("strategy-proof", joined, cols, unanimous_rules, sp)
         # tops-only (C1) holds by construction over this space
-        if not _engine.table_efficient_definitional(digits, sp):
-            rule_string = _rule_string_from_digits(n, m, digits)
+        inefficient = sp_rules & ~_engine.block_efficient_definitional(cols, sp_rules, sp)
+        if inefficient:
+            r = _low_bit(inefficient)
+            upto = (2 << r) - 1
+            unanimous += (unanimous_rules & upto).bit_count()
+            strategy_proof += (sp_rules & upto).bit_count()
+            rule_string = _rule_string_from_digits(n, m, _rule_at(joined, r, cells))
             counterexample = {"kind": kind, "rule": rule_string}
             break
+        unanimous += unanimous_rules.bit_count()
+        strategy_proof += sp_rules.bit_count()
     else:
         for rule in _closed_form_library(n, m):
             closed += 1
@@ -765,70 +832,96 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
     return unanimous + closed, counterexample, (unanimous, strategy_proof, closed)
 
 
+def _low_bit(bits: int) -> int:
+    """The position of the lowest set bit of a non-zero int."""
+    return (bits & -bits).bit_length() - 1
+
+
 def _verify_l3(n, m, mode, samples, seed, workers):
     """Pareto-efficient tops-table rules select some agent's top everywhere."""
     sp = _engine.space(n, m)
+    cells = sp.tops_count
     checks = 0
     counterexample = None
-    efficient_seen = 0
-    for _, digits in _iter_rule_digits(n, m, mode, samples, seed):
-        if not _engine.table_efficient_definitional(digits, sp):
-            continue
-        efficient_seen += 1
-        checks += 1
-        for tc in range(sp.tops_count):
-            if not (sp.cell_tops_mask[tc] >> digits[tc]) & 1:
-                counterexample = {
-                    "kind": "efficient rule selecting nobody's top",
-                    "rule": _rule_string_from_digits(n, m, digits),
-                    "tops": list(sp.tops_tuples[tc]),
-                    "outcome": digits[tc],
-                }
-                break
-        if counterexample:
+    for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
+        count, cols = _engine.block_columns(joined, sp)
+        efficient = _engine.block_efficient_definitional(cols, (1 << count) - 1, sp)
+        nobodys_top = efficient & ~_engine.block_efficient_cells(cols, efficient, sp)
+        if nobodys_top:
+            r = _low_bit(nobodys_top)
+            checks += (efficient & ((2 << r) - 1)).bit_count()
+            digits = _rule_at(joined, r, cells)
+            tc = next(
+                tc for tc in range(cells) if not (sp.cell_tops_mask[tc] >> digits[tc]) & 1
+            )
+            counterexample = {
+                "kind": "efficient rule selecting nobody's top",
+                "rule": _rule_string_from_digits(n, m, digits),
+                "tops": list(sp.tops_tuples[tc]),
+                "outcome": digits[tc],
+            }
             break
-    detail = {"efficient_rules": efficient_seen}
+        checks += efficient.bit_count()
+    detail = {"efficient_rules": checks}
     return counterexample is None, checks, counterexample, detail
 
 
-def _te_digit_stream(n, m, mode, samples, seed):
-    """(code-or-index, digits) of unanimous and cell-efficient rules; sampled
-    mode draws directly from the cell-efficient space."""
+def _te_blocks(n, m, mode, samples, seed):
+    """Blocks of unanimous and cell-efficient rules; sampled mode draws
+    directly from the cell-efficient space."""
     sp = _engine.space(n, m)
     if mode == "exhaustive":
-        stream = _iter_rule_digits(n, m, mode, None, None)
-        return _filter_rules(stream, ("unanimous", "efficient"), sp)
-    rng = random.Random(seed)
-    return ((index, _sample_efficient_digits(rng, sp)) for index in range(samples or 0))
+        blocks = _iter_rule_blocks(n, m, mode, None, None)
+        return _filter_rules(blocks, ("unanimous", "efficient"), sp)
+    return _sampled_efficient_blocks(sp, samples or 0, random.Random(seed))
+
+
+def _sampled_efficient_blocks(
+    sp: _engine.Space, count: int, rng: random.Random
+) -> Iterator[tuple[range, bytes]]:
+    for start in range(0, count, _BLOCK_RULES):
+        stop = min(count, start + _BLOCK_RULES)
+        yield range(start, stop), b"".join(
+            [bytes(_sample_efficient_digits(rng, sp)) for _ in range(start, stop)]
+        )
+
+
+def _dictator_block(sp: _engine.Space) -> tuple[range, bytes]:
+    """The dictatorships as one block, agent 0 first."""
+    return range(sp.n), b"".join(map(bytes, sp.dictator_tables))
 
 
 def _verify_l4(n, m, mode, samples, seed, workers):
     """Within tops-only efficient rules: every profile dictatorial iff dictatorial."""
     sp = _engine.space(n, m)
+    cells = sp.tops_count
     checks = 0
     counterexample = None
     dictators = 0
-    for codes, block in _rule_blocks(
-        _te_digit_stream(n, m, mode, samples, seed), sp.tops_count
-    ):
-        dictatorial, _ = _engine.block_profile_verdicts(block, sp)
-        d_counts = _engine.bit_counts(dictatorial, len(codes))
-        for digits, d_count in zip(_block_tables(block, sp.tops_count), d_counts):
-            checks += 1
-            dict_agent = _engine.table_dictator(digits, sp)
-            if dict_agent is not None:
-                dictators += 1
-            if (d_count == sp.profile_count) != (dict_agent is not None):
-                counterexample = {
-                    "kind": "all-profiles-dictatorial mismatch",
-                    "rule": _rule_string_from_digits(n, m, digits),
-                    "dictatorial_profiles": d_count,
-                    "profiles": sp.profile_count,
-                    "dictator": dict_agent,
-                }
-                break
-        if counterexample:
+    for _, joined in _te_blocks(n, m, mode, samples, seed):
+        count, cols = _engine.block_columns(joined, sp)
+        full = (1 << count) - 1
+        dictatorial, _ = _engine.block_profile_verdicts(joined, sp)
+        everywhere = reduce(and_, dictatorial, full)  # every profile dictatorial
+        agents = _engine.block_dictators(cols, full, sp)
+        is_dictator = reduce(or_, agents)
+        mismatch = everywhere ^ is_dictator
+        if mismatch:
+            r = _low_bit(mismatch)
+            checks += r + 1
+            dictators += (is_dictator & ((2 << r) - 1)).bit_count()
+            counterexample = {
+                "kind": "all-profiles-dictatorial mismatch",
+                "rule": _rule_string_from_digits(n, m, _rule_at(joined, r, cells)),
+                "dictatorial_profiles": sum((d >> r) & 1 for d in dictatorial),
+                "profiles": sp.profile_count,
+                "dictator": next(
+                    (i for i, rules in enumerate(agents) if (rules >> r) & 1), None
+                ),
+            }
             break
+        checks += count
+        dictators += is_dictator.bit_count()
     detail = {"dictators": dictators}
     return counterexample is None, checks, counterexample, detail
 
@@ -874,14 +967,14 @@ def _l5_block(block: bytes, sp: _engine.Space) -> tuple[int, int, dict | None]:
     }
 
 
-def _l5_scan(stream, n: int, m: int) -> tuple[list[int], list, dict | None]:
-    """Tallies [rules, checks] of the L5 partition scan, up to its first
-    counterexample."""
+def _l5_scan(blocks, n: int, m: int) -> tuple[list[int], list, dict | None]:
+    """Tallies [rules, checks] of the L5 partition scan over a block stream,
+    up to its first counterexample."""
     sp = _engine.space(n, m)
     rules = checks = 0
     counterexample = None
-    for _, block in _rule_blocks(stream, sp.tops_count):
-        block_rules, block_checks, counterexample = _l5_block(block, sp)
+    for _, joined in blocks:
+        block_rules, block_checks, counterexample = _l5_block(joined, sp)
         rules += block_rules
         checks += block_checks
         if counterexample:
@@ -912,21 +1005,26 @@ def _verify_c1(n, m, mode, samples, seed, workers):
 def _verify_c2(n, m, mode, samples, seed, workers):
     """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
     sp = _engine.space(n, m)
+    cells = sp.tops_count
     size = rule_space_size(n, m)
     if mode == "exhaustive":
         pairs = ((f, g) for f in range(size) for g in range(size))
-        rules = _iter_rule_digits(n, m, "exhaustive", None, None)
+        blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples or 0)]
-        rules = (
-            (code, _engine.digits_from_code(code, sp.tops_count, m))
-            for code in dict.fromkeys(chain.from_iterable(pairs))
+        drawn = list(dict.fromkeys(chain.from_iterable(pairs)))
+        parts = (
+            drawn[i : i + _BLOCK_RULES] for i in range(0, len(drawn), _BLOCK_RULES)
+        )
+        blocks = (
+            (part, b"".join([_engine.digits_from_code(code, cells, m) for code in part]))
+            for part in parts
         )
     counts: dict[int, tuple[int, int]] = {}
-    for codes, block in _rule_blocks(rules, sp.tops_count):
+    for codes, joined in blocks:
         # |M_f| and |D_f| counted apart, from the per-profile verdicts
-        dictatorial, manipulable = _engine.block_profile_verdicts(block, sp)
+        dictatorial, manipulable = _engine.block_profile_verdicts(joined, sp)
         m_counts = _engine.bit_counts(manipulable, len(codes))
         d_counts = _engine.bit_counts(dictatorial, len(codes))
         counts.update(zip(codes, zip(m_counts, d_counts)))
@@ -940,10 +1038,10 @@ def _verify_c2(n, m, mode, samples, seed, workers):
             counterexample = {
                 "kind": "duality violation",
                 "f": _rule_string_from_digits(
-                    n, m, _engine.digits_from_code(f_code, sp.tops_count, m)
+                    n, m, _engine.digits_from_code(f_code, cells, m)
                 ),
                 "g": _rule_string_from_digits(
-                    n, m, _engine.digits_from_code(g_code, sp.tops_count, m)
+                    n, m, _engine.digits_from_code(g_code, cells, m)
                 ),
                 "m_f": mf,
                 "d_f": df,
@@ -959,36 +1057,67 @@ def _verify_c2(n, m, mode, samples, seed, workers):
     return counterexample is None, checks, counterexample, detail
 
 
+def _extremum_scan(records, cells: int, target: int, pick) -> tuple[int, int, tuple | None]:
+    """The order-extremum scan of R1 and R2 over per-block records.
+
+    ``records`` yields ``(joined, flags, hits, values)`` per block: the flag
+    bitset, the bitset of rules whose value is ``target`` (|M_f| = 0, or
+    |D_f| = every profile), and the values.  A rule fails when its flag
+    differs from "value is the target" or from "value is the extremum"
+    (``pick``, min or max, over the whole stream).  Returns the rules, the
+    extremum and ``(index, digits, value, flag)`` of the first failing rule,
+    or None.
+    """
+    records = list(records)
+    total = sum(len(values) for *_, values in records)
+    extremum = pick(pick(values) for *_, values in records)
+    index = 0
+    for joined, flags, hits, values in records:
+        failing = flags ^ hits
+        if extremum != target:  # then no rule hits the target
+            failing = flags | sum(1 << r for r, v in enumerate(values) if v == extremum)
+        if failing:
+            r = _low_bit(failing)
+            found = index + r, _rule_at(joined, r, cells), values[r], bool((flags >> r) & 1)
+            return total, extremum, found
+        index += len(values)
+    return total, extremum, None
+
+
+def _no_cells(nondictatorial: list[int], count: int) -> int:
+    """The rules of a block with no non-dictatorial tops cell: |M_f| = 0."""
+    return ((1 << count) - 1) & ~reduce(or_, nondictatorial, 0)
+
+
 def _verify_r1(n, m, mode, samples, seed, workers):
     """Strategy-proof iff minimal in the manipulability order (iff M empty)."""
     sp = _engine.space(n, m)
-    stream = _iter_rule_digits(n, m, mode, samples, seed)
+    blocks = _iter_rule_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
-        stream = chain(stream, enumerate(sp.dictator_tables))
-    rules = []
-    for _, block in _rule_blocks(stream, sp.tops_count):
-        manipulable = _engine.block_manipulable(block, sp)
-        _, m_counts, _ = _engine.block_cell_masks(block, sp)
-        for r, (digits, m_count) in enumerate(
-            zip(_block_tables(block, sp.tops_count), m_counts)
-        ):
-            rules.append((digits, not (manipulable >> r) & 1, m_count))
-    min_m = min(m_count for _, _, m_count in rules)
-    checks = 0
+        blocks = chain(blocks, [_dictator_block(sp)])
+
+    def records():
+        for _, joined in blocks:
+            nondictatorial, m_counts, _ = _engine.block_cell_masks(joined, sp)
+            count = len(m_counts)
+            strategy_proof = ((1 << count) - 1) & ~_engine.block_manipulable(joined, sp)
+            yield joined, strategy_proof, _no_cells(nondictatorial, count), m_counts
+
+    rules, min_m, found = _extremum_scan(records(), sp.tops_count, 0, min)
+    checks = rules
     counterexample = None
-    for digits, strategy_proof, m_count in rules:
-        checks += 1
-        if strategy_proof != (m_count == 0) or strategy_proof != (m_count == min_m):
-            counterexample = {
-                "kind": "minimality mismatch",
-                "rule": _rule_string_from_digits(n, m, digits),
-                "m_count": m_count,
-                "min_m_count": min_m,
-                "strategy_proof": strategy_proof,
-            }
-            break
-    detail = {"min_m_count": min_m, "rules": len(rules)}
+    if found:
+        index, digits, m_count, strategy_proof = found
+        checks = index + 1
+        counterexample = {
+            "kind": "minimality mismatch",
+            "rule": _rule_string_from_digits(n, m, digits),
+            "m_count": m_count,
+            "min_m_count": min_m,
+            "strategy_proof": strategy_proof,
+        }
+    detail = {"min_m_count": min_m, "rules": rules}
     return counterexample is None, checks, counterexample, detail
 
 
@@ -996,34 +1125,33 @@ def _verify_r2(n, m, mode, samples, seed, workers):
     """Dictatorial iff maximal in the dictatorial-power order over the
     tops-only efficient pool (iff every profile is dictatorial)."""
     sp = _engine.space(n, m)
-    stream = _te_digit_stream(n, m, mode, samples, seed)
+    blocks = _te_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the pool always contains the dictatorships; anchor the sample
-        stream = chain(stream, enumerate(sp.dictator_tables))
-    records = []
-    for _, block in _rule_blocks(stream, sp.tops_count):
-        _, _, d_counts = _engine.block_cell_masks(block, sp)
-        for digits, d_count in zip(_block_tables(block, sp.tops_count), d_counts):
-            dictatorial = _engine.table_dictator(digits, sp) is not None
-            records.append((digits, d_count, dictatorial))
-    max_d = max(r[1] for r in records)
-    checks = 0
+        blocks = chain(blocks, [_dictator_block(sp)])
+
+    def records():
+        for _, joined in blocks:
+            count, cols = _engine.block_columns(joined, sp)
+            nondictatorial, _, d_counts = _engine.block_cell_masks(joined, sp)
+            dictatorial = reduce(or_, _engine.block_dictators(cols, (1 << count) - 1, sp))
+            yield joined, dictatorial, _no_cells(nondictatorial, count), d_counts
+
+    pool, max_d, found = _extremum_scan(records(), sp.tops_count, sp.profile_count, max)
+    checks = pool
     counterexample = None
-    for digits, d_count, dictatorial in records:
-        checks += 1
-        if dictatorial != (d_count == max_d) or dictatorial != (
-            d_count == sp.profile_count
-        ):
-            counterexample = {
-                "kind": "maximality mismatch",
-                "rule": _rule_string_from_digits(n, m, digits),
-                "d_count": d_count,
-                "max_d_count": max_d,
-                "profiles": sp.profile_count,
-                "dictatorial": dictatorial,
-            }
-            break
-    detail = {"pool": len(records), "max_d_count": max_d}
+    if found:
+        index, digits, d_count, dictatorial = found
+        checks = index + 1
+        counterexample = {
+            "kind": "maximality mismatch",
+            "rule": _rule_string_from_digits(n, m, digits),
+            "d_count": d_count,
+            "max_d_count": max_d,
+            "profiles": sp.profile_count,
+            "dictatorial": dictatorial,
+        }
+    detail = {"pool": pool, "max_d_count": max_d}
     return counterexample is None, checks, counterexample, detail
 
 

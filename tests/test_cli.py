@@ -405,17 +405,37 @@ class TestScanOptions:
         assert out == invoke(capsys, *argv)[1]
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["gsverify", "gsverify.cli"])
     def test_python_dash_m(self, module):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p
-        )
+        env = src_env()
         done = subprocess.run(
             [sys.executable, "-m", module, "lemmas", "L3", "--format", "text"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("L3 PASS (n=2, m=3, mode=exhaustive")
+
+    def test_import_leaves_multiprocessing_out(self):
+        # only a scan split over worker processes imports it; a serial run
+        # does not pay its import time
+        code = (
+            "import sys, gsverify.cli; "
+            "from gsverify.cli import run; "
+            "run(['lemmas', 'L5', '--workers', '1', '--format', 'csv']); "
+            "print('multiprocessing' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"

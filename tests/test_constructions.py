@@ -38,9 +38,9 @@ from gsverify import _engine, constructions
 from gsverify.constructions import (
     _BLOCK_WORDS,
     _filter_rules,
-    _iter_rule_digits,
+    _iter_rule_blocks,
     _l5_scan,
-    _sampled_tables,
+    _sampled_blocks,
     census_rows,
 )
 from gsverify.prefs import DEFAULT_MAX_AGENTS, DEFAULT_MAX_ALTERNATIVES
@@ -93,6 +93,53 @@ def doctor_block_manipulable(monkeypatch, target):
         return manipulable
 
     monkeypatch.setattr(_engine, "block_manipulable", doctored)
+
+
+def doctor_block_cell_masks(monkeypatch, target=None):
+    """Patch the block cell kernel so that the rule with digits ``target``
+    (every rule when None) is non-dictatorial at every tops cell, with the
+    counts to match."""
+    honest = _engine.block_cell_masks
+
+    def doctored(joined, sp):
+        nondictatorial, m_counts, d_counts = honest(joined, sp)
+        cells = sp.tops_count
+        for r in range(len(m_counts)):
+            if target is None or joined[r * cells : (r + 1) * cells] == bytes(target):
+                nondictatorial = [bits | (1 << r) for bits in nondictatorial]
+                m_counts[r], d_counts[r] = sp.profile_count, 0
+        return nondictatorial, m_counts, d_counts
+
+    monkeypatch.setattr(_engine, "block_cell_masks", doctored)
+
+
+def constants_and_dictators(sp):
+    return [(x,) * sp.tops_count for x in range(sp.m)] + list(sp.dictator_tables)
+
+
+def count_block_predicates(monkeypatch):
+    """Wrap the block predicates and ``block_manipulable`` to tally, per
+    function, the rules it is asked about: the bits of ``within``, or the
+    rules of the block handed to ``block_manipulable``."""
+    asked = Counter()
+    for name in (
+        "block_unanimous", "block_efficient_cells", "block_efficient_definitional",
+        "block_dictators",
+    ):
+
+        def counted(cols, within, sp, honest=getattr(_engine, name), name=name):
+            asked[name] += within.bit_count()
+            return honest(cols, within, sp)
+
+        monkeypatch.setattr(_engine, name, counted)
+    honest_manipulable = _engine.block_manipulable
+
+    def counted_manipulable(joined, sp):
+        asked["block_manipulable"] += len(joined) // sp.tops_count
+        return honest_manipulable(joined, sp)
+
+    monkeypatch.setattr(_engine, "block_manipulable", counted_manipulable)
+    return asked
 
 
 class TestCoalesce:
@@ -194,21 +241,19 @@ class TestEnumeration:
 
     def test_filter_stages_call_their_own_predicates(self, monkeypatch):
         # Every cell-efficient (2,3) table is unanimous, so a stage bound to
-        # the wrong predicate would keep the same 64 rules; only the call
-        # counts show that the unanimous stage sees the whole stream and the
-        # efficient stage its 729 unanimous survivors.
-        calls = Counter()
-        for name in ("table_unanimous", "table_efficient_cells"):
-
-            def counted(digits, sp, honest=getattr(_engine, name), name=name):
-                calls[name] += 1
-                return honest(digits, sp)
-
-            monkeypatch.setattr(_engine, name, counted)
-        stream = _iter_rule_digits(2, 3, "exhaustive", None, None)
-        kept = list(_filter_rules(stream, ("unanimous", "efficient"), _engine.space(2, 3)))
-        assert len(kept) == 64
-        assert calls == {"table_unanimous": 19683, "table_efficient_cells": 729}
+        # the wrong predicate would keep the same 64 rules; only the rules
+        # each block predicate is asked about show that the unanimous stage
+        # sees the whole stream and the efficient stage its 729 unanimous
+        # survivors.
+        tables = [
+            bytes(r.outcomes) for r in enumerate_tops_only_rules(2, 3, ("unanimous", "efficient"))
+        ]
+        asked = count_block_predicates(monkeypatch)
+        blocks = _iter_rule_blocks(2, 3, "exhaustive", None, None)
+        kept = list(_filter_rules(blocks, ("unanimous", "efficient"), _engine.space(2, 3)))
+        assert sum(len(codes) for codes, _ in kept) == 64
+        assert b"".join(joined for _, joined in kept) == b"".join(tables)
+        assert asked == {"block_unanimous": 19683, "block_efficient_cells": 729}
 
     def test_dictatorial_filter(self):
         assert sum(1 for _ in enumerate_tops_only_rules(2, 3, ("dictatorial",))) == 2
@@ -242,6 +287,14 @@ class TestEnumeration:
         assert draw() == draw()
 
 
+def per_digit_loop(code, cells, m):
+    """The base-m digits of a rule code, one divmod per digit."""
+    digits = [0] * cells
+    for i in range(cells - 1, -1, -1):
+        code, digits[i] = divmod(code, m)
+    return digits
+
+
 def randrange_tables(n, m, count, seed):
     """The definition of the sampled rule stream: randrange(m) per cell."""
     rng = random.Random(seed)
@@ -263,21 +316,35 @@ class TestSampledStream:
         several_blocks = 3 * _BLOCK_WORDS // m**n + 2
         for seed in (0, 1, 7, -5, 2**40 + 3):
             for count in (0, 1, several_blocks):
-                drawn = [d for _, d in _iter_rule_digits(n, m, "sampled", count, seed)]
-                assert all(type(d) is bytes for d in drawn)
-                assert [tuple(d) for d in drawn] == randrange_tables(
-                    n, m, count, seed
+                blocks = list(_iter_rule_blocks(n, m, "sampled", count, seed))
+                assert all(type(joined) is bytes for _, joined in blocks)
+                assert [i for indices, _ in blocks for i in indices] == list(range(count))
+                assert all(
+                    len(joined) == len(indices) * m**n for indices, joined in blocks
+                )
+                assert b"".join(joined for _, joined in blocks) == b"".join(
+                    map(bytes, randrange_tables(n, m, count, seed))
                 ), (seed, count)
+
+    def test_blocks_hold_at_most_block_rules(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        blocks = list(_iter_rule_blocks(3, 3, "sampled", 100, 5))
+        assert [len(indices) for indices, _ in blocks] == [7] * 14 + [2]
+        assert b"".join(joined for _, joined in blocks) == b"".join(
+            map(bytes, randrange_tables(3, 3, 100, 5))
+        )
 
     def test_rejects_digits_wider_than_a_byte(self):
         with pytest.raises(ValueError, match="m < 256"):
-            next(_sampled_tables(256, 1, 1, 0))
+            next(_sampled_blocks(256, 1, 1, 0))
 
 
 class TestExhaustiveStream:
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
-    @pytest.mark.parametrize("where", ["all", "from 0", "mid", "last", "empty"])
-    def test_yields_each_code_and_its_digits(self, n, m, where):
+    @pytest.mark.parametrize(
+        "where", ["all", "from 0", "mid", "last", "empty", "unaligned"]
+    )
+    def test_yields_each_code_and_its_digits(self, monkeypatch, n, m, where):
         size = rule_space_size(n, m)
         mid = size // 2
         lo, hi = {
@@ -286,14 +353,22 @@ class TestExhaustiveStream:
             "mid": (mid - 3, mid + 4),
             "last": (size - 1, size),
             "empty": (mid, mid),
+            "unaligned": (5, size - 3),  # neither end on a block boundary
         }[where]
         cells = m**n
-        # kept as a list: no yield may be changed by a later one
-        drawn = list(_iter_rule_digits(n, m, "exhaustive", None, None, lo, hi))
-        codes = range(lo, size if hi is None else hi)
-        assert drawn == [
-            (code, tuple(_engine.digits_from_code(code, cells, m))) for code in codes
-        ]
+        codes = list(range(lo, size if hi is None else hi))
+        for block_rules in (7, 2048):
+            monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
+            # kept as a list: no yield may be changed by a later one
+            blocks = list(_iter_rule_blocks(n, m, "exhaustive", None, None, lo, hi))
+            assert [code for block_codes, _ in blocks for code in block_codes] == codes
+            assert all(
+                0 < len(block_codes) <= block_rules and len(joined) == len(block_codes) * cells
+                for block_codes, joined in blocks
+            )
+            assert b"".join(joined for _, joined in blocks) == b"".join(
+                bytes(per_digit_loop(code, cells, m)) for code in codes
+            )
 
 
 class TestCensus:
@@ -341,6 +416,45 @@ class TestCensus:
         assert report.unanimous == 729
         assert report.efficient == 64
         assert report.filters == ("unanimous",)
+
+    @pytest.mark.parametrize("filters,asked", [
+        ((), {"block_unanimous": 19683, "block_efficient_cells": 729,
+              "block_manipulable": 64, "block_dictators": 2}),
+        (("unanimous", "efficient"), {"block_unanimous": 19683,
+                                      "block_efficient_cells": 729,
+                                      "block_manipulable": 64, "block_dictators": 2}),
+        (("strategy-proof",), {"block_manipulable": 19683, "block_unanimous": 5,
+                               "block_efficient_cells": 2, "block_dictators": 2}),
+    ])
+    def test_each_stage_tested_once_per_rule(self, monkeypatch, filters, asked):
+        # a stage that is also a prefilter reuses the prefilter's bitset, so
+        # no rule is tested twice by one predicate
+        counted = count_block_predicates(monkeypatch)
+        report = census(2, 3, filters=filters, workers=1)
+        assert report.sp_equals_dictators
+        assert (report.strategy_proof, report.dictatorial) == (2, 2)
+        assert counted == asked
+
+    def test_census_rows_decide_strategy_proofness_definitionally(self, monkeypatch):
+        # with every |M_f| doctored to 0 the tops-cell criterion would call
+        # every rule strategy-proof; the column still lists exactly the 5
+        # strategy-proof (2,3) rules: the 2 dictators and the 3 constants
+        honest = _engine.block_cell_masks
+
+        def no_manipulable_cells(joined, sp):
+            nondictatorial, m_counts, _ = honest(joined, sp)
+            count = len(m_counts)
+            return [0] * len(nondictatorial), [0] * count, [sp.profile_count] * count
+
+        monkeypatch.setattr(_engine, "block_cell_masks", no_manipulable_cells)
+        rows = list(census_rows(2, 3))
+        assert len(rows) == 19683
+        assert {m_count for *_, m_count, _ in rows} == {0}
+        strategy_proof = [code for code, _, _, sp_flag, *_ in rows if sp_flag]
+        sp = _engine.space(2, 3)
+        assert strategy_proof == sorted(
+            int("".join(map(str, t)), 3) for t in constants_and_dictators(sp)
+        )
 
     def test_workers_match_serial(self):
         serial = census(2, 3, workers=1)
@@ -498,8 +612,8 @@ class TestVerifyLemma:
         # an honest rule first, so the doctored rule's checks follow its 36
         sp = _engine.space(2, 3)
         doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], doctored)
-        stream = iter([(0, sp.dictator_tables[1]), (1, sp.dictator_tables[0])])
-        (rules, seen), _, counterexample = _l5_scan(stream, 2, 3)
+        block = bytes(sp.dictator_tables[1]) + bytes(sp.dictator_tables[0])
+        (rules, seen), _, counterexample = _l5_scan(iter([(range(2), block)]), 2, 3)
         assert rules == 2
         assert seen == 36 + checks
         assert counterexample["kind"] == kind
@@ -606,6 +720,39 @@ class TestVerifyLemma:
         assert report.checks == 730
         assert report.detail == detail
         assert report.counterexample == {"kind": kind, "rule": "DICT:0"}
+
+    # R1 and R2 when the cell kernel is wrong: for one dictatorship (which
+    # stays the strategy-proof minimum and the dictatorial maximum elsewhere),
+    # and for every rule (the extremum then misses the target, so the first
+    # rule fails)
+    @pytest.mark.parametrize("target,lemma,checks,counterexample", [
+        ((0, 0, 0, 1, 1, 1, 2, 2, 2), "R1", 378, {
+            "kind": "minimality mismatch", "rule": "TOPS:n=2,m=3:000111222",
+            "m_count": 36, "min_m_count": 0, "strategy_proof": True}),
+        ((0, 0, 0, 1, 1, 1, 2, 2, 2), "R2", 12, {
+            "kind": "maximality mismatch", "rule": "TOPS:n=2,m=3:000111222",
+            "d_count": 0, "max_d_count": 36, "profiles": 36, "dictatorial": True}),
+        (None, "R1", 1, {
+            "kind": "minimality mismatch", "rule": "TOPS:n=2,m=3:000000000",
+            "m_count": 36, "min_m_count": 36, "strategy_proof": True}),
+        (None, "R2", 1, {
+            "kind": "maximality mismatch", "rule": "TOPS:n=2,m=3:000011012",
+            "d_count": 0, "max_d_count": 0, "profiles": 36, "dictatorial": False}),
+    ])
+    def test_doctored_cell_counts_fail_r1_and_r2(
+        self, monkeypatch, target, lemma, checks, counterexample
+    ):
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        doctor_block_cell_masks(monkeypatch, target)
+        report = verify_lemma(lemma, 2, 3)
+        assert not report.passed
+        assert report.checks == checks
+        assert report.counterexample == counterexample
+        assert report.detail == (
+            {"rules": 19683, "min_m_count": counterexample["min_m_count"]}
+            if lemma == "R1"
+            else {"pool": 64, "max_d_count": counterexample["max_d_count"]}
+        )
 
     def test_doctored_verdicts_fail_c2(self, monkeypatch):
         # profile 0 of TOPS:n=2,m=2:1000 is manipulable; calling it

@@ -24,11 +24,16 @@ from gsverify._engine import (
     DICTATORIAL,
     MANIPULABLE,
     block_cell_masks,
+    block_columns,
+    block_dictators,
+    block_efficient_cells,
+    block_efficient_definitional,
     block_manipulable,
     block_profile_verdicts,
+    block_unanimous,
+    digits_from_code,
     space,
-    table_dictator,
-    table_efficient_definitional,
+    table_efficient_cells,
     table_profile_verdicts,
     table_unanimous,
 )
@@ -60,6 +65,24 @@ def table_manipulation(table, sp):
                 y = table[base + top_of[q] * w]
                 if pos[y] < out_rank:
                     return pc, i, q, out, y
+    return None
+
+
+def table_efficient_definitional(table, sp):
+    """Per-rule reference for ``block_efficient_definitional``: no profile row's
+    enumerated dominated mask holds the rule's outcome at that row's cell."""
+    for tc, dominated, _agents in _engine.profile_rows(sp.n, sp.m):
+        if (dominated >> table[tc]) & 1:
+            return False
+    return True
+
+
+def table_dictator(table, sp):
+    """Per-rule reference for ``block_dictators``: the agent whose dictatorship
+    the table is, or None."""
+    for i, dict_table in enumerate(sp.dictator_tables):
+        if tuple(table) == dict_table:
+            return i
     return None
 
 
@@ -240,9 +263,11 @@ def cell_counts(table, sp):
     )
 
 
-def rule_blocks(tables, cells):
-    """The tables cut into blocks by the rule stream's block builder."""
-    return [block for _, block in constructions._rule_blocks(enumerate(tables), cells)]
+def rule_blocks(tables):
+    """The tables cut into blocks of ``constructions._BLOCK_RULES`` rules, the
+    size the rule stream's blocks are bounded by."""
+    size = constructions._BLOCK_RULES
+    return [b"".join(map(bytes, tables[i : i + size])) for i in range(0, len(tables), size)]
 
 
 def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
@@ -250,7 +275,7 @@ def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
     how many of the tables are strategy-proof."""
     sp = space(n, m)
     rule = strategy_proof = 0
-    for block in rule_blocks(tables, sp.tops_count):
+    for block in rule_blocks(tables):
         nondictatorial, m_counts, d_counts = block_cell_masks(block, sp)
         if verdicts:
             dictatorial, manipulable = block_profile_verdicts(block, sp)
@@ -357,3 +382,108 @@ def test_block_manipulable_tries_every_misreport(monkeypatch):
     assert [(manipulable >> r) & 1 == 1 for r in range(len(tables))] == [
         table_manipulation(t, sp) is not None for t in tables
     ]
+
+
+# ---------------------------------------------------------------------------
+# Rule-block predicates against their per-rule twins.
+# ---------------------------------------------------------------------------
+
+
+def assert_predicates_match_per_rule(n, m, tables):
+    """Every block predicate against its per-rule twin, bit for bit, asked
+    about the whole block and about a seeded subset of it; returns per
+    predicate how many of the tables pass it."""
+    sp = space(n, m)
+    rng = random.Random(20271)
+    passed = {"unanimous": 0, "cells": 0, "pareto": 0, "dictator": 0}
+    done = 0
+    for block in rule_blocks(tables):
+        count, cols = block_columns(block, sp)
+        full = (1 << count) - 1
+        chunk = tables[done : done + count]
+        done += count
+        for subset, within in enumerate((full, rng.getrandbits(count))):
+            got = {
+                "unanimous": block_unanimous(cols, within, sp),
+                "cells": block_efficient_cells(cols, within, sp),
+                "pareto": block_efficient_definitional(cols, within, sp),
+            }
+            dictators = block_dictators(cols, within, sp)
+            for r, table in enumerate(chunk):
+                asked = (within >> r) & 1 == 1
+                expected = {
+                    "unanimous": table_unanimous(table, sp),
+                    "cells": table_efficient_cells(table, sp),
+                    "pareto": table_efficient_definitional(table, sp),
+                }
+                for name, bits in got.items():
+                    assert ((bits >> r) & 1 == 1) == (asked and expected[name]), (name, table)
+                dictator = table_dictator(table, sp)
+                assert [(bits >> r) & 1 == 1 for bits in dictators] == [
+                    asked and dictator == i for i in range(n)
+                ], table
+                if not subset:
+                    for name, ok in expected.items():
+                        passed[name] += ok
+                    passed["dictator"] += dictator is not None
+    assert done == len(tables)
+    return passed
+
+
+@pytest.fixture(params=[7, 2048])
+def block_rules(request, monkeypatch):
+    monkeypatch.setattr(constructions, "_BLOCK_RULES", request.param)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+def test_block_predicates_match_per_rule_on_whole_space(block_rules, n, m):
+    tables = all_tables(n, m) + constants_and_dictators(n, m)
+    passed = assert_predicates_match_per_rule(n, m, tables)
+    assert passed["dictator"] == 2 * n
+    for name in ("unanimous", "cells", "pareto"):
+        assert 0 < passed[name] < len(tables), name
+
+
+@pytest.mark.parametrize("n,m,count", [(3, 3, 200), (2, 4, 50)])
+def test_block_predicates_match_per_rule_on_sampled_tables(block_rules, n, m, count):
+    tables = seeded_tables(n, m, count, 20270) + constants_and_dictators(n, m)
+    assert assert_predicates_match_per_rule(n, m, tables)["dictator"] == n
+
+
+def test_block_efficient_definitional_reads_the_rows(monkeypatch):
+    # mark agent 0's top dominated in every row: Pareto efficiency read from
+    # these rows differs from the tops-cell criterion, which a kernel reading
+    # the cell masks would still give (on honest rows the two agree on every
+    # tops-table rule)
+    rows = tuple(
+        (tc, dominated | (1 << agents[0][0]), agents)
+        for tc, dominated, agents in _engine.profile_rows(2, 3)
+    )
+    monkeypatch.setattr(_engine, "profile_rows", lambda n, m: rows)
+    sp = space(2, 3)
+    tables = all_tables(2, 3)
+    assert_predicates_match_per_rule(2, 3, tables)
+    assert any(
+        table_efficient_definitional(t, sp) != table_efficient_cells(t, sp) for t in tables
+    )
+
+
+def per_digit_loop(code, cells, m):
+    """The digits of a rule code by one divmod per digit (the reference)."""
+    digits = [0] * cells
+    for i in range(cells - 1, -1, -1):
+        code, digits[i] = divmod(code, m)
+    return digits
+
+
+@pytest.mark.parametrize("n,m,count", [(2, 2, 0), (3, 2, 0), (2, 3, 0), (3, 3, 3000), (2, 4, 3000)])
+def test_digits_from_code_equals_per_digit_loop(n, m, count):
+    cells = m**n
+    size = m**cells
+    if count:
+        rng = random.Random(20272)
+        codes = [0, 1, size - 1] + [rng.randrange(size) for _ in range(count)]
+    else:
+        codes = range(size)
+    for code in codes:
+        assert list(digits_from_code(code, cells, m)) == per_digit_loop(code, cells, m), code

@@ -1,5 +1,6 @@
-"""Property tests: random rule blocks through the block kernels equal the
-per-rule kernels and the per-rule reference scans, rule by rule."""
+"""Property tests: random rule blocks through the block kernels and block
+predicates equal the per-rule kernels, predicates and reference scans, rule
+by rule."""
 
 import pytest
 
@@ -15,7 +16,11 @@ from gsverify._engine import (  # noqa: E402
     space,
     table_profile_verdicts,
 )
-from test_engine import cell_counts, table_manipulation  # noqa: E402
+from test_engine import (  # noqa: E402
+    assert_predicates_match_per_rule,
+    cell_counts,
+    table_manipulation,
+)
 
 
 def rule_blocks(n, m, max_rules):
@@ -79,3 +84,15 @@ def test_block_manipulable_equals_per_rule_scan_at_n3_m3(tables):
 @given(mixed_rule_blocks(2, 4, 8))
 def test_block_manipulable_equals_per_rule_scan_at_n2_m4(tables):
     check_manipulable(2, 4, tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_rule_blocks(3, 3, 12))
+def test_block_predicates_equal_per_rule_at_n3_m3(tables):
+    assert_predicates_match_per_rule(3, 3, tables)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_rule_blocks(2, 4, 8))
+def test_block_predicates_equal_per_rule_at_n2_m4(tables):
+    assert_predicates_match_per_rule(2, 4, tables)

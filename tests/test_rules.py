@@ -159,10 +159,8 @@ class TestEfficientViaTops:
             assert efficient_via_tops(rule) == is_efficient(rule)
 
     def test_agrees_with_definitional_sampled_n3(self):
-        from gsverify.constructions import _iter_rule_digits
-
-        for _, digits in _iter_rule_digits(3, 3, "sampled", 2000, 20260809):
-            rule = TopsTableRule(3, 3, tuple(digits))
+        rules = enumerate_tops_only_rules(3, 3, mode="sampled", samples=2000, seed=20260809)
+        for rule in rules:
             assert efficient_via_tops(rule) == is_efficient(rule)
 
 
