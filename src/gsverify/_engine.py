@@ -3,38 +3,40 @@
 Everything here works on plain ints: preference rank codes, mixed-radix
 profile codes (agent 0 most significant), tops codes over the m**n tops
 cells, and tops-table rules as outcome tuples indexed by tops code.  The
-object layer in ``prefs``/``rules`` stays definitional and readable; these
-tables keep exhaustive rule-space scans fast.
+object layer in ``prefs``/``rules`` handles parsing, witnesses and
+readability; these tables keep exhaustive scans fast.
 
-Per-profile kernels (``table_profile_verdicts``, ``block_profile_verdicts``,
+``full_table_manipulation`` decides strategy-proofness for any rule from its
+outcome per profile code, in (profile code, agent, misreport code) order over
+all m! misreports; ``rules.find_manipulation`` and ``is_strategy_proof`` run
+through it.  The per-profile block kernels (``block_profile_verdicts``,
 ``block_manipulable`` and ``block_efficient_definitional``) read
-``profile_rows``, which is built lazily once per (n, m), never at import or
-in ``Space``.  A row's Pareto-dominated mask is enumerated in full from the
-agents' rankings, never taken from the tops-cell masks, and each profile is
-decided from its own row, with every agent and all m! misreports: nothing is
-computed once per tops cell and copied to its profiles.  The verdict kernels
-try every stand-in preference with the agent's top; ``block_manipulable``
-ranks the reached outcomes by the agent's own preference at that profile.
-The object-level twins are ``classify.classify_profile``,
-``rules.find_manipulation`` and ``rules.is_efficient``.
+``profile_rows``, built lazily once per (n, m), never at import or in
+``Space``.  A row's Pareto-dominated mask is enumerated in full from the
+agents' rankings, never taken from the tops-cell masks; each agent's row
+holds the distinct offsets that its m! misreports reach, and each profile is
+decided from its own row: nothing is computed once per tops cell and copied
+to its profiles.  The verdict kernel tries every stand-in preference with
+the agent's top; ``block_manipulable`` ranks the reached outcomes by the
+agent's own preference at that profile.
 
 Rule streams go through the rule-block kernels a block at a time: a block is
 its rules' digits back to back in one ``bytes``, and bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
 operations covering the whole block.  ``block_columns`` gives, per tops
-code and outcome, the rules selecting it; the block predicates
-(``block_unanimous``, ``block_efficient_cells``,
+code and outcome, the rules selecting it; the columns of each distinct block
+are computed once and kept in ``COLUMN_MEMO``, at most
+``COLUMN_MEMO_BYTES`` of them, least recently used evicted first.  The block
+predicates (``block_unanimous``, ``block_efficient_cells``,
 ``block_efficient_definitional`` and ``block_dictators``) read these
 columns and answer for the rules of a given bitset.  ``block_manipulable``
 decides strategy-proofness for every rule-stream check;
-``block_profile_verdicts`` gives the per-profile verdicts of L4, L5 and C2;
-``block_cell_masks`` gives the non-dictatorial tops cells and the exact
-|M_f| and |D_f| of R1, R2, ``census_rows`` and ``classify --method cells``
-(a block of one rule).  ``table_profile_verdicts`` is the per-rule kernel
-for a single rule (``classify --method scan``) and the tests' reference for
-the block kernel.  Per-rule twins of the other block kernels and predicates
-are their test references: ``table_unanimous`` and ``table_efficient_cells``
-here (``classify`` and ``rules`` call them), the rest in the tests.
+``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
+``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
+tops cells and the exact |M_f| and |D_f| of R1, R2, ``census_rows`` and
+``classify --method cells`` (a block of one rule).  The per-rule twins of
+the kernels are the tests' references, apart from ``table_unanimous`` and
+``table_efficient_cells`` here (``classify`` and ``rules`` call them).
 ``digits_from_code`` turns a rule code into its digits k at a time through
 the table of all k-digit strings that the exhaustive stream also builds its
 blocks from.
@@ -43,8 +45,10 @@ blocks from.
 from __future__ import annotations
 
 import math
+import sys
+from collections import OrderedDict
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
@@ -139,11 +143,8 @@ def space(n: int, m: int) -> Space:
 
 
 # ---------------------------------------------------------------------------
-# Per-profile rows and verdicts, definitional path.
+# Per-profile rows, definitional path.
 # ---------------------------------------------------------------------------
-
-DICTATORIAL = 1
-MANIPULABLE = 2
 
 
 @lru_cache(maxsize=None)
@@ -151,8 +152,8 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     """One (tops_code, dominated_mask, agents) row per profile code, ascending.
 
     ``agents`` holds, per agent i, ``(top, base, offsets, stand_ins)``: the
-    agent's top, ``base = tops_code - top * w_i``, the offsets
-    ``top_of[q] * w_i`` of all m! misreports q, and the "ranked strictly
+    agent's top, ``base = tops_code - top * w_i``, the distinct offsets
+    ``top_of[q] * w_i`` over all m! misreports q, and the "ranked strictly
     above x" masks of every preference with that top.  Bit x of
     ``dominated_mask`` is set when some other alternative is ranked above x
     by every agent.  Built on first use, never at import, and only within the
@@ -169,8 +170,11 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     stand_ins = tuple(
         tuple(above[p] for p in sp.prefs_with_top[t]) for t in range(m)
     )
+    # every misreport's offset, each distinct one kept once: ORing one
+    # column twice adds nothing
     offsets = tuple(
-        tuple(sp.top_of[q] * w for q in range(sp.fact)) for w in sp.tops_weights
+        tuple(dict.fromkeys(sp.top_of[q] * w for q in range(sp.fact)))
+        for w in sp.tops_weights
     )
     cell_agents = tuple(
         tuple(
@@ -194,52 +198,57 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     return tuple(rows)
 
 
-def table_profile_verdicts(table: Table, sp: Space) -> list[int]:
-    """Verdict per profile code of a tops-table rule: DICTATORIAL | MANIPULABLE bits.
-
-    Raw quantifiers, each profile from its own row: for each agent whose top
-    is not the outcome, the outcomes reached by all m! misreports form a
-    bitmask.  The agent has power if it reaches anything but the outcome, and
-    the profile is manipulable if some stand-in preference with that agent's
-    top ranks a reached outcome strictly above the outcome.
-    """
-    bits = tuple(1 << x for x in range(sp.m))
-    verdicts = []
-    append = verdicts.append
-    for tc, _dominated, agents in profile_rows(sp.n, sp.m):
-        out = table[tc]
-        out_bit = bits[out]
-        verdict = DICTATORIAL
-        for top, base, offsets, stand_ins in agents:
-            if top == out:
-                continue
-            reached = 0
-            for off in offsets:
-                reached |= bits[table[base + off]]
-            if reached == out_bit:  # the sincere top always reaches the outcome
-                continue
-            verdict = 0
-            for above in stand_ins:
-                if reached & above[out]:
-                    verdict = MANIPULABLE
-                    break
-            if verdict:
-                break
-        append(verdict)
-    return verdicts
-
-
 # ---------------------------------------------------------------------------
 # Rule-block kernels: bit r of every bitset stands for rule r of the block.
 # ---------------------------------------------------------------------------
 
 
-def block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
-    """(rules in the block, per tops code the bitset of rules selecting each outcome).
+# Bytes of block columns the memo retains.  The serial (2,3) suite's 47
+# distinct blocks (0.55 MB with their keys) fit: its lemmas walk the same
+# blocks in the same order, so a memo too small for all of them evicts each
+# block just before it is asked for again.  One 2048-rule block at (5,3)
+# holds about 0.5 MB.
+COLUMN_MEMO_BYTES = 1 << 20
 
-    ``joined`` holds the block's tables back to back, ``tops_count`` digits
-    each, so ``joined[c::cells]`` is column c: one byte per rule.
-    """
+
+class ColumnMemo:
+    """Block columns per (block bytes, ``Space``), least recently used first,
+    evicted while their retained bytes exceed ``limit``.  It holds columns
+    only, never a verdict: every kernel computes its answer from them."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.records: OrderedDict = OrderedDict()  # key -> [count, cols, wide, bytes]
+        self.size = 0
+        self.misses = 0
+
+    def lookup(self, joined: bytes, sp: Space, wide: bool) -> list:
+        """The block's record, made most recent; ``wide`` fills its wide
+        columns if they are missing."""
+        key = (joined, sp)
+        record = self.records.pop(key, None)
+        if record is None:
+            self.misses += 1
+            count, cols = _columns_of(joined, sp)
+            size = sys.getsizeof(joined) + sum(map(sys.getsizeof, chain(*cols)))
+            record = [count, cols, None, size]
+        else:
+            self.size -= record[3]
+        if wide and record[2] is None:
+            count, cols = record[0], record[1]
+            record[2] = [
+                sum(s << shift for s, shift in zip(col, range(0, sp.m * count, count)))
+                for col in cols
+            ]
+            record[3] += sum(map(sys.getsizeof, record[2]))
+        self.records[key] = record
+        self.size += record[3]
+        while self.size > self.limit:
+            self.size -= self.records.popitem(last=False)[1][3]
+        return record
+
+
+def _columns_of(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
     cells = sp.tops_count
     eq = []  # per outcome x: byte x -> b"1", any other byte -> b"0"
     for x in range(sp.m):
@@ -254,15 +263,27 @@ def block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]
     return len(joined) // cells, cols
 
 
+COLUMN_MEMO = ColumnMemo(COLUMN_MEMO_BYTES)
+
+
+def block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
+    """(rules in the block, per tops code the bitset of rules selecting each outcome).
+
+    ``joined`` holds the block's tables back to back, ``tops_count`` digits
+    each, so ``joined[c::cells]`` is column c: one byte per rule.  Computed
+    once per distinct block and kept in ``COLUMN_MEMO``.
+    """
+    count, cols, _wide, _size = COLUMN_MEMO.lookup(joined, sp, wide=False)
+    return count, cols
+
+
 def _block_wide_columns(
     joined: bytes, sp: Space
 ) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], list[int]]:
     """``block_columns`` plus, per tops code, one int holding every outcome's
     rule bitset: outcome x in bits ``[shifts[x], shifts[x] + count)``."""
-    count, cols = block_columns(joined, sp)
-    shifts = tuple(range(0, sp.m * count, count))
-    wide = [sum(s << shift for s, shift in zip(col, shifts)) for col in cols]
-    return count, cols, shifts, wide
+    count, cols, wide, _size = COLUMN_MEMO.lookup(joined, sp, wide=True)
+    return count, cols, tuple(range(0, sp.m * count, count)), wide
 
 
 def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
@@ -486,6 +507,40 @@ def table_efficient_cells(table: Table, sp: Space) -> bool:
     """Tops-level criterion: every cell selects one of its agents' tops."""
     masks = sp.cell_tops_mask
     return all((masks[tc] >> table[tc]) & 1 for tc in range(sp.tops_count))
+
+
+def full_table_manipulation(
+    table: Table, sp: Space
+) -> tuple[int, int, int, int, int] | None:
+    """First manipulation of a rule given by its outcome per profile code, or
+    None if it is strategy-proof.
+
+    Scan in (profile code, agent, misreport code) order over every profile,
+    every agent and all m! misreports: agent i's misreport q sits at profile
+    code ``pc + (q - p) * (m!)**(n-1-i)``, where p is the agent's own rank
+    code.  Returns (profile_code, agent, misreport_code, sincere, improved).
+    """
+    outcomes = bytes(table)
+    fact = sp.fact
+    weights = tuple(fact ** (sp.n - 1 - i) for i in range(sp.n))
+    # per rank code and outcome, the alternatives ranked strictly above it
+    better = [
+        [bytes(ranking[: pos[x]]) for x in range(sp.m)]
+        for ranking, pos in zip(sp.rankings, sp.position)
+    ]
+    for pc, pref_codes in enumerate(product(range(fact), repeat=sp.n)):
+        out = outcomes[pc]
+        for i, (p, w) in enumerate(zip(pref_codes, weights)):
+            above = better[p][out]
+            if not above:
+                continue
+            start = pc - p * w
+            reached = outcomes[start : start + fact * w : w]  # entry q: misreport q
+            hits = [reached.index(y) for y in above if y in reached]
+            if hits:
+                q = min(hits)
+                return pc, i, q, out, reached[q]
+    return None
 
 
 # ---------------------------------------------------------------------------

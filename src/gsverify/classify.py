@@ -169,20 +169,17 @@ def classify_all(
             d_set = _engine.expand_cells_to_profiles(sp, d_mask)
             m_set = _engine.expand_cells_to_profiles(sp, m_mask)
     elif method == "scan":
-        d_count = m_count = 0
-        d_set = m_set = 0
-        for pc, verdict in enumerate(_engine.table_profile_verdicts(table, sp)):
-            if verdict == _engine.DICTATORIAL:
-                d_count += 1
-                d_set |= 1 << pc
-            elif verdict == _engine.MANIPULABLE:
-                m_count += 1
-                m_set |= 1 << pc
-            else:
-                raise RuntimeError(
-                    f"profile code {pc} is not exactly one of "
-                    "dictatorial/manipulable; rule is not tops-only"
-                )
+        # a block of one rule: each profile's bitsets are that rule's verdicts
+        dictatorial, manipulable = _engine.block_profile_verdicts(bytes(table), sp)
+        d_set = sum(bit << pc for pc, bit in enumerate(dictatorial))
+        m_set = sum(bit << pc for pc, bit in enumerate(manipulable))
+        not_one = (d_set & m_set) | ((1 << sp.profile_count) - 1) & ~(d_set | m_set)
+        if not_one:
+            raise RuntimeError(
+                f"profile code {(not_one & -not_one).bit_length() - 1} is not exactly "
+                "one of dictatorial/manipulable; rule is not tops-only"
+            )
+        d_count, m_count = d_set.bit_count(), m_set.bit_count()
         if not materialize_sets:
             d_set = m_set = None
     else:

@@ -1009,30 +1009,34 @@ def _verify_c2(n, m, mode, samples, seed, workers):
     size = rule_space_size(n, m)
     if mode == "exhaustive":
         pairs = ((f, g) for f in range(size) for g in range(size))
+        position = range(size)  # a rule's counts sit at its code
         blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
     else:
         rng = random.Random(seed)
-        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples or 0)]
-        drawn = list(dict.fromkeys(chain.from_iterable(pairs)))
-        parts = (
-            drawn[i : i + _BLOCK_RULES] for i in range(0, len(drawn), _BLOCK_RULES)
-        )
+        draws = [rng.randrange(size) for _ in range(2 * (samples or 0))]  # f, g, f, ...
+        pairs = zip(draws[0::2], draws[1::2])
+        # the distinct codes in first-seen order, each mapped to its position
+        position = dict.fromkeys(draws)
+        for index, code in enumerate(position):
+            position[code] = index
+        first_seen = iter(position)
+        parts = iter(lambda: list(islice(first_seen, _BLOCK_RULES)), [])
         blocks = (
             (part, b"".join([_engine.digits_from_code(code, cells, m) for code in part]))
             for part in parts
         )
-    counts: dict[int, tuple[int, int]] = {}
+    m_counts: list[int] = []
+    d_counts: list[int] = []
     for codes, joined in blocks:
         # |M_f| and |D_f| counted apart, from the per-profile verdicts
         dictatorial, manipulable = _engine.block_profile_verdicts(joined, sp)
-        m_counts = _engine.bit_counts(manipulable, len(codes))
-        d_counts = _engine.bit_counts(dictatorial, len(codes))
-        counts.update(zip(codes, zip(m_counts, d_counts)))
+        m_counts += _engine.bit_counts(manipulable, len(codes))
+        d_counts += _engine.bit_counts(dictatorial, len(codes))
     checks = 0
     counterexample = None
     for f_code, g_code in pairs:
-        mf, df = counts[f_code]
-        mg, dg = counts[g_code]
+        f, g = position[f_code], position[g_code]
+        mf, df, mg, dg = m_counts[f], d_counts[f], m_counts[g], d_counts[g]
         checks += 1
         if (df >= dg) != (mg >= mf):
             counterexample = {
@@ -1052,7 +1056,7 @@ def _verify_c2(n, m, mode, samples, seed, workers):
     if mode == "exhaustive":
         distinct = size
     else:  # the rules met up to the last pair checked
-        distinct = len(set(chain.from_iterable(pairs[:checks])))
+        distinct = len(set(draws[: 2 * checks]))
     detail = {"distinct_rules": distinct}
     return counterexample is None, checks, counterexample, detail
 

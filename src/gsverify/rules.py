@@ -6,8 +6,10 @@ plus a small closed-form library (dictator, constant, Borda and two-candidate
 majority with lexicographic tie-breaks).
 
 Every axiom predicate is an exhaustive loop over the finite profile space and
-returns a witness on failure.  Witness scan order is lexicographic in
-(profile code, agent, misreport code), so failures reproduce byte for byte.
+returns a witness on failure; strategy-proofness runs as the integer scan
+``_engine.full_table_manipulation`` over the rule's full table.  Witness scan
+order is lexicographic in (profile code, agent, misreport code), so failures
+reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .prefs import (
     enumerate_preferences,
     enumerate_profiles,
     preferences_with_top,
+    profile_from_code,
     tops_from_code,
 )
 
@@ -468,18 +471,18 @@ def _tops_outcome(rule: Rule, tops: TopsProfile) -> Alternative:
 
 
 def find_manipulation(rule: Rule) -> ManipulationWitness | None:
-    """First manipulation in (profile code, agent, misreport code) order."""
-    _check_walk(rule)
-    misreports = enumerate_preferences(rule.m)
-    for profile in enumerate_profiles(rule.n, rule.m):
-        out = rule.evaluate(profile)
-        for i in range(rule.n):
-            pref = profile.prefs[i]
-            for q in misreports:
-                alt = rule.evaluate(profile.with_replaced(i, q))
-                if pref.prefers(alt, out):
-                    return ManipulationWitness(profile, i, q, out, alt)
-    return None
+    """First manipulation in (profile code, agent, misreport code) order, found
+    by ``_engine.full_table_manipulation`` on the rule's full table."""
+    found = _engine.full_table_manipulation(
+        as_full_table(rule).outcomes, _engine.space(rule.n, rule.m)
+    )
+    if found is None:
+        return None
+    pc, agent, q, sincere, improved = found
+    profile = profile_from_code(pc, rule.n, rule.m)
+    return ManipulationWitness(
+        profile, agent, enumerate_preferences(rule.m)[q], sincere, improved
+    )
 
 
 def is_strategy_proof(rule: Rule) -> bool:

@@ -7,6 +7,7 @@ Each test prints a single PASS line once its assertions hold, so running
 import json
 import time
 
+import _definitional
 from gsverify import (
     BordaLexRule,
     ConstantRule,
@@ -85,6 +86,7 @@ def test_criterion_5_strategy_proof_unanimous_rules_are_efficient():
     borda = BordaLexRule(2, 3)
     witness = find_manipulation(borda)
     assert witness is not None and witness.is_valid(borda)
+    assert witness == _definitional.find_manipulation(borda)
     assert find_tops_only_violation(borda) is not None
     report(5, "no strategy-proof unanimous inefficient rule at m in {2,3}; Borda flagged manipulable with a validated witness")
 

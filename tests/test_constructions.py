@@ -1,6 +1,8 @@
 """Coalescing, restriction, the census engine, and the verification suite."""
 
+import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -44,6 +46,7 @@ from gsverify.constructions import (
     census_rows,
 )
 from gsverify.prefs import DEFAULT_MAX_AGENTS, DEFAULT_MAX_ALTERNATIVES
+from test_engine import DICTATORIAL, MANIPULABLE
 
 
 def pref(text):
@@ -68,9 +71,9 @@ def doctor_block_verdicts(monkeypatch, target, doctored):
             for pc, verdict in doctored.items():
                 dictatorial[pc] &= ~bit
                 manipulable[pc] &= ~bit
-                if verdict & _engine.DICTATORIAL:
+                if verdict & DICTATORIAL:
                     dictatorial[pc] |= bit
-                if verdict & _engine.MANIPULABLE:
+                if verdict & MANIPULABLE:
                     manipulable[pc] |= bit
         return dictatorial, manipulable
 
@@ -593,7 +596,7 @@ class TestVerifyLemma:
         # one doctored profile of rule code 1
         doctor_block_verdicts(
             monkeypatch, (0, 0, 0, 0, 0, 0, 0, 0, 1),
-            {5: _engine.DICTATORIAL | _engine.MANIPULABLE},
+            {5: DICTATORIAL | MANIPULABLE},
         )
         serial = verify_lemma("L5", 2, 3, workers=1)
         parallel = verify_lemma("L5", 2, 3, workers=2)
@@ -759,7 +762,7 @@ class TestVerifyLemma:
         # dictatorial as well breaks the duality of the two orders, which C2
         # must see because it counts |M_f| and |D_f| apart
         doctor_block_verdicts(
-            monkeypatch, (1, 0, 0, 0), {0: _engine.DICTATORIAL | _engine.MANIPULABLE}
+            monkeypatch, (1, 0, 0, 0), {0: DICTATORIAL | MANIPULABLE}
         )
         report = verify_lemma("C2", 2, 2, mode="exhaustive")
         assert not report.passed
@@ -819,3 +822,87 @@ class TestDerivedRuleStrings:
         assert parse_rule(merged.to_string(), 2, 3) == TopsTableRule(
             2, 3, (0, 0, 0, 1, 1, 1, 2, 2, 2)
         )
+
+
+SUITE = ("L1", "L3", "L4", "L5", "C1", "C2", "R1", "R2", "THM")
+
+
+def suite_reports(before_each=lambda: None):
+    """The serial (2,3) suite's reports as JSON text, one per check."""
+    reports = []
+    for lemma in SUITE:
+        before_each()
+        report = verify_lemma(lemma, 2, 3, workers=1)
+        reports.append(json.dumps(report.to_json_dict(), sort_keys=True))
+    return reports
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    memo = _engine.ColumnMemo(_engine.COLUMN_MEMO_BYTES)
+    monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
+    return memo
+
+
+class TestColumnMemo:
+    def test_suite_reports_equal_with_a_cold_memo(self, fresh_memo, monkeypatch):
+        warm = suite_reports()
+        assert fresh_memo.records and suite_reports() == warm
+
+        def cold():
+            memo = _engine.ColumnMemo(_engine.COLUMN_MEMO_BYTES)
+            monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
+
+        assert suite_reports(cold) == warm
+
+    def test_suite_computes_each_block_once(self, fresh_memo, monkeypatch):
+        computed = []
+        honest = _engine._columns_of
+
+        def spy(joined, sp):
+            computed.append((joined, sp))
+            return honest(joined, sp)
+
+        monkeypatch.setattr(_engine, "_columns_of", spy)
+        lookups = Counter()
+        honest_lookup = fresh_memo.lookup
+
+        def counted(joined, sp, wide):
+            lookups[joined, sp] += 1
+            return honest_lookup(joined, sp, wide)
+
+        monkeypatch.setattr(fresh_memo, "lookup", counted)
+        suite_reports()
+        assert fresh_memo.misses == len(computed) == len(set(computed)) == len(lookups)
+        # the lemmas walk the same blocks again and read the kept columns
+        assert sum(lookups.values()) > 2 * fresh_memo.misses
+        assert len(fresh_memo.records) == fresh_memo.misses  # nothing evicted
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
+    def test_sampled_stream_stays_within_the_bound(self, fresh_memo, monkeypatch, n, m):
+        peak = 0
+        honest = fresh_memo.lookup
+
+        def watched(joined, sp, wide):
+            nonlocal peak
+            record = honest(joined, sp, wide)
+            peak = max(peak, fresh_memo.size)
+            return record
+
+        monkeypatch.setattr(fresh_memo, "lookup", watched)
+        census(n, m, mode="sampled", samples=100_000, seed=3)
+        assert fresh_memo.misses > len(fresh_memo.records)  # the stream evicted
+        assert 0 < peak <= _engine.COLUMN_MEMO_BYTES
+        assert fresh_memo.size == sum(r[3] for r in fresh_memo.records.values())
+
+    def test_a_block_over_the_bound_is_not_kept(self):
+        memo = _engine.ColumnMemo(1000)
+        sp = _engine.space(2, 3)
+        block = bytes([0, 1, 2]) * 3 * 200
+        count, cols, wide, size = memo.lookup(block, sp, wide=True)
+        assert memo.size == 0 and not memo.records
+        assert (count, cols) == _engine._columns_of(block, sp)
+        assert len(wide) == sp.tops_count
+        # the record counts the key, the columns and the wide columns
+        ints = [bits for col in cols for bits in col] + wide
+        assert size == sys.getsizeof(block) + sum(map(sys.getsizeof, ints)) > 1000

@@ -1,18 +1,22 @@
 """Integer kernels against their definitional object twins."""
 
+import ast
+import math
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import _definitional
 from gsverify import (
+    FullTableRule,
     ManipulationWitness,
     TopsTableRule,
     Verdict,
     classify_profile,
     decode_preference,
     enumerate_profiles,
-    find_dictator,
     find_manipulation,
     is_efficient,
     is_unanimous,
@@ -21,8 +25,6 @@ from gsverify import (
 )
 from gsverify import _engine, constructions
 from gsverify._engine import (
-    DICTATORIAL,
-    MANIPULABLE,
     block_cell_masks,
     block_columns,
     block_dictators,
@@ -32,12 +34,15 @@ from gsverify._engine import (
     block_profile_verdicts,
     block_unanimous,
     digits_from_code,
+    full_table_manipulation,
     space,
     table_efficient_cells,
-    table_profile_verdicts,
     table_unanimous,
 )
 
+# verdict bits of the per-rule reference scan, one int per profile
+DICTATORIAL = 1
+MANIPULABLE = 2
 VERDICT_BITS = {Verdict.DICTATORIAL: DICTATORIAL, Verdict.MANIPULABLE: MANIPULABLE}
 
 
@@ -47,7 +52,7 @@ def table_manipulation(table, sp):
     Per-rule reference scan in (profile code, agent, misreport code) order:
     every profile, every agent, every one of the m! misreports.  Returns
     (profile_code, agent, misreport_code, sincere, improved), the integer
-    form of the witness ``rules.find_manipulation`` finds on the same rule.
+    form of the witness the definitional oracle finds on the same rule.
     """
     position = sp.position
     top_of = sp.top_of
@@ -66,6 +71,42 @@ def table_manipulation(table, sp):
                 if pos[y] < out_rank:
                     return pc, i, q, out, y
     return None
+
+
+def table_profile_verdicts(table, sp):
+    """Per-rule reference for ``block_profile_verdicts``: the verdict per
+    profile code of a tops-table rule, DICTATORIAL | MANIPULABLE bits.
+
+    Raw quantifiers, each profile from its own row: for each agent whose top
+    is not the outcome, the outcomes reached by all m! misreports form a
+    bitmask.  The agent has power if it reaches anything but the outcome, and
+    the profile is manipulable if some stand-in preference with that agent's
+    top ranks a reached outcome strictly above the outcome.
+    """
+    bits = tuple(1 << x for x in range(sp.m))
+    verdicts = []
+    append = verdicts.append
+    for tc, _dominated, agents in _engine.profile_rows(sp.n, sp.m):
+        out = table[tc]
+        out_bit = bits[out]
+        verdict = DICTATORIAL
+        for top, base, offsets, stand_ins in agents:
+            if top == out:
+                continue
+            reached = 0
+            for off in offsets:
+                reached |= bits[table[base + off]]
+            if reached == out_bit:  # the sincere top always reaches the outcome
+                continue
+            verdict = 0
+            for above in stand_ins:
+                if reached & above[out]:
+                    verdict = MANIPULABLE
+                    break
+            if verdict:
+                break
+        append(verdict)
+    return verdicts
 
 
 def table_efficient_definitional(table, sp):
@@ -87,16 +128,9 @@ def table_dictator(table, sp):
 
 
 def object_witness(n, m, table):
-    """find_manipulation on the materialized rule, as the kernel's int tuple."""
-    witness = find_manipulation(TopsTableRule(n, m, table))
-    if witness is None:
-        return None
-    return (
-        witness.profile.code,
-        witness.agent,
-        witness.misreport.rank_code,
-        witness.sincere_outcome,
-        witness.improved_outcome,
+    """The oracle's witness on the materialized rule, as the kernel's int tuple."""
+    return _definitional.witness_tuple(
+        _definitional.find_manipulation(TopsTableRule(n, m, table))
     )
 
 
@@ -106,12 +140,77 @@ def all_tables(n, m):
 
 @pytest.mark.parametrize("n,m,strategy_proof", [(2, 2, 6), (3, 2, 20), (2, 3, 5)])
 def test_kernel_matches_object_layer_on_whole_space(n, m, strategy_proof):
+    # the tops-table reference scan and the full-table kernel behind
+    # find_manipulation both against the object-level oracle, witness for
+    # witness; the full tables repeat each tops cell's outcome at its profiles
     sp = space(n, m)
-    kernel = {t: table_manipulation(list(t), sp) for t in all_tables(n, m)}
-    mismatches = [t for t, w in kernel.items() if w != object_witness(n, m, t)]
+    tops_codes = [
+        sp.tops_code_of([q.rank_code for q in p.prefs]) for p in enumerate_profiles(n, m)
+    ]
+    oracle = {t: object_witness(n, m, t) for t in all_tables(n, m)}
+    mismatches = [t for t, w in oracle.items() if table_manipulation(list(t), sp) != w]
+    assert mismatches == []
+    mismatches = [
+        t for t, w in oracle.items()
+        if full_table_manipulation([t[tc] for tc in tops_codes], sp) != w
+    ]
     assert mismatches == []
     # None exactly where the object layer finds no manipulation
-    assert sum(w is None for w in kernel.values()) == strategy_proof
+    assert sum(w is None for w in oracle.values()) == strategy_proof
+
+
+def all_full_tables(n, m):
+    return list(product(range(m), repeat=math.factorial(m) ** n))
+
+
+def assert_full_kernel_matches_oracle(rules):
+    """``full_table_manipulation`` on each rule's outcome per profile, and
+    ``find_manipulation``, against the oracle, witness for witness; returns
+    how many rules are strategy-proof."""
+    strategy_proof = 0
+    for rule in rules:
+        expected = _definitional.witness_tuple(_definitional.find_manipulation(rule))
+        outcomes = [rule.evaluate(p) for p in enumerate_profiles(rule.n, rule.m)]
+        assert full_table_manipulation(outcomes, space(rule.n, rule.m)) == expected, rule
+        witness = find_manipulation(rule)
+        assert _definitional.witness_tuple(witness) == expected, rule
+        assert witness is None or witness.is_valid(rule)
+        strategy_proof += expected is None
+    return strategy_proof
+
+
+@pytest.mark.parametrize("n,m,strategy_proof", [(2, 2, 6), (3, 2, 20)])
+def test_full_table_kernel_on_every_full_table(n, m, strategy_proof):
+    rules = [FullTableRule(n, m, t) for t in all_full_tables(n, m)]
+    # at m = 2 a preference is its top, so these are the tops tables again
+    assert assert_full_kernel_matches_oracle(rules) == strategy_proof
+
+
+def test_full_table_kernel_on_seeded_full_tables():
+    rng = random.Random(20273)
+    rules = [
+        FullTableRule(2, 3, tuple(rng.randrange(3) for _ in range(36))) for _ in range(200)
+    ]
+    assert assert_full_kernel_matches_oracle(rules) == 0
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4)])
+def test_full_table_kernel_on_the_closed_forms(n, m):
+    # the dictators and the constants are strategy-proof, Borda is not
+    library = constructions._closed_form_library(n, m)
+    assert assert_full_kernel_matches_oracle(library) == n + m
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    tree = ast.parse(Path(_definitional.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""]
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert imported and not [name for name in imported if "_engine" in name]
 
 
 def test_kernel_matches_object_layer_on_sampled_n3_m3():
@@ -202,7 +301,7 @@ def test_dictator_kernel_matches_object_layer(n, m, count):
     tables += constants_and_dictators(n, m)
     sp = space(n, m)
     verdicts = [table_dictator(t, sp) for t in tables]
-    assert verdicts == [find_dictator(TopsTableRule(n, m, t)) for t in tables]
+    assert verdicts == [_definitional.find_dictator(TopsTableRule(n, m, t)) for t in tables]
     # the block streams hand the kernel bytes
     assert verdicts == [table_dictator(bytes(t), sp) for t in tables]
     assert verdicts[-n:] == list(range(n))
@@ -362,11 +461,11 @@ def test_block_verdicts_read_each_profile_row(monkeypatch):
 
 
 def test_block_manipulable_tries_every_misreport(monkeypatch):
-    # what a rule reaches depends only on the set of misreport offsets; these
-    # rows list each offset once, in reverse, so a kernel that skips an entry
-    # of the list misses every misreport to some top (the real rows hold each
-    # top (m-1)! times, which hides a skipped entry at m >= 3; at m = 2 every
-    # manipulation has a mirror image by the other misreport)
+    # what a rule reaches depends only on the set of misreport offsets; the
+    # real rows list each distinct offset once, lowest first, and these list
+    # them in reverse, so a kernel that skips an entry of the list misses
+    # every misreport to some top whichever end it skips (at m = 2 every
+    # manipulation also has a mirror image by the other misreport)
     n, m = 2, 3
     rows = tuple(
         (tc, dominated, tuple(

@@ -8,18 +8,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gsverify._engine import (  # noqa: E402
-    DICTATORIAL,
-    MANIPULABLE,
     block_cell_masks,
     block_manipulable,
     block_profile_verdicts,
     space,
-    table_profile_verdicts,
 )
 from test_engine import (  # noqa: E402
+    DICTATORIAL,
+    MANIPULABLE,
     assert_predicates_match_per_rule,
     cell_counts,
     table_manipulation,
+    table_profile_verdicts,
 )
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import _definitional
 from gsverify import (
     BordaLexRule,
     ConstantRule,
@@ -166,20 +167,29 @@ class TestEfficientViaTops:
 
 class TestStrategyProofness:
     def test_dictator_none(self):
-        assert find_manipulation(DictatorRule(2, 3, 1)) is None
+        rule = DictatorRule(2, 3, 1)
+        assert find_manipulation(rule) is None
+        assert _definitional.find_manipulation(rule) is None
 
     def test_borda_witness_validates(self):
         rule = BordaLexRule(2, 3)
         witness = find_manipulation(rule)
         assert witness is not None
         assert witness.is_valid(rule)
+        assert witness == _definitional.find_manipulation(rule)
 
     def test_majority_strategy_proof(self):
         assert is_strategy_proof(MajorityLexRule(3))
+        assert _definitional.find_manipulation(MajorityLexRule(3)) is None
 
     def test_witness_scan_is_deterministic(self):
         rule = BordaLexRule(2, 3)
         assert find_manipulation(rule) == find_manipulation(rule)
+
+    @pytest.mark.parametrize("text", ["BORDALEX", "DICT:2", "CONST:1", "TOPS:n=3,m=2:00010111"])
+    def test_equals_the_oracle_witness(self, text):
+        rule = parse_rule(text, 3, 2 if text.startswith("TOPS") else 3)
+        assert find_manipulation(rule) == _definitional.find_manipulation(rule)
 
 
 class TestDictatorSearch:
