@@ -9,7 +9,9 @@ readability; these tables keep exhaustive scans fast.
 ``full_table_manipulation`` decides strategy-proofness for any rule from its
 outcome per profile code, in (profile code, agent, misreport code) order over
 all m! misreports; ``rules.find_manipulation`` and ``is_strategy_proof`` run
-through it.  The per-profile block kernels (``block_profile_verdicts``,
+through it.  ``profile_tops_codes`` gives each profile code's tops code, from
+which ``rules.as_full_table`` expands the tops table of a rule tops-only by
+construction.  The per-profile block kernels (``block_profile_verdicts``,
 ``block_manipulable`` and ``block_efficient_definitional``) read
 ``profile_rows``, built lazily once per (n, m), never at import or in
 ``Space``.  A row's Pareto-dominated mask is enumerated in full from the
@@ -25,8 +27,11 @@ its rules' digits back to back in one ``bytes``, and bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
 operations covering the whole block.  ``block_columns`` gives, per tops
 code and outcome, the rules selecting it; the columns of each distinct block
-are computed once and kept in ``COLUMN_MEMO``, at most
-``COLUMN_MEMO_BYTES`` of them, least recently used evicted first.  The block
+of an exhaustive stream are computed once and kept in ``COLUMN_MEMO``, at
+most ``COLUMN_MEMO_BYTES`` of them, least recently used evicted first.  The
+kernels that read columns take ``keep``: sampled streams pass
+``keep=False``, because no later call asks for their blocks again, and get
+their columns computed without a memo record.  The block
 predicates (``block_unanimous``, ``block_efficient_cells``,
 ``block_efficient_definitional`` and ``block_dictators``) read these
 columns and answer for the rules of a given bitset.  ``block_manipulable``
@@ -142,6 +147,15 @@ def space(n: int, m: int) -> Space:
     return Space(n, m)
 
 
+@lru_cache(maxsize=None)
+def profile_tops_codes(n: int, m: int) -> tuple[int, ...]:
+    """The tops code of every profile code, ascending."""
+    check_profile_work(n, m)
+    sp = space(n, m)
+    per_agent = [[sp.top_of[p] * w for p in range(sp.fact)] for w in sp.tops_weights]
+    return tuple(map(sum, product(*per_agent)))
+
+
 # ---------------------------------------------------------------------------
 # Per-profile rows, definitional path.
 # ---------------------------------------------------------------------------
@@ -222,9 +236,10 @@ class ColumnMemo:
         self.size = 0
         self.misses = 0
 
-    def lookup(self, joined: bytes, sp: Space, wide: bool) -> list:
+    def lookup(self, joined: bytes, sp: Space, wide: bool, keep: bool = True) -> list:
         """The block's record, made most recent; ``wide`` fills its wide
-        columns if they are missing."""
+        columns if they are missing.  A block the memo does not hold is
+        added only if ``keep``."""
         key = (joined, sp)
         record = self.records.pop(key, None)
         if record is None:
@@ -234,6 +249,7 @@ class ColumnMemo:
             record = [count, cols, None, size]
         else:
             self.size -= record[3]
+            keep = True  # a held block goes back
         if wide and record[2] is None:
             count, cols = record[0], record[1]
             record[2] = [
@@ -241,10 +257,11 @@ class ColumnMemo:
                 for col in cols
             ]
             record[3] += sum(map(sys.getsizeof, record[2]))
-        self.records[key] = record
-        self.size += record[3]
-        while self.size > self.limit:
-            self.size -= self.records.popitem(last=False)[1][3]
+        if keep:
+            self.records[key] = record
+            self.size += record[3]
+            while self.size > self.limit:
+                self.size -= self.records.popitem(last=False)[1][3]
         return record
 
 
@@ -266,23 +283,25 @@ def _columns_of(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
 COLUMN_MEMO = ColumnMemo(COLUMN_MEMO_BYTES)
 
 
-def block_columns(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
+def block_columns(
+    joined: bytes, sp: Space, keep: bool = True
+) -> tuple[int, list[tuple[int, ...]]]:
     """(rules in the block, per tops code the bitset of rules selecting each outcome).
 
     ``joined`` holds the block's tables back to back, ``tops_count`` digits
     each, so ``joined[c::cells]`` is column c: one byte per rule.  Computed
-    once per distinct block and kept in ``COLUMN_MEMO``.
+    once per distinct block and kept in ``COLUMN_MEMO`` if ``keep``.
     """
-    count, cols, _wide, _size = COLUMN_MEMO.lookup(joined, sp, wide=False)
+    count, cols, _wide, _size = COLUMN_MEMO.lookup(joined, sp, False, keep)
     return count, cols
 
 
 def _block_wide_columns(
-    joined: bytes, sp: Space
+    joined: bytes, sp: Space, keep: bool
 ) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], list[int]]:
     """``block_columns`` plus, per tops code, one int holding every outcome's
     rule bitset: outcome x in bits ``[shifts[x], shifts[x] + count)``."""
-    count, cols, wide, _size = COLUMN_MEMO.lookup(joined, sp, wide=True)
+    count, cols, wide, _size = COLUMN_MEMO.lookup(joined, sp, True, keep)
     return count, cols, tuple(range(0, sp.m * count, count)), wide
 
 
@@ -308,7 +327,9 @@ def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
     return totals
 
 
-def block_profile_verdicts(joined: bytes, sp: Space) -> tuple[list[int], list[int]]:
+def block_profile_verdicts(
+    joined: bytes, sp: Space, keep: bool = True
+) -> tuple[list[int], list[int]]:
     """(dictatorial, manipulable) rule bitsets per profile code for a block of
     tops-table rules: bit r of entry pc is rule r's verdict at profile pc.
 
@@ -320,7 +341,7 @@ def block_profile_verdicts(joined: bytes, sp: Space) -> tuple[list[int], list[in
     manipulable rules are those whose outcome is ranked below a reached one.
     """
     m = sp.m
-    count, cols, shifts, wide = _block_wide_columns(joined, sp)
+    count, cols, shifts, wide = _block_wide_columns(joined, sp, keep)
     full = (1 << count) - 1
     orders = tuple(
         tuple(sp.rankings[p] for p in sp.prefs_with_top[t]) for t in range(m)
@@ -355,7 +376,7 @@ def block_profile_verdicts(joined: bytes, sp: Space) -> tuple[list[int], list[in
     return dictatorial, manipulable
 
 
-def block_manipulable(joined: bytes, sp: Space) -> int:
+def block_manipulable(joined: bytes, sp: Space, keep: bool = True) -> int:
     """Bitset of the rules of a block that some agent can manipulate (bit r =
     rule r): the rules that are not strategy-proof.
 
@@ -365,7 +386,7 @@ def block_manipulable(joined: bytes, sp: Space) -> int:
     there when its outcome is ranked strictly below an outcome it reaches.
     The scan stops early only once every rule of the block is manipulable.
     """
-    count, cols, shifts, wide = _block_wide_columns(joined, sp)
+    count, cols, shifts, wide = _block_wide_columns(joined, sp, keep)
     full = (1 << count) - 1
     rankings = sp.rankings
     manip = 0
@@ -387,7 +408,7 @@ def block_manipulable(joined: bytes, sp: Space) -> int:
 
 
 def block_cell_masks(
-    joined: bytes, sp: Space
+    joined: bytes, sp: Space, keep: bool = True
 ) -> tuple[list[int], list[int], list[int]]:
     """Non-dictatorial-cell rule bitsets per tops code, and |M_f| and |D_f| per rule.
 
@@ -397,7 +418,7 @@ def block_cell_masks(
     of the other cells, ``cell_profile_count`` per cell.
     """
     m = sp.m
-    count, cols = block_columns(joined, sp)
+    count, cols = block_columns(joined, sp, keep)
     full = (1 << count) - 1
     nondictatorial = []
     for tc, tops in enumerate(sp.tops_tuples):

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import _engine
+from ._value import frozen
 from .prefs import (
     Preference,
     Profile,
@@ -44,7 +44,7 @@ class Verdict(enum.Enum):
     MANIPULABLE = "manipulable"
 
 
-@dataclass(frozen=True)
+@frozen
 class ProfileClassification:
     """One profile's verdict with supporting evidence.
 
@@ -64,7 +64,7 @@ class ProfileClassification:
             raise ValueError("dictatorial verdicts carry no violator")
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassificationSummary:
     """Counts (and optionally bitsets) of manipulable and dictatorial profiles."""
 

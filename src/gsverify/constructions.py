@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, islice, product
 from operator import and_, or_
@@ -54,6 +53,7 @@ from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from . import _engine
+from ._value import DefaultFactory, frozen
 from .errors import BudgetExceededError, UnknownLemmaError
 from .prefs import (
     Preference,
@@ -135,7 +135,7 @@ def rule_space_size(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class _DerivedRule(Rule):
     """A rule built from a base rule; its string is its materialized table."""
 
@@ -155,7 +155,7 @@ class _DerivedRule(Rule):
         return as_full_table(self).to_string()
 
 
-@dataclass(frozen=True)
+@frozen
 class CoalescedRule(_DerivedRule):
     """An (n-1)-agent rule feeding its first preference into two slots of the base."""
 
@@ -177,7 +177,7 @@ class CoalescedRule(_DerivedRule):
         return self.base.evaluate_tops((tops[0], tops[0]) + tuple(tops[1:]))
 
 
-@dataclass(frozen=True)
+@frozen
 class RestrictedRule(_DerivedRule):
     """A 2-agent rule obtained by pinning the base rule's agents 3..n."""
 
@@ -310,7 +310,8 @@ def _exhaustive_blocks(
 
 
 def _scan_rules(scan, n, m, mode, samples, seed, workers, *args):
-    """Run ``scan(blocks, n, m, *args)`` over the rule stream; merge its parts.
+    """Run ``scan(blocks, n, m, *args, keep=...)`` over the rule stream, with
+    ``keep`` true for an exhaustive stream; merge its parts.
 
     A scan returns ``(tallies, found, counterexample)``: a list of counts, a
     list of findings in stream order, and the counterexample it stopped at or
@@ -353,7 +354,8 @@ def _merge_parts(parts: Iterator[tuple]) -> tuple:
 
 def _run_scan(job: tuple):
     scan, n, m, mode, samples, seed, lo, hi, args = job
-    return scan(_iter_rule_blocks(n, m, mode, samples, seed, lo, hi), n, m, *args)
+    blocks = _iter_rule_blocks(n, m, mode, samples, seed, lo, hi)
+    return scan(blocks, n, m, *args, keep=mode == "exhaustive")
 
 
 def _bit_indices(bits: int) -> list[int]:
@@ -472,7 +474,8 @@ def enumerate_tops_only_rules(
     def gen() -> Iterator[TopsTableRule]:
         blocks = _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed)
         cells = sp.tops_count
-        for _, joined in _filter_rules(blocks, ordered, sp):
+        keep = resolved == "exhaustive"
+        for _, joined in _filter_rules(blocks, ordered, sp, keep):
             for start in range(0, len(joined), cells):
                 yield TopsTableRule(n, m, tuple(joined[start : start + cells]))
 
@@ -492,17 +495,19 @@ def _filter_rules(
     blocks: Iterable[tuple[Sequence[int], bytes]],
     filters: tuple[str, ...],
     sp: _engine.Space,
+    keep: bool = True,
 ) -> Iterator[tuple[Sequence[int], bytes]]:
     """The blocks of a block stream cut down to the rules passing every one of
-    the ordered ``filters``; blocks left empty are dropped."""
+    the ordered ``filters``; blocks left empty are dropped.  The kernels keep
+    the blocks' columns in the memo only if ``keep`` (an exhaustive stream)."""
     if not filters:
         yield from blocks
         return
     cells = sp.tops_count
     for codes, joined in blocks:
-        count, cols = _engine.block_columns(joined, sp)
+        count, cols = _engine.block_columns(joined, sp, keep)
         full = (1 << count) - 1
-        kept = _filter_mask(filters, joined, cols, full, sp)
+        kept = _filter_mask(filters, joined, cols, full, sp, keep)
         if kept == full:
             yield codes, joined
         elif kept:
@@ -516,11 +521,12 @@ def _filter_mask(
     cols: Sequence[tuple[int, ...]],
     within: int,
     sp: _engine.Space,
+    keep: bool = True,
 ) -> int:
     """The rules of ``within`` passing every one of ``filters``, each stage
     tested on the survivors of the stages before it."""
     for name in filters:
-        within = _stage_mask(name, joined, cols, within, sp)
+        within = _stage_mask(name, joined, cols, within, sp, keep)
     return within
 
 
@@ -530,9 +536,11 @@ def _stage_mask(
     cols: Sequence[tuple[int, ...]],
     within: int,
     sp: _engine.Space,
+    keep: bool = True,
 ) -> int:
     """The rules of ``within`` passing one filter, from the block's columns;
-    "strategy-proof" scans only those rules, cut out of the block."""
+    "strategy-proof" scans only those rules, cut out of the block, and keeps
+    the columns it reads in the memo only if ``keep``."""
     if not within:
         return 0
     if name == "unanimous":
@@ -541,17 +549,17 @@ def _stage_mask(
         return _engine.block_efficient_cells(cols, within, sp)
     if name == "dictatorial":
         return reduce(or_, _engine.block_dictators(cols, within, sp))
-    return within & ~_manipulable(joined, within, sp)
+    return within & ~_manipulable(joined, within, sp, keep)
 
 
-def _manipulable(joined: bytes, within: int, sp: _engine.Space) -> int:
+def _manipulable(joined: bytes, within: int, sp: _engine.Space, keep: bool) -> int:
     """The rules of ``within`` that ``_engine.block_manipulable`` finds
     manipulable; the other rules of the block are not scanned."""
     cells = sp.tops_count
     if within == (1 << (len(joined) // cells)) - 1:
-        return _engine.block_manipulable(joined, sp)
+        return _engine.block_manipulable(joined, sp, keep)
     rows = _bit_indices(within)
-    found = _engine.block_manipulable(_cut(joined, rows, cells), sp)
+    found = _engine.block_manipulable(_cut(joined, rows, cells), sp, keep)
     return sum(1 << rows[j] for j in _bit_indices(found))
 
 
@@ -560,7 +568,7 @@ def _manipulable(joined: bytes, within: int, sp: _engine.Space) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CensusReport:
     """Cascade counts over the tops-table rule space at fixed (n, m).
 
@@ -614,6 +622,7 @@ def _census_scan(
     n: int,
     m: int,
     filters: tuple[str, ...],
+    keep: bool,
 ) -> tuple[list[int], list[tuple[str, bool]], None]:
     """Cascade tallies in ``CENSUS_STAGES`` order, and (rule string,
     dictatorial) per strategy-proof survivor.
@@ -627,12 +636,12 @@ def _census_scan(
     tallies = [0] * len(CENSUS_STAGES)
     survivors: list[tuple[str, bool]] = []
     for _, joined in blocks:
-        count, cols = _engine.block_columns(joined, sp)
-        kept = _filter_mask(filters, joined, cols, (1 << count) - 1, sp)
+        count, cols = _engine.block_columns(joined, sp, keep)
+        kept = _filter_mask(filters, joined, cols, (1 << count) - 1, sp, keep)
         cascade = [kept]
         for name in FILTER_NAMES:  # the cascade order
             if name not in filters:
-                kept = _stage_mask(name, joined, cols, kept, sp)
+                kept = _stage_mask(name, joined, cols, kept, sp, keep)
             cascade.append(kept)
         tallies = [t + bits.bit_count() for t, bits in zip(tallies, cascade)]
         strategy_proof, dictatorial = cascade[3], cascade[4]
@@ -746,7 +755,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     """Outcome of one suite check; failures carry a re-validatable counterexample."""
 
@@ -759,7 +768,7 @@ class VerificationReport:
     passed: bool
     checks: int
     counterexample: dict | None
-    detail: dict = field(default_factory=dict)
+    detail: dict = DefaultFactory(dict)
     elapsed_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -803,12 +812,13 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
     """
     sp = _engine.space(n, m)
     cells = sp.tops_count
+    keep = mode == "exhaustive"
     unanimous = strategy_proof = closed = 0
     counterexample = None
     for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp)
+        count, cols = _engine.block_columns(joined, sp, keep)
         unanimous_rules = _engine.block_unanimous(cols, (1 << count) - 1, sp)
-        sp_rules = _stage_mask("strategy-proof", joined, cols, unanimous_rules, sp)
+        sp_rules = _stage_mask("strategy-proof", joined, cols, unanimous_rules, sp, keep)
         # tops-only (C1) holds by construction over this space
         inefficient = sp_rules & ~_engine.block_efficient_definitional(cols, sp_rules, sp)
         if inefficient:
@@ -844,7 +854,7 @@ def _verify_l3(n, m, mode, samples, seed, workers):
     checks = 0
     counterexample = None
     for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp)
+        count, cols = _engine.block_columns(joined, sp, mode == "exhaustive")
         efficient = _engine.block_efficient_definitional(cols, (1 << count) - 1, sp)
         nobodys_top = efficient & ~_engine.block_efficient_cells(cols, efficient, sp)
         if nobodys_top:
@@ -898,10 +908,11 @@ def _verify_l4(n, m, mode, samples, seed, workers):
     checks = 0
     counterexample = None
     dictators = 0
+    keep = mode == "exhaustive"
     for _, joined in _te_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp)
+        count, cols = _engine.block_columns(joined, sp, keep)
         full = (1 << count) - 1
-        dictatorial, _ = _engine.block_profile_verdicts(joined, sp)
+        dictatorial, _ = _engine.block_profile_verdicts(joined, sp, keep)
         everywhere = reduce(and_, dictatorial, full)  # every profile dictatorial
         agents = _engine.block_dictators(cols, full, sp)
         is_dictator = reduce(or_, agents)
@@ -926,7 +937,7 @@ def _verify_l4(n, m, mode, samples, seed, workers):
     return counterexample is None, checks, counterexample, detail
 
 
-def _l5_block(block: bytes, sp: _engine.Space) -> tuple[int, int, dict | None]:
+def _l5_block(block: bytes, sp: _engine.Space, keep: bool) -> tuple[int, int, dict | None]:
     """Rules and checks of the partition scan over one block of rules, which
     stops at the first failing (rule, profile) in (rule, profile code) order.
 
@@ -936,7 +947,7 @@ def _l5_block(block: bytes, sp: _engine.Space) -> tuple[int, int, dict | None]:
     """
     count = len(block) // sp.tops_count
     full = (1 << count) - 1
-    dictatorial, manipulable = _engine.block_profile_verdicts(block, sp)
+    dictatorial, manipulable = _engine.block_profile_verdicts(block, sp, keep)
     first_in_cell: dict[int, int] = {}
     not_one = []
     failing = []
@@ -967,14 +978,16 @@ def _l5_block(block: bytes, sp: _engine.Space) -> tuple[int, int, dict | None]:
     }
 
 
-def _l5_scan(blocks, n: int, m: int) -> tuple[list[int], list, dict | None]:
+def _l5_scan(
+    blocks, n: int, m: int, keep: bool = True
+) -> tuple[list[int], list, dict | None]:
     """Tallies [rules, checks] of the L5 partition scan over a block stream,
     up to its first counterexample."""
     sp = _engine.space(n, m)
     rules = checks = 0
     counterexample = None
     for _, joined in blocks:
-        block_rules, block_checks, counterexample = _l5_block(joined, sp)
+        block_rules, block_checks, counterexample = _l5_block(joined, sp, keep)
         rules += block_rules
         checks += block_checks
         if counterexample:
@@ -1029,7 +1042,9 @@ def _verify_c2(n, m, mode, samples, seed, workers):
     d_counts: list[int] = []
     for codes, joined in blocks:
         # |M_f| and |D_f| counted apart, from the per-profile verdicts
-        dictatorial, manipulable = _engine.block_profile_verdicts(joined, sp)
+        dictatorial, manipulable = _engine.block_profile_verdicts(
+            joined, sp, mode == "exhaustive"
+        )
         m_counts += _engine.bit_counts(manipulable, len(codes))
         d_counts += _engine.bit_counts(dictatorial, len(codes))
     checks = 0
@@ -1096,6 +1111,7 @@ def _no_cells(nondictatorial: list[int], count: int) -> int:
 def _verify_r1(n, m, mode, samples, seed, workers):
     """Strategy-proof iff minimal in the manipulability order (iff M empty)."""
     sp = _engine.space(n, m)
+    keep = mode == "exhaustive"
     blocks = _iter_rule_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
@@ -1103,9 +1119,10 @@ def _verify_r1(n, m, mode, samples, seed, workers):
 
     def records():
         for _, joined in blocks:
-            nondictatorial, m_counts, _ = _engine.block_cell_masks(joined, sp)
+            nondictatorial, m_counts, _ = _engine.block_cell_masks(joined, sp, keep)
             count = len(m_counts)
-            strategy_proof = ((1 << count) - 1) & ~_engine.block_manipulable(joined, sp)
+            manipulable = _engine.block_manipulable(joined, sp, keep)
+            strategy_proof = ((1 << count) - 1) & ~manipulable
             yield joined, strategy_proof, _no_cells(nondictatorial, count), m_counts
 
     rules, min_m, found = _extremum_scan(records(), sp.tops_count, 0, min)
@@ -1129,6 +1146,7 @@ def _verify_r2(n, m, mode, samples, seed, workers):
     """Dictatorial iff maximal in the dictatorial-power order over the
     tops-only efficient pool (iff every profile is dictatorial)."""
     sp = _engine.space(n, m)
+    keep = mode == "exhaustive"
     blocks = _te_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the pool always contains the dictatorships; anchor the sample
@@ -1136,8 +1154,8 @@ def _verify_r2(n, m, mode, samples, seed, workers):
 
     def records():
         for _, joined in blocks:
-            count, cols = _engine.block_columns(joined, sp)
-            nondictatorial, _, d_counts = _engine.block_cell_masks(joined, sp)
+            count, cols = _engine.block_columns(joined, sp, keep)
+            nondictatorial, _, d_counts = _engine.block_cell_masks(joined, sp, keep)
             dictatorial = reduce(or_, _engine.block_dictators(cols, (1 << count) - 1, sp))
             yield joined, dictatorial, _no_cells(nondictatorial, count), d_counts
 
@@ -1280,7 +1298,7 @@ def verify_lemma(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CounterexampleCertificate:
     """Machine-checked properties of the two-alternative majority rule."""
 

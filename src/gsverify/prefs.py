@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from string import ascii_lowercase
 from typing import Iterator
 
+from ._value import frozen
 from .errors import BudgetExceededError, CapExceededError
 
 Alternative = int
 TopsProfile = tuple[int, ...]
+
+# the names of alternatives 0, 1, ...; importing string for them costs a regex compile
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 DEFAULT_MAX_ALTERNATIVES = 6
 DEFAULT_MAX_AGENTS = 5
@@ -91,20 +93,20 @@ def check_profile_work(n: int, m: int) -> None:
 
 def alternative_name(x: Alternative) -> str:
     """Letter name of an alternative index: 0 -> 'a', 1 -> 'b', ..."""
-    if not 0 <= x < len(ascii_lowercase):
+    if not 0 <= x < len(_LETTERS):
         raise ValueError(f"alternative index {x} has no letter name")
-    return ascii_lowercase[x]
+    return _LETTERS[x]
 
 
 def alternative_index(name: str) -> Alternative:
     """Inverse of :func:`alternative_name`; accepts surrounding whitespace."""
     token = name.strip()
-    if len(token) != 1 or token not in ascii_lowercase:
+    if len(token) != 1 or token not in _LETTERS:
         raise ValueError(f"not an alternative name: {name!r}")
-    return ascii_lowercase.index(token)
+    return _LETTERS.index(token)
 
 
-@dataclass(frozen=True)
+@frozen
 class Preference:
     """A strict total order over m alternatives, best first.
 
@@ -205,7 +207,7 @@ def preferences_with_top(m: int, x: Alternative, cap: int | None = None) -> list
     return [p for p in enumerate_preferences(m, cap) if p.top == x]
 
 
-@dataclass(frozen=True)
+@frozen
 class Profile:
     """An ordered list of n preferences over a shared alternative set."""
 
@@ -217,8 +219,9 @@ class Profile:
         if len(prefs) < 2:
             raise ValueError("a profile needs at least 2 agents")
         m0 = prefs[0].m
-        if any(p.m != m0 for p in prefs):
-            raise ValueError("profile preferences disagree on the alternative count")
+        for p in prefs:  # a loop, not any(): the hottest constructor
+            if p.m != m0:
+                raise ValueError("profile preferences disagree on the alternative count")
 
     @property
     def n(self) -> int:
@@ -315,7 +318,7 @@ def tops_from_code(code: int, n: int, m: int) -> TopsProfile:
     return tuple(reversed(tops))
 
 
-@dataclass(frozen=True)
+@frozen
 class PreferenceDomain:
     """A non-empty set of preferences over a shared alternative set."""
 

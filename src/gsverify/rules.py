@@ -17,11 +17,11 @@ from __future__ import annotations
 import abc
 import math
 import re
-from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar
 
 from . import _engine
+from ._value import frozen
 from .errors import DimensionMismatchError, NotTopsOnlyError, RuleParseError
 from .prefs import (
     Alternative,
@@ -83,7 +83,7 @@ def _check_dims(n: int, m: int) -> None:
     check_alternative_count(m)
 
 
-@dataclass(frozen=True)
+@frozen
 class DictatorRule(Rule):
     """Always selects the dictator agent's top."""
 
@@ -110,7 +110,7 @@ class DictatorRule(Rule):
         return f"DICT:{self.agent}"
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstantRule(Rule):
     """Selects the same alternative at every profile."""
 
@@ -139,7 +139,7 @@ class ConstantRule(Rule):
         return f"CONST:{self.alternative}"
 
 
-@dataclass(frozen=True)
+@frozen
 class TopsTableRule(Rule):
     """Explicit outcome table indexed by tops code; tops-only by construction."""
 
@@ -181,7 +181,7 @@ class TopsTableRule(Rule):
         return f"TOPS:n={self.n},m={self.m}:{digits}"
 
 
-@dataclass(frozen=True)
+@frozen
 class FullTableRule(Rule):
     """Explicit outcome table indexed by profile code; no structural guarantees."""
 
@@ -211,7 +211,7 @@ class FullTableRule(Rule):
         return f"FULL:n={self.n},m={self.m}:{digits}"
 
 
-@dataclass(frozen=True)
+@frozen
 class BordaLexRule(Rule):
     """Borda count with ties broken toward the lowest alternative index.
 
@@ -241,7 +241,7 @@ class BordaLexRule(Rule):
         return "BORDALEX"
 
 
-@dataclass(frozen=True)
+@frozen
 class MajorityLexRule(Rule):
     """Two-alternative majority; ties go to alternative 0."""
 
@@ -360,7 +360,7 @@ def _parse_table(text: str, kind: str, n: int | None, m: int | None) -> Rule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ManipulationWitness:
     """One successful manipulation: evaluating the misreport beats sincerity."""
 
@@ -532,7 +532,17 @@ def as_tops_table(rule: Rule) -> TopsTableRule:
 
 
 def as_full_table(rule: Rule) -> FullTableRule:
-    """Materialize any rule as an explicit per-profile table."""
+    """Materialize any rule as an explicit per-profile table.
+
+    A rule tops-only by construction chooses from the tops alone, so every
+    profile code reads its outcome off the rule's tops table at the profile's
+    tops code; any other rule is evaluated at every profile.
+    """
     _check_walk(rule)
-    outcomes = tuple(rule.evaluate(p) for p in enumerate_profiles(rule.n, rule.m))
+    if rule.tops_only_by_construction:
+        table = as_tops_table(rule).outcomes
+        tops_codes = _engine.profile_tops_codes(rule.n, rule.m)
+        outcomes = tuple(map(table.__getitem__, tops_codes))
+    else:
+        outcomes = tuple(rule.evaluate(p) for p in enumerate_profiles(rule.n, rule.m))
     return FullTableRule(rule.n, rule.m, outcomes)

@@ -424,6 +424,27 @@ class TestModuleEntryPoints:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("L3 PASS (n=2, m=3, mode=exhaustive")
 
+    def test_a_run_imports_no_heavy_stdlib_module(self):
+        # each costs start-up time on every CLI run; modules the interpreter
+        # loaded before gsverify (site, .pth files) do not count.  Serial:
+        # a worker pool imports multiprocessing, whose traceback import
+        # brings tokenize
+        code = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from gsverify.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert run(['census', '--agents', '2', '--alts', '3', '--workers', '1']) == 0\n"
+            "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'string'}\n"
+            "print(sorted(heavy & (set(sys.modules) - before)))\n"
+        )
+        env = {**src_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_import_leaves_multiprocessing_out(self):
         # only a scan split over worker processes imports it; a serial run
         # does not pay its import time

@@ -61,8 +61,8 @@ def doctor_block_verdicts(monkeypatch, target, doctored):
     honest = _engine.block_profile_verdicts
     target = bytes(target)
 
-    def doctored_verdicts(block, sp):
-        dictatorial, manipulable = honest(block, sp)
+    def doctored_verdicts(block, sp, keep=True):
+        dictatorial, manipulable = honest(block, sp, keep)
         cells = sp.tops_count
         for r in range(len(block) // cells):
             if block[r * cells : (r + 1) * cells] != target:
@@ -86,8 +86,8 @@ def doctor_block_manipulable(monkeypatch, target):
     honest = _engine.block_manipulable
     target = bytes(target)
 
-    def doctored(block, sp):
-        manipulable = honest(block, sp)
+    def doctored(block, sp, keep=True):
+        manipulable = honest(block, sp, keep)
         cells = sp.tops_count
         for r in range(len(block) // cells):
             if block[r * cells : (r + 1) * cells] == target:
@@ -104,8 +104,8 @@ def doctor_block_cell_masks(monkeypatch, target=None):
     counts to match."""
     honest = _engine.block_cell_masks
 
-    def doctored(joined, sp):
-        nondictatorial, m_counts, d_counts = honest(joined, sp)
+    def doctored(joined, sp, keep=True):
+        nondictatorial, m_counts, d_counts = honest(joined, sp, keep)
         cells = sp.tops_count
         for r in range(len(m_counts)):
             if target is None or joined[r * cells : (r + 1) * cells] == bytes(target):
@@ -137,9 +137,9 @@ def count_block_predicates(monkeypatch):
         monkeypatch.setattr(_engine, name, counted)
     honest_manipulable = _engine.block_manipulable
 
-    def counted_manipulable(joined, sp):
+    def counted_manipulable(joined, sp, keep=True):
         asked["block_manipulable"] += len(joined) // sp.tops_count
-        return honest_manipulable(joined, sp)
+        return honest_manipulable(joined, sp, keep)
 
     monkeypatch.setattr(_engine, "block_manipulable", counted_manipulable)
     return asked
@@ -865,35 +865,64 @@ class TestColumnMemo:
 
         monkeypatch.setattr(_engine, "_columns_of", spy)
         lookups = Counter()
+        sampled = set()
         honest_lookup = fresh_memo.lookup
 
-        def counted(joined, sp, wide):
+        def counted(joined, sp, wide, keep=True):
             lookups[joined, sp] += 1
-            return honest_lookup(joined, sp, wide)
+            if not keep:
+                sampled.add((joined, sp))
+            return honest_lookup(joined, sp, wide, keep)
 
         monkeypatch.setattr(fresh_memo, "lookup", counted)
         suite_reports()
         assert fresh_memo.misses == len(computed) == len(set(computed)) == len(lookups)
         # the lemmas walk the same blocks again and read the kept columns
         assert sum(lookups.values()) > 2 * fresh_memo.misses
-        assert len(fresh_memo.records) == fresh_memo.misses  # nothing evicted
+        # C2 samples its rule pairs at (2,3); its blocks are read once
+        assert 0 < len(sampled) == sum(lookups[key] for key in sampled)
+        # nothing evicted
+        assert len(fresh_memo.records) == fresh_memo.misses - len(sampled)
 
     @pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
-    def test_sampled_stream_stays_within_the_bound(self, fresh_memo, monkeypatch, n, m):
-        peak = 0
-        honest = fresh_memo.lookup
+    def test_sampled_stream_keeps_no_record(self, fresh_memo, monkeypatch, n, m):
+        # no later call asks for a sampled block again
+        computed = []
+        honest = _engine._columns_of
 
-        def watched(joined, sp, wide):
+        def spy(joined, sp):
+            computed.append(joined)
+            return honest(joined, sp)
+
+        monkeypatch.setattr(_engine, "_columns_of", spy)
+        census(n, m, mode="sampled", samples=100_000, seed=3)
+        assert fresh_memo.misses == len(computed) > 0
+        assert not fresh_memo.records and fresh_memo.size == 0
+
+    @pytest.mark.parametrize("lemma", sorted(constructions.LEMMA_DESCRIPTIONS))
+    def test_sampled_lemma_keeps_no_record(self, fresh_memo, lemma):
+        verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1)
+        assert fresh_memo.misses > 0
+        assert not fresh_memo.records and fresh_memo.size == 0
+
+    def test_exhaustive_stream_stays_within_the_bound(self, monkeypatch):
+        limit = 1 << 16  # a quarter of what the (2,3) census would keep
+        memo = _engine.ColumnMemo(limit)
+        monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
+        peak = 0
+        honest = memo.lookup
+
+        def watched(joined, sp, wide, keep=True):
             nonlocal peak
-            record = honest(joined, sp, wide)
-            peak = max(peak, fresh_memo.size)
+            record = honest(joined, sp, wide, keep)
+            peak = max(peak, memo.size)
             return record
 
-        monkeypatch.setattr(fresh_memo, "lookup", watched)
-        census(n, m, mode="sampled", samples=100_000, seed=3)
-        assert fresh_memo.misses > len(fresh_memo.records)  # the stream evicted
-        assert 0 < peak <= _engine.COLUMN_MEMO_BYTES
-        assert fresh_memo.size == sum(r[3] for r in fresh_memo.records.values())
+        monkeypatch.setattr(memo, "lookup", watched)
+        census(2, 3, mode="exhaustive")
+        assert memo.misses > len(memo.records)  # the stream evicted
+        assert 0 < peak <= limit
+        assert memo.size == sum(r[3] for r in memo.records.values())
 
     def test_a_block_over_the_bound_is_not_kept(self):
         memo = _engine.ColumnMemo(1000)

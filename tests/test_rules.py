@@ -1,5 +1,7 @@
 """Rule representations, rule strings, and the axiom predicates."""
 
+import random
+
 import pytest
 
 import _definitional
@@ -10,6 +12,7 @@ from gsverify import (
     DimensionMismatchError,
     MajorityLexRule,
     NotTopsOnlyError,
+    Preference,
     Profile,
     RuleParseError,
     TopsTableRule,
@@ -31,6 +34,8 @@ from gsverify import (
     parse_rule,
     sample_efficient_tops_tables,
 )
+from gsverify import rules
+from gsverify.constructions import _closed_form_library, coalesce, restrict
 
 
 def profile(text):
@@ -309,3 +314,47 @@ class TestEfficientSampler:
         first = [r.outcomes for r in sample_efficient_tops_tables(3, 3, 20, seed=9)]
         second = [r.outcomes for r in sample_efficient_tops_tables(3, 3, 20, seed=9)]
         assert first == second
+
+
+def per_profile_table(rule):
+    """The definitional full table: ``evaluate`` at every profile."""
+    return tuple(rule.evaluate(p) for p in enumerate_profiles(rule.n, rule.m))
+
+
+class TestFullTableFromTops:
+    """Rules tops-only by construction read their full table off the tops
+    table; pinned to per-``Profile`` evaluation."""
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4), (3, 2)])
+    def test_closed_forms(self, n, m):
+        library = _closed_form_library(n, m)
+        assert any(rule.tops_only_by_construction for rule in library)
+        for rule in library:
+            assert as_full_table(rule).outcomes == per_profile_table(rule), rule
+
+    def test_coalesced_and_restricted_rules(self):
+        rng = random.Random(7)
+        table = TopsTableRule(3, 3, tuple(rng.randrange(3) for _ in range(27)))
+        fixed = [Preference((2, 0, 1))]
+        derived = [
+            coalesce(table), coalesce(DictatorRule(3, 3, 1)), coalesce(BordaLexRule(3, 3)),
+            restrict(table, fixed), restrict(DictatorRule(3, 3, 2), fixed),
+            restrict(BordaLexRule(3, 3), fixed),
+        ]
+        assert [rule.tops_only_by_construction for rule in derived] == [True, True, False] * 2
+        for rule in derived:
+            assert as_full_table(rule).outcomes == per_profile_table(rule), rule
+
+    def test_seeded_tops_tables(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            rule = TopsTableRule(2, 3, tuple(rng.randrange(3) for _ in range(9)))
+            assert as_full_table(rule).outcomes == per_profile_table(rule), rule
+
+    def test_no_profile_is_built(self, monkeypatch):
+        def refuse(n, m):
+            raise AssertionError("enumerated the profiles of a tops-only rule")
+
+        monkeypatch.setattr(rules, "enumerate_profiles", refuse)
+        assert as_full_table(DictatorRule(3, 4, 0)).outcomes[-1] == 3
+        assert find_manipulation(TopsTableRule(2, 3, (0,) * 9)) is None
