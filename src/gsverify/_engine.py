@@ -38,7 +38,8 @@ columns and answer for the rules of a given bitset.  ``block_manipulable``
 decides strategy-proofness for every rule-stream check;
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
-tops cells and the exact |M_f| and |D_f| of R1, R2, ``census_rows`` and
+tops cells and the exact |M_f| and |D_f| of R1, R2, ``census_rows`` (whose
+per-rule flag bytes ``bit_flags`` spreads from the stage bitsets) and
 ``classify --method cells`` (a block of one rule).  The per-rule twins of
 the kernels are the tests' references, apart from ``table_unanimous`` and
 ``table_efficient_cells`` here (``classify`` and ``rules`` call them).
@@ -305,6 +306,14 @@ def _block_wide_columns(
     return count, cols, tuple(range(0, sp.m * count, count)), wide
 
 
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _spread(bits: int, count: int) -> int:
+    """Bit r of ``bits`` (r < count) moved to the low bit of byte r."""
+    return int.from_bytes(format(bits, f"0{count}b").encode().translate(_ASCII_BITS), "big")
+
+
 def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
     """Per rule r < count, how many of ``bitsets`` have bit r set (exact).
 
@@ -312,12 +321,10 @@ def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
     summed in these byte lanes before the lanes are added to the totals, so
     no lane ever carries into the next.
     """
-    ascii_bits = bytes.maketrans(b"01", b"\x00\x01")
     totals = [0] * count
     lanes = pending = 0
     for bits in bitsets:
-        spread = format(bits, f"0{count}b").encode().translate(ascii_bits)
-        lanes += int.from_bytes(spread, "big")
+        lanes += _spread(bits, count)
         pending += 1
         if pending == 255:
             totals = list(map(add, totals, lanes.to_bytes(count, "little")))
@@ -325,6 +332,15 @@ def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
     if pending:
         totals = list(map(add, totals, lanes.to_bytes(count, "little")))
     return totals
+
+
+def bit_flags(bitsets: Sequence[int], count: int) -> bytes:
+    """Per rule r < count, one byte whose bit i is bit r of ``bitsets[i]``
+    (at most 8 bitsets, so the byte lanes they are added in never carry)."""
+    lanes = 0
+    for i, bits in enumerate(bitsets):
+        lanes += _spread(bits, count) << i
+    return lanes.to_bytes(count, "little")
 
 
 def block_profile_verdicts(

@@ -221,10 +221,9 @@ def _cmd_census(args: argparse.Namespace) -> tuple[dict, bool]:
         raise ValueError("--verbose per-rule output is exhaustive only; drop --samples")
     payload = _base_payload(args)
     if args.verbose:
-        rows = list(
+        payload["per_rule"] = list(
             constructions.census_rows(args.agents, args.alts, filters=args.filters)
         )
-        payload["per_rule"] = rows
         payload["filters"] = list(constructions._ordered_filters(args.filters))
         return payload, False
     report = constructions.census(
@@ -350,8 +349,9 @@ _CSV_COLUMNS = {
 }
 # nested payload dicts whose keys join the top-level ones in the csv row
 _CSV_NESTED = {"census": "counts", "counterexample": "certificate"}
-_PER_RULE_COLUMNS = ("rule_code", "unanimous", "efficient", "strategy_proof",
-                     "dictatorial", "m_count", "d_count")
+_PER_RULE_HEADER = "rule_code,unanimous,efficient,strategy_proof,dictatorial,m_count,d_count\n"
+# the flag columns of a ``census_rows`` flags byte, bit i for ``FILTER_NAMES[i]``
+_FLAG_TEXT = [",".join(_bool(flags >> i & 1) for i in range(4)) for flags in range(16)]
 
 
 def _csv_rows(payload: dict) -> list[dict]:
@@ -364,15 +364,14 @@ def _csv_rows(payload: dict) -> list[dict]:
 
 
 def _render_csv(payload: dict) -> str:
+    if "per_rule" in payload:
+        parts = [_PER_RULE_HEADER]
+        for codes, flags, m_counts, d_counts in payload["per_rule"]:
+            flag_text = map(_FLAG_TEXT.__getitem__, flags)
+            parts.append("".join(map("{},{},{},{}\n".format, codes, flag_text, m_counts, d_counts)))
+        return "".join(parts)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if "per_rule" in payload:
-        writer.writerow(_PER_RULE_COLUMNS)
-        for code, unan, eff, spf, dic, m_count, d_count in payload["per_rule"]:
-            writer.writerow(
-                [code, _bool(unan), _bool(eff), _bool(spf), _bool(dic), m_count, d_count]
-            )
-        return buf.getvalue()
     rows = _csv_rows(payload)
     columns = [c for c in _CSV_COLUMNS[payload["command"]] if c in rows[0]]
     writer.writerow(columns)

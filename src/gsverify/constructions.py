@@ -31,8 +31,9 @@ cell-efficient, dictatorial), and "strategy-proof" cuts just those rules out
 of the block for ``_engine.block_manipulable``, which decides every
 strategy-proofness question.  ``_filter_rules`` maps blocks to the blocks of
 their survivors (``enumerate_tops_only_rules`` and the exhaustive pool of L4
-and R2); the census, ``census_rows``, L1, C1 and L3 keep the bitsets and
-count them with ``int.bit_count``, and a census stage that is also a
+and R2); the census, L1, C1 and L3 keep the bitsets and count them with
+``int.bit_count``, ``census_rows`` yields them per block as one flags byte
+per rule (``_engine.bit_flags``), and a census stage that is also a
 prefilter reuses the prefilter's bitset.  L4, L5 and C2 read per-profile
 verdicts (``block_profile_verdicts``), R1, R2 and ``census_rows`` read cell
 counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from
@@ -47,7 +48,7 @@ from __future__ import annotations
 import os
 import random
 from functools import reduce
-from itertools import chain, compress, islice, product
+from itertools import chain, islice, product
 from operator import and_, or_
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
@@ -701,11 +702,12 @@ def census(
 
 def census_rows(
     n: int, m: int, filters: Sequence[str] = (), budget: int | None = None
-) -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
-    """Per-rule census detail, ascending rule code (exhaustive only).
+) -> Iterator[tuple[Sequence[int], bytes, list[int], list[int]]]:
+    """Per-rule census detail, one record per rule block (exhaustive only).
 
-    Yields (rule code, unanimous, efficient, strategy-proof, dictatorial,
-    |M_f|, |D_f|).  Strategy-proofness is decided by the definitional
+    Yields (rule codes, flags, |M_f|, |D_f|) of the rules passing ``filters``,
+    ascending code, one flags byte per rule: bit i is its ``FILTER_NAMES[i]``
+    verdict.  Strategy-proofness is decided by the definitional
     ``_engine.block_manipulable``, not read off |M_f|.
     """
     check_agent_count(n)
@@ -715,8 +717,7 @@ def census_rows(
     check_profile_work(n, m)  # the strategy-proof column
     sp = _engine.space(n, m)
 
-    def gen() -> Iterator[tuple[int, bool, bool, bool, bool, int, int]]:
-        cells = sp.tops_count
+    def gen() -> Iterator[tuple[Sequence[int], bytes, list[int], list[int]]]:
         for codes, joined in _iter_rule_blocks(n, m, "exhaustive", None, None):
             count, cols = _engine.block_columns(joined, sp)
             full = (1 << count) - 1
@@ -724,30 +725,19 @@ def census_rows(
             if not kept:
                 continue
             # a column that is also a prefilter holds for every kept rule
-            columns = [
+            flags = _engine.bit_flags([
                 kept if name in ordered else _stage_mask(name, joined, cols, kept, sp)
                 for name in FILTER_NAMES
-            ]
+            ], count)
             if kept != full:
-                joined = _cut(joined, _bit_indices(kept), cells)
+                rows = _bit_indices(kept)
+                codes = [codes[r] for r in rows]
+                flags = _cut(flags, rows, 1)
+                joined = _cut(joined, rows, sp.tops_count)
             _, m_counts, d_counts = _engine.block_cell_masks(joined, sp)
-            selected = _bools(kept, count)
-            yield from zip(
-                compress(codes, selected),
-                *(compress(_bools(bits, count), selected) for bits in columns),
-                m_counts,
-                d_counts,
-            )
+            yield codes, flags, m_counts, d_counts
 
     return gen()
-
-
-def _bools(bits: int, count: int) -> list[bool]:
-    """Bit r of ``bits`` as a bool, for r < count."""
-    return list(map(bool, format(bits, f"0{count}b")[::-1].encode().translate(_BIT_BYTES)))
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -1015,6 +1005,18 @@ def _verify_c1(n, m, mode, samples, seed, workers):
     return counterexample is None, checks, counterexample, detail
 
 
+def _draw_codes(rng: random.Random, size: int, count: int) -> list[int]:
+    """``[rng.randrange(size) for _ in range(count)]``, drawn as CPython does."""
+    getrandbits, k = rng.getrandbits, size.bit_length()
+    draws = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        draws.append(r)
+    return draws
+
+
 def _verify_c2(n, m, mode, samples, seed, workers):
     """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
     sp = _engine.space(n, m)
@@ -1025,8 +1027,7 @@ def _verify_c2(n, m, mode, samples, seed, workers):
         position = range(size)  # a rule's counts sit at its code
         blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
     else:
-        rng = random.Random(seed)
-        draws = [rng.randrange(size) for _ in range(2 * (samples or 0))]  # f, g, f, ...
+        draws = _draw_codes(random.Random(seed), size, 2 * (samples or 0))  # f, g, f, ...
         pairs = zip(draws[0::2], draws[1::2])
         # the distinct codes in first-seen order, each mapped to its position
         position = dict.fromkeys(draws)

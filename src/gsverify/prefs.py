@@ -184,6 +184,11 @@ def decode_preference(code: int, m: int) -> Preference:
     total = math.factorial(m)
     if not 0 <= code < total:
         raise ValueError(f"preference code {code} out of range [0, {total})")
+    return _decode_preference(code, m)
+
+
+def _decode_preference(code: int, m: int) -> Preference:
+    """:func:`decode_preference` of a code in range, with m already checked."""
     digits = []
     rest = code
     for radix in range(1, m + 1):
@@ -289,7 +294,7 @@ def profile_from_code(code: int, n: int, m: int) -> Profile:
         rest, r = divmod(rest, fact)
         codes.append(r)
     codes.reverse()
-    return Profile(tuple(decode_preference(c, m) for c in codes))
+    return Profile(tuple(_decode_preference(c, m) for c in codes))
 
 
 def enumerate_profiles(n: int, m: int) -> Iterator[Profile]:

@@ -1,17 +1,32 @@
 """Command-line interface: exit codes, formats, and byte determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from gsverify import parse_rule
+from gsverify import _engine, constructions, parse_rule
+from gsverify._engine import space
 from gsverify.cli import run
+from test_engine import (
+    DICTATORIAL,
+    MANIPULABLE,
+    all_tables,
+    table_dictator,
+    table_efficient_definitional,
+    table_manipulation,
+    table_profile_verdicts,
+    table_unanimous,
+)
 
 
 def invoke(capsys, *argv):
@@ -23,6 +38,38 @@ def invoke(capsys, *argv):
 def invoke_json(capsys, *argv):
     code, out, err = invoke(capsys, *argv)
     return code, json.loads(out), err
+
+
+@cache
+def definitional_rows(n, m):
+    """(rule code, unanimous, efficient, strategy-proof, dictatorial, |M_f|,
+    |D_f|) per tops-table rule, ascending code, each from a per-rule
+    reference: |M_f| and |D_f| count the per-profile verdicts."""
+    sp = space(n, m)
+    rows = []
+    for code, table in enumerate(all_tables(n, m)):
+        verdicts = table_profile_verdicts(table, sp)
+        rows.append((
+            code,
+            table_unanimous(table, sp),
+            table_efficient_definitional(table, sp),
+            table_manipulation(table, sp) is None,
+            table_dictator(table, sp) is not None,
+            verdicts.count(MANIPULABLE),
+            verdicts.count(DICTATORIAL),
+        ))
+    return rows
+
+
+def csv_rendering(rows):
+    """The per-rule csv report of ``rows``, one ``csv.writer`` row per rule."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("rule_code", "unanimous", "efficient", "strategy_proof", "dictatorial",
+                     "m_count", "d_count"))
+    for row in rows:
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+    return buf.getvalue()
 
 
 class TestCensusCommand:
@@ -67,6 +114,37 @@ class TestCensusCommand:
         # rule 0001 is the majority table: unanimous, efficient, strategy-proof,
         # not dictatorial, with every profile dictatorial for it
         assert lines[2] == "1,true,true,true,false,0,4"
+
+    @pytest.mark.parametrize("block_rules", [7, constructions._BLOCK_RULES])
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+    def test_verbose_csv_equals_per_rule_rendering(self, capsys, monkeypatch, n, m, block_rules):
+        # every filter subset, with block boundaries inside the stream or not
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
+        # a memo holding every block, so each subset's scan computes no column twice
+        monkeypatch.setattr(_engine, "COLUMN_MEMO", _engine.ColumnMemo(1 << 26))
+        names = constructions.FILTER_NAMES
+        for k in range(len(names) + 1):
+            for subset in combinations(names, k):
+                argv = ["census", "--agents", str(n), "--alts", str(m), "--format", "csv",
+                        "--verbose"]
+                for name in subset:
+                    argv += ["--filter", name]
+                code, out, _ = invoke(capsys, *argv)
+                assert code == 0
+                rows = [
+                    row for row in definitional_rows(n, m)
+                    if all(row[1 + names.index(name)] for name in subset)
+                ]
+                assert out == csv_rendering(rows), subset
+
+    def test_verbose_out_file_equals_stdout(self, capsys, tmp_path):
+        target = tmp_path / "rules.csv"
+        argv = ("census", "--agents", "2", "--alts", "3", "--format", "csv", "--verbose",
+                "--filter", "unanimous")
+        _, stdout, _ = invoke(capsys, *argv)
+        code, out, _ = invoke(capsys, *argv, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == stdout.encode()
 
     def test_verbose_requires_csv(self, capsys):
         code, _, err = invoke(capsys, "census", "--verbose", "--workers", "1")

@@ -39,6 +39,7 @@ from gsverify import (
 from gsverify import _engine, constructions
 from gsverify.constructions import (
     _BLOCK_WORDS,
+    _draw_codes,
     _filter_rules,
     _iter_rule_blocks,
     _l5_scan,
@@ -51,6 +52,16 @@ from test_engine import DICTATORIAL, MANIPULABLE
 
 def pref(text):
     return Preference.from_text(text)
+
+
+def census_row_tuples(n, m, filters=()):
+    """``census_rows`` as one tuple per rule: (rule code, unanimous, efficient,
+    strategy-proof, dictatorial, |M_f|, |D_f|)."""
+    return [
+        (code, *(bool(f >> i & 1) for i in range(4)), m_count, d_count)
+        for block in census_rows(n, m, filters)
+        for code, f, m_count, d_count in zip(*block, strict=True)
+    ]
 
 
 def doctor_block_verdicts(monkeypatch, target, doctored):
@@ -337,6 +348,14 @@ class TestSampledStream:
             map(bytes, randrange_tables(3, 3, 100, 5))
         )
 
+    @pytest.mark.parametrize("size", [1, 2, 16, 19683, 2**32, 2**32 + 1, 3**27])
+    def test_c2_draws_equal_randrange(self, size):
+        # sizes under, at and over one 32-bit generator word
+        for seed in (0, 1, 7, -5, 2**40 + 3):
+            rng = random.Random(seed)
+            expected = [rng.randrange(size) for _ in range(500)]
+            assert _draw_codes(random.Random(seed), size, 500) == expected, seed
+
     def test_rejects_digits_wider_than_a_byte(self):
         with pytest.raises(ValueError, match="m < 256"):
             next(_sampled_blocks(256, 1, 1, 0))
@@ -450,7 +469,7 @@ class TestCensus:
             return [0] * len(nondictatorial), [0] * count, [sp.profile_count] * count
 
         monkeypatch.setattr(_engine, "block_cell_masks", no_manipulable_cells)
-        rows = list(census_rows(2, 3))
+        rows = census_row_tuples(2, 3)
         assert len(rows) == 19683
         assert {m_count for *_, m_count, _ in rows} == {0}
         strategy_proof = [code for code, _, _, sp_flag, *_ in rows if sp_flag]
@@ -651,8 +670,8 @@ class TestVerifyLemma:
         def outputs():
             return (
                 [verify_lemma(i, n, m, **kwargs).to_json_dict() for i in ids],
-                list(census_rows(2, 3, filters=("unanimous",))),
-                list(census_rows(2, 3, filters=("strategy-proof",))),
+                census_row_tuples(2, 3, filters=("unanimous",)),
+                census_row_tuples(2, 3, filters=("strategy-proof",)),
                 list(enumerate_tops_only_rules(2, 3, ("strategy-proof",))),
             )
 

@@ -25,6 +25,8 @@ from gsverify import (
 )
 from gsverify import _engine, constructions
 from gsverify._engine import (
+    bit_counts,
+    bit_flags,
     block_cell_masks,
     block_columns,
     block_dictators,
@@ -565,6 +567,21 @@ def test_block_efficient_definitional_reads_the_rows(monkeypatch):
     assert any(
         table_efficient_definitional(t, sp) != table_efficient_cells(t, sp) for t in tables
     )
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 2048])
+def test_bit_lanes_equal_per_bit_loops(count):
+    # byte lanes never carry: 300 bitsets sum past one lane's 255, and eight
+    # flags fill a byte
+    rng = random.Random(20274)
+    bitsets = [0, (1 << count) - 1] + [rng.getrandbits(count) for _ in range(298)]
+    assert bit_counts(bitsets, count) == [
+        sum((bits >> r) & 1 for bits in bitsets) for r in range(count)
+    ]
+    for flags in (bitsets[:4], bitsets[1:9], []):
+        assert list(bit_flags(flags, count)) == [
+            sum(((bits >> r) & 1) << i for i, bits in enumerate(flags)) for r in range(count)
+        ]
 
 
 def per_digit_loop(code, cells, m):

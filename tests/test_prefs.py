@@ -19,6 +19,7 @@ from gsverify import (
     profile_from_code,
     satisfies_property_t_star,
 )
+from gsverify import prefs
 
 
 def pref(text):
@@ -176,6 +177,25 @@ class TestProfile:
         assert [p.code for p in profiles] == list(range(36))
         for p in profiles:
             assert profile_from_code(p.code, 2, 3) == p
+
+    @pytest.mark.parametrize("cap,m", [(None, 7), ("3", 4)])
+    def test_profile_from_code_rejects_over_cap_m(self, monkeypatch, cap, m):
+        # the same error as decoding one agent's preference at that m
+        if cap is not None:
+            monkeypatch.setenv("GSVERIFY_MAX_ALTS", cap)
+        with pytest.raises(CapExceededError) as one:
+            decode_preference(0, m)
+        with pytest.raises(CapExceededError) as whole:
+            profile_from_code(0, 2, m)
+        assert str(whole.value) == str(one.value)
+        assert f"m={m} exceeds the alternative cap" in str(whole.value)
+
+    def test_profile_from_code_reads_the_cap_once(self, monkeypatch):
+        reads = []
+        honest = prefs.max_alternatives
+        monkeypatch.setattr(prefs, "max_alternatives", lambda: reads.append(1) or honest())
+        assert profile_from_code(215, 3, 3).to_text() == "c,b,a|c,b,a|c,b,a"
+        assert len(reads) == 1
 
     def test_mixed_alternative_counts_rejected(self):
         with pytest.raises(ValueError):
