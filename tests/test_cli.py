@@ -403,6 +403,45 @@ class TestGoldenReports:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # JSON witnesses of the single-rule questions: the csv forms carry none.
+    # The FULL table is DICT:0 with profiles 5, 9 and 35 changed, so its
+    # tops-only witness sits in cell (a, b) although cell (a, c) differs at a
+    # lower profile code.
+    @pytest.mark.parametrize("argv,digest", [
+        (
+            ("inspect", "--rule", "BORDALEX", "--agents", "2", "--alts", "3"),
+            "3c44db560f3cdda788dfbd64d292211f982b2955db92b1d0291a760994eb0638",
+        ),
+        (
+            ("inspect", "--rule", "BORDALEX", "--agents", "3", "--alts", "3"),
+            "6307ae4f641d8faf8bd1c0018b51d1ce2381f30addf39c790b71481d46d8abf4",
+        ),
+        (
+            ("inspect", "--rule", "FULL:n=2,m=3:000002000200111111111111222222222220"),
+            "ecff00f074e94b3f1b731f30a3490b2d8fe237ae6a07fae43cbcf6c75bc68f1d",
+        ),
+        (
+            ("inspect", "--rule", "TOPS:n=2,m=3:000111220"),
+            "93e921a7bc7180aa79b3761d1f9609b61d0037af9f5af10129c1cc323b98aa71",
+        ),
+        (
+            ("classify", "--rule", "TOPS:n=2,m=3:000111001", "--method", "cells"),
+            "4d820eb4a8823a1a8545b806c9cf644f40d98ade48d6b3457b8a1d3654253921",
+        ),
+        (
+            ("classify", "--rule", "TOPS:n=2,m=3:000111001", "--method", "scan"),
+            "a47d9451c89a02b00a6ae74c23b752dcc21691b4b141f2ddb6f1ea0cb6c5cc5e",
+        ),
+        (
+            ("classify", "--rule", "DICT:0", "--agents", "3", "--alts", "3"),
+            "6cfe888e77e87523bc454b6db8be0a9716bb09f4cbd171763c800f52a03efd84",
+        ),
+    ])
+    def test_witness_digest(self, capsys, argv, digest):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_failing_suite_digest(self, capsys):
         # L4, R2 and THM fail at m=2; the report carries their counterexamples
         code, out, _ = invoke(
