@@ -9,11 +9,15 @@ readability; these tables keep exhaustive scans fast.
 ``full_table_manipulation`` decides strategy-proofness for any rule from its
 outcome per profile code, in (profile code, agent, misreport code) order over
 all m! misreports; ``rules.find_manipulation`` and ``is_strategy_proof`` run
-through it.  ``profile_tops_codes`` gives each profile code's tops code, from
-which ``rules.as_full_table`` expands the tops table of a rule tops-only by
-construction.  The per-profile block kernels (``block_profile_verdicts``,
-``block_manipulable`` and ``block_efficient_definitional``) read
-``profile_rows``, built lazily once per (n, m), never at import or in
+through it.  ``full_table_dictatorial_count`` counts the dictatorial
+profiles of such a table from the same misreport slices (``classify``, for
+rules not tops-only by construction).  ``profile_tops_codes`` gives each
+profile code's tops code: ``rules.as_full_table`` expands the tops table of
+a rule tops-only by construction with it, and the unanimity, tops-only and
+dictator scans of ``rules`` read a full table with it.  The per-profile
+block kernels (``block_profile_verdicts``, ``block_manipulable`` and
+``block_efficient_definitional``) and ``rules.find_efficiency_violation``
+read ``profile_rows``, built lazily once per (n, m), never at import or in
 ``Space``.  A row's Pareto-dominated mask is enumerated in full from the
 agents' rankings, never taken from the tops-cell masks; each agent's row
 holds the distinct offsets that its m! misreports reach, and each profile is
@@ -40,9 +44,9 @@ decides strategy-proofness for every rule-stream check;
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
 tops cells and the exact |M_f| and |D_f| of R1, R2, ``census_rows`` (whose
 per-rule flag bytes ``bit_flags`` spreads from the stage bitsets) and
-``classify --method cells`` (a block of one rule).  The per-rule twins of
-the kernels are the tests' references, apart from ``table_unanimous`` and
-``table_efficient_cells`` here (``classify`` and ``rules`` call them).
+``classify --method cells`` (a block of one rule, as are ``classify``'s
+unanimity and ``rules.efficient_via_tops``).  The per-rule twins of the
+block kernels are the tests' references.
 ``digits_from_code`` turns a rule code into its digits k at a time through
 the table of all k-digit strings that the exhaustive stream also builds its
 blocks from.
@@ -53,10 +57,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import OrderedDict
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, permutations, product
-from operator import add, itemgetter
-from typing import Iterable, Sequence
+from operator import add
 
 from .prefs import check_profile_work
 
@@ -80,9 +84,6 @@ class Space:
         "tops_weights",
         "cell_profile_count",
         "unanimous_cells",
-        "unanimous_outcomes",
-        "unanimous_tops",
-        "cell_tops_mask",
         "cell_tops_sets",
         "dictator_tables",
     )
@@ -112,29 +113,10 @@ class Space:
         self.unanimous_cells = tuple(
             (tc, t[0]) for tc, t in enumerate(self.tops_tuples) if len(set(t)) == 1
         )
-        # m >= 2 cells, so the getter always returns a tuple
-        self.unanimous_outcomes = itemgetter(*(tc for tc, _ in self.unanimous_cells))
-        self.unanimous_tops = tuple(x for _, x in self.unanimous_cells)
-        self.cell_tops_mask = tuple(
-            self._mask(t) for t in self.tops_tuples
-        )
         self.cell_tops_sets = tuple(tuple(sorted(set(t))) for t in self.tops_tuples)
         self.dictator_tables = tuple(
             tuple(t[i] for t in self.tops_tuples) for i in range(n)
         )
-
-    @staticmethod
-    def _mask(tops: tuple[int, ...]) -> int:
-        mask = 0
-        for t in tops:
-            mask |= 1 << t
-        return mask
-
-    def profile_code_of(self, pref_codes: Sequence[int]) -> int:
-        code = 0
-        for p in pref_codes:
-            code = code * self.fact + p
-        return code
 
     def tops_code_of(self, pref_codes: Sequence[int]) -> int:
         code = 0
@@ -307,6 +289,7 @@ def _block_wide_columns(
 
 
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _spread(bits: int, count: int) -> int:
@@ -461,14 +444,10 @@ def block_cell_masks(
 def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:
     """Bitset over profile codes covering every profile in the masked cells."""
     check_profile_work(sp.n, sp.m)
-    bits = 0
-    for tc in range(sp.tops_count):
-        if not (cells_mask >> tc) & 1:
-            continue
-        tops = sp.tops_tuples[tc]
-        for combo in product(*(sp.prefs_with_top[t] for t in tops)):
-            bits |= 1 << sp.profile_code_of(combo)
-    return bits
+    in_mask = [(cells_mask >> tc) & 1 for tc in range(sp.tops_count)]
+    bits = bytes(map(in_mask.__getitem__, profile_tops_codes(sp.n, sp.m)))
+    # reversed: int() reads the most significant digit first
+    return int(bits.translate(_BIT_DIGITS)[::-1], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +510,8 @@ def block_dictators(
 
 
 # ---------------------------------------------------------------------------
-# Whole-rule predicates on one outcome table.
+# Scans of one rule's full table (its outcome per profile code).
 # ---------------------------------------------------------------------------
-
-
-def table_unanimous(table: Table, sp: Space) -> bool:
-    """Every unanimous cell selects the shared top (one C-level comparison)."""
-    return sp.unanimous_outcomes(table) == sp.unanimous_tops
-
-
-def table_efficient_cells(table: Table, sp: Space) -> bool:
-    """Tops-level criterion: every cell selects one of its agents' tops."""
-    masks = sp.cell_tops_mask
-    return all((masks[tc] >> table[tc]) & 1 for tc in range(sp.tops_count))
 
 
 def full_table_manipulation(
@@ -578,6 +546,26 @@ def full_table_manipulation(
                 q = min(hits)
                 return pc, i, q, out, reached[q]
     return None
+
+
+def full_table_dictatorial_count(table: Table, sp: Space) -> int:
+    """|D_f| of a rule given by its outcome per profile code: the profiles at
+    which every agent whose top is not the outcome gets the outcome under all
+    m! misreports, read from the slices ``full_table_manipulation`` reads."""
+    outcomes = bytes(table)
+    fact = sp.fact
+    weights = tuple(fact ** (sp.n - 1 - i) for i in range(sp.n))
+    stays = [bytes((x,)) * fact for x in range(sp.m)]  # every misreport gives x
+    count = 0
+    for pc, pref_codes in enumerate(product(range(fact), repeat=sp.n)):
+        out = outcomes[pc]
+        for p, w in zip(pref_codes, weights):
+            start = pc - p * w
+            if sp.top_of[p] != out and outcomes[start : start + fact * w : w] != stays[out]:
+                break
+        else:
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

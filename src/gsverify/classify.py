@@ -15,22 +15,17 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import _engine
 from ._value import frozen
-from .prefs import (
-    Preference,
-    Profile,
-    enumerate_preferences,
-    enumerate_profiles,
-    preferences_with_top,
-)
+from .prefs import Preference, Profile, enumerate_preferences, preferences_with_top
 from .rules import (
     ManipulationWitness,
     Rule,
     _check_caps,
     _check_same_dims,
+    as_full_table,
     as_tops_table,
     find_dictator,
     is_efficient,
@@ -184,6 +179,8 @@ def classify_all(
             d_set = m_set = None
     else:
         raise ValueError(f"unknown classification method {method!r}")
+    # a block of one rule: bit 0 is the rule's verdict
+    _count, cols = _engine.block_columns(bytes(table), sp)
     return ClassificationSummary(
         rule=rule.to_string(),
         n=rule.n,
@@ -191,7 +188,7 @@ def classify_all(
         m_count=m_count,
         d_count=d_count,
         total=sp.profile_count,
-        unanimous=_engine.table_unanimous(table, sp),
+        unanimous=bool(_engine.block_unanimous(cols, 1, sp)),
         m_set=m_set,
         d_set=d_set,
     )
@@ -203,14 +200,12 @@ def manipulable_profile_count(rule: Rule) -> int:
 
 
 def dictatorial_profile_count(rule: Rule) -> int:
-    """|D_f| for any rule, by the definitional per-profile check."""
-    _check_caps(rule)
+    """|D_f| for any rule: by tops cells for a rule tops-only by construction,
+    else by the definitional per-profile check over its full table."""
     if rule.tops_only_by_construction:
         return classify_all(rule).d_count
-    return sum(
-        1
-        for profile in enumerate_profiles(rule.n, rule.m)
-        if find_dictatorial_violation(rule, profile) is None
+    return _engine.full_table_dictatorial_count(
+        as_full_table(rule).outcomes, _engine.space(rule.n, rule.m)
     )
 
 

@@ -20,10 +20,11 @@ import sys
 from . import classify as classify_mod
 from . import constructions
 from .errors import GsverifyError
-from .prefs import Profile, alternative_name, check_profile_work, enumerate_profiles
+from .prefs import Profile, alternative_name, profile_from_code
 from .rules import (
     ManipulationWitness,
     Rule,
+    as_full_table,
     find_dictator,
     find_efficiency_violation,
     find_manipulation,
@@ -159,9 +160,7 @@ def _witness_payload(witness: ManipulationWitness) -> dict:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, bool]:
     rule = parse_rule(args.rule, args.agents, args.alts)
-    summary = classify_mod.classify_all(
-        rule, materialize_sets=args.sets, method=args.method
-    )
+    summary = classify_mod.classify_all(rule, materialize_sets=True, method=args.method)
     payload = _base_payload(args)
     payload.update(
         {
@@ -181,27 +180,20 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _classification_examples(rule: Rule, summary) -> dict:
-    check_profile_work(rule.n, rule.m)
-    manipulable = None
-    dictatorial = None
-    for profile in enumerate_profiles(rule.n, rule.m):
-        if manipulable is None and summary.m_count > 0:
-            witness = classify_mod.find_profile_manipulation(rule, profile)
-            if witness is not None:
-                manipulable = {
-                    "profile": profile.to_text(),
-                    "witness": _witness_payload(witness),
-                }
-        if dictatorial is None and summary.d_count > 0:
-            if classify_mod.is_dictatorial_profile(rule, profile):
-                dictatorial = {"profile": profile.to_text()}
-        want_manip = summary.m_count > 0
-        want_dict = summary.d_count > 0
-        if (manipulable is not None or not want_manip) and (
-            dictatorial is not None or not want_dict
-        ):
-            break
+    """The lowest-coded manipulable and dictatorial profiles of the summary's
+    sets, the first with its manipulation witness."""
+    manipulable = dictatorial = None
+    if summary.m_set:
+        profile = _lowest_profile(rule, summary.m_set)
+        witness = classify_mod.find_profile_manipulation(rule, profile)
+        manipulable = {"profile": profile.to_text(), "witness": _witness_payload(witness)}
+    if summary.d_set:
+        dictatorial = {"profile": _lowest_profile(rule, summary.d_set).to_text()}
     return {"manipulable": manipulable, "dictatorial": dictatorial}
+
+
+def _lowest_profile(rule: Rule, bits: int) -> Profile:
+    return profile_from_code((bits & -bits).bit_length() - 1, rule.n, rule.m)
 
 
 def _check_scan_options(args: argparse.Namespace) -> None:
@@ -264,10 +256,11 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def _cmd_inspect(args: argparse.Namespace) -> tuple[dict, bool]:
     rule = parse_rule(args.rule, args.agents, args.alts)
-    unanimity_violation = find_unanimity_violation(rule)
-    tops_violation = find_tops_only_violation(rule)
-    efficiency_violation = find_efficiency_violation(rule)
-    manipulation = find_manipulation(rule)
+    table = as_full_table(rule)  # built once; every question scans it
+    unanimity_violation = find_unanimity_violation(table)
+    tops_violation = find_tops_only_violation(table)
+    efficiency_violation = find_efficiency_violation(table)
+    manipulation = find_manipulation(table)
     payload = _base_payload(args)
     payload.update(
         {
@@ -276,7 +269,7 @@ def _cmd_inspect(args: argparse.Namespace) -> tuple[dict, bool]:
             "tops_only": tops_violation is None,
             "efficient": efficiency_violation is None,
             "strategy_proof": manipulation is None,
-            "dictator": find_dictator(rule),
+            "dictator": find_dictator(table),
             "witnesses": {
                 "unanimity": _maybe_text(unanimity_violation),
                 "tops_only": (

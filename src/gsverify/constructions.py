@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain, islice, product
 from operator import and_, or_
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
 
 from . import _engine
 from ._value import DefaultFactory, frozen
@@ -824,9 +824,10 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
     else:
         for rule in _closed_form_library(n, m):
             closed += 1
-            if is_strategy_proof(rule) and is_unanimous(rule):
+            table = as_full_table(rule)  # built once; every question scans it
+            if is_strategy_proof(table) and is_unanimous(table):
                 strategy_proof += 1
-                if closed_form_fails(rule):
+                if closed_form_fails(table):
                     counterexample = {"kind": kind, "rule": rule.to_string()}
                     break
     return unanimous + closed, counterexample, (unanimous, strategy_proof, closed)
@@ -851,9 +852,7 @@ def _verify_l3(n, m, mode, samples, seed, workers):
             r = _low_bit(nobodys_top)
             checks += (efficient & ((2 << r) - 1)).bit_count()
             digits = _rule_at(joined, r, cells)
-            tc = next(
-                tc for tc in range(cells) if not (sp.cell_tops_mask[tc] >> digits[tc]) & 1
-            )
+            tc = next(tc for tc in range(cells) if digits[tc] not in sp.cell_tops_sets[tc])
             counterexample = {
                 "kind": "efficient rule selecting nobody's top",
                 "rule": _rule_string_from_digits(n, m, digits),
@@ -1204,13 +1203,15 @@ def _verify_thm(n, m, mode, samples, seed, workers):
 
 
 def _axiom_values(rule: Rule) -> dict:
-    """The five axiom values of a counterexample certificate."""
+    """The five axiom values of a counterexample certificate, each a scan of
+    the rule's full table, built once."""
+    table = as_full_table(rule)
     return {
-        "unanimous": is_unanimous(rule),
-        "tops_only": is_tops_only(rule),
-        "efficient": is_efficient(rule),
-        "strategy_proof": is_strategy_proof(rule),
-        "dictator": find_dictator(rule),
+        "unanimous": is_unanimous(table),
+        "tops_only": is_tops_only(table),
+        "efficient": is_efficient(table),
+        "strategy_proof": is_strategy_proof(table),
+        "dictator": find_dictator(table),
     }
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import permutations, product
-from typing import Iterator
 
 from ._value import frozen
 from .errors import BudgetExceededError, CapExceededError
@@ -284,10 +284,15 @@ def profile_from_code(code: int, n: int, m: int) -> Profile:
     """Inverse of :attr:`Profile.code` at given (n, m)."""
     check_agent_count(n)
     check_alternative_count(m)
-    fact = math.factorial(m)
-    total = fact**n
+    total = math.factorial(m) ** n
     if not 0 <= code < total:
         raise ValueError(f"profile code {code} out of range [0, {total})")
+    return _decode_profile(code, n, m)
+
+
+def _decode_profile(code: int, n: int, m: int) -> Profile:
+    """:func:`profile_from_code` of a code in range, with n and m already checked."""
+    fact = math.factorial(m)
     codes = []
     rest = code
     for _ in range(n):
@@ -301,26 +306,13 @@ def enumerate_profiles(n: int, m: int) -> Iterator[Profile]:
     """All (m!)^n profiles in ascending profile-code order."""
     check_agent_count(n)
     check_alternative_count(m)
-    prefs = enumerate_preferences(m)
+    prefs = enumerate_preferences(m, cap=m)  # m is checked just above
 
     def gen() -> Iterator[Profile]:
         for combo in product(prefs, repeat=n):
             yield Profile(combo)
 
     return gen()
-
-
-def tops_from_code(code: int, n: int, m: int) -> TopsProfile:
-    """Tops profile of a mixed-radix tops code, agent 0 most significant."""
-    total = m**n
-    if not 0 <= code < total:
-        raise ValueError(f"tops code {code} out of range [0, {total})")
-    tops = []
-    rest = code
-    for _ in range(n):
-        rest, t = divmod(rest, m)
-        tops.append(t)
-    return tuple(reversed(tops))
 
 
 @frozen

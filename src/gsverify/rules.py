@@ -5,11 +5,18 @@ representations: explicit tables over tops profiles or over full profiles,
 plus a small closed-form library (dictator, constant, Borda and two-candidate
 majority with lexicographic tie-breaks).
 
-Every axiom predicate is an exhaustive loop over the finite profile space and
-returns a witness on failure; strategy-proofness runs as the integer scan
-``_engine.full_table_manipulation`` over the rule's full table.  Witness scan
-order is lexicographic in (profile code, agent, misreport code), so failures
-reproduce byte for byte.
+Every axiom predicate scans the rule's full table, ``as_full_table(rule)``:
+the one walk over the whole profile space for one rule, and the one place
+the caps and the profile-work budget are checked.  A full table passed in
+comes back as it is, so a caller asking several questions builds it once.
+Unanimity, tops-onlyness and dictatorship read the tops code of each profile
+(``_engine.profile_tops_codes``), efficiency the enumerated dominated masks of
+``_engine.profile_rows``, and strategy-proofness runs the integer scan
+``_engine.full_table_manipulation``.  A witness is decoded to ``Profile``
+objects only on failure, in a fixed order: (shared top, profile code) for
+unanimity, (tops code, profile code) for tops-onlyness, and profile code
+first for efficiency and strategy-proofness (then agent and misreport code),
+so failures reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ import abc
 import math
 import re
 from itertools import product
-from typing import ClassVar
 
 from . import _engine
 from ._value import frozen
@@ -28,14 +34,12 @@ from .prefs import (
     Preference,
     Profile,
     TopsProfile,
+    _decode_preference,
+    _decode_profile,
     check_agent_count,
     check_alternative_count,
     check_profile_work,
-    enumerate_preferences,
     enumerate_profiles,
-    preferences_with_top,
-    profile_from_code,
-    tops_from_code,
 )
 
 
@@ -48,7 +52,7 @@ class Rule(abc.ABC):
 
     n: int
     m: int
-    tops_only_by_construction: ClassVar[bool] = False
+    tops_only_by_construction: bool = False  # overridden by the tops-only forms
 
     @abc.abstractmethod
     def evaluate(self, profile: Profile) -> Alternative:
@@ -386,21 +390,17 @@ def _check_caps(rule: Rule) -> None:
     check_alternative_count(rule.m)
 
 
-def _check_walk(rule: Rule) -> None:
-    """Caps plus the profile-work budget, before a walk over the profile space."""
-    _check_caps(rule)
-    check_profile_work(rule.n, rule.m)
-
-
 def find_unanimity_violation(rule: Rule) -> Profile | None:
-    """First common-top profile whose outcome is not the shared top."""
-    _check_walk(rule)
-    by_top = [preferences_with_top(rule.m, x) for x in range(rule.m)]
-    for x in range(rule.m):
-        for combo in product(by_top[x], repeat=rule.n):
-            profile = Profile(combo)
-            if rule.evaluate(profile) != x:
-                return profile
+    """First common-top profile whose outcome is not the shared top, in
+    (shared top, profile code) order."""
+    outcomes = as_full_table(rule).outcomes
+    tops_codes = _engine.profile_tops_codes(rule.n, rule.m)
+    shared = dict(_engine.space(rule.n, rule.m).unanimous_cells)  # tops code -> top
+    # agent 0's preferences with top x hold consecutive rank codes, so the
+    # common-top-x profiles all come before those with a higher shared top
+    for pc, (tc, out) in enumerate(zip(tops_codes, outcomes)):
+        if shared.get(tc, out) != out:
+            return _decode_profile(pc, rule.n, rule.m)
     return None
 
 
@@ -408,21 +408,28 @@ def is_unanimous(rule: Rule) -> bool:
     return find_unanimity_violation(rule) is None
 
 
+def _cell_firsts(tops_codes: tuple[int, ...], cells: int) -> list[int]:
+    """The lowest profile code of every tops cell, in tops-code order."""
+    return list(map(tops_codes.index, range(cells)))
+
+
 def find_tops_only_violation(rule: Rule) -> tuple[Profile, Profile] | None:
-    """Two profiles with equal tops and different outcomes, if any exist."""
-    _check_walk(rule)
-    by_top = [preferences_with_top(rule.m, x) for x in range(rule.m)]
-    for tops in product(range(rule.m), repeat=rule.n):
-        first = None
-        first_out = None
-        for combo in product(*(by_top[t] for t in tops)):
-            profile = Profile(combo)
-            out = rule.evaluate(profile)
-            if first is None:
-                first, first_out = profile, out
-            elif out != first_out:
-                return first, profile
-    return None
+    """Two profiles with equal tops and different outcomes, if any exist: in
+    the first tops cell (by tops code) whose outcomes differ, the cell's first
+    profile and its first profile with another outcome."""
+    outcomes = as_full_table(rule).outcomes
+    tops_codes = _engine.profile_tops_codes(rule.n, rule.m)
+    firsts = _cell_firsts(tops_codes, rule.m**rule.n)
+    # a cell's profile codes are not contiguous, so order by (tops code, code)
+    bad = [
+        pc for pc, (tc, out) in enumerate(zip(tops_codes, outcomes))
+        if out != outcomes[firsts[tc]]
+    ]
+    if not bad:
+        return None
+    pc = min(bad, key=tops_codes.__getitem__)
+    first = firsts[tops_codes[pc]]
+    return _decode_profile(first, rule.n, rule.m), _decode_profile(pc, rule.n, rule.m)
 
 
 def is_tops_only(rule: Rule) -> bool:
@@ -438,13 +445,17 @@ def require_tops_only(rule: Rule) -> None:
 
 
 def find_efficiency_violation(rule: Rule) -> tuple[Profile, Alternative] | None:
-    """A profile and an alternative every agent strictly prefers to the outcome."""
-    _check_walk(rule)
-    for profile in enumerate_profiles(rule.n, rule.m):
-        out = rule.evaluate(profile)
-        for x in range(rule.m):
-            if x != out and all(p.prefers(x, out) for p in profile.prefs):
-                return profile, x
+    """A profile and an alternative every agent strictly prefers to the outcome:
+    the first profile code whose outcome is set in its row's enumerated
+    dominated mask, and the lowest alternative that dominates it there."""
+    outcomes = as_full_table(rule).outcomes
+    rows = _engine.profile_rows(rule.n, rule.m)
+    for pc, ((_tc, dominated, _agents), out) in enumerate(zip(rows, outcomes)):
+        if (dominated >> out) & 1:
+            profile = _decode_profile(pc, rule.n, rule.m)
+            for x in range(rule.m):
+                if x != out and all(p.prefers(x, out) for p in profile.prefs):
+                    return profile, x
     return None
 
 
@@ -459,15 +470,10 @@ def efficient_via_tops(rule: Rule) -> bool:
     verifies the equivalence exhaustively.
     """
     table = as_tops_table(rule).outcomes
-    return _engine.table_efficient_cells(table, _engine.space(rule.n, rule.m))
-
-
-def _tops_outcome(rule: Rule, tops: TopsProfile) -> Alternative:
-    if rule.tops_only_by_construction:
-        return rule.evaluate_tops(tops)
-    # any representative profile works once tops-onlyness is established
-    prefs = tuple(preferences_with_top(rule.m, t)[0] for t in tops)
-    return rule.evaluate(Profile(prefs))
+    sp = _engine.space(rule.n, rule.m)
+    # a block of one rule: bit 0 is the rule's verdict
+    _count, cols = _engine.block_columns(bytes(table), sp)
+    return bool(_engine.block_efficient_cells(cols, 1, sp))
 
 
 def find_manipulation(rule: Rule) -> ManipulationWitness | None:
@@ -479,9 +485,9 @@ def find_manipulation(rule: Rule) -> ManipulationWitness | None:
     if found is None:
         return None
     pc, agent, q, sincere, improved = found
-    profile = profile_from_code(pc, rule.n, rule.m)
+    profile = _decode_profile(pc, rule.n, rule.m)
     return ManipulationWitness(
-        profile, agent, enumerate_preferences(rule.m)[q], sincere, improved
+        profile, agent, _decode_preference(q, rule.m), sincere, improved
     )
 
 
@@ -491,12 +497,10 @@ def is_strategy_proof(rule: Rule) -> bool:
 
 def find_dictator(rule: Rule) -> int | None:
     """The dictator's index, or None; unique when it exists."""
-    _check_walk(rule)
-    for i in range(rule.n):
-        if all(
-            rule.evaluate(profile) == profile.prefs[i].top
-            for profile in enumerate_profiles(rule.n, rule.m)
-        ):
+    outcomes = as_full_table(rule).outcomes
+    tops_codes = _engine.profile_tops_codes(rule.n, rule.m)
+    for i, dictated in enumerate(_engine.space(rule.n, rule.m).dictator_tables):
+        if tuple(map(dictated.__getitem__, tops_codes)) == outcomes:
             return i
     return None
 
@@ -511,38 +515,49 @@ def _check_same_dims(f: Rule, g: Rule) -> None:
 def extensionally_equal(f: Rule, g: Rule) -> bool:
     """Same dimensions and identical outcome on every profile."""
     _check_same_dims(f, g)
-    _check_walk(f)
-    return all(
-        f.evaluate(profile) == g.evaluate(profile)
-        for profile in enumerate_profiles(f.n, f.m)
-    )
+    return as_full_table(f).outcomes == as_full_table(g).outcomes
 
 
 def as_tops_table(rule: Rule) -> TopsTableRule:
-    """Materialize a (verified) tops-only rule as an explicit tops table."""
-    _check_caps(rule)
+    """Materialize a (verified) tops-only rule as an explicit tops table.
+
+    A rule tops-only by construction is evaluated at every tops profile; any
+    other rule reads each cell's outcome off its full table at the cell's
+    first profile.
+    """
     if isinstance(rule, TopsTableRule):
         return rule
     require_tops_only(rule)
-    outcomes = tuple(
-        _tops_outcome(rule, tops_from_code(tc, rule.n, rule.m))
-        for tc in range(rule.m**rule.n)
-    )
+    if rule.tops_only_by_construction:
+        outcomes = tuple(map(rule.evaluate_tops, product(range(rule.m), repeat=rule.n)))
+    else:
+        full = as_full_table(rule).outcomes
+        firsts = _cell_firsts(_engine.profile_tops_codes(rule.n, rule.m), rule.m**rule.n)
+        outcomes = tuple(map(full.__getitem__, firsts))
     return TopsTableRule(rule.n, rule.m, outcomes)
 
 
 def as_full_table(rule: Rule) -> FullTableRule:
     """Materialize any rule as an explicit per-profile table.
 
-    A rule tops-only by construction chooses from the tops alone, so every
-    profile code reads its outcome off the rule's tops table at the profile's
-    tops code; any other rule is evaluated at every profile.
+    This is the one walk over a rule's whole profile space, so the caps and
+    the profile-work budget are checked here, once; the predicates above
+    scan its table.  A full table comes back as it is.  A rule tops-only by
+    construction chooses from the tops alone, so every profile code reads
+    its outcome off the rule's tops table at the profile's tops code; any
+    other rule is evaluated at every profile.
     """
-    _check_walk(rule)
+    _check_caps(rule)
+    check_profile_work(rule.n, rule.m)
+    if isinstance(rule, FullTableRule):
+        return rule
     if rule.tops_only_by_construction:
         table = as_tops_table(rule).outcomes
         tops_codes = _engine.profile_tops_codes(rule.n, rule.m)
         outcomes = tuple(map(table.__getitem__, tops_codes))
     else:
-        outcomes = tuple(rule.evaluate(p) for p in enumerate_profiles(rule.n, rule.m))
-    return FullTableRule(rule.n, rule.m, outcomes)
+        outcomes = tuple(map(rule.evaluate, enumerate_profiles(rule.n, rule.m)))
+    # built without ``__post_init__``, which would read the caps again
+    full = object.__new__(FullTableRule)
+    vars(full).update(n=rule.n, m=rule.m, outcomes=outcomes)
+    return full

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from gsverify import _engine, constructions, parse_rule
+import _definitional
+from gsverify import (
+    ConstantRule,
+    DictatorRule,
+    TopsTableRule,
+    _engine,
+    classify_all,
+    cli,
+    constructions,
+    parse_rule,
+)
 from gsverify._engine import space
 from gsverify.cli import run
 from test_engine import (
@@ -209,6 +220,28 @@ class TestClassifyCommand:
         assert set(witness) == {
             "profile", "agent", "misreport", "sincere_outcome", "improved_outcome",
         }
+
+    @pytest.mark.parametrize("method", ["cells", "scan"])
+    def test_examples_equal_the_first_profile_search(self, method):
+        # the lowest bits of the verdict sets against the oracle's walk over
+        # the profiles in code order, witness for witness
+        rng = random.Random(20281)
+        rules = [TopsTableRule(n, 2, t) for n in (2, 3) for t in all_tables(n, 2)]
+        rules += [TopsTableRule(2, 3, tuple(rng.randrange(3) for _ in range(9)))
+                  for _ in range(60)]
+        rules += [DictatorRule(3, 3, 1), ConstantRule(3, 3, 2),
+                  TopsTableRule(3, 3, tuple(rng.randrange(3) for _ in range(27)))]
+        for rule in rules:
+            summary = classify_all(rule, materialize_sets=True, method=method)
+            manipulable, dictatorial = _definitional.classification_examples(rule)
+            expected = {
+                "manipulable": manipulable and {
+                    "profile": manipulable[0].to_text(),
+                    "witness": cli._witness_payload(manipulable[1]),
+                },
+                "dictatorial": dictatorial and {"profile": dictatorial.to_text()},
+            }
+            assert cli._classification_examples(rule, summary) == expected, rule
 
     def test_non_tops_only_rejected(self, capsys):
         code, _, err = invoke(
@@ -573,6 +606,17 @@ class TestModuleEntryPoints:
         )
         done = subprocess.run(
             [sys.executable, "-c", code],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_import_leaves_typing_out(self):
+        # annotations are never evaluated, so nothing needs typing at run
+        # time; -S keeps out the site-packages .pth files that may load it
+        done = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, gsverify.cli; print('typing' in sys.modules)"],
             capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert done.returncode == 0, done.stderr

@@ -18,8 +18,6 @@ from gsverify import (
     decode_preference,
     enumerate_profiles,
     find_manipulation,
-    is_efficient,
-    is_unanimous,
     profile_from_code,
     sample_efficient_tops_tables,
 )
@@ -38,8 +36,6 @@ from gsverify._engine import (
     digits_from_code,
     full_table_manipulation,
     space,
-    table_efficient_cells,
-    table_unanimous,
 )
 
 # verdict bits of the per-rule reference scan, one int per profile
@@ -118,6 +114,18 @@ def table_efficient_definitional(table, sp):
         if (dominated >> table[tc]) & 1:
             return False
     return True
+
+
+def table_unanimous(table, sp):
+    """Per-rule reference for ``block_unanimous``: every unanimous cell selects
+    the shared top."""
+    return all(table[tc] == x for tc, x in sp.unanimous_cells)
+
+
+def table_efficient_cells(table, sp):
+    """Per-rule reference for ``block_efficient_cells``: every cell selects one
+    of its agents' tops."""
+    return all(table[tc] in tops for tc, tops in enumerate(sp.cell_tops_sets))
 
 
 def table_dictator(table, sp):
@@ -203,6 +211,14 @@ def test_full_table_kernel_on_the_closed_forms(n, m):
     assert assert_full_kernel_matches_oracle(library) == n + m
 
 
+def routed_through_the_engine(name):
+    """A predicate or materialiser of ``rules`` or ``classify``: ``find_*``,
+    ``is_*`` or ``as_*_table``."""
+    return name.startswith(("find_", "is_")) or (
+        name.startswith("as_") and name.endswith("_table")
+    )
+
+
 def test_oracle_imports_nothing_from_the_engine():
     tree = ast.parse(Path(_definitional.__file__).read_text())
     imported = []
@@ -213,6 +229,17 @@ def test_oracle_imports_nothing_from_the_engine():
             imported += [node.module or ""]
             imported += [f"{node.module}.{alias.name}" for alias in node.names]
     assert imported and not [name for name in imported if "_engine" in name]
+    # nor any predicate or materialiser of the layers that run through it,
+    # imported by name or reached as a module attribute
+    by_name = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("gsverify", "gsverify.rules", "gsverify.classify")
+        for alias in node.names
+    ]
+    attributes = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert [name for name in by_name + attributes if routed_through_the_engine(name)] == []
 
 
 def test_kernel_matches_object_layer_on_sampled_n3_m3():
@@ -277,7 +304,8 @@ def test_verdict_kernel_matches_object_layer_on_sampled_tables(n, m, count):
 def test_pareto_kernel_matches_object_layer_on_whole_space(n, m):
     sp = space(n, m)
     for t in all_tables(n, m):
-        assert table_efficient_definitional(t, sp) == is_efficient(TopsTableRule(n, m, t)), t
+        oracle = _definitional.find_efficiency_violation(TopsTableRule(n, m, t))
+        assert table_efficient_definitional(t, sp) == (oracle is None), t
 
 
 def test_pareto_kernel_matches_object_layer_on_sampled_n2_m3():
@@ -293,7 +321,9 @@ def test_pareto_kernel_matches_object_layer_on_sampled_n2_m3():
         tables.append(tuple(t))
     tables += constants_and_dictators(2, 3)
     verdicts = [table_efficient_definitional(t, sp) for t in tables]
-    assert verdicts == [is_efficient(TopsTableRule(2, 3, t)) for t in tables]
+    assert verdicts == [
+        _definitional.find_efficiency_violation(TopsTableRule(2, 3, t)) is None for t in tables
+    ]
     assert 0 < sum(verdicts) < len(tables)
 
 
@@ -315,7 +345,9 @@ def test_unanimity_kernel_matches_object_layer(n, m, count):
     tables = seeded_tables(n, m, count, 20264) if count else all_tables(n, m)
     tables += constants_and_dictators(n, m)
     verdicts = [table_unanimous(t, sp) for t in tables]
-    assert verdicts == [is_unanimous(TopsTableRule(n, m, t)) for t in tables]
+    assert verdicts == [
+        _definitional.find_unanimity_violation(TopsTableRule(n, m, t)) is None for t in tables
+    ]
     # the sampled rule stream hands the kernels bytes
     assert verdicts == [table_unanimous(bytes(t), sp) for t in tables]
     assert 0 < sum(verdicts) < len(tables)

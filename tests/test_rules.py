@@ -1,6 +1,8 @@
 """Rule representations, rule strings, and the axiom predicates."""
 
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from gsverify import (
     ConstantRule,
     DictatorRule,
     DimensionMismatchError,
+    FullTableRule,
     MajorityLexRule,
     NotTopsOnlyError,
     Preference,
@@ -18,6 +21,7 @@ from gsverify import (
     TopsTableRule,
     as_full_table,
     as_tops_table,
+    dictatorial_profile_count,
     efficient_via_tops,
     enumerate_profiles,
     enumerate_tops_only_rules,
@@ -34,7 +38,7 @@ from gsverify import (
     parse_rule,
     sample_efficient_tops_tables,
 )
-from gsverify import rules
+from gsverify import prefs, rules
 from gsverify.constructions import _closed_form_library, coalesce, restrict
 
 
@@ -358,3 +362,144 @@ class TestFullTableFromTops:
         monkeypatch.setattr(rules, "enumerate_profiles", refuse)
         assert as_full_table(DictatorRule(3, 4, 0)).outcomes[-1] == 3
         assert find_manipulation(TopsTableRule(2, 3, (0,) * 9)) is None
+
+
+# ---------------------------------------------------------------------------
+# The full-table scans against the object-level oracles.
+# ---------------------------------------------------------------------------
+
+
+def oracle_answers(rule):
+    """Each single-rule question answered by its object-level oracle."""
+    tops_violation = _definitional.find_tops_only_violation(rule)
+    return {
+        "unanimity": _definitional.find_unanimity_violation(rule),
+        "tops_only": tops_violation,
+        "efficiency": _definitional.find_efficiency_violation(rule),
+        "dictator": _definitional.find_dictator(rule),
+        "dictatorial_profiles": _definitional.dictatorial_profile_count(rule),
+        "tops_table": None if tops_violation else _definitional.tops_table(rule),
+    }
+
+
+def scan_answers(rule):
+    """The same questions answered by the scans of the rule's full table."""
+    tops_violation = find_tops_only_violation(rule)
+    return {
+        "unanimity": find_unanimity_violation(rule),
+        "tops_only": tops_violation,
+        "efficiency": find_efficiency_violation(rule),
+        "dictator": find_dictator(rule),
+        "dictatorial_profiles": dictatorial_profile_count(rule),
+        "tops_table": None if tops_violation else as_tops_table(rule).outcomes,
+    }
+
+
+def assert_scans_match_oracles(rules):
+    """Witness for witness, on each rule and on its full table (a full table
+    is not tops-only by construction, so every question scans it); returns
+    how many rules satisfy each axiom."""
+    passed = dict.fromkeys(("unanimity", "tops_only", "efficiency", "dictator"), 0)
+    for rule in rules:
+        expected = oracle_answers(rule)
+        assert scan_answers(rule) == expected, rule
+        table = as_full_table(rule)
+        assert scan_answers(table) == expected, rule
+        for name in passed:
+            passed[name] += (expected[name] is None) != (name == "dictator")
+    # extensional equality of neighbours, and of each rule with its table
+    for f, g in zip(rules, rules[1:] + rules[:1]):
+        if (f.n, f.m) == (g.n, g.m):
+            assert extensionally_equal(f, g) == _definitional.extensionally_equal(f, g)
+        assert extensionally_equal(f, as_full_table(f))
+    return passed
+
+
+def full_tables(n, m):
+    size = math.factorial(m) ** n
+    return [FullTableRule(n, m, t) for t in product(range(m), repeat=size)]
+
+
+def seeded_full_tables(n, m, count, seed):
+    rng = random.Random(seed)
+    size = math.factorial(m) ** n
+    return [FullTableRule(n, m, tuple(rng.randrange(m) for _ in range(size)))
+            for _ in range(count)]
+
+
+def perturbed_tops_tables(n, m, count, seed):
+    """Full tables of dictatorships and of unanimous cell-efficient tops tables,
+    each with one profile's outcome changed: one violation, anywhere."""
+    rng = random.Random(seed)
+    bases = [DictatorRule(n, m, i) for i in range(n)]
+    bases += sample_efficient_tops_tables(n, m, count, seed=seed)
+    rules = []
+    for base in bases:
+        outcomes = list(as_full_table(base).outcomes)
+        pc = rng.randrange(len(outcomes))
+        outcomes[pc] = (outcomes[pc] + rng.randrange(1, m)) % m
+        rules.append(FullTableRule(n, m, tuple(outcomes)))
+    return rules
+
+
+class TestScansAgainstOracles:
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+    def test_every_full_table(self, n, m):
+        rules = full_tables(n, m)
+        assert len(rules) == {2: 16, 3: 256}[n]
+        passed = assert_scans_match_oracles(rules)
+        # at m = 2 a preference is its top: every full table is a tops table
+        assert passed["tops_only"] == len(rules)
+        assert passed["dictator"] == n
+        assert 0 < passed["unanimity"] < len(rules)
+        assert 0 < passed["efficiency"] < len(rules)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+    def test_closed_forms(self, n, m):
+        assert_scans_match_oracles(_closed_form_library(n, m))
+
+    def test_coalesced_and_restricted_rules(self):
+        rng = random.Random(7)
+        table = TopsTableRule(3, 3, tuple(rng.randrange(3) for _ in range(27)))
+        fixed = [Preference((2, 0, 1))]
+        assert_scans_match_oracles([
+            coalesce(table), coalesce(DictatorRule(3, 3, 1)), coalesce(BordaLexRule(3, 3)),
+            restrict(table, fixed), restrict(DictatorRule(3, 3, 2), fixed),
+            restrict(BordaLexRule(3, 3), fixed),
+        ])
+
+    @pytest.mark.parametrize("n,m,count", [(2, 3, 30), (3, 3, 6)])
+    def test_seeded_full_tables(self, n, m, count):
+        assert_scans_match_oracles(seeded_full_tables(n, m, count, 20283))
+
+    @pytest.mark.parametrize("n,m,count", [(2, 3, 40), (3, 3, 10)])
+    def test_perturbed_tops_tables(self, n, m, count):
+        passed = assert_scans_match_oracles(perturbed_tops_tables(n, m, count, 20284))
+        # one changed profile breaks tops-onlyness, and only sometimes the rest
+        assert passed["tops_only"] == 0
+        assert 0 < passed["efficiency"] < count + n
+
+
+class TestCapsReadOnce:
+    """A single-rule question reads the caps at the walk's entry; neither the
+    table built there nor the witness decode reads them again."""
+
+    @pytest.mark.parametrize("question", [
+        find_unanimity_violation, find_tops_only_violation, find_efficiency_violation,
+        find_manipulation, find_dictator,
+    ])
+    def test_at_most_two_reads(self, monkeypatch, question):
+        rules = [
+            TopsTableRule(2, 3, (1, 2, 2, 1, 2, 1, 1, 2, 1)), BordaLexRule(2, 3),
+            DictatorRule(2, 3, 0), ConstantRule(2, 3, 1),
+            as_full_table(BordaLexRule(2, 3)),
+        ]
+        honest = prefs.max_alternatives
+        reads = []
+        monkeypatch.setattr(prefs, "max_alternatives", lambda: reads.append(1) or honest())
+        answered = []
+        for rule in rules:
+            reads.clear()
+            answered.append(question(rule) is not None)
+            assert len(reads) <= 2, (question.__name__, rule)
+        assert any(answered)  # some answer decodes a witness or names a dictator
