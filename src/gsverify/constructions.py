@@ -151,9 +151,10 @@ class _DerivedRule(Rule):
         return self.base.tops_only_by_construction
 
     def to_string(self) -> str:
-        if is_tops_only(self):
-            return as_tops_table(self).to_string()
-        return as_full_table(self).to_string()
+        table = self if self.tops_only_by_construction else as_full_table(self)
+        if is_tops_only(table):
+            return as_tops_table(table).to_string()
+        return table.to_string()
 
 
 @frozen

@@ -471,8 +471,8 @@ def efficient_via_tops(rule: Rule) -> bool:
     """
     table = as_tops_table(rule).outcomes
     sp = _engine.space(rule.n, rule.m)
-    # a block of one rule: bit 0 is the rule's verdict
-    _count, cols = _engine.block_columns(bytes(table), sp)
+    # a block of one rule, asked once: bit 0 is the rule's verdict
+    _count, cols = _engine.block_columns(bytes(table), sp, keep=False)
     return bool(_engine.block_efficient_cells(cols, 1, sp))
 
 
@@ -527,13 +527,14 @@ def as_tops_table(rule: Rule) -> TopsTableRule:
     """
     if isinstance(rule, TopsTableRule):
         return rule
-    require_tops_only(rule)
     if rule.tops_only_by_construction:
         outcomes = tuple(map(rule.evaluate_tops, product(range(rule.m), repeat=rule.n)))
     else:
-        full = as_full_table(rule).outcomes
+        full = as_full_table(rule)
+        if not is_tops_only(full):
+            require_tops_only(rule)  # raises, naming the rule itself
         firsts = _cell_firsts(_engine.profile_tops_codes(rule.n, rule.m), rule.m**rule.n)
-        outcomes = tuple(map(full.__getitem__, firsts))
+        outcomes = tuple(map(full.outcomes.__getitem__, firsts))
     return TopsTableRule(rule.n, rule.m, outcomes)
 
 
