@@ -33,12 +33,16 @@ operations covering the whole block.  ``block_columns`` gives, per tops
 code and outcome, the rules selecting it; the columns of each distinct block
 of an exhaustive stream are computed once and kept in ``COLUMN_MEMO``, at
 most ``COLUMN_MEMO_BYTES`` of them, least recently used evicted first.  The
-kernels that read columns take ``keep``: sampled streams pass
+kernels that read columns take ``keep``: sampled streams and the one-rule
+blocks of ``classify_all`` and ``rules.efficient_via_tops`` pass
 ``keep=False``, because no later call asks for their blocks again, and get
 their columns computed without a memo record.  The block
 predicates (``block_unanimous``, ``block_efficient_cells``,
 ``block_efficient_definitional`` and ``block_dictators``) read these
-columns and answer for the rules of a given bitset.  ``block_manipulable``
+columns and answer for the rules of a given bitset;
+``block_unanimous_digits`` answers ``block_unanimous`` for a whole block
+from the digits of its m unanimous cells, with no columns, so the sampled
+census builds columns only for the unanimous rules it cuts out.  ``block_manipulable``
 decides strategy-proofness for every rule-stream check;
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
@@ -248,18 +252,32 @@ class ColumnMemo:
         return record
 
 
-def _columns_of(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
-    cells = sp.tops_count
-    eq = []  # per outcome x: byte x -> b"1", any other byte -> b"0"
-    for x in range(sp.m):
+@lru_cache(maxsize=None)
+def _outcome_tables(m: int) -> tuple[bytes, ...]:
+    """Per outcome x, the ``translate`` table taking byte x to b"1" and any
+    other byte to b"0"."""
+    tables = []
+    for x in range(m):
         table = bytearray(b"0" * 256)
         table[x] = ord("1")
-        eq.append(table)
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _selecting(column: bytes, table: bytes) -> int:
+    """The rules of a column, one digit per rule, whose digit is the outcome
+    of ``table`` (from ``_outcome_tables``)."""
+    # reversed: int() reads the most significant digit first
+    return int(column.translate(table)[::-1], 2)
+
+
+def _columns_of(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
+    cells = sp.tops_count
+    eq = _outcome_tables(sp.m)
     cols = []
     for c in range(cells):
         col = joined[c::cells]
-        # reversed: int() reads the most significant digit first
-        cols.append(tuple(int(col.translate(t)[::-1], 2) for t in eq))
+        cols.append(tuple(_selecting(col, t) for t in eq))
     return len(joined) // cells, cols
 
 
@@ -461,6 +479,17 @@ def block_unanimous(cols: Sequence[tuple[int, ...]], within: int, sp: Space) -> 
     for tc, x in sp.unanimous_cells:
         within &= cols[tc][x]
     return within
+
+
+def block_unanimous_digits(joined: bytes, sp: Space) -> int:
+    """``block_unanimous`` over every rule of a block, read from the digits
+    of its m unanimous cells alone: no columns are built or kept."""
+    cells = sp.tops_count
+    eq = _outcome_tables(sp.m)
+    unanimous = (1 << (len(joined) // cells)) - 1
+    for tc, x in sp.unanimous_cells:
+        unanimous &= _selecting(joined[tc::cells], eq[x])
+    return unanimous
 
 
 def block_efficient_cells(

@@ -153,9 +153,9 @@ def classify_all(
     table = as_tops_table(rule).outcomes
     sp = _engine.space(rule.n, rule.m)
     if method == "cells":
-        # a block of one rule: each cell's bitset is that rule's bit
+        # a block of one rule, asked once: each cell's bitset is that rule's bit
         nondictatorial, (m_count,), (d_count,) = _engine.block_cell_masks(
-            bytes(table), sp
+            bytes(table), sp, keep=False
         )
         m_mask = sum(bit << tc for tc, bit in enumerate(nondictatorial))
         d_mask = ((1 << sp.tops_count) - 1) ^ m_mask
@@ -164,8 +164,11 @@ def classify_all(
             d_set = _engine.expand_cells_to_profiles(sp, d_mask)
             m_set = _engine.expand_cells_to_profiles(sp, m_mask)
     elif method == "scan":
-        # a block of one rule: each profile's bitsets are that rule's verdicts
-        dictatorial, manipulable = _engine.block_profile_verdicts(bytes(table), sp)
+        # a block of one rule, asked once: each profile's bitsets are that
+        # rule's verdicts
+        dictatorial, manipulable = _engine.block_profile_verdicts(
+            bytes(table), sp, keep=False
+        )
         d_set = sum(bit << pc for pc, bit in enumerate(dictatorial))
         m_set = sum(bit << pc for pc, bit in enumerate(manipulable))
         not_one = (d_set & m_set) | ((1 << sp.profile_count) - 1) & ~(d_set | m_set)
@@ -179,8 +182,8 @@ def classify_all(
             d_set = m_set = None
     else:
         raise ValueError(f"unknown classification method {method!r}")
-    # a block of one rule: bit 0 is the rule's verdict
-    _count, cols = _engine.block_columns(bytes(table), sp)
+    # a block of one rule, asked once: bit 0 is the rule's verdict
+    _count, cols = _engine.block_columns(bytes(table), sp, keep=False)
     return ClassificationSummary(
         rule=rule.to_string(),
         n=rule.n,

@@ -1,4 +1,4 @@
-"""Rule constructions, the tops-table census engine, and the verification suites.
+"""Rule constructions, the tops-table census engine, and ``verify_lemma``.
 
 The census enumerates the tops-table rule space at fixed (n, m) as base-m
 digit strings over the m**n tops cells, counts the cascade
@@ -31,16 +31,21 @@ cell-efficient, dictatorial), and "strategy-proof" cuts just those rules out
 of the block for ``_engine.block_manipulable``, which decides every
 strategy-proofness question.  ``_filter_rules`` maps blocks to the blocks of
 their survivors (``enumerate_tops_only_rules`` and the exhaustive pool of L4
-and R2); the census, L1, C1 and L3 keep the bitsets and count them with
+and R2); the census keeps the bitsets and counts them with
 ``int.bit_count``, ``census_rows`` yields them per block as one flags byte
 per rule (``_engine.bit_flags``), and a census stage that is also a
-prefilter reuses the prefilter's bitset.  L4, L5 and C2 read per-profile
-verdicts (``block_profile_verdicts``), R1, R2 and ``census_rows`` read cell
-counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from
-the profile rows (``block_efficient_definitional``).  L1 and C1 are one scan
-(``_strategy_proof_unanimous_scan``) with their own counterexample kind and
-closed-form test.  C2 counts |M_f| and |D_f| apart, so the duality it
-checks is not built into its counts.
+prefilter reuses the prefilter's bitset.  A census block read once (the
+sampled stream) with no prefilter but unanimity is first cut to its
+unanimous rules, read from the digits of the m unanimous cells alone
+(``_engine.block_unanimous_digits``), and only the cut block's columns are
+built: about one rule in m**(m-1) is unanimous.  Blocks of an exhaustive
+stream keep all their rules, because the memo keeps their columns for the
+next scan of the same blocks.
+
+The nine suite checks live in ``_lemmas``, which ``verify_lemma`` imports
+on its first call; ``VerificationReport``, the counterexample certificate
+``_axiom_values`` and the two-alternative control ``majority_counterexample``
+stay here.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ import os
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import chain, islice, product
-from operator import and_, or_
+from itertools import islice, product
+from operator import or_
 from time import perf_counter
 
 from . import _engine
@@ -62,12 +67,8 @@ from .prefs import (
     check_agent_count,
     check_alternative_count,
     check_profile_work,
-    profile_from_code,
 )
 from .rules import (
-    BordaLexRule,
-    ConstantRule,
-    DictatorRule,
     MajorityLexRule,
     Rule,
     TopsTableRule,
@@ -78,7 +79,6 @@ from .rules import (
     is_strategy_proof,
     is_tops_only,
     is_unanimous,
-    parse_rule,
 )
 
 DEFAULT_RULE_SPACE_BUDGET = 200_000
@@ -631,21 +631,36 @@ def _census_scan(
 
     Per block, each stage is one bitset within the stage before it.  The
     rules passing the prefilters pass those stages already, so a stage that
-    is also a prefilter keeps its input and is not tested again.
+    is also a prefilter keeps its input and is not tested again.  A block
+    read once (not ``keep``) with no prefilter but unanimity is cut to its
+    unanimous rules first, from the unanimous cells' digits, and the rest of
+    the cascade reads the columns of the cut block alone.
     """
     sp = _engine.space(n, m)
     cells = sp.tops_count
     tallies = [0] * len(CENSUS_STAGES)
     survivors: list[tuple[str, bool]] = []
+    cut_first = not keep and filters in ((), ("unanimous",))
+    tested, passed = ((), ("unanimous",)) if cut_first else (filters, filters)
     for _, joined in blocks:
+        if cut_first:
+            unanimous = _engine.block_unanimous_digits(joined, sp)
+            total = unanimous.bit_count() if filters else len(joined) // cells
+            if not unanimous:  # nothing to build columns of
+                tallies[0] += total
+                continue
+            joined = _cut(joined, _bit_indices(unanimous), cells)
         count, cols = _engine.block_columns(joined, sp, keep)
-        kept = _filter_mask(filters, joined, cols, (1 << count) - 1, sp, keep)
+        kept = _filter_mask(tested, joined, cols, (1 << count) - 1, sp, keep)
         cascade = [kept]
         for name in FILTER_NAMES:  # the cascade order
-            if name not in filters:
+            if name not in passed:
                 kept = _stage_mask(name, joined, cols, kept, sp, keep)
             cascade.append(kept)
-        tallies = [t + bits.bit_count() for t, bits in zip(tallies, cascade)]
+        counts = [bits.bit_count() for bits in cascade]
+        if cut_first:
+            counts[0] = total
+        tallies = [t + c for t, c in zip(tallies, counts)]
         strategy_proof, dictatorial = cascade[3], cascade[4]
         for r in _bit_indices(strategy_proof):
             rule = _rule_string_from_digits(n, m, _rule_at(joined, r, cells))
@@ -782,427 +797,6 @@ def _rule_string_from_digits(n: int, m: int, digits: Sequence[int]) -> str:
     return TopsTableRule(n, m, tuple(digits)).to_string()
 
 
-def _verify_l1(n, m, mode, samples, seed, workers):
-    """No unanimous, inefficient, strategy-proof rule may exist."""
-    checks, counterexample, (unanimous, _, closed) = _strategy_proof_unanimous_scan(
-        n, m, mode, samples, seed,
-        "strategy-proof unanimous rule that is not efficient",
-        lambda rule: not is_efficient(rule),
-    )
-    detail = {"unanimous_rules": unanimous, "closed_forms": closed}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_fails):
-    """The scan of L1 and C1: every unanimous rule of the stream, then the
-    closed-form library; stops at the first strategy-proof unanimous rule
-    that is not efficient (``closed_form_fails`` for the closed forms).
-
-    Returns checks, the counterexample of ``kind`` or None, and the counts
-    (unanimous stream rules, strategy-proof unanimous rules, closed forms).
-    """
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
-    keep = mode == "exhaustive"
-    unanimous = strategy_proof = closed = 0
-    counterexample = None
-    for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp, keep)
-        unanimous_rules = _engine.block_unanimous(cols, (1 << count) - 1, sp)
-        sp_rules = _stage_mask("strategy-proof", joined, cols, unanimous_rules, sp, keep)
-        # tops-only (C1) holds by construction over this space
-        inefficient = sp_rules & ~_engine.block_efficient_definitional(cols, sp_rules, sp)
-        if inefficient:
-            r = _low_bit(inefficient)
-            upto = (2 << r) - 1
-            unanimous += (unanimous_rules & upto).bit_count()
-            strategy_proof += (sp_rules & upto).bit_count()
-            rule_string = _rule_string_from_digits(n, m, _rule_at(joined, r, cells))
-            counterexample = {"kind": kind, "rule": rule_string}
-            break
-        unanimous += unanimous_rules.bit_count()
-        strategy_proof += sp_rules.bit_count()
-    else:
-        for rule in _closed_form_library(n, m):
-            closed += 1
-            table = as_full_table(rule)  # built once; every question scans it
-            if is_strategy_proof(table) and is_unanimous(table):
-                strategy_proof += 1
-                if closed_form_fails(table):
-                    counterexample = {"kind": kind, "rule": rule.to_string()}
-                    break
-    return unanimous + closed, counterexample, (unanimous, strategy_proof, closed)
-
-
-def _low_bit(bits: int) -> int:
-    """The position of the lowest set bit of a non-zero int."""
-    return (bits & -bits).bit_length() - 1
-
-
-def _verify_l3(n, m, mode, samples, seed, workers):
-    """Pareto-efficient tops-table rules select some agent's top everywhere."""
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
-    checks = 0
-    counterexample = None
-    for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp, mode == "exhaustive")
-        efficient = _engine.block_efficient_definitional(cols, (1 << count) - 1, sp)
-        nobodys_top = efficient & ~_engine.block_efficient_cells(cols, efficient, sp)
-        if nobodys_top:
-            r = _low_bit(nobodys_top)
-            checks += (efficient & ((2 << r) - 1)).bit_count()
-            digits = _rule_at(joined, r, cells)
-            tc = next(tc for tc in range(cells) if digits[tc] not in sp.cell_tops_sets[tc])
-            counterexample = {
-                "kind": "efficient rule selecting nobody's top",
-                "rule": _rule_string_from_digits(n, m, digits),
-                "tops": list(sp.tops_tuples[tc]),
-                "outcome": digits[tc],
-            }
-            break
-        checks += efficient.bit_count()
-    detail = {"efficient_rules": checks}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _te_blocks(n, m, mode, samples, seed):
-    """Blocks of unanimous and cell-efficient rules; sampled mode draws
-    directly from the cell-efficient space."""
-    sp = _engine.space(n, m)
-    if mode == "exhaustive":
-        blocks = _iter_rule_blocks(n, m, mode, None, None)
-        return _filter_rules(blocks, ("unanimous", "efficient"), sp)
-    return _sampled_efficient_blocks(sp, samples or 0, random.Random(seed))
-
-
-def _sampled_efficient_blocks(
-    sp: _engine.Space, count: int, rng: random.Random
-) -> Iterator[tuple[range, bytes]]:
-    for start in range(0, count, _BLOCK_RULES):
-        stop = min(count, start + _BLOCK_RULES)
-        yield range(start, stop), b"".join(
-            [bytes(_sample_efficient_digits(rng, sp)) for _ in range(start, stop)]
-        )
-
-
-def _dictator_block(sp: _engine.Space) -> tuple[range, bytes]:
-    """The dictatorships as one block, agent 0 first."""
-    return range(sp.n), b"".join(map(bytes, sp.dictator_tables))
-
-
-def _verify_l4(n, m, mode, samples, seed, workers):
-    """Within tops-only efficient rules: every profile dictatorial iff dictatorial."""
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
-    checks = 0
-    counterexample = None
-    dictators = 0
-    keep = mode == "exhaustive"
-    for _, joined in _te_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp, keep)
-        full = (1 << count) - 1
-        dictatorial, _ = _engine.block_profile_verdicts(joined, sp, keep)
-        everywhere = reduce(and_, dictatorial, full)  # every profile dictatorial
-        agents = _engine.block_dictators(cols, full, sp)
-        is_dictator = reduce(or_, agents)
-        mismatch = everywhere ^ is_dictator
-        if mismatch:
-            r = _low_bit(mismatch)
-            checks += r + 1
-            dictators += (is_dictator & ((2 << r) - 1)).bit_count()
-            counterexample = {
-                "kind": "all-profiles-dictatorial mismatch",
-                "rule": _rule_string_from_digits(n, m, _rule_at(joined, r, cells)),
-                "dictatorial_profiles": sum((d >> r) & 1 for d in dictatorial),
-                "profiles": sp.profile_count,
-                "dictator": next(
-                    (i for i, rules in enumerate(agents) if (rules >> r) & 1), None
-                ),
-            }
-            break
-        checks += count
-        dictators += is_dictator.bit_count()
-    detail = {"dictators": dictators}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _l5_block(block: bytes, sp: _engine.Space, keep: bool) -> tuple[int, int, dict | None]:
-    """Rules and checks of the partition scan over one block of rules, which
-    stops at the first failing (rule, profile) in (rule, profile code) order.
-
-    Per profile and rule, the verdict must be exactly one of dictatorial and
-    manipulable, and equal to the verdict at the first profile of its tops
-    cell (which passed, or the scan would have stopped there).
-    """
-    count = len(block) // sp.tops_count
-    full = (1 << count) - 1
-    dictatorial, manipulable = _engine.block_profile_verdicts(block, sp, keep)
-    first_in_cell: dict[int, int] = {}
-    not_one = []
-    failing = []
-    any_failing = 0
-    for pc, (tc, _dominated, _agents) in enumerate(_engine.profile_rows(sp.n, sp.m)):
-        d, mp = dictatorial[pc], manipulable[pc]
-        first = first_in_cell.setdefault(tc, pc)
-        not_one.append(full ^ d ^ mp)
-        failing.append(
-            not_one[pc] | (d ^ dictatorial[first]) | (mp ^ manipulable[first])
-        )
-        any_failing |= failing[pc]
-    if not any_failing:
-        return count, count * sp.profile_count, None
-    r = (any_failing & -any_failing).bit_length() - 1
-    pc = next(pc for pc, bits in enumerate(failing) if (bits >> r) & 1)
-    if (not_one[pc] >> r) & 1:
-        kind = "profile not exactly one of dictatorial/manipulable"
-    else:
-        kind = "verdict not constant on a same-tops cell"
-    cells = sp.tops_count
-    return r + 1, r * sp.profile_count + pc + 1, {
-        "kind": kind,
-        "rule": _rule_string_from_digits(sp.n, sp.m, block[r * cells : (r + 1) * cells]),
-        "profile": profile_from_code(pc, sp.n, sp.m).to_text(),
-        "dictatorial": bool((dictatorial[pc] >> r) & 1),
-        "manipulable": bool((manipulable[pc] >> r) & 1),
-    }
-
-
-def _l5_scan(
-    blocks, n: int, m: int, keep: bool = True
-) -> tuple[list[int], list, dict | None]:
-    """Tallies [rules, checks] of the L5 partition scan over a block stream,
-    up to its first counterexample."""
-    sp = _engine.space(n, m)
-    rules = checks = 0
-    counterexample = None
-    for _, joined in blocks:
-        block_rules, block_checks, counterexample = _l5_block(joined, sp, keep)
-        rules += block_rules
-        checks += block_checks
-        if counterexample:
-            break
-    return [rules, checks], [], counterexample
-
-
-def _verify_l5(n, m, mode, samples, seed, workers):
-    """Partition: per rule and profile, exactly one verdict holds."""
-    (rules, checks), _, counterexample = _scan_rules(
-        _l5_scan, n, m, mode, samples, seed, workers
-    )
-    detail = {"rules": rules, "profiles_per_rule": _engine.space(n, m).profile_count}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _verify_c1(n, m, mode, samples, seed, workers):
-    """Strategy-proof unanimous rules are tops-only and efficient."""
-    checks, counterexample, (_, strategy_proof, closed) = _strategy_proof_unanimous_scan(
-        n, m, mode, samples, seed,
-        "strategy-proof unanimous rule outside tops-only efficient",
-        lambda rule: not (is_tops_only(rule) and is_efficient(rule)),
-    )
-    detail = {"strategy_proof_unanimous": strategy_proof, "closed_forms": closed}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _draw_codes(rng: random.Random, size: int, count: int) -> list[int]:
-    """``[rng.randrange(size) for _ in range(count)]``, drawn as CPython does."""
-    getrandbits, k = rng.getrandbits, size.bit_length()
-    draws = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= size:
-            r = getrandbits(k)
-        draws.append(r)
-    return draws
-
-
-def _verify_c2(n, m, mode, samples, seed, workers):
-    """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
-    size = rule_space_size(n, m)
-    if mode == "exhaustive":
-        pairs = ((f, g) for f in range(size) for g in range(size))
-        position = range(size)  # a rule's counts sit at its code
-        blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
-    else:
-        draws = _draw_codes(random.Random(seed), size, 2 * (samples or 0))  # f, g, f, ...
-        pairs = zip(draws[0::2], draws[1::2])
-        # the distinct codes in first-seen order, each mapped to its position
-        position = dict.fromkeys(draws)
-        for index, code in enumerate(position):
-            position[code] = index
-        first_seen = iter(position)
-        parts = iter(lambda: list(islice(first_seen, _BLOCK_RULES)), [])
-        blocks = (
-            (part, b"".join([_engine.digits_from_code(code, cells, m) for code in part]))
-            for part in parts
-        )
-    m_counts: list[int] = []
-    d_counts: list[int] = []
-    for codes, joined in blocks:
-        # |M_f| and |D_f| counted apart, from the per-profile verdicts
-        dictatorial, manipulable = _engine.block_profile_verdicts(
-            joined, sp, mode == "exhaustive"
-        )
-        m_counts += _engine.bit_counts(manipulable, len(codes))
-        d_counts += _engine.bit_counts(dictatorial, len(codes))
-    checks = 0
-    counterexample = None
-    for f_code, g_code in pairs:
-        f, g = position[f_code], position[g_code]
-        mf, df, mg, dg = m_counts[f], d_counts[f], m_counts[g], d_counts[g]
-        checks += 1
-        if (df >= dg) != (mg >= mf):
-            counterexample = {
-                "kind": "duality violation",
-                "f": _rule_string_from_digits(
-                    n, m, _engine.digits_from_code(f_code, cells, m)
-                ),
-                "g": _rule_string_from_digits(
-                    n, m, _engine.digits_from_code(g_code, cells, m)
-                ),
-                "m_f": mf,
-                "d_f": df,
-                "m_g": mg,
-                "d_g": dg,
-            }
-            break
-    if mode == "exhaustive":
-        distinct = size
-    else:  # the rules met up to the last pair checked
-        distinct = len(set(draws[: 2 * checks]))
-    detail = {"distinct_rules": distinct}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _extremum_scan(records, cells: int, target: int, pick) -> tuple[int, int, tuple | None]:
-    """The order-extremum scan of R1 and R2 over per-block records.
-
-    ``records`` yields ``(joined, flags, hits, values)`` per block: the flag
-    bitset, the bitset of rules whose value is ``target`` (|M_f| = 0, or
-    |D_f| = every profile), and the values.  A rule fails when its flag
-    differs from "value is the target" or from "value is the extremum"
-    (``pick``, min or max, over the whole stream).  Returns the rules, the
-    extremum and ``(index, digits, value, flag)`` of the first failing rule,
-    or None.
-    """
-    records = list(records)
-    total = sum(len(values) for *_, values in records)
-    extremum = pick(pick(values) for *_, values in records)
-    index = 0
-    for joined, flags, hits, values in records:
-        failing = flags ^ hits
-        if extremum != target:  # then no rule hits the target
-            failing = flags | sum(1 << r for r, v in enumerate(values) if v == extremum)
-        if failing:
-            r = _low_bit(failing)
-            found = index + r, _rule_at(joined, r, cells), values[r], bool((flags >> r) & 1)
-            return total, extremum, found
-        index += len(values)
-    return total, extremum, None
-
-
-def _no_cells(nondictatorial: list[int], count: int) -> int:
-    """The rules of a block with no non-dictatorial tops cell: |M_f| = 0."""
-    return ((1 << count) - 1) & ~reduce(or_, nondictatorial, 0)
-
-
-def _verify_r1(n, m, mode, samples, seed, workers):
-    """Strategy-proof iff minimal in the manipulability order (iff M empty)."""
-    sp = _engine.space(n, m)
-    keep = mode == "exhaustive"
-    blocks = _iter_rule_blocks(n, m, mode, samples, seed)
-    if mode == "sampled":
-        # the full pool always contains the dictatorships; anchor the sample
-        blocks = chain(blocks, [_dictator_block(sp)])
-
-    def records():
-        for _, joined in blocks:
-            nondictatorial, m_counts, _ = _engine.block_cell_masks(joined, sp, keep)
-            count = len(m_counts)
-            manipulable = _engine.block_manipulable(joined, sp, keep)
-            strategy_proof = ((1 << count) - 1) & ~manipulable
-            yield joined, strategy_proof, _no_cells(nondictatorial, count), m_counts
-
-    rules, min_m, found = _extremum_scan(records(), sp.tops_count, 0, min)
-    checks = rules
-    counterexample = None
-    if found:
-        index, digits, m_count, strategy_proof = found
-        checks = index + 1
-        counterexample = {
-            "kind": "minimality mismatch",
-            "rule": _rule_string_from_digits(n, m, digits),
-            "m_count": m_count,
-            "min_m_count": min_m,
-            "strategy_proof": strategy_proof,
-        }
-    detail = {"min_m_count": min_m, "rules": rules}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _verify_r2(n, m, mode, samples, seed, workers):
-    """Dictatorial iff maximal in the dictatorial-power order over the
-    tops-only efficient pool (iff every profile is dictatorial)."""
-    sp = _engine.space(n, m)
-    keep = mode == "exhaustive"
-    blocks = _te_blocks(n, m, mode, samples, seed)
-    if mode == "sampled":
-        # the pool always contains the dictatorships; anchor the sample
-        blocks = chain(blocks, [_dictator_block(sp)])
-
-    def records():
-        for _, joined in blocks:
-            count, cols = _engine.block_columns(joined, sp, keep)
-            nondictatorial, _, d_counts = _engine.block_cell_masks(joined, sp, keep)
-            dictatorial = reduce(or_, _engine.block_dictators(cols, (1 << count) - 1, sp))
-            yield joined, dictatorial, _no_cells(nondictatorial, count), d_counts
-
-    pool, max_d, found = _extremum_scan(records(), sp.tops_count, sp.profile_count, max)
-    checks = pool
-    counterexample = None
-    if found:
-        index, digits, d_count, dictatorial = found
-        checks = index + 1
-        counterexample = {
-            "kind": "maximality mismatch",
-            "rule": _rule_string_from_digits(n, m, digits),
-            "d_count": d_count,
-            "max_d_count": max_d,
-            "profiles": sp.profile_count,
-            "dictatorial": dictatorial,
-        }
-    detail = {"pool": pool, "max_d_count": max_d}
-    return counterexample is None, checks, counterexample, detail
-
-
-def _verify_thm(n, m, mode, samples, seed, workers):
-    """Strategy-proof unanimous tops-table rules are exactly the dictatorships."""
-    report = census(n, m, mode=mode, samples=samples, seed=seed, workers=workers)
-    passed = report.sp_equals_dictators
-    counterexample = None
-    if not passed:
-        extra = [
-            r for r in report.strategy_proof_rules if r not in report.dictator_rules
-        ]
-        # prefer a recognizable counterexample (the majority control) when present
-        chosen = next(
-            (r for r in extra if _known_equivalent(parse_rule(r, n, m)) is not None),
-            extra[0],
-        )
-        rule = parse_rule(chosen, n, m)
-        counterexample = {
-            "kind": "strategy-proof unanimous efficient rule with no dictator",
-            "rule": chosen,
-            "equals": _known_equivalent(rule),
-            "certificate": _axiom_values(rule),
-        }
-    detail = {"counts": report.counts()}
-    return passed, report.total, counterexample, detail
-
-
 def _axiom_values(rule: Rule) -> dict:
     """The five axiom values of a counterexample certificate, each a scan of
     the rule's full table, built once."""
@@ -1214,38 +808,6 @@ def _axiom_values(rule: Rule) -> dict:
         "strategy_proof": is_strategy_proof(table),
         "dictator": find_dictator(table),
     }
-
-
-def _known_equivalent(rule: Rule) -> str | None:
-    """Closed-form name of the rule if it matches one, else None."""
-    for candidate in _closed_form_library(rule.n, rule.m):
-        if not candidate.tops_only_by_construction:
-            continue
-        if as_tops_table(candidate).outcomes == as_tops_table(rule).outcomes:
-            return candidate.to_string()
-    return None
-
-
-def _closed_form_library(n: int, m: int) -> list[Rule]:
-    rules: list[Rule] = [DictatorRule(n, m, i) for i in range(n)]
-    rules.extend(ConstantRule(n, m, x) for x in range(m))
-    rules.append(BordaLexRule(n, m))
-    if m == 2:
-        rules.append(MajorityLexRule(n))
-    return rules
-
-
-_LEMMA_IMPLS = {
-    "L1": _verify_l1,
-    "L3": _verify_l3,
-    "L4": _verify_l4,
-    "L5": _verify_l5,
-    "C1": _verify_c1,
-    "C2": _verify_c2,
-    "R1": _verify_r1,
-    "R2": _verify_r2,
-    "THM": _verify_thm,
-}
 
 
 def verify_lemma(
@@ -1265,8 +827,8 @@ def verify_lemma(
     pair space) fits the budget and falls back to seeded sampling otherwise.
     """
     lemma = lemma.upper()
-    if lemma not in _LEMMA_IMPLS:
-        known = ", ".join(sorted(_LEMMA_IMPLS))
+    if lemma not in LEMMA_DESCRIPTIONS:
+        known = ", ".join(sorted(LEMMA_DESCRIPTIONS))
         raise UnknownLemmaError(f"unknown check id {lemma!r}; known ids: {known}")
     check_agent_count(n)
     check_alternative_count(m)
@@ -1277,8 +839,10 @@ def verify_lemma(
         f"{lemma} at (n={n}, m={m})", budget,
     )
     check_profile_work(n, m)
+    from . import _lemmas  # here, not at the top: a census never compiles the runners
+
     t0 = perf_counter()
-    passed, checks, counterexample, detail = _LEMMA_IMPLS[lemma](
+    passed, checks, counterexample, detail = _lemmas._LEMMA_IMPLS[lemma](
         n, m, resolved, eff_samples, eff_seed, workers
     )
     return VerificationReport(

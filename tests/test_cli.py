@@ -611,6 +611,40 @@ class TestModuleEntryPoints:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_only_a_lemma_run_loads_the_runners(self):
+        # the benchmark's tracer reads the six layer modules from sys.modules
+        # right after importing gsverify.cli, and patches every name bound
+        # to a layer function; the lemma runners load on the first
+        # verify_lemma call
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import gsverify.cli\n"
+            "from gsverify import cli, rules\n"
+            "def runners_loaded(argv=None):\n"
+            "    if argv:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert cli.run(argv) == 0\n"
+            "    return 'gsverify._lemmas' in sys.modules\n"
+            "layers = ('prefs', 'rules', '_engine', 'classify', 'constructions', 'cli')\n"
+            "print(json.dumps({\n"
+            "    'layers': [f'gsverify.{name}' in sys.modules for name in layers],\n"
+            "    'bound': cli.find_manipulation is rules.find_manipulation,\n"
+            "    'import': runners_loaded(),\n"
+            "    'census': runners_loaded(['census', '--agents', '3', '--alts', '3',\n"
+            "                              '--mode', 'sampled', '--samples', '500']),\n"
+            "    'csv': runners_loaded(['census', '--format', 'csv', '--verbose']),\n"
+            "    'lemmas': runners_loaded(['lemmas', 'L5', '--workers', '1']),\n"
+            "}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {
+            "layers": [True] * 6, "bound": True, "import": False,
+            "census": False, "csv": False, "lemmas": True,
+        }
+
     def test_import_leaves_typing_out(self):
         # annotations are never evaluated, so nothing needs typing at run
         # time; -S keeps out the site-packages .pth files that may load it

@@ -36,13 +36,12 @@ from gsverify import (
     sample_efficient_tops_tables,
     verify_lemma,
 )
-from gsverify import _engine, constructions
+from gsverify import _engine, _lemmas, constructions
+from gsverify._lemmas import _draw_codes, _l5_scan
 from gsverify.constructions import (
     _BLOCK_WORDS,
-    _draw_codes,
     _filter_rules,
     _iter_rule_blocks,
-    _l5_scan,
     _sampled_blocks,
     census_rows,
 )
@@ -536,10 +535,127 @@ class TestCensus:
         assert payload["note"]
 
 
+def full_column_census(n, m, samples, seed, filters=()):
+    """The sampled census over the full columns of every block: (tallies,
+    strategy-proof rules, dictator rules), each stage tested on every rule of
+    the block that passed the stages before it."""
+    sp = _engine.space(n, m)
+    cells = sp.tops_count
+    ordered = constructions._ordered_filters(filters)
+    tallies = [0] * len(constructions.CENSUS_STAGES)
+    sp_rules, dict_rules = [], []
+    for _, joined in _iter_rule_blocks(n, m, "sampled", samples, seed):
+        count, cols = _engine.block_columns(joined, sp, keep=False)
+        kept = (1 << count) - 1
+        for name in ordered:
+            kept = constructions._stage_mask(name, joined, cols, kept, sp, False)
+        cascade = [kept]
+        for name in constructions.FILTER_NAMES:
+            if name not in ordered:
+                kept = constructions._stage_mask(name, joined, cols, kept, sp, False)
+            cascade.append(kept)
+        tallies = [t + bits.bit_count() for t, bits in zip(tallies, cascade)]
+        for r in range(count):
+            if (cascade[3] >> r) & 1:
+                rule = TopsTableRule(n, m, tuple(joined[r * cells : (r + 1) * cells]))
+                sp_rules.append(rule.to_string())
+                if (cascade[4] >> r) & 1:
+                    dict_rules.append(rule.to_string())
+    return tallies, sp_rules, dict_rules
+
+
+def is_unanimous_digits(digits, sp):
+    return all(digits[tc] == x for tc, x in sp.unanimous_cells)
+
+
+# (n, m, samples per seed): (4,2) and (2,3) samples hold strategy-proof rules
+CUT_SPACES = [(3, 3, 400), (2, 4, 300), (4, 2, 300), (2, 3, 3000)]
+CUT_SEEDS = range(20)
+
+
+class TestCutCascade:
+    """A block read once with no prefilter but unanimity is cut to its
+    unanimous rules before its columns are built; the census must equal the
+    full-column reference."""
+
+    @pytest.mark.parametrize("n,m,samples", CUT_SPACES)
+    @pytest.mark.parametrize("filters", [
+        (), ("unanimous",),  # cut first
+        ("efficient",), ("unanimous", "efficient"), ("dictatorial",),
+        ("strategy-proof",),  # the full path
+    ])
+    def test_equals_the_full_column_reference(self, monkeypatch, n, m, samples, filters):
+        expected = [full_column_census(n, m, samples, seed, filters) for seed in CUT_SEEDS]
+        # the survivors are compared too; at (4,2) only the four dictators are
+        # too rare to be drawn
+        if (n, m) == (2, 3) or (n, m) == (4, 2) and "dictatorial" not in filters:
+            assert any(sp_rules for _, sp_rules, _ in expected)
+        for block_rules in (7, 2048):
+            monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
+            for seed, (tallies, sp_rules, dict_rules) in zip(CUT_SEEDS, expected):
+                report = census(
+                    n, m, mode="sampled", samples=samples, seed=seed, filters=filters
+                )
+                assert list(report.counts().values()) == tallies, (block_rules, seed)
+                assert list(report.strategy_proof_rules) == sp_rules
+                assert list(report.dictator_rules) == dict_rules
+
+    @pytest.mark.parametrize("n,m,samples", CUT_SPACES)
+    @pytest.mark.parametrize("filters", [(), ("unanimous",)])
+    def test_a_block_read_once_builds_columns_of_unanimous_rules_only(
+        self, monkeypatch, n, m, samples, filters
+    ):
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        sp = _engine.space(n, m)
+        cells = sp.tops_count
+        built = []
+        honest_columns = _engine._columns_of
+
+        def spy(joined, sp):
+            built.append(joined)
+            return honest_columns(joined, sp)
+
+        monkeypatch.setattr(_engine, "_columns_of", spy)
+        empty = []
+        honest_unanimous = _engine.block_unanimous_digits
+
+        def watched(joined, sp):
+            unanimous = honest_unanimous(joined, sp)
+            empty.append(not unanimous)
+            return unanimous
+
+        monkeypatch.setattr(_engine, "block_unanimous_digits", watched)
+        report = census(n, m, mode="sampled", samples=samples, seed=5, filters=filters)
+        # the cascade's blocks, and the strategy-proof stage's cut of them
+        rules = [joined[i : i + cells] for joined in built for i in range(0, len(joined), cells)]
+        assert len(rules) >= report.unanimous > 0
+        assert all(is_unanimous_digits(digits, sp) for digits in rules)
+        # every block was asked, and some held no unanimous rule
+        assert len(empty) == -(-samples // 7) and any(empty) and not all(empty)
+        assert report.total == (report.unanimous if filters else samples)
+
+    def test_exhaustive_blocks_keep_their_columns(self, fresh_memo):
+        # the memo keeps an exhaustive block's columns for the next scan, so
+        # the cut is never taken there
+        report = census(2, 3, mode="exhaustive", workers=1)
+        blocks = list(_iter_rule_blocks(2, 3, "exhaustive", None, None))
+        assert report.total == 19683
+        kept = {joined for joined, _sp in fresh_memo.records}
+        assert kept >= {joined for _, joined in blocks}
+
+
 class TestVerifyLemma:
     def test_unknown_id(self):
         with pytest.raises(UnknownLemmaError):
             verify_lemma("L2", 2, 3)
+
+    def test_unknown_id_names_every_runner(self):
+        with pytest.raises(UnknownLemmaError) as raised:
+            verify_lemma("l2", 2, 3)
+        assert str(raised.value) == (
+            "unknown check id 'L2'; known ids: C1, C2, L1, L3, L4, L5, R1, R2, THM"
+        )
+        assert _lemmas._LEMMA_IMPLS.keys() == constructions.LEMMA_DESCRIPTIONS.keys()
 
     @pytest.mark.parametrize(
         "lemma", ["L1", "L3", "L4", "L5", "C1", "C2", "R1", "R2", "THM"]
@@ -923,6 +1039,21 @@ class TestColumnMemo:
         verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1)
         assert fresh_memo.misses > 0
         assert not fresh_memo.records and fresh_memo.size == 0
+
+    def test_one_rule_blocks_leave_the_memo_alone(self, fresh_memo):
+        # classify_all asks about a block of one rule once; keeping it would
+        # evict the suite's blocks
+        verify_lemma("L1", 2, 3, workers=1)
+        keys = list(fresh_memo.records)
+        rng = random.Random(14)
+        for i in range(2000):
+            rule = TopsTableRule(2, 3, tuple(rng.randrange(3) for _ in range(9)))
+            classify_all(rule, method=("cells", "scan")[i % 2])
+        assert list(fresh_memo.records) == keys
+        misses = fresh_memo.misses
+        verify_lemma("L1", 2, 3, workers=1)
+        assert fresh_memo.misses == misses
+        assert list(fresh_memo.records) == keys
 
     def test_exhaustive_stream_stays_within_the_bound(self, monkeypatch):
         limit = 1 << 16  # a quarter of what the (2,3) census would keep

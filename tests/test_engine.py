@@ -21,7 +21,7 @@ from gsverify import (
     profile_from_code,
     sample_efficient_tops_tables,
 )
-from gsverify import _engine, constructions
+from gsverify import _engine, _lemmas, constructions
 from gsverify._engine import (
     bit_counts,
     bit_flags,
@@ -207,7 +207,7 @@ def test_full_table_kernel_on_seeded_full_tables():
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4)])
 def test_full_table_kernel_on_the_closed_forms(n, m):
     # the dictators and the constants are strategy-proof, Borda is not
-    library = constructions._closed_form_library(n, m)
+    library = _lemmas._closed_form_library(n, m)
     assert assert_full_kernel_matches_oracle(library) == n + m
 
 

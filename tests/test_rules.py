@@ -39,7 +39,8 @@ from gsverify import (
     sample_efficient_tops_tables,
 )
 from gsverify import prefs, rules
-from gsverify.constructions import _closed_form_library, coalesce, restrict
+from gsverify._lemmas import _closed_form_library
+from gsverify.constructions import coalesce, restrict
 
 
 def profile(text):
