@@ -38,7 +38,7 @@ prefilter reuses the prefilter's bitset.  A census block read once (the
 sampled stream) with no prefilter but unanimity is first cut to its
 unanimous rules, read from the digits of the m unanimous cells alone
 (``_engine.block_unanimous_digits``), and only the cut block's columns are
-built: about one rule in m**(m-1) is unanimous.  Blocks of an exhaustive
+built: about one rule in m**m is unanimous.  Blocks of an exhaustive
 stream keep all their rules, because the memo keeps their columns for the
 next scan of the same blocks.
 
