@@ -42,8 +42,8 @@ predicates (``block_unanimous``, ``block_efficient_cells``,
 columns and answer for the rules of a given bitset;
 ``block_unanimous_digits`` answers ``block_unanimous`` for a whole block
 from the digits of its m unanimous cells, with no columns, so the sampled
-census builds columns only for the unanimous rules it cuts out.  ``block_manipulable``
-decides strategy-proofness for every rule-stream check;
+census builds columns only for the unanimous rules it cuts out.
+``block_manipulable`` decides strategy-proofness for every rule-stream check;
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
 tops cells and the exact |M_f| and |D_f| of R1, R2, ``census_rows`` (whose

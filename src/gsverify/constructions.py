@@ -641,7 +641,8 @@ def _census_scan(
     tallies = [0] * len(CENSUS_STAGES)
     survivors: list[tuple[str, bool]] = []
     cut_first = not keep and filters in ((), ("unanimous",))
-    tested, passed = ((), ("unanimous",)) if cut_first else (filters, filters)
+    # stages every rule of a (cut) block has passed already
+    passed = ("unanimous",) if cut_first else filters
     for _, joined in blocks:
         if cut_first:
             unanimous = _engine.block_unanimous_digits(joined, sp)
@@ -651,7 +652,9 @@ def _census_scan(
                 continue
             joined = _cut(joined, _bit_indices(unanimous), cells)
         count, cols = _engine.block_columns(joined, sp, keep)
-        kept = _filter_mask(tested, joined, cols, (1 << count) - 1, sp, keep)
+        kept = (1 << count) - 1
+        if not cut_first:
+            kept = _filter_mask(filters, joined, cols, kept, sp, keep)
         cascade = [kept]
         for name in FILTER_NAMES:  # the cascade order
             if name not in passed:

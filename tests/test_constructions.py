@@ -795,6 +795,22 @@ class TestVerifyLemma:
         monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
         assert outputs() == expected
 
+    @pytest.mark.parametrize("lemma", ["L4", "C2"])
+    def test_block_rules_set_on_constructions_reach_the_runners(self, monkeypatch, lemma):
+        # the sampled cell-efficient stream of L4 and the sampled pair codes
+        # of C2 are cut into blocks of constructions._BLOCK_RULES rules
+        sizes = []
+        honest = _engine.block_profile_verdicts
+
+        def spy(joined, sp, keep=True):
+            sizes.append(len(joined) // sp.tops_count)
+            return honest(joined, sp, keep)
+
+        monkeypatch.setattr(_engine, "block_profile_verdicts", spy)
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1)
+        assert len(sizes) > 1 and max(sizes) == 7
+
     # Failing reports when the block manipulation kernel wrongly calls one
     # manipulable rule strategy-proof.  The expected reports are the ones the
     # per-rule scan gave when it was doctored the same way (before the block
