@@ -26,23 +26,24 @@ to its profiles.  The verdict kernel tries every stand-in preference with
 the agent's top; ``block_manipulable`` ranks the reached outcomes by the
 agent's own preference at that profile.
 
-Rule streams go through the rule-block kernels a block at a time: a block is
-its rules' digits back to back in one ``bytes``, and bit r of every bitset
+Rule streams go through the rule-block kernels a block at a time.  A
+``Block`` is one value: its rules' digits back to back in one ``bytes``,
+their codes, and whether the column memo may keep it; bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
-operations covering the whole block.  ``block_columns`` gives, per tops
-code and outcome, the rules selecting it; the columns of each distinct block
-of an exhaustive stream are computed once and kept in ``COLUMN_MEMO``, at
-most ``COLUMN_MEMO_BYTES`` of them, least recently used evicted first.  The
-kernels that read columns take ``keep``: sampled streams and the one-rule
-blocks of ``classify_all`` and ``rules.efficient_via_tops`` pass
-``keep=False``, because no later call asks for their blocks again, and get
-their columns computed without a memo record.  The block
-predicates (``block_unanimous``, ``block_efficient_cells``,
-``block_efficient_definitional`` and ``block_dictators``) read these
-columns and answer for the rules of a given bitset;
-``block_unanimous_digits`` answers ``block_unanimous`` for a whole block
-from the digits of its m unanimous cells, with no columns, so the sampled
-census builds columns only for the unanimous rules it cuts out.
+operations covering the whole block.  ``Block.cols`` gives, per tops code
+and outcome, the rules selecting it.  A block fetches its columns at most
+once; the columns of each distinct block of an exhaustive stream, the only
+blocks built with ``keep=True``, are kept in ``COLUMN_MEMO``, at most
+``COLUMN_MEMO_BYTES`` of them, least recently used evicted first.  The other
+blocks (sampled streams, and the one-rule blocks of ``classify_all`` and
+``rules.efficient_via_tops``) are not asked for again, so their columns are
+computed without a memo record.  This module alone decides what the memo
+keeps.  The block predicates (``block_unanimous``,
+``block_efficient_cells``, ``block_efficient_definitional`` and
+``block_dictators``) read these columns and answer for the rules of a given
+bitset; ``block_unanimous_digits`` answers ``block_unanimous`` for a whole
+block from the digits of its m unanimous cells, with no columns, so the
+sampled census builds columns only for the unanimous rules it cuts out.
 ``block_manipulable`` decides strategy-proofness for every rule-stream check;
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
@@ -152,10 +153,9 @@ def profile_tops_codes(n: int, m: int) -> tuple[int, ...]:
 def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     """One (tops_code, dominated_mask, agents) row per profile code, ascending.
 
-    ``agents`` holds, per agent i, ``(top, base, offsets, stand_ins)``: the
-    agent's top, ``base = tops_code - top * w_i``, the distinct offsets
-    ``top_of[q] * w_i`` over all m! misreports q, and the "ranked strictly
-    above x" masks of every preference with that top.  Bit x of
+    ``agents`` holds, per agent i, ``(top, base, offsets)``: the agent's top,
+    ``base = tops_code - top * w_i``, and the distinct offsets
+    ``top_of[q] * w_i`` over all m! misreports q.  Bit x of
     ``dominated_mask`` is set when some other alternative is ranked above x
     by every agent.  Built on first use, never at import, and only within the
     profile-work budget.
@@ -168,9 +168,6 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
         )
         for pos in sp.position
     )
-    stand_ins = tuple(
-        tuple(above[p] for p in sp.prefs_with_top[t]) for t in range(m)
-    )
     # every misreport's offset, each distinct one kept once: ORing one
     # column twice adds nothing
     offsets = tuple(
@@ -179,7 +176,7 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     )
     cell_agents = tuple(
         tuple(
-            (t, tc - t * w, offs, stand_ins[t])
+            (t, tc - t * w, offs)
             for t, w, offs in zip(tops, sp.tops_weights, offsets)
         )
         for tc, tops in enumerate(sp.tops_tuples)
@@ -238,12 +235,7 @@ class ColumnMemo:
             self.size -= record[3]
             keep = True  # a held block goes back
         if wide and record[2] is None:
-            count, cols = record[0], record[1]
-            record[2] = [
-                sum(s << shift for s, shift in zip(col, range(0, sp.m * count, count)))
-                for col in cols
-            ]
-            record[3] += sum(map(sys.getsizeof, record[2]))
+            record[3] += sum(map(sys.getsizeof, _widen(record, sp.m)))
         if keep:
             self.records[key] = record
             self.size += record[3]
@@ -281,29 +273,87 @@ def _columns_of(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
     return len(joined) // cells, cols
 
 
+def _widen(record: list, m: int) -> list[int]:
+    """Fill in a memo record's wide columns: per tops code, one int holding
+    every outcome's rule bitset, outcome x in bits ``[x * count, (x + 1) * count)``."""
+    count, cols = record[0], record[1]
+    shifts = range(0, m * count, count)
+    record[2] = [sum(s << shift for s, shift in zip(col, shifts)) for col in cols]
+    return record[2]
+
+
 COLUMN_MEMO = ColumnMemo(COLUMN_MEMO_BYTES)
 
 
-def block_columns(
-    joined: bytes, sp: Space, keep: bool = True
-) -> tuple[int, list[tuple[int, ...]]]:
-    """(rules in the block, per tops code the bitset of rules selecting each outcome).
+def bit_indices(bits: int) -> list[int]:
+    """The positions of the set bits of a non-negative int, ascending."""
+    text = format(bits, "b")[::-1]
+    found = []
+    r = text.find("1")
+    while r >= 0:
+        found.append(r)
+        r = text.find("1", r + 1)
+    return found
 
-    ``joined`` holds the block's tables back to back, ``tops_count`` digits
-    each, so ``joined[c::cells]`` is column c: one byte per rule.  Computed
-    once per distinct block and kept in ``COLUMN_MEMO`` if ``keep``.
+
+class Block:
+    """A block of tops-table rules: their digits back to back in ``joined``,
+    ``tops_count`` per rule, so ``joined[c::cells]`` is column c, one byte per
+    rule; their ``codes`` (sample indices when sampled); and whether
+    ``COLUMN_MEMO`` may keep its columns.  Bit r of ``full`` stands for rule r.
+
+    Only the exhaustive stream builds blocks with ``keep=True``: no later call
+    asks for any other block again.  A block fetches its columns from the
+    memo at most once, and its wide columns at most once more.
     """
-    count, cols, _wide, _size = COLUMN_MEMO.lookup(joined, sp, False, keep)
-    return count, cols
 
+    __slots__ = ("sp", "joined", "codes", "count", "full", "keep", "_record")
 
-def _block_wide_columns(
-    joined: bytes, sp: Space, keep: bool
-) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], list[int]]:
-    """``block_columns`` plus, per tops code, one int holding every outcome's
-    rule bitset: outcome x in bits ``[shifts[x], shifts[x] + count)``."""
-    count, cols, wide, _size = COLUMN_MEMO.lookup(joined, sp, True, keep)
-    return count, cols, tuple(range(0, sp.m * count, count)), wide
+    def __init__(self, sp: Space, joined: bytes, codes: Sequence[int], keep: bool = False):
+        self.sp = sp
+        self.joined = joined
+        self.codes = codes
+        self.count = len(joined) // sp.tops_count
+        self.full = (1 << self.count) - 1
+        self.keep = keep
+        self._record = None
+
+    @property
+    def cols(self) -> list[tuple[int, ...]]:
+        """Per tops code, the bitset of rules selecting each outcome."""
+        if self._record is None:
+            self._record = COLUMN_MEMO.lookup(self.joined, self.sp, False, self.keep)
+        return self._record[1]
+
+    @property
+    def wide(self) -> list[int]:
+        """Per tops code, every outcome's rule bitset in one int: outcome x in
+        bits ``[x * count, (x + 1) * count)``."""
+        record = self._record
+        if record is None:
+            record = self._record = COLUMN_MEMO.lookup(self.joined, self.sp, True, self.keep)
+        elif record[2] is None:
+            if COLUMN_MEMO.records.get((self.joined, self.sp)) is record:
+                # the memo fills the record it holds and counts the new bytes
+                COLUMN_MEMO.lookup(self.joined, self.sp, True, self.keep)
+            else:
+                _widen(record, self.sp.m)
+        return record[2]
+
+    def digits(self, r: int) -> bytes:
+        """The digits of rule r."""
+        cells = self.sp.tops_count
+        return self.joined[r * cells : (r + 1) * cells]
+
+    def cut(self, bits: int) -> Block:
+        """The block of the rules in ``bits``, in order, with their codes; the
+        block itself when ``bits`` holds every rule."""
+        if bits == self.full:
+            return self
+        rows = bit_indices(bits)
+        cells, joined = self.sp.tops_count, self.joined
+        cut = b"".join([joined[r * cells : (r + 1) * cells] for r in rows])
+        return Block(self.sp, cut, [self.codes[r] for r in rows], self.keep)
 
 
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -344,9 +394,7 @@ def bit_flags(bitsets: Sequence[int], count: int) -> bytes:
     return lanes.to_bytes(count, "little")
 
 
-def block_profile_verdicts(
-    joined: bytes, sp: Space, keep: bool = True
-) -> tuple[list[int], list[int]]:
+def block_profile_verdicts(block: Block) -> tuple[list[int], list[int]]:
     """(dictatorial, manipulable) rule bitsets per profile code for a block of
     tops-table rules: bit r of entry pc is rule r's verdict at profile pc.
 
@@ -357,9 +405,9 @@ def block_profile_verdicts(
     every stand-in with the agent's top, walked in its ranking order, the
     manipulable rules are those whose outcome is ranked below a reached one.
     """
-    m = sp.m
-    count, cols, shifts, wide = _block_wide_columns(joined, sp, keep)
-    full = (1 << count) - 1
+    sp, m, full = block.sp, block.sp.m, block.full
+    wide, cols = block.wide, block.cols
+    shifts = range(0, m * block.count, block.count)
     orders = tuple(
         tuple(sp.rankings[p] for p in sp.prefs_with_top[t]) for t in range(m)
     )
@@ -368,7 +416,7 @@ def block_profile_verdicts(
     for tc, _dominated, agents in profile_rows(sp.n, m):
         outs = cols[tc]
         powerful = manip = 0
-        for top, base, offsets, _stand_ins in agents:
+        for top, base, offsets in agents:
             reached = 0
             for off in offsets:
                 reached |= wide[base + off]
@@ -393,7 +441,7 @@ def block_profile_verdicts(
     return dictatorial, manipulable
 
 
-def block_manipulable(joined: bytes, sp: Space, keep: bool = True) -> int:
+def block_manipulable(block: Block) -> int:
     """Bitset of the rules of a block that some agent can manipulate (bit r =
     rule r): the rules that are not strategy-proof.
 
@@ -403,15 +451,16 @@ def block_manipulable(joined: bytes, sp: Space, keep: bool = True) -> int:
     there when its outcome is ranked strictly below an outcome it reaches.
     The scan stops early only once every rule of the block is manipulable.
     """
-    count, cols, shifts, wide = _block_wide_columns(joined, sp, keep)
-    full = (1 << count) - 1
+    sp, full = block.sp, block.full
+    wide, cols = block.wide, block.cols
+    shifts = range(0, sp.m * block.count, block.count)
     rankings = sp.rankings
     manip = 0
     for (tc, _dominated, agents), pref_codes in zip(
         profile_rows(sp.n, sp.m), product(range(sp.fact), repeat=sp.n)
     ):
         outs = cols[tc]
-        for (_top, base, offsets, _stand_ins), p in zip(agents, pref_codes):
+        for (_top, base, offsets), p in zip(agents, pref_codes):
             reached = 0
             for off in offsets:
                 reached |= wide[base + off]
@@ -424,9 +473,7 @@ def block_manipulable(joined: bytes, sp: Space, keep: bool = True) -> int:
     return manip
 
 
-def block_cell_masks(
-    joined: bytes, sp: Space, keep: bool = True
-) -> tuple[list[int], list[int], list[int]]:
+def block_cell_masks(block: Block) -> tuple[list[int], list[int], list[int]]:
     """Non-dictatorial-cell rule bitsets per tops code, and |M_f| and |D_f| per rule.
 
     A cell is dictatorial for a rule when every agent whose top is not the
@@ -434,9 +481,7 @@ def block_cell_masks(
     top replaced by each alternative).  Manipulable profiles are the profiles
     of the other cells, ``cell_profile_count`` per cell.
     """
-    m = sp.m
-    count, cols = block_columns(joined, sp, keep)
-    full = (1 << count) - 1
+    sp, m, full, cols = block.sp, block.sp.m, block.full, block.cols
     nondictatorial = []
     for tc, tops in enumerate(sp.tops_tuples):
         lines = [
@@ -454,7 +499,7 @@ def block_cell_masks(
             nd |= outs[x] & ~stays
         nondictatorial.append(nd)
     cpc = sp.cell_profile_count
-    m_counts = [k * cpc for k in bit_counts(nondictatorial, count)]
+    m_counts = [k * cpc for k in bit_counts(nondictatorial, block.count)]
     d_counts = [sp.profile_count - k for k in m_counts]
     return nondictatorial, m_counts, d_counts
 
@@ -469,35 +514,34 @@ def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rule-block predicates over a block's columns (``block_columns``).  Each
+# Rule-block predicates over a block's columns (``Block.cols``).  Each
 # returns the rules of ``within`` that pass, bit r standing for rule r.
 # ---------------------------------------------------------------------------
 
 
-def block_unanimous(cols: Sequence[tuple[int, ...]], within: int, sp: Space) -> int:
+def block_unanimous(block: Block, within: int) -> int:
     """The rules of ``within`` selecting the shared top at every unanimous cell."""
-    for tc, x in sp.unanimous_cells:
+    cols = block.cols
+    for tc, x in block.sp.unanimous_cells:
         within &= cols[tc][x]
     return within
 
 
-def block_unanimous_digits(joined: bytes, sp: Space) -> int:
+def block_unanimous_digits(block: Block) -> int:
     """``block_unanimous`` over every rule of a block, read from the digits
     of its m unanimous cells alone: no columns are built or kept."""
+    sp, joined, unanimous = block.sp, block.joined, block.full
     cells = sp.tops_count
     eq = _outcome_tables(sp.m)
-    unanimous = (1 << (len(joined) // cells)) - 1
     for tc, x in sp.unanimous_cells:
         unanimous &= _selecting(joined[tc::cells], eq[x])
     return unanimous
 
 
-def block_efficient_cells(
-    cols: Sequence[tuple[int, ...]], within: int, sp: Space
-) -> int:
+def block_efficient_cells(block: Block, within: int) -> int:
     """Tops-level criterion: the rules of ``within`` selecting one of the
     agents' tops at every cell."""
-    for outs, tops in zip(cols, sp.cell_tops_sets):
+    for outs, tops in zip(block.cols, block.sp.cell_tops_sets):
         selects_a_top = 0
         for x in tops:
             selects_a_top |= outs[x]
@@ -505,12 +549,11 @@ def block_efficient_cells(
     return within
 
 
-def block_efficient_definitional(
-    cols: Sequence[tuple[int, ...]], within: int, sp: Space
-) -> int:
+def block_efficient_definitional(block: Block, within: int) -> int:
     """Pareto check over every profile: the rules of ``within`` whose outcome no
     alternative beats in every agent's ranking, read from the enumerated
     dominated masks of the rows (never from the tops-cell masks)."""
+    sp, cols = block.sp, block.cols
     alternatives = range(sp.m)
     for tc, dominated, _agents in profile_rows(sp.n, sp.m):
         outs = cols[tc]
@@ -522,11 +565,10 @@ def block_efficient_definitional(
     return within
 
 
-def block_dictators(
-    cols: Sequence[tuple[int, ...]], within: int, sp: Space
-) -> list[int]:
+def block_dictators(block: Block, within: int) -> list[int]:
     """Per agent i, the rules of ``within`` that are agent i's dictatorship:
     they select agent i's top at every cell."""
+    sp, cols = block.sp, block.cols
     dictators = []
     for i in range(sp.n):
         rules = within

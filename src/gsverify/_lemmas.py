@@ -8,8 +8,11 @@ checks, counterexample, detail)``; ``_LEMMA_IMPLS`` maps the check ids of
 ``constructions.LEMMA_DESCRIPTIONS`` to them.
 
 The runners read the rule stream of ``constructions`` (``_iter_rule_blocks``,
-``_filter_rules``, ``_scan_rules``) a block at a time, and every stage is a
-bitset over a block from the kernels of ``_engine``.  L4, L5 and C2 read
+``_filter_rules``, ``_scan_rules``) an ``_engine.Block`` at a time, and
+every stage is a bitset over a block from the kernels of ``_engine``.  The
+blocks they build themselves (the sampled cell-efficient stream of L4 and
+R2, the dictatorships that anchor a sample, and C2's drawn codes) are read
+once, so the memo does not keep them.  L4, L5 and C2 read
 per-profile verdicts (``block_profile_verdicts``), R1 and R2 read cell
 counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from
 the profile rows (``block_efficient_definitional``).  L1 and C1 are one scan
@@ -26,6 +29,7 @@ the closed-form checks.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from functools import reduce
 from itertools import chain, islice
 from operator import and_, or_
@@ -34,7 +38,6 @@ from . import _engine, constructions
 from .constructions import (
     _filter_rules,
     _iter_rule_blocks,
-    _rule_at,
     _rule_string_from_digits,
     _sample_efficient_digits,
     _scan_rules,
@@ -72,23 +75,19 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
     Returns checks, the counterexample of ``kind`` or None, and the counts
     (unanimous stream rules, strategy-proof unanimous rules, closed forms).
     """
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
-    keep = mode == "exhaustive"
     unanimous = strategy_proof = closed = 0
     counterexample = None
-    for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp, keep)
-        unanimous_rules = _engine.block_unanimous(cols, (1 << count) - 1, sp)
-        sp_rules = _stage_mask("strategy-proof", joined, cols, unanimous_rules, sp, keep)
+    for block in _iter_rule_blocks(n, m, mode, samples, seed):
+        unanimous_rules = _engine.block_unanimous(block, block.full)
+        sp_rules = _stage_mask("strategy-proof", block, unanimous_rules)
         # tops-only (C1) holds by construction over this space
-        inefficient = sp_rules & ~_engine.block_efficient_definitional(cols, sp_rules, sp)
+        inefficient = sp_rules & ~_engine.block_efficient_definitional(block, sp_rules)
         if inefficient:
             r = _low_bit(inefficient)
             upto = (2 << r) - 1
             unanimous += (unanimous_rules & upto).bit_count()
             strategy_proof += (sp_rules & upto).bit_count()
-            rule_string = _rule_string_from_digits(n, m, _rule_at(joined, r, cells))
+            rule_string = _rule_string_from_digits(n, m, block.digits(r))
             counterexample = {"kind": kind, "rule": rule_string}
             break
         unanimous += unanimous_rules.bit_count()
@@ -113,18 +112,18 @@ def _low_bit(bits: int) -> int:
 def _verify_l3(n, m, mode, samples, seed, workers):
     """Pareto-efficient tops-table rules select some agent's top everywhere."""
     sp = _engine.space(n, m)
-    cells = sp.tops_count
     checks = 0
     counterexample = None
-    for _, joined in _iter_rule_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp, mode == "exhaustive")
-        efficient = _engine.block_efficient_definitional(cols, (1 << count) - 1, sp)
-        nobodys_top = efficient & ~_engine.block_efficient_cells(cols, efficient, sp)
+    for block in _iter_rule_blocks(n, m, mode, samples, seed):
+        efficient = _engine.block_efficient_definitional(block, block.full)
+        nobodys_top = efficient & ~_engine.block_efficient_cells(block, efficient)
         if nobodys_top:
             r = _low_bit(nobodys_top)
             checks += (efficient & ((2 << r) - 1)).bit_count()
-            digits = _rule_at(joined, r, cells)
-            tc = next(tc for tc in range(cells) if digits[tc] not in sp.cell_tops_sets[tc])
+            digits = block.digits(r)
+            tc = next(
+                tc for tc, tops in enumerate(sp.cell_tops_sets) if digits[tc] not in tops
+            )
             counterexample = {
                 "kind": "efficient rule selecting nobody's top",
                 "rule": _rule_string_from_digits(n, m, digits),
@@ -143,39 +142,34 @@ def _te_blocks(n, m, mode, samples, seed):
     sp = _engine.space(n, m)
     if mode == "exhaustive":
         blocks = _iter_rule_blocks(n, m, mode, None, None)
-        return _filter_rules(blocks, ("unanimous", "efficient"), sp)
+        return _filter_rules(blocks, ("unanimous", "efficient"))
     return _sampled_efficient_blocks(sp, samples or 0, random.Random(seed))
 
 
 def _sampled_efficient_blocks(
     sp: _engine.Space, count: int, rng: random.Random
-) -> Iterator[tuple[range, bytes]]:
+) -> Iterator[_engine.Block]:
     for start in range(0, count, constructions._BLOCK_RULES):
         stop = min(count, start + constructions._BLOCK_RULES)
-        yield range(start, stop), b"".join(
-            [bytes(_sample_efficient_digits(rng, sp)) for _ in range(start, stop)]
-        )
+        tables = [bytes(_sample_efficient_digits(rng, sp)) for _ in range(start, stop)]
+        yield _engine.Block(sp, b"".join(tables), range(start, stop))
 
 
-def _dictator_block(sp: _engine.Space) -> tuple[range, bytes]:
+def _dictator_block(sp: _engine.Space) -> _engine.Block:
     """The dictatorships as one block, agent 0 first."""
-    return range(sp.n), b"".join(map(bytes, sp.dictator_tables))
+    return _engine.Block(sp, b"".join(map(bytes, sp.dictator_tables)), range(sp.n))
 
 
 def _verify_l4(n, m, mode, samples, seed, workers):
     """Within tops-only efficient rules: every profile dictatorial iff dictatorial."""
     sp = _engine.space(n, m)
-    cells = sp.tops_count
     checks = 0
     counterexample = None
     dictators = 0
-    keep = mode == "exhaustive"
-    for _, joined in _te_blocks(n, m, mode, samples, seed):
-        count, cols = _engine.block_columns(joined, sp, keep)
-        full = (1 << count) - 1
-        dictatorial, _ = _engine.block_profile_verdicts(joined, sp, keep)
-        everywhere = reduce(and_, dictatorial, full)  # every profile dictatorial
-        agents = _engine.block_dictators(cols, full, sp)
+    for block in _te_blocks(n, m, mode, samples, seed):
+        dictatorial, _ = _engine.block_profile_verdicts(block)
+        everywhere = reduce(and_, dictatorial, block.full)  # every profile dictatorial
+        agents = _engine.block_dictators(block, block.full)
         is_dictator = reduce(or_, agents)
         mismatch = everywhere ^ is_dictator
         if mismatch:
@@ -184,7 +178,7 @@ def _verify_l4(n, m, mode, samples, seed, workers):
             dictators += (is_dictator & ((2 << r) - 1)).bit_count()
             counterexample = {
                 "kind": "all-profiles-dictatorial mismatch",
-                "rule": _rule_string_from_digits(n, m, _rule_at(joined, r, cells)),
+                "rule": _rule_string_from_digits(n, m, block.digits(r)),
                 "dictatorial_profiles": sum((d >> r) & 1 for d in dictatorial),
                 "profiles": sp.profile_count,
                 "dictator": next(
@@ -192,13 +186,13 @@ def _verify_l4(n, m, mode, samples, seed, workers):
                 ),
             }
             break
-        checks += count
+        checks += block.count
         dictators += is_dictator.bit_count()
     detail = {"dictators": dictators}
     return counterexample is None, checks, counterexample, detail
 
 
-def _l5_block(block: bytes, sp: _engine.Space, keep: bool) -> tuple[int, int, dict | None]:
+def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
     """Rules and checks of the partition scan over one block of rules, which
     stops at the first failing (rule, profile) in (rule, profile code) order.
 
@@ -206,9 +200,8 @@ def _l5_block(block: bytes, sp: _engine.Space, keep: bool) -> tuple[int, int, di
     manipulable, and equal to the verdict at the first profile of its tops
     cell (which passed, or the scan would have stopped there).
     """
-    count = len(block) // sp.tops_count
-    full = (1 << count) - 1
-    dictatorial, manipulable = _engine.block_profile_verdicts(block, sp, keep)
+    sp, count, full = block.sp, block.count, block.full
+    dictatorial, manipulable = _engine.block_profile_verdicts(block)
     first_in_cell: dict[int, int] = {}
     not_one = []
     failing = []
@@ -229,26 +222,22 @@ def _l5_block(block: bytes, sp: _engine.Space, keep: bool) -> tuple[int, int, di
         kind = "profile not exactly one of dictatorial/manipulable"
     else:
         kind = "verdict not constant on a same-tops cell"
-    cells = sp.tops_count
     return r + 1, r * sp.profile_count + pc + 1, {
         "kind": kind,
-        "rule": _rule_string_from_digits(sp.n, sp.m, block[r * cells : (r + 1) * cells]),
+        "rule": _rule_string_from_digits(sp.n, sp.m, block.digits(r)),
         "profile": profile_from_code(pc, sp.n, sp.m).to_text(),
         "dictatorial": bool((dictatorial[pc] >> r) & 1),
         "manipulable": bool((manipulable[pc] >> r) & 1),
     }
 
 
-def _l5_scan(
-    blocks, n: int, m: int, keep: bool = True
-) -> tuple[list[int], list, dict | None]:
+def _l5_scan(blocks, n: int, m: int) -> tuple[list[int], list, dict | None]:
     """Tallies [rules, checks] of the L5 partition scan over a block stream,
     up to its first counterexample."""
-    sp = _engine.space(n, m)
     rules = checks = 0
     counterexample = None
-    for _, joined in blocks:
-        block_rules, block_checks, counterexample = _l5_block(joined, sp, keep)
+    for block in blocks:
+        block_rules, block_checks, counterexample = _l5_block(block)
         rules += block_rules
         checks += block_checks
         if counterexample:
@@ -309,18 +298,18 @@ def _verify_c2(n, m, mode, samples, seed, workers):
         first_seen = iter(position)
         parts = iter(lambda: list(islice(first_seen, constructions._BLOCK_RULES)), [])
         blocks = (
-            (part, b"".join([_engine.digits_from_code(code, cells, m) for code in part]))
+            _engine.Block(
+                sp, b"".join([_engine.digits_from_code(code, cells, m) for code in part]), part
+            )
             for part in parts
         )
     m_counts: list[int] = []
     d_counts: list[int] = []
-    for codes, joined in blocks:
+    for block in blocks:
         # |M_f| and |D_f| counted apart, from the per-profile verdicts
-        dictatorial, manipulable = _engine.block_profile_verdicts(
-            joined, sp, mode == "exhaustive"
-        )
-        m_counts += _engine.bit_counts(manipulable, len(codes))
-        d_counts += _engine.bit_counts(dictatorial, len(codes))
+        dictatorial, manipulable = _engine.block_profile_verdicts(block)
+        m_counts += _engine.bit_counts(manipulable, block.count)
+        d_counts += _engine.bit_counts(dictatorial, block.count)
     checks = 0
     counterexample = None
     for f_code, g_code in pairs:
@@ -350,10 +339,10 @@ def _verify_c2(n, m, mode, samples, seed, workers):
     return counterexample is None, checks, counterexample, detail
 
 
-def _extremum_scan(records, cells: int, target: int, pick) -> tuple[int, int, tuple | None]:
+def _extremum_scan(records, target: int, pick) -> tuple[int, int, tuple | None]:
     """The order-extremum scan of R1 and R2 over per-block records.
 
-    ``records`` yields ``(joined, flags, hits, values)`` per block: the flag
+    ``records`` yields ``(block, flags, hits, values)`` per block: the flag
     bitset, the bitset of rules whose value is ``target`` (|M_f| = 0, or
     |D_f| = every profile), and the values.  A rule fails when its flag
     differs from "value is the target" or from "value is the extremum"
@@ -365,41 +354,38 @@ def _extremum_scan(records, cells: int, target: int, pick) -> tuple[int, int, tu
     total = sum(len(values) for *_, values in records)
     extremum = pick(pick(values) for *_, values in records)
     index = 0
-    for joined, flags, hits, values in records:
+    for block, flags, hits, values in records:
         failing = flags ^ hits
         if extremum != target:  # then no rule hits the target
             failing = flags | sum(1 << r for r, v in enumerate(values) if v == extremum)
         if failing:
             r = _low_bit(failing)
-            found = index + r, _rule_at(joined, r, cells), values[r], bool((flags >> r) & 1)
+            found = index + r, block.digits(r), values[r], bool((flags >> r) & 1)
             return total, extremum, found
         index += len(values)
     return total, extremum, None
 
 
-def _no_cells(nondictatorial: list[int], count: int) -> int:
+def _no_cells(nondictatorial: list[int], block: _engine.Block) -> int:
     """The rules of a block with no non-dictatorial tops cell: |M_f| = 0."""
-    return ((1 << count) - 1) & ~reduce(or_, nondictatorial, 0)
+    return block.full & ~reduce(or_, nondictatorial, 0)
 
 
 def _verify_r1(n, m, mode, samples, seed, workers):
     """Strategy-proof iff minimal in the manipulability order (iff M empty)."""
     sp = _engine.space(n, m)
-    keep = mode == "exhaustive"
     blocks = _iter_rule_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
         blocks = chain(blocks, [_dictator_block(sp)])
 
     def records():
-        for _, joined in blocks:
-            nondictatorial, m_counts, _ = _engine.block_cell_masks(joined, sp, keep)
-            count = len(m_counts)
-            manipulable = _engine.block_manipulable(joined, sp, keep)
-            strategy_proof = ((1 << count) - 1) & ~manipulable
-            yield joined, strategy_proof, _no_cells(nondictatorial, count), m_counts
+        for block in blocks:
+            nondictatorial, m_counts, _ = _engine.block_cell_masks(block)
+            strategy_proof = block.full & ~_engine.block_manipulable(block)
+            yield block, strategy_proof, _no_cells(nondictatorial, block), m_counts
 
-    rules, min_m, found = _extremum_scan(records(), sp.tops_count, 0, min)
+    rules, min_m, found = _extremum_scan(records(), 0, min)
     checks = rules
     counterexample = None
     if found:
@@ -420,20 +406,18 @@ def _verify_r2(n, m, mode, samples, seed, workers):
     """Dictatorial iff maximal in the dictatorial-power order over the
     tops-only efficient pool (iff every profile is dictatorial)."""
     sp = _engine.space(n, m)
-    keep = mode == "exhaustive"
     blocks = _te_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the pool always contains the dictatorships; anchor the sample
         blocks = chain(blocks, [_dictator_block(sp)])
 
     def records():
-        for _, joined in blocks:
-            count, cols = _engine.block_columns(joined, sp, keep)
-            nondictatorial, _, d_counts = _engine.block_cell_masks(joined, sp, keep)
-            dictatorial = reduce(or_, _engine.block_dictators(cols, (1 << count) - 1, sp))
-            yield joined, dictatorial, _no_cells(nondictatorial, count), d_counts
+        for block in blocks:
+            nondictatorial, _, d_counts = _engine.block_cell_masks(block)
+            dictatorial = reduce(or_, _engine.block_dictators(block, block.full))
+            yield block, dictatorial, _no_cells(nondictatorial, block), d_counts
 
-    pool, max_d, found = _extremum_scan(records(), sp.tops_count, sp.profile_count, max)
+    pool, max_d, found = _extremum_scan(records(), sp.profile_count, max)
     checks = pool
     counterexample = None
     if found:

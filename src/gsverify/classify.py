@@ -150,13 +150,11 @@ def classify_all(
     suite compares them.
     """
     _check_caps(rule)
-    table = as_tops_table(rule).outcomes
     sp = _engine.space(rule.n, rule.m)
+    # a block of one rule: each bitset below is that rule's bit
+    block = _engine.Block(sp, bytes(as_tops_table(rule).outcomes), (0,))
     if method == "cells":
-        # a block of one rule, asked once: each cell's bitset is that rule's bit
-        nondictatorial, (m_count,), (d_count,) = _engine.block_cell_masks(
-            bytes(table), sp, keep=False
-        )
+        nondictatorial, (m_count,), (d_count,) = _engine.block_cell_masks(block)
         m_mask = sum(bit << tc for tc, bit in enumerate(nondictatorial))
         d_mask = ((1 << sp.tops_count) - 1) ^ m_mask
         d_set = m_set = None
@@ -164,11 +162,7 @@ def classify_all(
             d_set = _engine.expand_cells_to_profiles(sp, d_mask)
             m_set = _engine.expand_cells_to_profiles(sp, m_mask)
     elif method == "scan":
-        # a block of one rule, asked once: each profile's bitsets are that
-        # rule's verdicts
-        dictatorial, manipulable = _engine.block_profile_verdicts(
-            bytes(table), sp, keep=False
-        )
+        dictatorial, manipulable = _engine.block_profile_verdicts(block)
         d_set = sum(bit << pc for pc, bit in enumerate(dictatorial))
         m_set = sum(bit << pc for pc, bit in enumerate(manipulable))
         not_one = (d_set & m_set) | ((1 << sp.profile_count) - 1) & ~(d_set | m_set)
@@ -182,8 +176,6 @@ def classify_all(
             d_set = m_set = None
     else:
         raise ValueError(f"unknown classification method {method!r}")
-    # a block of one rule, asked once: bit 0 is the rule's verdict
-    _count, cols = _engine.block_columns(bytes(table), sp, keep=False)
     return ClassificationSummary(
         rule=rule.to_string(),
         n=rule.n,
@@ -191,7 +183,7 @@ def classify_all(
         m_count=m_count,
         d_count=d_count,
         total=sp.profile_count,
-        unanimous=bool(_engine.block_unanimous(cols, 1, sp)),
+        unanimous=bool(_engine.block_unanimous(block, 1)),
         m_set=m_set,
         d_set=d_set,
     )
@@ -263,23 +255,22 @@ def remark_dictatorial_maximal(f: Rule, pool: Iterable[Rule]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _checked_bitset(bits: int) -> int:
+    if bits < 0:
+        raise ValueError(f"a profile-code bitset is non-negative, got {bits}")
+    return bits
+
+
 def bitset_codes(bits: int) -> list[int]:
     """Ascending profile codes present in a bitset."""
-    codes = []
-    pc = 0
-    while bits:
-        if bits & 1:
-            codes.append(pc)
-        bits >>= 1
-        pc += 1
-    return codes
+    return _engine.bit_indices(_checked_bitset(bits))
 
 
 def bitset_to_hex(bits: int, total: int) -> str:
     """Fixed-width hex form of a profile-code bitset (bit i = code i)."""
     width = max(1, (total + 3) // 4)
-    return format(bits, f"0{width}x")
+    return format(_checked_bitset(bits), f"0{width}x")
 
 
 def hex_to_bitset(text: str) -> int:
-    return int(text, 16)
+    return _checked_bitset(int(text, 16))

@@ -13,26 +13,28 @@ Rule-space exhaustion is guarded by a budget (``GSVERIFY_MAX_RULE_SPACE``);
 larger spaces run in sampled mode with an explicit seed, and sampled runs
 with the same seed reproduce byte for byte.  Every rule walk reads the one
 rule stream, ``_iter_rule_blocks``, a block of at most ``_BLOCK_RULES``
-rules at a time: the rules' digits back to back in one ``bytes``, with their
-codes.  Exhaustive blocks are runs of ascending codes built from their
-shared leading digits and one table of all k-digit suffixes; sampled blocks
-are consecutive slices of the ``randrange(m)``-per-tops-cell digits of
+rules at a time: an ``_engine.Block``, the rules' digits back to back in one
+``bytes`` with their codes.  Exhaustive blocks are runs of ascending codes
+built from their shared leading digits and one table of all k-digit
+suffixes, and are the only blocks whose columns the memo keeps; sampled
+blocks are consecutive slices of the ``randrange(m)``-per-tops-cell digits of
 ``random.Random(seed)``, drawn a block of generator words at a time (the
 tests pin them to the ``randrange`` loop).  ``_scan_rules`` is the one
 runner that splits an exhaustive stream over worker processes (the census
 and L5 use it); it merges the parts in code order and stops where a serial
-scan stops, so no report depends on ``workers``.
+scan stops, so no report depends on ``workers``.  Blocks never cross a
+process boundary: the workers build their own from the job's code range.
 
 Within a block, bit r of every bitset stands for rule r.  The block's
-columns (``_engine.block_columns``) are computed once, and every cascade
-stage is a bitset over them: ``_stage_mask`` gives the rules of a bitset
-passing one filter, from the block predicates of ``_engine`` (unanimous,
+columns (``_engine.Block.cols``) are computed once, and every cascade stage
+is a bitset over them: ``_stage_mask`` gives the rules of a bitset passing
+one filter, from the block predicates of ``_engine`` (unanimous,
 cell-efficient, dictatorial), and "strategy-proof" cuts just those rules out
-of the block for ``_engine.block_manipulable``, which decides every
-strategy-proofness question.  ``_filter_rules`` maps blocks to the blocks of
-their survivors (``enumerate_tops_only_rules`` and the exhaustive pool of L4
-and R2); the census keeps the bitsets and counts them with
-``int.bit_count``, ``census_rows`` yields them per block as one flags byte
+of the block (``Block.cut``) for ``_engine.block_manipulable``, which
+decides every strategy-proofness question.  ``_filter_rules`` maps blocks to
+the blocks of their survivors (``enumerate_tops_only_rules`` and the
+exhaustive pool of L4 and R2); the census keeps the bitsets and counts them
+with ``int.bit_count``, ``census_rows`` yields them per block as one flags byte
 per rule (``_engine.bit_flags``), and a census stage that is also a
 prefilter reuses the prefilter's bitset.  A census block read once (the
 sampled stream) with no prefilter but unanimity is first cut to its
@@ -225,9 +227,9 @@ def restrict(rule: Rule, fixed: Sequence[Preference]) -> Rule:
 # ---------------------------------------------------------------------------
 
 
-def _check_rule_space(n: int, m: int, budget: int | None = None) -> int:
+def _check_rule_space(n: int, m: int) -> int:
     size = rule_space_size(n, m)
-    limit = rule_space_budget() if budget is None else budget
+    limit = rule_space_budget()
     if size > limit:
         raise BudgetExceededError(
             f"tops-table space at (n={n}, m={m}) holds {size} rules "
@@ -244,10 +246,9 @@ def _resolve_mode(
     seed: int | None,
     default_samples: int,
     what: str,
-    budget: int | None = None,
 ) -> tuple[str, int | None, int | None]:
     """Resolve auto/exhaustive/sampled against the work budget."""
-    limit = rule_space_budget() if budget is None else budget
+    limit = rule_space_budget()
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if samples is not None and samples < 1:
@@ -276,31 +277,31 @@ def _iter_rule_blocks(
     seed: int | None,
     lo: int = 0,
     hi: int | None = None,
-) -> Iterator[tuple[Sequence[int], bytes]]:
-    """(codes-or-indices, joined) per block of candidate rules: the one rule stream.
+) -> Iterator[_engine.Block]:
+    """The blocks of candidate rules: the one rule stream.
 
-    ``joined`` holds a block's tables back to back, one digit per byte, and
-    ``codes`` their rule codes (sample indices when sampled).  Exhaustive
-    mode walks rule codes ``lo <= code < hi`` (``hi`` defaults to the whole
-    space) in ascending order; sampled mode yields the tables of
+    A block's codes are its rule codes (sample indices when sampled).
+    Exhaustive mode walks rule codes ``lo <= code < hi`` (``hi`` defaults to
+    the whole space) in ascending order; sampled mode yields the tables of
     ``_sampled_blocks`` and ignores ``lo`` and ``hi``.
     """
-    cells = _engine.space(n, m).tops_count
+    sp = _engine.space(n, m)
     if mode == "exhaustive":
-        return _exhaustive_blocks(m, cells, lo, rule_space_size(n, m) if hi is None else hi)
-    return _sampled_blocks(m, cells, samples or 0, seed)
+        return _exhaustive_blocks(sp, lo, rule_space_size(n, m) if hi is None else hi)
+    sampled = _sampled_blocks(m, sp.tops_count, samples or 0, seed)
+    return (_engine.Block(sp, joined, codes) for codes, joined in sampled)
 
 
-def _exhaustive_blocks(
-    m: int, cells: int, lo: int, hi: int
-) -> Iterator[tuple[range, bytes]]:
+def _exhaustive_blocks(sp: _engine.Space, lo: int, hi: int) -> Iterator[_engine.Block]:
     """Blocks of the rule codes ``lo <= code < hi``, one per run of codes that
     share their leading digits: ``prefix + prefix.join(suffixes)`` over the
     table of all k-digit suffixes, m**k <= ``_BLOCK_RULES`` (k >= 1).  The
     first and last blocks take a slice of the table when ``lo`` and ``hi`` do
-    not fall on a block boundary."""
+    not fall on a block boundary.  Later scans walk these blocks again, so
+    the memo may keep their columns."""
     if lo >= hi:
         return
+    m, cells = sp.m, sp.tops_count
     k = _engine.digit_width(m, cells, _BLOCK_RULES)
     suffixes = _engine.digit_strings(m, k)
     width = len(suffixes)
@@ -308,12 +309,12 @@ def _exhaustive_blocks(
     prefixes = islice(product(range(m), repeat=cells - k), first, None)
     for start, prefix in zip(range(first * width, hi, width), map(bytes, prefixes)):
         a, b = max(lo - start, 0), min(hi - start, width)
-        yield range(start + a, start + b), prefix + prefix.join(suffixes[a:b])
+        joined = prefix + prefix.join(suffixes[a:b])
+        yield _engine.Block(sp, joined, range(start + a, start + b), keep=True)
 
 
 def _scan_rules(scan, n, m, mode, samples, seed, workers, *args):
-    """Run ``scan(blocks, n, m, *args, keep=...)`` over the rule stream, with
-    ``keep`` true for an exhaustive stream; merge its parts.
+    """Run ``scan(blocks, n, m, *args)`` over the rule stream; merge its parts.
 
     A scan returns ``(tallies, found, counterexample)``: a list of counts, a
     list of findings in stream order, and the counterexample it stopped at or
@@ -357,28 +358,7 @@ def _merge_parts(parts: Iterator[tuple]) -> tuple:
 def _run_scan(job: tuple):
     scan, n, m, mode, samples, seed, lo, hi, args = job
     blocks = _iter_rule_blocks(n, m, mode, samples, seed, lo, hi)
-    return scan(blocks, n, m, *args, keep=mode == "exhaustive")
-
-
-def _bit_indices(bits: int) -> list[int]:
-    """The positions of the set bits, ascending."""
-    text = format(bits, "b")[::-1]
-    found = []
-    r = text.find("1")
-    while r >= 0:
-        found.append(r)
-        r = text.find("1", r + 1)
-    return found
-
-
-def _rule_at(joined: bytes, r: int, cells: int) -> bytes:
-    """The digits of rule r of a block."""
-    return joined[r * cells : (r + 1) * cells]
-
-
-def _cut(joined: bytes, rows: Sequence[int], cells: int) -> bytes:
-    """The block of the listed rules of a block, in the order listed."""
-    return b"".join([joined[r * cells : (r + 1) * cells] for r in rows])
+    return scan(blocks, n, m, *args)
 
 
 # Mersenne Twister words drawn per generator call by the sampled rule stream (32 KB).
@@ -454,7 +434,6 @@ def enumerate_tops_only_rules(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int = 0,
-    budget: int | None = None,
 ) -> Iterator[TopsTableRule]:
     """Stream tops-table rules in ascending rule-code order, optionally filtered.
 
@@ -467,19 +446,16 @@ def enumerate_tops_only_rules(
     ordered = _ordered_filters(filters)
     resolved, eff_samples, eff_seed = _resolve_mode(
         rule_space_size(n, m), mode, samples, seed, DEFAULT_CENSUS_SAMPLES,
-        f"enumeration at (n={n}, m={m})", budget,
+        f"enumeration at (n={n}, m={m})",
     )
     if "strategy-proof" in ordered:
         check_profile_work(n, m)
-    sp = _engine.space(n, m)
 
     def gen() -> Iterator[TopsTableRule]:
         blocks = _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed)
-        cells = sp.tops_count
-        keep = resolved == "exhaustive"
-        for _, joined in _filter_rules(blocks, ordered, sp, keep):
-            for start in range(0, len(joined), cells):
-                yield TopsTableRule(n, m, tuple(joined[start : start + cells]))
+        for block in _filter_rules(blocks, ordered):
+            for r in range(block.count):
+                yield TopsTableRule(n, m, tuple(block.digits(r)))
 
     return gen()
 
@@ -494,75 +470,49 @@ def _ordered_filters(filters: Sequence[str]) -> tuple[str, ...]:
 
 
 def _filter_rules(
-    blocks: Iterable[tuple[Sequence[int], bytes]],
-    filters: tuple[str, ...],
-    sp: _engine.Space,
-    keep: bool = True,
-) -> Iterator[tuple[Sequence[int], bytes]]:
+    blocks: Iterable[_engine.Block], filters: tuple[str, ...]
+) -> Iterator[_engine.Block]:
     """The blocks of a block stream cut down to the rules passing every one of
-    the ordered ``filters``; blocks left empty are dropped.  The kernels keep
-    the blocks' columns in the memo only if ``keep`` (an exhaustive stream)."""
+    the ordered ``filters``; blocks left empty are dropped."""
     if not filters:
         yield from blocks
         return
-    cells = sp.tops_count
-    for codes, joined in blocks:
-        count, cols = _engine.block_columns(joined, sp, keep)
-        full = (1 << count) - 1
-        kept = _filter_mask(filters, joined, cols, full, sp, keep)
-        if kept == full:
-            yield codes, joined
-        elif kept:
-            rows = _bit_indices(kept)
-            yield [codes[r] for r in rows], _cut(joined, rows, cells)
+    for block in blocks:
+        kept = _filter_mask(filters, block, block.full)
+        if kept:
+            yield block.cut(kept)
 
 
-def _filter_mask(
-    filters: Iterable[str],
-    joined: bytes,
-    cols: Sequence[tuple[int, ...]],
-    within: int,
-    sp: _engine.Space,
-    keep: bool = True,
-) -> int:
+def _filter_mask(filters: Iterable[str], block: _engine.Block, within: int) -> int:
     """The rules of ``within`` passing every one of ``filters``, each stage
     tested on the survivors of the stages before it."""
     for name in filters:
-        within = _stage_mask(name, joined, cols, within, sp, keep)
+        within = _stage_mask(name, block, within)
     return within
 
 
-def _stage_mask(
-    name: str,
-    joined: bytes,
-    cols: Sequence[tuple[int, ...]],
-    within: int,
-    sp: _engine.Space,
-    keep: bool = True,
-) -> int:
+def _stage_mask(name: str, block: _engine.Block, within: int) -> int:
     """The rules of ``within`` passing one filter, from the block's columns;
-    "strategy-proof" scans only those rules, cut out of the block, and keeps
-    the columns it reads in the memo only if ``keep``."""
+    "strategy-proof" scans only those rules, cut out of the block."""
     if not within:
         return 0
     if name == "unanimous":
-        return _engine.block_unanimous(cols, within, sp)
+        return _engine.block_unanimous(block, within)
     if name == "efficient":
-        return _engine.block_efficient_cells(cols, within, sp)
+        return _engine.block_efficient_cells(block, within)
     if name == "dictatorial":
-        return reduce(or_, _engine.block_dictators(cols, within, sp))
-    return within & ~_manipulable(joined, within, sp, keep)
+        return reduce(or_, _engine.block_dictators(block, within))
+    return within & ~_manipulable(block, within)
 
 
-def _manipulable(joined: bytes, within: int, sp: _engine.Space, keep: bool) -> int:
+def _manipulable(block: _engine.Block, within: int) -> int:
     """The rules of ``within`` that ``_engine.block_manipulable`` finds
     manipulable; the other rules of the block are not scanned."""
-    cells = sp.tops_count
-    if within == (1 << (len(joined) // cells)) - 1:
-        return _engine.block_manipulable(joined, sp, keep)
-    rows = _bit_indices(within)
-    found = _engine.block_manipulable(_cut(joined, rows, cells), sp, keep)
-    return sum(1 << rows[j] for j in _bit_indices(found))
+    if within == block.full:
+        return _engine.block_manipulable(block)
+    rows = _engine.bit_indices(within)
+    found = _engine.block_manipulable(block.cut(within))
+    return sum(1 << rows[j] for j in _engine.bit_indices(found))
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +570,7 @@ class CensusReport:
 
 
 def _census_scan(
-    blocks: Iterator[tuple[Sequence[int], bytes]],
-    n: int,
-    m: int,
-    filters: tuple[str, ...],
-    keep: bool,
+    blocks: Iterator[_engine.Block], n: int, m: int, filters: tuple[str, ...]
 ) -> tuple[list[int], list[tuple[str, bool]], None]:
     """Cascade tallies in ``CENSUS_STAGES`` order, and (rule string,
     dictatorial) per strategy-proof survivor.
@@ -632,41 +578,38 @@ def _census_scan(
     Per block, each stage is one bitset within the stage before it.  The
     rules passing the prefilters pass those stages already, so a stage that
     is also a prefilter keeps its input and is not tested again.  A block
-    read once (not ``keep``) with no prefilter but unanimity is cut to its
-    unanimous rules first, from the unanimous cells' digits, and the rest of
-    the cascade reads the columns of the cut block alone.
+    read once (one the memo does not keep) with no prefilter but unanimity
+    is cut to its unanimous rules first, from the unanimous cells' digits,
+    and the rest of the cascade reads the columns of the cut block alone.
     """
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
     tallies = [0] * len(CENSUS_STAGES)
     survivors: list[tuple[str, bool]] = []
-    cut_first = not keep and filters in ((), ("unanimous",))
-    # stages every rule of a (cut) block has passed already
-    passed = ("unanimous",) if cut_first else filters
-    for _, joined in blocks:
+    for block in blocks:
+        cut_first = not block.keep and filters in ((), ("unanimous",))
+        # stages every rule of a (cut) block has passed already
+        passed = ("unanimous",) if cut_first else filters
         if cut_first:
-            unanimous = _engine.block_unanimous_digits(joined, sp)
-            total = unanimous.bit_count() if filters else len(joined) // cells
+            unanimous = _engine.block_unanimous_digits(block)
+            total = unanimous.bit_count() if filters else block.count
             if not unanimous:  # nothing to build columns of
                 tallies[0] += total
                 continue
-            joined = _cut(joined, _bit_indices(unanimous), cells)
-        count, cols = _engine.block_columns(joined, sp, keep)
-        kept = (1 << count) - 1
-        if not cut_first:
-            kept = _filter_mask(filters, joined, cols, kept, sp, keep)
+            block = block.cut(unanimous)
+            kept = block.full
+        else:
+            kept = _filter_mask(filters, block, block.full)
         cascade = [kept]
         for name in FILTER_NAMES:  # the cascade order
             if name not in passed:
-                kept = _stage_mask(name, joined, cols, kept, sp, keep)
+                kept = _stage_mask(name, block, kept)
             cascade.append(kept)
         counts = [bits.bit_count() for bits in cascade]
         if cut_first:
             counts[0] = total
         tallies = [t + c for t, c in zip(tallies, counts)]
         strategy_proof, dictatorial = cascade[3], cascade[4]
-        for r in _bit_indices(strategy_proof):
-            rule = _rule_string_from_digits(n, m, _rule_at(joined, r, cells))
+        for r in _engine.bit_indices(strategy_proof):
+            rule = _rule_string_from_digits(n, m, block.digits(r))
             survivors.append((rule, bool((dictatorial >> r) & 1)))
     return tallies, survivors, None
 
@@ -680,7 +623,6 @@ def census(
     seed: int = 0,
     workers: int = 1,
     filters: Sequence[str] = (),
-    budget: int | None = None,
 ) -> CensusReport:
     """Count the axiom cascade over the tops-table rule space.
 
@@ -695,7 +637,7 @@ def census(
     ordered_filters = _ordered_filters(filters)
     resolved, eff_samples, eff_seed = _resolve_mode(
         rule_space_size(n, m), mode, samples, seed, DEFAULT_CENSUS_SAMPLES,
-        f"census at (n={n}, m={m})", budget,
+        f"census at (n={n}, m={m})",
     )
     check_profile_work(n, m)  # the cascade's strategy-proofness stage
     t0 = perf_counter()
@@ -720,7 +662,7 @@ def census(
 
 
 def census_rows(
-    n: int, m: int, filters: Sequence[str] = (), budget: int | None = None
+    n: int, m: int, filters: Sequence[str] = ()
 ) -> Iterator[tuple[Sequence[int], bytes, list[int], list[int]]]:
     """Per-rule census detail, one record per rule block (exhaustive only).
 
@@ -731,30 +673,25 @@ def census_rows(
     """
     check_agent_count(n)
     check_alternative_count(m)
-    _check_rule_space(n, m, budget)
+    _check_rule_space(n, m)
     ordered = _ordered_filters(filters)
     check_profile_work(n, m)  # the strategy-proof column
-    sp = _engine.space(n, m)
 
     def gen() -> Iterator[tuple[Sequence[int], bytes, list[int], list[int]]]:
-        for codes, joined in _iter_rule_blocks(n, m, "exhaustive", None, None):
-            count, cols = _engine.block_columns(joined, sp)
-            full = (1 << count) - 1
-            kept = _filter_mask(ordered, joined, cols, full, sp)
+        for block in _iter_rule_blocks(n, m, "exhaustive", None, None):
+            kept = _filter_mask(ordered, block, block.full)
             if not kept:
                 continue
             # a column that is also a prefilter holds for every kept rule
             flags = _engine.bit_flags([
-                kept if name in ordered else _stage_mask(name, joined, cols, kept, sp)
+                kept if name in ordered else _stage_mask(name, block, kept)
                 for name in FILTER_NAMES
-            ], count)
-            if kept != full:
-                rows = _bit_indices(kept)
-                codes = [codes[r] for r in rows]
-                flags = _cut(flags, rows, 1)
-                joined = _cut(joined, rows, sp.tops_count)
-            _, m_counts, d_counts = _engine.block_cell_masks(joined, sp)
-            yield codes, flags, m_counts, d_counts
+            ], block.count)
+            if kept != block.full:
+                flags = bytes(map(flags.__getitem__, _engine.bit_indices(kept)))
+                block = block.cut(kept)
+            _, m_counts, d_counts = _engine.block_cell_masks(block)
+            yield block.codes, flags, m_counts, d_counts
 
     return gen()
 
@@ -822,7 +759,6 @@ def verify_lemma(
     samples: int | None = None,
     seed: int = 0,
     workers: int = 1,
-    budget: int | None = None,
 ) -> VerificationReport:
     """Run one suite check and report pass/fail with any counterexample.
 
@@ -839,7 +775,7 @@ def verify_lemma(
     required = size * size if lemma == "C2" else size
     resolved, eff_samples, eff_seed = _resolve_mode(
         required, mode, samples, seed, _DEFAULT_SAMPLES[lemma],
-        f"{lemma} at (n={n}, m={m})", budget,
+        f"{lemma} at (n={n}, m={m})",
     )
     check_profile_work(n, m)
     from . import _lemmas  # here, not at the top: a census never compiles the runners

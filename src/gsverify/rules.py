@@ -469,11 +469,10 @@ def efficient_via_tops(rule: Rule) -> bool:
     Must agree with :func:`is_efficient` on tops-only rules; the test suite
     verifies the equivalence exhaustively.
     """
-    table = as_tops_table(rule).outcomes
     sp = _engine.space(rule.n, rule.m)
-    # a block of one rule, asked once: bit 0 is the rule's verdict
-    _count, cols = _engine.block_columns(bytes(table), sp, keep=False)
-    return bool(_engine.block_efficient_cells(cols, 1, sp))
+    # a block of one rule: bit 0 is the rule's verdict
+    block = _engine.Block(sp, bytes(as_tops_table(rule).outcomes), (0,))
+    return bool(_engine.block_efficient_cells(block, 1))
 
 
 def find_manipulation(rule: Rule) -> ManipulationWitness | None:

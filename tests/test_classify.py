@@ -200,6 +200,15 @@ class TestBitsets:
         assert len(hex_form) == 9
         assert hex_to_bitset(hex_form) == summary.m_set
 
+    @pytest.mark.parametrize("call", [
+        lambda: bitset_codes(-1),
+        lambda: bitset_to_hex(-1, 36),
+        lambda: hex_to_bitset("-1"),
+    ])
+    def test_negative_bitsets_are_rejected(self, call):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            call()
+
 
 class TestOrders:
     def test_any_rule_at_least_as_manipulable_as_dictator(self):

@@ -71,11 +71,10 @@ def doctor_block_verdicts(monkeypatch, target, doctored):
     honest = _engine.block_profile_verdicts
     target = bytes(target)
 
-    def doctored_verdicts(block, sp, keep=True):
-        dictatorial, manipulable = honest(block, sp, keep)
-        cells = sp.tops_count
-        for r in range(len(block) // cells):
-            if block[r * cells : (r + 1) * cells] != target:
+    def doctored_verdicts(block):
+        dictatorial, manipulable = honest(block)
+        for r in range(block.count):
+            if block.digits(r) != target:
                 continue
             bit = 1 << r
             for pc, verdict in doctored.items():
@@ -96,11 +95,10 @@ def doctor_block_manipulable(monkeypatch, target):
     honest = _engine.block_manipulable
     target = bytes(target)
 
-    def doctored(block, sp, keep=True):
-        manipulable = honest(block, sp, keep)
-        cells = sp.tops_count
-        for r in range(len(block) // cells):
-            if block[r * cells : (r + 1) * cells] == target:
+    def doctored(block):
+        manipulable = honest(block)
+        for r in range(block.count):
+            if block.digits(r) == target:
                 assert (manipulable >> r) & 1, "the doctored rule is manipulable"
                 manipulable &= ~(1 << r)
         return manipulable
@@ -114,13 +112,12 @@ def doctor_block_cell_masks(monkeypatch, target=None):
     counts to match."""
     honest = _engine.block_cell_masks
 
-    def doctored(joined, sp, keep=True):
-        nondictatorial, m_counts, d_counts = honest(joined, sp, keep)
-        cells = sp.tops_count
-        for r in range(len(m_counts)):
-            if target is None or joined[r * cells : (r + 1) * cells] == bytes(target):
+    def doctored(block):
+        nondictatorial, m_counts, d_counts = honest(block)
+        for r in range(block.count):
+            if target is None or block.digits(r) == bytes(target):
                 nondictatorial = [bits | (1 << r) for bits in nondictatorial]
-                m_counts[r], d_counts[r] = sp.profile_count, 0
+                m_counts[r], d_counts[r] = block.sp.profile_count, 0
         return nondictatorial, m_counts, d_counts
 
     monkeypatch.setattr(_engine, "block_cell_masks", doctored)
@@ -140,16 +137,16 @@ def count_block_predicates(monkeypatch):
         "block_dictators",
     ):
 
-        def counted(cols, within, sp, honest=getattr(_engine, name), name=name):
+        def counted(block, within, honest=getattr(_engine, name), name=name):
             asked[name] += within.bit_count()
-            return honest(cols, within, sp)
+            return honest(block, within)
 
         monkeypatch.setattr(_engine, name, counted)
     honest_manipulable = _engine.block_manipulable
 
-    def counted_manipulable(joined, sp, keep=True):
-        asked["block_manipulable"] += len(joined) // sp.tops_count
-        return honest_manipulable(joined, sp, keep)
+    def counted_manipulable(block):
+        asked["block_manipulable"] += block.count
+        return honest_manipulable(block)
 
     monkeypatch.setattr(_engine, "block_manipulable", counted_manipulable)
     return asked
@@ -263,9 +260,9 @@ class TestEnumeration:
         ]
         asked = count_block_predicates(monkeypatch)
         blocks = _iter_rule_blocks(2, 3, "exhaustive", None, None)
-        kept = list(_filter_rules(blocks, ("unanimous", "efficient"), _engine.space(2, 3)))
-        assert sum(len(codes) for codes, _ in kept) == 64
-        assert b"".join(joined for _, joined in kept) == b"".join(tables)
+        kept = list(_filter_rules(blocks, ("unanimous", "efficient")))
+        assert sum(len(block.codes) for block in kept) == 64
+        assert b"".join(block.joined for block in kept) == b"".join(tables)
         assert asked == {"block_unanimous": 19683, "block_efficient_cells": 729}
 
     def test_dictatorial_filter(self):
@@ -330,20 +327,18 @@ class TestSampledStream:
         for seed in (0, 1, 7, -5, 2**40 + 3):
             for count in (0, 1, several_blocks):
                 blocks = list(_iter_rule_blocks(n, m, "sampled", count, seed))
-                assert all(type(joined) is bytes for _, joined in blocks)
-                assert [i for indices, _ in blocks for i in indices] == list(range(count))
-                assert all(
-                    len(joined) == len(indices) * m**n for indices, joined in blocks
-                )
-                assert b"".join(joined for _, joined in blocks) == b"".join(
+                assert all(type(block.joined) is bytes for block in blocks)
+                assert [i for block in blocks for i in block.codes] == list(range(count))
+                assert all(len(block.joined) == len(block.codes) * m**n for block in blocks)
+                assert b"".join(block.joined for block in blocks) == b"".join(
                     map(bytes, randrange_tables(n, m, count, seed))
                 ), (seed, count)
 
     def test_blocks_hold_at_most_block_rules(self, monkeypatch):
         monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
         blocks = list(_iter_rule_blocks(3, 3, "sampled", 100, 5))
-        assert [len(indices) for indices, _ in blocks] == [7] * 14 + [2]
-        assert b"".join(joined for _, joined in blocks) == b"".join(
+        assert [len(block.codes) for block in blocks] == [7] * 14 + [2]
+        assert b"".join(block.joined for block in blocks) == b"".join(
             map(bytes, randrange_tables(3, 3, 100, 5))
         )
 
@@ -382,12 +377,13 @@ class TestExhaustiveStream:
             monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
             # kept as a list: no yield may be changed by a later one
             blocks = list(_iter_rule_blocks(n, m, "exhaustive", None, None, lo, hi))
-            assert [code for block_codes, _ in blocks for code in block_codes] == codes
+            assert [code for block in blocks for code in block.codes] == codes
             assert all(
-                0 < len(block_codes) <= block_rules and len(joined) == len(block_codes) * cells
-                for block_codes, joined in blocks
+                0 < len(block.codes) <= block_rules
+                and len(block.joined) == len(block.codes) * cells
+                for block in blocks
             )
-            assert b"".join(joined for _, joined in blocks) == b"".join(
+            assert b"".join(block.joined for block in blocks) == b"".join(
                 bytes(per_digit_loop(code, cells, m)) for code in codes
             )
 
@@ -462,10 +458,10 @@ class TestCensus:
         # strategy-proof (2,3) rules: the 2 dictators and the 3 constants
         honest = _engine.block_cell_masks
 
-        def no_manipulable_cells(joined, sp):
-            nondictatorial, m_counts, _ = honest(joined, sp)
+        def no_manipulable_cells(block):
+            nondictatorial, m_counts, _ = honest(block)
             count = len(m_counts)
-            return [0] * len(nondictatorial), [0] * count, [sp.profile_count] * count
+            return [0] * len(nondictatorial), [0] * count, [block.sp.profile_count] * count
 
         monkeypatch.setattr(_engine, "block_cell_masks", no_manipulable_cells)
         rows = census_row_tuples(2, 3)
@@ -539,29 +535,39 @@ def full_column_census(n, m, samples, seed, filters=()):
     """The sampled census over the full columns of every block: (tallies,
     strategy-proof rules, dictator rules), each stage tested on every rule of
     the block that passed the stages before it."""
-    sp = _engine.space(n, m)
-    cells = sp.tops_count
     ordered = constructions._ordered_filters(filters)
     tallies = [0] * len(constructions.CENSUS_STAGES)
     sp_rules, dict_rules = [], []
-    for _, joined in _iter_rule_blocks(n, m, "sampled", samples, seed):
-        count, cols = _engine.block_columns(joined, sp, keep=False)
-        kept = (1 << count) - 1
+    for block in _iter_rule_blocks(n, m, "sampled", samples, seed):
+        kept = block.full
         for name in ordered:
-            kept = constructions._stage_mask(name, joined, cols, kept, sp, False)
+            kept = constructions._stage_mask(name, block, kept)
         cascade = [kept]
         for name in constructions.FILTER_NAMES:
             if name not in ordered:
-                kept = constructions._stage_mask(name, joined, cols, kept, sp, False)
+                kept = constructions._stage_mask(name, block, kept)
             cascade.append(kept)
         tallies = [t + bits.bit_count() for t, bits in zip(tallies, cascade)]
-        for r in range(count):
+        for r in range(block.count):
             if (cascade[3] >> r) & 1:
-                rule = TopsTableRule(n, m, tuple(joined[r * cells : (r + 1) * cells]))
+                rule = TopsTableRule(n, m, tuple(block.digits(r)))
                 sp_rules.append(rule.to_string())
                 if (cascade[4] >> r) & 1:
                     dict_rules.append(rule.to_string())
     return tallies, sp_rules, dict_rules
+
+
+def spy_columns(monkeypatch):
+    """The rule count of every block whose columns are computed, in order."""
+    built = []
+    honest = _engine._columns_of
+
+    def spy(joined, sp):
+        built.append(len(joined) // sp.tops_count)
+        return honest(joined, sp)
+
+    monkeypatch.setattr(_engine, "_columns_of", spy)
+    return built
 
 
 def is_unanimous_digits(digits, sp):
@@ -619,8 +625,8 @@ class TestCutCascade:
         empty = []
         honest_unanimous = _engine.block_unanimous_digits
 
-        def watched(joined, sp):
-            unanimous = honest_unanimous(joined, sp)
+        def watched(block):
+            unanimous = honest_unanimous(block)
             empty.append(not unanimous)
             return unanimous
 
@@ -634,6 +640,15 @@ class TestCutCascade:
         assert len(empty) == -(-samples // 7) and any(empty) and not all(empty)
         assert report.total == (report.unanimous if filters else samples)
 
+    def test_the_cut_block_builds_its_columns_once(self, monkeypatch):
+        # at m = 2 every unanimous rule is efficient, so the strategy-proof
+        # stage reads the wide columns of the block the efficient stage read
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        built = spy_columns(monkeypatch)
+        report = census(4, 2, mode="sampled", samples=300, seed=5)
+        assert report.unanimous == 75
+        assert sum(built) == report.unanimous
+
     def test_exhaustive_blocks_keep_their_columns(self, fresh_memo):
         # the memo keeps an exhaustive block's columns for the next scan, so
         # the cut is never taken there
@@ -641,7 +656,7 @@ class TestCutCascade:
         blocks = list(_iter_rule_blocks(2, 3, "exhaustive", None, None))
         assert report.total == 19683
         kept = {joined for joined, _sp in fresh_memo.records}
-        assert kept >= {joined for _, joined in blocks}
+        assert kept >= {block.joined for block in blocks}
 
 
 class TestVerifyLemma:
@@ -751,7 +766,8 @@ class TestVerifyLemma:
         sp = _engine.space(2, 3)
         doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], doctored)
         block = bytes(sp.dictator_tables[1]) + bytes(sp.dictator_tables[0])
-        (rules, seen), _, counterexample = _l5_scan(iter([(range(2), block)]), 2, 3)
+        blocks = iter([_engine.Block(sp, block, range(2))])
+        (rules, seen), _, counterexample = _l5_scan(blocks, 2, 3)
         assert rules == 2
         assert seen == 36 + checks
         assert counterexample["kind"] == kind
@@ -802,9 +818,9 @@ class TestVerifyLemma:
         sizes = []
         honest = _engine.block_profile_verdicts
 
-        def spy(joined, sp, keep=True):
-            sizes.append(len(joined) // sp.tops_count)
-            return honest(joined, sp, keep)
+        def spy(block):
+            sizes.append(block.count)
+            return honest(block)
 
         monkeypatch.setattr(_engine, "block_profile_verdicts", spy)
         monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
@@ -1070,6 +1086,27 @@ class TestColumnMemo:
         verify_lemma("L1", 2, 3, workers=1)
         assert fresh_memo.misses == misses
         assert list(fresh_memo.records) == keys
+
+    @pytest.mark.parametrize("method", ["cells", "scan"])
+    def test_a_one_rule_block_builds_its_columns_once(self, fresh_memo, monkeypatch, method):
+        # the verdict kernel and the unanimity bit read the same block
+        built = spy_columns(monkeypatch)
+        classify_all(TopsTableRule(2, 3, (0, 0, 0, 0, 1, 1, 0, 1, 2)), method=method)
+        assert built == [1]
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_columns_then_wide_columns_are_computed_once(self, fresh_memo, monkeypatch, keep):
+        sp = _engine.space(2, 3)
+        tables = constants_and_dictators(sp)
+        block = _engine.Block(sp, b"".join(map(bytes, tables)), range(5), keep)
+        built = spy_columns(monkeypatch)
+        cols, wide = block.cols, block.wide
+        assert built == [5] and fresh_memo.misses == 1
+        assert len(fresh_memo.records) == keep
+        _count, expected_cols, expected_wide, _size = _engine.ColumnMemo(0).lookup(
+            block.joined, sp, True, False
+        )
+        assert (cols, wide) == (expected_cols, expected_wide)
 
     def test_exhaustive_stream_stays_within_the_bound(self, monkeypatch):
         limit = 1 << 16  # a quarter of what the (2,3) census would keep

@@ -23,10 +23,10 @@ from gsverify import (
 )
 from gsverify import _engine, _lemmas, constructions
 from gsverify._engine import (
+    Block,
     bit_counts,
     bit_flags,
     block_cell_masks,
-    block_columns,
     block_dictators,
     block_efficient_cells,
     block_efficient_definitional,
@@ -82,13 +82,22 @@ def table_profile_verdicts(table, sp):
     top ranks a reached outcome strictly above the outcome.
     """
     bits = tuple(1 << x for x in range(sp.m))
+    # per top, per preference with that top, the alternatives ranked above x
+    stand_ins = [
+        [
+            [sum(bits[y] for y in ranking[: ranking.index(x)]) for x in range(sp.m)]
+            for ranking in sp.rankings
+            if ranking[0] == top
+        ]
+        for top in range(sp.m)
+    ]
     verdicts = []
     append = verdicts.append
     for tc, _dominated, agents in _engine.profile_rows(sp.n, sp.m):
         out = table[tc]
         out_bit = bits[out]
         verdict = DICTATORIAL
-        for top, base, offsets, stand_ins in agents:
+        for top, base, offsets in agents:
             if top == out:
                 continue
             reached = 0
@@ -97,7 +106,7 @@ def table_profile_verdicts(table, sp):
             if reached == out_bit:  # the sincere top always reaches the outcome
                 continue
             verdict = 0
-            for above in stand_ins:
+            for above in stand_ins[top]:
                 if reached & above[out]:
                     verdict = MANIPULABLE
                     break
@@ -217,6 +226,33 @@ def routed_through_the_engine(name):
     return name.startswith(("find_", "is_")) or (
         name.startswith("as_") and name.endswith("_table")
     )
+
+
+def test_the_memo_policy_stays_in_the_engine():
+    # only _engine reaches the column memo, and only the block and the memo
+    # itself take a keep flag or loose columns
+    memo_names = {"COLUMN_MEMO", "ColumnMemo", "_columns_of"}
+    allowed = {"Block.__init__", "ColumnMemo.lookup"}
+    named, takes = [], []
+    for path in sorted(Path(_engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in memo_names and path.stem != "_engine":
+                named.append(f"{path.stem}: {name}")
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                qualname = child.name
+                if isinstance(node, ast.ClassDef):
+                    qualname = f"{node.name}.{child.name}"
+                args = child.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if params & {"keep", "cols"} and qualname not in allowed:
+                    takes.append(f"{path.stem}.{qualname}")
+    assert not named and not takes, (named, takes)
 
 
 def test_oracle_imports_nothing_from_the_engine():
@@ -396,11 +432,16 @@ def cell_counts(table, sp):
     )
 
 
-def rule_blocks(tables):
+def block_of(sp, tables):
+    """One block of the tables, in order."""
+    return Block(sp, b"".join(map(bytes, tables)), range(len(tables)))
+
+
+def rule_blocks(sp, tables):
     """The tables cut into blocks of ``constructions._BLOCK_RULES`` rules, the
     size the rule stream's blocks are bounded by."""
     size = constructions._BLOCK_RULES
-    return [b"".join(map(bytes, tables[i : i + size])) for i in range(0, len(tables), size)]
+    return [block_of(sp, tables[i : i + size]) for i in range(0, len(tables), size)]
 
 
 def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
@@ -408,11 +449,11 @@ def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
     how many of the tables are strategy-proof."""
     sp = space(n, m)
     rule = strategy_proof = 0
-    for block in rule_blocks(tables):
-        nondictatorial, m_counts, d_counts = block_cell_masks(block, sp)
+    for block in rule_blocks(sp, tables):
+        nondictatorial, m_counts, d_counts = block_cell_masks(block)
         if verdicts:
-            dictatorial, manipulable = block_profile_verdicts(block, sp)
-            manipulable_rules = block_manipulable(block, sp)
+            dictatorial, manipulable = block_profile_verdicts(block)
+            manipulable_rules = block_manipulable(block)
         for r in range(len(m_counts)):
             table = tables[rule]
             rule += 1
@@ -484,7 +525,7 @@ def test_block_verdicts_read_each_profile_row(monkeypatch):
     rows[1] = (tc, dominated, rows[12][2])
     monkeypatch.setattr(_engine, "profile_rows", lambda n, m: tuple(rows))
     tables = seeded_tables(2, 3, 50, 20267)
-    dictatorial, manipulable = block_profile_verdicts(b"".join(map(bytes, tables)), sp)
+    dictatorial, manipulable = block_profile_verdicts(block_of(sp, tables))
     per_rule = [table_profile_verdicts(t, sp) for t in tables]
     assert sum(v[1] != v[0] for v in per_rule) > 0
     for r, verdicts in enumerate(per_rule):
@@ -503,15 +544,15 @@ def test_block_manipulable_tries_every_misreport(monkeypatch):
     n, m = 2, 3
     rows = tuple(
         (tc, dominated, tuple(
-            (top, base, tuple(sorted(set(offsets), reverse=True)), stand_ins)
-            for top, base, offsets, stand_ins in agents
+            (top, base, tuple(sorted(set(offsets), reverse=True)))
+            for top, base, offsets in agents
         ))
         for tc, dominated, agents in _engine.profile_rows(n, m)
     )
     monkeypatch.setattr(_engine, "profile_rows", lambda n, m: rows)
     sp = space(n, m)
     tables = all_tables(n, m)
-    manipulable = block_manipulable(b"".join(map(bytes, tables)), sp)
+    manipulable = block_manipulable(block_of(sp, tables))
     assert [(manipulable >> r) & 1 == 1 for r in range(len(tables))] == [
         table_manipulation(t, sp) is not None for t in tables
     ]
@@ -530,18 +571,17 @@ def assert_predicates_match_per_rule(n, m, tables):
     rng = random.Random(20271)
     passed = {"unanimous": 0, "cells": 0, "pareto": 0, "dictator": 0}
     done = 0
-    for block in rule_blocks(tables):
-        count, cols = block_columns(block, sp)
-        full = (1 << count) - 1
+    for block in rule_blocks(sp, tables):
+        count = block.count
         chunk = tables[done : done + count]
         done += count
-        for subset, within in enumerate((full, rng.getrandbits(count))):
+        for subset, within in enumerate((block.full, rng.getrandbits(count))):
             got = {
-                "unanimous": block_unanimous(cols, within, sp),
-                "cells": block_efficient_cells(cols, within, sp),
-                "pareto": block_efficient_definitional(cols, within, sp),
+                "unanimous": block_unanimous(block, within),
+                "cells": block_efficient_cells(block, within),
+                "pareto": block_efficient_definitional(block, within),
             }
-            dictators = block_dictators(cols, within, sp)
+            dictators = block_dictators(block, within)
             for r, table in enumerate(chunk):
                 asked = (within >> r) & 1 == 1
                 expected = {

@@ -17,6 +17,7 @@ from test_engine import (  # noqa: E402
     DICTATORIAL,
     MANIPULABLE,
     assert_predicates_match_per_rule,
+    block_of,
     cell_counts,
     table_manipulation,
     table_profile_verdicts,
@@ -31,9 +32,9 @@ def rule_blocks(n, m, max_rules):
 
 def check_block(n, m, tables):
     sp = space(n, m)
-    block = b"".join(bytes(t) for t in tables)
-    _, m_counts, d_counts = block_cell_masks(block, sp)
-    dictatorial, manipulable = block_profile_verdicts(block, sp)
+    block = block_of(sp, tables)
+    _, m_counts, d_counts = block_cell_masks(block)
+    dictatorial, manipulable = block_profile_verdicts(block)
     for r, table in enumerate(tables):
         assert (m_counts[r], d_counts[r]) == cell_counts(table, sp)
         assert [
@@ -69,7 +70,7 @@ def mixed_rule_blocks(n, m, max_rules):
 
 def check_manipulable(n, m, tables):
     sp = space(n, m)
-    manipulable = block_manipulable(b"".join(bytes(t) for t in tables), sp)
+    manipulable = block_manipulable(block_of(sp, tables))
     for r, table in enumerate(tables):
         assert (manipulable >> r) & 1 == (table_manipulation(table, sp) is not None)
 
