@@ -2,13 +2,13 @@
 
 ``verify_lemma`` imports this module on its first call, so a run that never
 checks a lemma (the census, ``inspect``, ``classify``) never compiles it.
-Each ``_verify_*`` runner takes ``(n, m, mode, samples, seed, workers)``
+Each ``_verify_*`` runner takes ``(n, m, mode, samples, seed)``
 with the mode already resolved against the budget, and returns ``(passed,
 checks, counterexample, detail)``; ``_LEMMA_IMPLS`` maps the check ids of
 ``constructions.LEMMA_DESCRIPTIONS`` to them.
 
 The runners read the rule stream of ``constructions`` (``_iter_rule_blocks``,
-``_filter_rules``, ``_scan_rules``) an ``_engine.Block`` at a time, and
+``_filter_rules``) an ``_engine.Block`` at a time, in this process, and
 every stage is a bitset over a block from the kernels of ``_engine``.  The
 blocks they build themselves (the sampled cell-efficient stream of L4 and
 R2, the dictatorships that anchor a sample, and C2's drawn codes) are read
@@ -40,7 +40,6 @@ from .constructions import (
     _iter_rule_blocks,
     _rule_string_from_digits,
     _sample_efficient_digits,
-    _scan_rules,
     _stage_mask,
     rule_space_size,
 )
@@ -56,7 +55,7 @@ from .rules import (
 )
 
 
-def _verify_l1(n, m, mode, samples, seed, workers):
+def _verify_l1(n, m, mode, samples, seed):
     """No unanimous, inefficient, strategy-proof rule may exist."""
     checks, counterexample, (unanimous, _, closed) = _strategy_proof_unanimous_scan(
         n, m, mode, samples, seed,
@@ -109,7 +108,7 @@ def _low_bit(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _verify_l3(n, m, mode, samples, seed, workers):
+def _verify_l3(n, m, mode, samples, seed):
     """Pareto-efficient tops-table rules select some agent's top everywhere."""
     sp = _engine.space(n, m)
     checks = 0
@@ -160,7 +159,7 @@ def _dictator_block(sp: _engine.Space) -> _engine.Block:
     return _engine.Block(sp, b"".join(map(bytes, sp.dictator_tables)), range(sp.n))
 
 
-def _verify_l4(n, m, mode, samples, seed, workers):
+def _verify_l4(n, m, mode, samples, seed):
     """Within tops-only efficient rules: every profile dictatorial iff dictatorial."""
     sp = _engine.space(n, m)
     checks = 0
@@ -231,30 +230,21 @@ def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
     }
 
 
-def _l5_scan(blocks, n: int, m: int) -> tuple[list[int], list, dict | None]:
-    """Tallies [rules, checks] of the L5 partition scan over a block stream,
-    up to its first counterexample."""
+def _verify_l5(n, m, mode, samples, seed):
+    """Partition: per rule and profile, exactly one verdict holds."""
     rules = checks = 0
     counterexample = None
-    for block in blocks:
+    for block in _iter_rule_blocks(n, m, mode, samples, seed):
         block_rules, block_checks, counterexample = _l5_block(block)
         rules += block_rules
         checks += block_checks
         if counterexample:
             break
-    return [rules, checks], [], counterexample
-
-
-def _verify_l5(n, m, mode, samples, seed, workers):
-    """Partition: per rule and profile, exactly one verdict holds."""
-    (rules, checks), _, counterexample = _scan_rules(
-        _l5_scan, n, m, mode, samples, seed, workers
-    )
     detail = {"rules": rules, "profiles_per_rule": _engine.space(n, m).profile_count}
     return counterexample is None, checks, counterexample, detail
 
 
-def _verify_c1(n, m, mode, samples, seed, workers):
+def _verify_c1(n, m, mode, samples, seed):
     """Strategy-proof unanimous rules are tops-only and efficient."""
     checks, counterexample, (_, strategy_proof, closed) = _strategy_proof_unanimous_scan(
         n, m, mode, samples, seed,
@@ -279,7 +269,7 @@ def _draw_codes(rng: random.Random, size: int, count: int) -> list[int]:
     return draws
 
 
-def _verify_c2(n, m, mode, samples, seed, workers):
+def _verify_c2(n, m, mode, samples, seed):
     """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
     sp = _engine.space(n, m)
     cells = sp.tops_count
@@ -371,7 +361,7 @@ def _no_cells(nondictatorial: list[int], block: _engine.Block) -> int:
     return block.full & ~reduce(or_, nondictatorial, 0)
 
 
-def _verify_r1(n, m, mode, samples, seed, workers):
+def _verify_r1(n, m, mode, samples, seed):
     """Strategy-proof iff minimal in the manipulability order (iff M empty)."""
     sp = _engine.space(n, m)
     blocks = _iter_rule_blocks(n, m, mode, samples, seed)
@@ -402,7 +392,7 @@ def _verify_r1(n, m, mode, samples, seed, workers):
     return counterexample is None, checks, counterexample, detail
 
 
-def _verify_r2(n, m, mode, samples, seed, workers):
+def _verify_r2(n, m, mode, samples, seed):
     """Dictatorial iff maximal in the dictatorial-power order over the
     tops-only efficient pool (iff every profile is dictatorial)."""
     sp = _engine.space(n, m)
@@ -435,11 +425,9 @@ def _verify_r2(n, m, mode, samples, seed, workers):
     return counterexample is None, checks, counterexample, detail
 
 
-def _verify_thm(n, m, mode, samples, seed, workers):
+def _verify_thm(n, m, mode, samples, seed):
     """Strategy-proof unanimous tops-table rules are exactly the dictatorships."""
-    report = constructions.census(
-        n, m, mode=mode, samples=samples, seed=seed, workers=workers
-    )
+    report = constructions.census(n, m, mode=mode, samples=samples, seed=seed)
     passed = report.sp_equals_dictators
     counterexample = None
     if not passed:

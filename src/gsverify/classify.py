@@ -267,10 +267,16 @@ def bitset_codes(bits: int) -> list[int]:
 
 
 def bitset_to_hex(bits: int, total: int) -> str:
-    """Fixed-width hex form of a profile-code bitset (bit i = code i)."""
+    """Fixed-width hex form of a bitset over ``total`` profile codes."""
+    if _checked_bitset(bits) >> total:
+        raise ValueError(f"a bitset over {total} profile codes has bit {bits.bit_length() - 1}")
     width = max(1, (total + 3) // 4)
-    return format(_checked_bitset(bits), f"0{width}x")
+    return format(bits, f"0{width}x")
 
 
 def hex_to_bitset(text: str) -> int:
-    return _checked_bitset(int(text, 16))
+    """The bitset of a ``bitset_to_hex`` form: hex digits only."""
+    bits = _checked_bitset(int(text, 16))
+    if text.strip("0123456789abcdefABCDEF"):  # a sign, prefix, "_" or space
+        raise ValueError(f"a hex bitset is hex digits only, got {text!r}")
+    return bits

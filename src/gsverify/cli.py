@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import classify as classify_mod
@@ -51,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the rule-space scans: census and lemmas only
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="worker processes for the exhaustive census and L5 scans; reports are "
-             "identical for every value (default: machine parallelism)",
+        "--workers", type=int, default=1,
+        help="kept so that existing argv still parse; every scan runs in one "
+             "process and a value of 1 or more changes nothing",
     )
     scan.add_argument(
         "--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
@@ -224,7 +223,6 @@ def _cmd_census(args: argparse.Namespace) -> tuple[dict, bool]:
         mode=args.mode,
         samples=args.samples,
         seed=args.seed,
-        workers=args.workers,
         filters=args.filters,
     )
     payload.update(report.to_json_dict())
@@ -245,7 +243,6 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
             mode=args.mode,
             samples=args.samples,
             seed=args.seed,
-            workers=args.workers,
         )
         results.append(report.to_json_dict())
     payload = _base_payload(args)

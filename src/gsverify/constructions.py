@@ -19,11 +19,8 @@ built from their shared leading digits and one table of all k-digit
 suffixes, and are the only blocks whose columns the memo keeps; sampled
 blocks are consecutive slices of the ``randrange(m)``-per-tops-cell digits of
 ``random.Random(seed)``, drawn a block of generator words at a time (the
-tests pin them to the ``randrange`` loop).  ``_scan_rules`` is the one
-runner that splits an exhaustive stream over worker processes (the census
-and L5 use it); it merges the parts in code order and stops where a serial
-scan stops, so no report depends on ``workers``.  Blocks never cross a
-process boundary: the workers build their own from the job's code range.
+tests pin them to the ``randrange`` loop).  Every scan runs in this
+process, one block after the other.
 
 Within a block, bit r of every bitset stands for rule r.  The block's
 columns (``_engine.Block.cols``) are computed once, and every cascade stage
@@ -56,7 +53,7 @@ import os
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import islice, product
+from itertools import product
 from operator import or_
 from time import perf_counter
 
@@ -253,6 +250,8 @@ def _resolve_mode(
         raise ValueError(f"unknown mode {mode!r}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if mode == "exhaustive" and samples is not None:  # auto drops them: a suite mixes modes
+        raise ValueError("exhaustive mode takes no samples; use sampled mode")
     if mode == "exhaustive" or (mode == "auto" and required <= limit):
         if required > limit:
             raise BudgetExceededError(
@@ -270,95 +269,33 @@ _BLOCK_RULES = 2048
 
 
 def _iter_rule_blocks(
-    n: int,
-    m: int,
-    mode: str,
-    samples: int | None,
-    seed: int | None,
-    lo: int = 0,
-    hi: int | None = None,
+    n: int, m: int, mode: str, samples: int | None, seed: int | None
 ) -> Iterator[_engine.Block]:
     """The blocks of candidate rules: the one rule stream.
 
     A block's codes are its rule codes (sample indices when sampled).
-    Exhaustive mode walks rule codes ``lo <= code < hi`` (``hi`` defaults to
-    the whole space) in ascending order; sampled mode yields the tables of
-    ``_sampled_blocks`` and ignores ``lo`` and ``hi``.
+    Exhaustive mode walks every rule code in ascending order; sampled mode
+    yields the tables of ``_sampled_blocks``.
     """
     sp = _engine.space(n, m)
     if mode == "exhaustive":
-        return _exhaustive_blocks(sp, lo, rule_space_size(n, m) if hi is None else hi)
+        return _exhaustive_blocks(sp)
     sampled = _sampled_blocks(m, sp.tops_count, samples or 0, seed)
     return (_engine.Block(sp, joined, codes) for codes, joined in sampled)
 
 
-def _exhaustive_blocks(sp: _engine.Space, lo: int, hi: int) -> Iterator[_engine.Block]:
-    """Blocks of the rule codes ``lo <= code < hi``, one per run of codes that
-    share their leading digits: ``prefix + prefix.join(suffixes)`` over the
-    table of all k-digit suffixes, m**k <= ``_BLOCK_RULES`` (k >= 1).  The
-    first and last blocks take a slice of the table when ``lo`` and ``hi`` do
-    not fall on a block boundary.  Later scans walk these blocks again, so
-    the memo may keep their columns."""
-    if lo >= hi:
-        return
+def _exhaustive_blocks(sp: _engine.Space) -> Iterator[_engine.Block]:
+    """Blocks of every rule code, one per run of codes that share their
+    leading digits: ``prefix + prefix.join(suffixes)`` over the table of all
+    k-digit suffixes, m**k <= ``_BLOCK_RULES`` (k >= 1).  Later scans walk
+    these blocks again, so the memo may keep their columns."""
     m, cells = sp.m, sp.tops_count
     k = _engine.digit_width(m, cells, _BLOCK_RULES)
     suffixes = _engine.digit_strings(m, k)
     width = len(suffixes)
-    first = lo // width
-    prefixes = islice(product(range(m), repeat=cells - k), first, None)
-    for start, prefix in zip(range(first * width, hi, width), map(bytes, prefixes)):
-        a, b = max(lo - start, 0), min(hi - start, width)
-        joined = prefix + prefix.join(suffixes[a:b])
-        yield _engine.Block(sp, joined, range(start + a, start + b), keep=True)
-
-
-def _scan_rules(scan, n, m, mode, samples, seed, workers, *args):
-    """Run ``scan(blocks, n, m, *args)`` over the rule stream; merge its parts.
-
-    A scan returns ``(tallies, found, counterexample)``: a list of counts, a
-    list of findings in stream order, and the counterexample it stopped at or
-    None.  Exhaustive streams are split into ascending code ranges, one per
-    worker process; sampled streams run in this process.  Parts merge in
-    ascending code order (tallies summed, findings concatenated), and the
-    merge ends with the first part that stopped, so the result is the serial
-    scan's for every ``workers``.
-    """
-    if mode == "exhaustive":
-        size = rule_space_size(n, m)
-        count = max(1, min(workers, size))
-        bounds = [i * (size // count) for i in range(count)] + [size]
-        ranges = list(zip(bounds, bounds[1:]))
-    else:
-        ranges = [(0, None)]
-    jobs = [(scan, n, m, mode, samples, seed, lo, hi, args) for lo, hi in ranges]
-    if len(jobs) == 1:
-        return _merge_parts(map(_run_scan, jobs))
-    import multiprocessing  # here, not at the top: serial runs skip its import time
-
-    with multiprocessing.Pool(len(jobs)) as pool:
-        # leaving the pool before the last part terminates the later scans
-        return _merge_parts(pool.imap(_run_scan, jobs))
-
-
-def _merge_parts(parts: Iterator[tuple]) -> tuple:
-    tallies = None
-    found: list = []
-    for part_tallies, part_found, counterexample in parts:
-        if tallies is None:
-            tallies = part_tallies
-        else:
-            tallies = [a + b for a, b in zip(tallies, part_tallies)]
-        found.extend(part_found)
-        if counterexample is not None:
-            break
-    return tallies, found, counterexample
-
-
-def _run_scan(job: tuple):
-    scan, n, m, mode, samples, seed, lo, hi, args = job
-    blocks = _iter_rule_blocks(n, m, mode, samples, seed, lo, hi)
-    return scan(blocks, n, m, *args)
+    for i, prefix in enumerate(map(bytes, product(range(m), repeat=cells - k))):
+        joined = prefix + prefix.join(suffixes)
+        yield _engine.Block(sp, joined, range(i * width, (i + 1) * width), keep=True)
 
 
 # Mersenne Twister words drawn per generator call by the sampled rule stream (32 KB).
@@ -571,7 +508,7 @@ class CensusReport:
 
 def _census_scan(
     blocks: Iterator[_engine.Block], n: int, m: int, filters: tuple[str, ...]
-) -> tuple[list[int], list[tuple[str, bool]], None]:
+) -> tuple[list[int], list[tuple[str, bool]]]:
     """Cascade tallies in ``CENSUS_STAGES`` order, and (rule string,
     dictatorial) per strategy-proof survivor.
 
@@ -611,7 +548,7 @@ def _census_scan(
         for r in _engine.bit_indices(strategy_proof):
             rule = _rule_string_from_digits(n, m, block.digits(r))
             survivors.append((rule, bool((dictatorial >> r) & 1)))
-    return tallies, survivors, None
+    return tallies, survivors
 
 
 def census(
@@ -621,7 +558,6 @@ def census(
     mode: str = "auto",
     samples: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     filters: Sequence[str] = (),
 ) -> CensusReport:
     """Count the axiom cascade over the tops-table rule space.
@@ -629,8 +565,8 @@ def census(
     In exhaustive mode the strategy-proof survivors are compared element-wise
     (in ascending rule-code order) with the dictatorships.  Pre-filters
     restrict the enumerated space before counting.  Sampled mode draws
-    uniform rules from a seeded generator and is always single-process so
-    identical seeds reproduce identical reports.
+    uniform rules from a seeded generator, so identical seeds reproduce
+    identical reports.
     """
     check_agent_count(n)
     check_alternative_count(m)
@@ -641,9 +577,8 @@ def census(
     )
     check_profile_work(n, m)  # the cascade's strategy-proofness stage
     t0 = perf_counter()
-    tallies, survivors, _ = _scan_rules(
-        _census_scan, n, m, resolved, eff_samples, eff_seed, workers, ordered_filters
-    )
+    blocks = _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed)
+    tallies, survivors = _census_scan(blocks, n, m, ordered_filters)
     sp_rules = tuple(rule for rule, _ in survivors)
     dict_rules = tuple(rule for rule, is_dictator in survivors if is_dictator)
     return CensusReport(
@@ -758,7 +693,6 @@ def verify_lemma(
     mode: str = "auto",
     samples: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> VerificationReport:
     """Run one suite check and report pass/fail with any counterexample.
 
@@ -782,7 +716,7 @@ def verify_lemma(
 
     t0 = perf_counter()
     passed, checks, counterexample, detail = _lemmas._LEMMA_IMPLS[lemma](
-        n, m, resolved, eff_samples, eff_seed, workers
+        n, m, resolved, eff_samples, eff_seed
     )
     return VerificationReport(
         lemma=lemma,

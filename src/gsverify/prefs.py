@@ -6,7 +6,7 @@ the alternatives listed best first, canonically identified by its
 lexicographic permutation rank (``rank_code``).  A profile is one preference
 per agent; its ``code`` is the mixed-radix number of the per-agent rank
 codes with agent 0 most significant, so enumeration order is deterministic
-everywhere.  All values are immutable and safe to share across workers.
+everywhere.  All values are immutable.
 
 Text forms round-trip exactly: a preference as comma-separated names best
 first (``"a,b,c"``), a profile as preferences joined by ``"|"``.

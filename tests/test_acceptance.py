@@ -38,7 +38,7 @@ def report(criterion, message):
 
 def test_criterion_1_theorem_census_at_desk_scale():
     start = time.perf_counter()
-    result = census(2, 3, workers=1)
+    result = census(2, 3)
     elapsed = time.perf_counter() - start
     assert (result.total, result.unanimous, result.efficient) == (19683, 729, 64)
     assert result.strategy_proof == 2
@@ -54,7 +54,7 @@ def test_criterion_1_theorem_census_at_desk_scale():
 
 def test_criterion_2_partition_of_every_profile():
     start = time.perf_counter()
-    result = verify_lemma("L5", 2, 3, mode="exhaustive", workers=1)
+    result = verify_lemma("L5", 2, 3, mode="exhaustive")
     elapsed = time.perf_counter() - start
     assert result.passed
     assert result.checks == 19683 * 36

@@ -209,6 +209,18 @@ class TestBitsets:
         with pytest.raises(ValueError, match="non-negative, got -1"):
             call()
 
+    def test_hex_form_rejects_bits_past_the_profile_count(self):
+        assert bitset_to_hex(2**35, 36) == "800000000"
+        with pytest.raises(ValueError, match="over 36 profile codes has bit 36"):
+            bitset_to_hex(2**36, 36)
+        with pytest.raises(ValueError, match="over 36 profile codes has bit 40"):
+            bitset_to_hex(2**40, 36)
+
+    @pytest.mark.parametrize("text", ["1_f", " 0x1f ", "0x1f", "+1f", "1f\n"])
+    def test_hex_text_is_hex_digits_only(self, text):
+        with pytest.raises(ValueError, match="hex digits only"):
+            hex_to_bitset(text)
+
 
 class TestOrders:
     def test_any_rule_at_least_as_manipulable_as_dictator(self):

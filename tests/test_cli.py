@@ -356,12 +356,6 @@ class TestDeterminismAndOutput:
         _, second, _ = invoke(capsys, *argv)
         assert first == second
 
-    def test_workers_do_not_change_bytes(self, capsys):
-        base = ("census", "--agents", "2", "--alts", "3")
-        _, serial, _ = invoke(capsys, *base, "--workers", "1")
-        _, parallel, _ = invoke(capsys, *base, "--workers", "2")
-        assert serial == parallel
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = invoke(
@@ -429,6 +423,28 @@ class TestGoldenReports:
             ("census", "--agents", "3", "--alts", "2", "--format", "csv", "--verbose",
              "--filter", "unanimous"),
             "20a6dc9c96a514bf0f4c8e19a93b0d6e89fefb9ef697b299de2d609827aa5ec8",
+        ),
+        # --workers only parses: the same bytes without it and at 2
+        (
+            ("lemmas", "--suite", "all", "--agents", "2", "--alts", "3"),
+            "069e1df96407bb4b661bd534840b07a1faaefe5df4fcdeeaeeddb8bdfe32b568",
+        ),
+        (
+            ("lemmas", "--suite", "all", "--agents", "2", "--alts", "3", "--workers", "2"),
+            "069e1df96407bb4b661bd534840b07a1faaefe5df4fcdeeaeeddb8bdfe32b568",
+        ),
+        (
+            ("census", "--agents", "2", "--alts", "3", "--format", "csv"),
+            "0b535ba92601c760f80ce9261a019b22dc027f6ff99b91c807f4cad5046148f4",
+        ),
+        (
+            ("census", "--agents", "2", "--alts", "3", "--workers", "2", "--format", "csv"),
+            "0b535ba92601c760f80ce9261a019b22dc027f6ff99b91c807f4cad5046148f4",
+        ),
+        (
+            ("census", "--agents", "3", "--alts", "3", "--mode", "sampled",
+             "--samples", "20000", "--seed", "1", "--workers", "2"),
+            "a332a4d52788986b8fb2ab52dec8d1b3db8c17f694ccad8c211d99f4e1212419",
         ),
     ])
     def test_report_digest(self, capsys, argv, digest):
@@ -525,10 +541,21 @@ class TestSamplesValidation:
         assert out == ""
         assert "--samples must be at least 1" in err
 
+    @pytest.mark.parametrize("command", ["census", "lemmas"])
+    def test_samples_rejected_in_exhaustive_mode(self, capsys, command):
+        code, out, err = invoke(
+            capsys, command, "--agents", "2", "--alts", "3", "--mode", "exhaustive",
+            "--samples", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exhaustive mode takes no samples" in err
+
 
 class TestScanOptions:
-    # --mode, --samples and --workers steer the rule-space scans of census and
-    # lemmas; elsewhere they would be ignored, so argparse rejects them
+    # --mode and --samples steer the rule-space scans of census and lemmas,
+    # which also keep --workers so that old argv parse; elsewhere they would
+    # be ignored, so argparse rejects them
     @pytest.mark.parametrize("argv", [
         ("inspect", "--rule", "DICT:0", "--agents", "2", "--alts", "3",
          "--mode", "sampled", "--samples", "3", "--seed", "9"),
@@ -554,6 +581,14 @@ class TestScanOptions:
         assert code == 0
         assert out == invoke(capsys, *argv)[1]
 
+    @pytest.mark.parametrize("command", ["census", "lemmas"])
+    def test_workers_below_one_rejected(self, capsys, command):
+        code, out, err = invoke(capsys, command, "--agents", "2", "--alts", "2",
+                                "--workers", "0")
+        assert code == 2
+        assert out == ""
+        assert "--workers must be at least 1" in err
+
 
 def src_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
@@ -576,15 +611,13 @@ class TestModuleEntryPoints:
 
     def test_a_run_imports_no_heavy_stdlib_module(self):
         # each costs start-up time on every CLI run; modules the interpreter
-        # loaded before gsverify (site, .pth files) do not count.  Serial:
-        # a worker pool imports multiprocessing, whose traceback import
-        # brings tokenize
+        # loaded before gsverify (site, .pth files) do not count
         code = (
             "import contextlib, io, sys\n"
             "before = set(sys.modules)\n"
             "from gsverify.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert run(['census', '--agents', '2', '--alts', '3', '--workers', '1']) == 0\n"
+            "    assert run(['census', '--agents', '2', '--alts', '3']) == 0\n"
             "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'string'}\n"
             "print(sorted(heavy & (set(sys.modules) - before)))\n"
         )
@@ -596,13 +629,15 @@ class TestModuleEntryPoints:
         assert done.stdout.splitlines()[-1] == "[]"
 
     def test_import_leaves_multiprocessing_out(self):
-        # only a scan split over worker processes imports it; a serial run
-        # does not pay its import time
+        # every scan runs in one process: default-flag runs of the suite and
+        # of an exhaustive census never pay its import time
         code = (
-            "import sys, gsverify.cli; "
-            "from gsverify.cli import run; "
-            "run(['lemmas', 'L5', '--workers', '1', '--format', 'csv']); "
-            "print('multiprocessing' in sys.modules)"
+            "import contextlib, io, sys\n"
+            "from gsverify.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert run(['lemmas', '--suite', 'all', '--agents', '2', '--alts', '3']) == 0\n"
+            "    assert run(['census', '--agents', '4', '--alts', '2']) == 0\n"
+            "print('multiprocessing' in sys.modules)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],

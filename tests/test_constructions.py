@@ -37,7 +37,7 @@ from gsverify import (
     verify_lemma,
 )
 from gsverify import _engine, _lemmas, constructions
-from gsverify._lemmas import _draw_codes, _l5_scan
+from gsverify._lemmas import _draw_codes, _l5_block
 from gsverify.constructions import (
     _BLOCK_WORDS,
     _filter_rules,
@@ -66,8 +66,7 @@ def census_row_tuples(n, m, filters=()):
 def doctor_block_verdicts(monkeypatch, target, doctored):
     """Patch the block verdict kernel so that the rule with digits ``target``
     gets the verdict bits ``doctored[pc]`` (DICTATORIAL | MANIPULABLE) at the
-    listed profile codes; the forked pool workers inherit the patch (fork is
-    the Linux start method through Python 3.13)."""
+    listed profile codes."""
     honest = _engine.block_profile_verdicts
     target = bytes(target)
 
@@ -91,7 +90,7 @@ def doctor_block_verdicts(monkeypatch, target, doctored):
 
 def doctor_block_manipulable(monkeypatch, target):
     """Patch the block manipulation kernel to clear the bit of the rule with
-    digits ``target`` wherever it occurs; forked pool workers inherit it."""
+    digits ``target`` wherever it occurs."""
     honest = _engine.block_manipulable
     target = bytes(target)
 
@@ -357,26 +356,13 @@ class TestSampledStream:
 
 class TestExhaustiveStream:
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
-    @pytest.mark.parametrize(
-        "where", ["all", "from 0", "mid", "last", "empty", "unaligned"]
-    )
-    def test_yields_each_code_and_its_digits(self, monkeypatch, n, m, where):
-        size = rule_space_size(n, m)
-        mid = size // 2
-        lo, hi = {
-            "all": (0, None),
-            "from 0": (0, mid),
-            "mid": (mid - 3, mid + 4),
-            "last": (size - 1, size),
-            "empty": (mid, mid),
-            "unaligned": (5, size - 3),  # neither end on a block boundary
-        }[where]
+    def test_yields_each_code_and_its_digits(self, monkeypatch, n, m):
         cells = m**n
-        codes = list(range(lo, size if hi is None else hi))
+        codes = list(range(rule_space_size(n, m)))
         for block_rules in (7, 2048):
             monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
             # kept as a list: no yield may be changed by a later one
-            blocks = list(_iter_rule_blocks(n, m, "exhaustive", None, None, lo, hi))
+            blocks = list(_iter_rule_blocks(n, m, "exhaustive", None, None))
             assert [code for block in blocks for code in block.codes] == codes
             assert all(
                 0 < len(block.codes) <= block_rules
@@ -447,7 +433,7 @@ class TestCensus:
         # a stage that is also a prefilter reuses the prefilter's bitset, so
         # no rule is tested twice by one predicate
         counted = count_block_predicates(monkeypatch)
-        report = census(2, 3, filters=filters, workers=1)
+        report = census(2, 3, filters=filters)
         assert report.sp_equals_dictators
         assert (report.strategy_proof, report.dictatorial) == (2, 2)
         assert counted == asked
@@ -472,11 +458,6 @@ class TestCensus:
         assert strategy_proof == sorted(
             int("".join(map(str, t)), 3) for t in constants_and_dictators(sp)
         )
-
-    def test_workers_match_serial(self):
-        serial = census(2, 3, workers=1)
-        parallel = census(2, 3, workers=2)
-        assert serial.to_json_dict() == parallel.to_json_dict()
 
     def test_sampled_deterministic_and_consistent_with_theorem(self):
         first = census(3, 3, mode="sampled", samples=3000, seed=61)
@@ -519,6 +500,18 @@ class TestCensus:
             census(3, 3, mode="sampled", samples=samples, seed=1)
         with pytest.raises(ValueError, match="samples must be at least 1"):
             verify_lemma("L1", 3, 3, mode="sampled", samples=samples, seed=1)
+
+    def test_exhaustive_mode_rejects_samples(self):
+        # auto mode still drops them where the space fits: one suite mixes
+        # exhaustive and sampled checks
+        with pytest.raises(ValueError, match="exhaustive mode takes no samples"):
+            census(2, 3, mode="exhaustive", samples=5)
+        with pytest.raises(ValueError, match="exhaustive mode takes no samples"):
+            verify_lemma("L1", 2, 3, mode="exhaustive", samples=5)
+        with pytest.raises(ValueError, match="exhaustive mode takes no samples"):
+            enumerate_tops_only_rules(2, 2, samples=5)
+        report = census(2, 3, samples=5)
+        assert (report.mode, report.samples) == ("exhaustive", None)
 
     def test_one_sample_is_honoured(self):
         report = census(3, 3, mode="sampled", samples=1, seed=1)
@@ -652,7 +645,7 @@ class TestCutCascade:
     def test_exhaustive_blocks_keep_their_columns(self, fresh_memo):
         # the memo keeps an exhaustive block's columns for the next scan, so
         # the cut is never taken there
-        report = census(2, 3, mode="exhaustive", workers=1)
+        report = census(2, 3, mode="exhaustive")
         blocks = list(_iter_rule_blocks(2, 3, "exhaustive", None, None))
         assert report.total == 19683
         kept = {joined for joined, _sp in fresh_memo.records}
@@ -726,34 +719,16 @@ class TestVerifyLemma:
         report = verify_lemma("C2", 3, 3, mode="sampled", samples=400, seed=71)
         assert report.passed
 
-    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
-    @pytest.mark.parametrize(
-        "lemma", ["L1", "L3", "L4", "L5", "C1", "C2", "R1", "R2", "THM"]
-    )
-    def test_workers_match_serial(self, lemma, n, m):
-        # L4, R2 and THM fail at m=2, so failing merges are covered too
-        serial = verify_lemma(lemma, n, m, workers=1)
-        parallel = verify_lemma(lemma, n, m, workers=3)
-        assert serial.to_json_dict() == parallel.to_json_dict()
-
-    def test_workers_match_serial_on_l5_at_n2_m3(self):
-        serial = verify_lemma("L5", 2, 3, workers=1)
-        parallel = verify_lemma("L5", 2, 3, workers=2)
-        assert parallel.checks == 708_588
-        assert serial.to_json_dict() == parallel.to_json_dict()
-
-    def test_workers_match_serial_when_l5_fails(self, monkeypatch):
-        # one doctored profile of rule code 1
+    def test_l5_stops_at_its_first_failure(self, monkeypatch):
+        # one doctored profile of rule code 1; no later block may clear it
         doctor_block_verdicts(
             monkeypatch, (0, 0, 0, 0, 0, 0, 0, 0, 1),
             {5: DICTATORIAL | MANIPULABLE},
         )
-        serial = verify_lemma("L5", 2, 3, workers=1)
-        parallel = verify_lemma("L5", 2, 3, workers=2)
-        assert serial.to_json_dict() == parallel.to_json_dict()
-        assert serial.counterexample["rule"] == "TOPS:n=2,m=3:000000001"
-        assert serial.detail["rules"] == 2
-        assert serial.checks == 36 + 6
+        report = verify_lemma("L5", 2, 3)
+        assert report.counterexample["rule"] == "TOPS:n=2,m=3:000000001"
+        assert report.detail["rules"] == 2
+        assert report.checks == 36 + 6
 
     @pytest.mark.parametrize("doctored,kind,checks", [
         ({0: 3}, "profile not exactly one of dictatorial/manipulable", 1),
@@ -766,8 +741,7 @@ class TestVerifyLemma:
         sp = _engine.space(2, 3)
         doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], doctored)
         block = bytes(sp.dictator_tables[1]) + bytes(sp.dictator_tables[0])
-        blocks = iter([_engine.Block(sp, block, range(2))])
-        (rules, seen), _, counterexample = _l5_scan(blocks, 2, 3)
+        rules, seen, counterexample = _l5_block(_engine.Block(sp, block, range(2)))
         assert rules == 2
         assert seen == 36 + checks
         assert counterexample["kind"] == kind
@@ -776,20 +750,18 @@ class TestVerifyLemma:
 
     @pytest.mark.parametrize("block_rules", [7, constructions._BLOCK_RULES])
     def test_l5_failure_in_the_last_worker_range(self, monkeypatch, block_rules):
-        # the last rule code, scanned by the second worker: its checks count
-        # every rule of the first range exactly once
+        # the last rule code: its checks count every earlier rule exactly
+        # once, across blocks
         monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
         doctor_block_verdicts(monkeypatch, (2,) * 9, {7: 0})
-        serial = verify_lemma("L5", 2, 3, workers=1)
-        parallel = verify_lemma("L5", 2, 3, workers=2)
-        assert serial.to_json_dict() == parallel.to_json_dict()
-        assert serial.counterexample["rule"] == "TOPS:n=2,m=3:222222222"
-        assert serial.counterexample["kind"] == (
+        report = verify_lemma("L5", 2, 3)
+        assert report.counterexample["rule"] == "TOPS:n=2,m=3:222222222"
+        assert report.counterexample["kind"] == (
             "profile not exactly one of dictatorial/manipulable"
         )
-        assert serial.counterexample["profile"] == profile_from_code(7, 2, 3).to_text()
-        assert serial.detail["rules"] == 19683
-        assert serial.checks == 19682 * 36 + 7 + 1
+        assert report.counterexample["profile"] == profile_from_code(7, 2, 3).to_text()
+        assert report.detail["rules"] == 19683
+        assert report.checks == 19682 * 36 + 7 + 1
 
     @pytest.mark.parametrize("n,m,kwargs", [
         (2, 3, {}),  # exhaustive but for C2, which samples pairs
@@ -854,10 +826,9 @@ class TestVerifyLemma:
             "kind": kind, "rule": "TOPS:n=2,m=3:011010012"
         }
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_doctored_strategy_proofness_fails_thm(self, monkeypatch, workers):
+    def test_doctored_strategy_proofness_fails_thm(self, monkeypatch):
         doctor_block_manipulable(monkeypatch, self.THM_DOCTORED)
-        report = verify_lemma("THM", 2, 3, workers=workers)
+        report = verify_lemma("THM", 2, 3)
         assert not report.passed
         assert report.checks == 19683
         assert report.detail == {"counts": {
@@ -999,7 +970,7 @@ def suite_reports(before_each=lambda: None):
     reports = []
     for lemma in SUITE:
         before_each()
-        report = verify_lemma(lemma, 2, 3, workers=1)
+        report = verify_lemma(lemma, 2, 3)
         reports.append(json.dumps(report.to_json_dict(), sort_keys=True))
     return reports
 
@@ -1075,7 +1046,7 @@ class TestColumnMemo:
     def test_one_rule_blocks_leave_the_memo_alone(self, fresh_memo):
         # classify_all asks about a block of one rule once; keeping it would
         # evict the suite's blocks
-        verify_lemma("L1", 2, 3, workers=1)
+        verify_lemma("L1", 2, 3)
         keys = list(fresh_memo.records)
         rng = random.Random(14)
         for i in range(2000):
@@ -1083,7 +1054,7 @@ class TestColumnMemo:
             classify_all(rule, method=("cells", "scan")[i % 2])
         assert list(fresh_memo.records) == keys
         misses = fresh_memo.misses
-        verify_lemma("L1", 2, 3, workers=1)
+        verify_lemma("L1", 2, 3)
         assert fresh_memo.misses == misses
         assert list(fresh_memo.records) == keys
 
