@@ -65,7 +65,6 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, permutations, product
-from operator import add
 
 from .prefs import check_profile_work
 
@@ -119,9 +118,7 @@ class Space:
             (tc, t[0]) for tc, t in enumerate(self.tops_tuples) if len(set(t)) == 1
         )
         self.cell_tops_sets = tuple(tuple(sorted(set(t))) for t in self.tops_tuples)
-        self.dictator_tables = tuple(
-            tuple(t[i] for t in self.tops_tuples) for i in range(n)
-        )
+        self.dictator_tables = tuple(tuple(t[i] for t in self.tops_tuples) for i in range(n))
 
     def tops_code_of(self, pref_codes: Sequence[int]) -> int:
         code = 0
@@ -163,9 +160,7 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     check_profile_work(n, m)
     sp = space(n, m)
     above = tuple(
-        tuple(
-            sum(1 << y for y in range(m) if pos[y] < pos[x]) for x in range(m)
-        )
+        tuple(sum(1 << y for y in range(m) if pos[y] < pos[x]) for x in range(m))
         for pos in sp.position
     )
     # every misreport's offset, each distinct one kept once: ORing one
@@ -368,20 +363,24 @@ def _spread(bits: int, count: int) -> int:
 def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
     """Per rule r < count, how many of ``bitsets`` have bit r set (exact).
 
-    Each bitset is spread to one byte per rule and at most 255 of them are
-    summed in these byte lanes before the lanes are added to the totals, so
-    no lane ever carries into the next.
+    The bitsets are added into carry planes, plane j holding bit j of every
+    rule's running count, and only the ceil(log2(B + 1)) planes of B bitsets
+    are spread to byte lanes: up to eight at bit shifts 0 to 7, so no lane
+    carries, and past eight, each group of eight in lanes of its own.
     """
+    planes: list[int] = []
+    for carry in bitsets:
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            planes.append(carry)
     totals = [0] * count
-    lanes = pending = 0
-    for bits in bitsets:
-        lanes += _spread(bits, count)
-        pending += 1
-        if pending == 255:
-            totals = list(map(add, totals, lanes.to_bytes(count, "little")))
-            lanes = pending = 0
-    if pending:
-        totals = list(map(add, totals, lanes.to_bytes(count, "little")))
+    for low in range(0, len(planes), 8):
+        lanes = sum(_spread(p, count) << j for j, p in enumerate(planes[low : low + 8]))
+        group = lanes.to_bytes(count, "little")
+        totals = [t | b << low for t, b in zip(totals, group)] if low else list(group)
     return totals
 
 

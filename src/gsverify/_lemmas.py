@@ -18,7 +18,11 @@ counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from
 the profile rows (``block_efficient_definitional``).  L1 and C1 are one scan
 (``_strategy_proof_unanimous_scan``) with their own counterexample kind and
 closed-form test.  C2 counts |M_f| and |D_f| apart, so the duality it checks
-is not built into its counts.  THM is the census.
+is not built into its counts.  Whenever the rule space fits the budget it
+counts every rule of the exhaustive stream, indexed by rule code, sampled
+pairs too, so the suite at (2,3) reads the columns the other checks keep;
+only past the budget does it build blocks of its drawn codes.  THM is the
+census.
 
 Names these runners share with ``constructions`` that callers may patch
 there are read through that module at call time: ``_BLOCK_RULES``, the
@@ -276,12 +280,13 @@ def _verify_c2(n, m, mode, samples, seed):
     size = rule_space_size(n, m)
     if mode == "exhaustive":
         pairs = ((f, g) for f in range(size) for g in range(size))
-        position = range(size)  # a rule's counts sit at its code
-        blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
     else:
         draws = _draw_codes(random.Random(seed), size, 2 * (samples or 0))  # f, g, f, ...
         pairs = zip(draws[0::2], draws[1::2])
-        # the distinct codes in first-seen order, each mapped to its position
+    if size <= constructions.rule_space_budget():
+        position = range(size)  # every rule counted, its counts at its code
+        blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
+    else:  # only the drawn codes, in first-seen order, each mapped to its position
         position = dict.fromkeys(draws)
         for index, code in enumerate(position):
             position[code] = index

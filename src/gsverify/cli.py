@@ -111,8 +111,13 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     rendered = _render(payload, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write the report to {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 1 if failed else 0

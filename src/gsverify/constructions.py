@@ -49,7 +49,6 @@ stay here.
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
@@ -66,6 +65,7 @@ from .prefs import (
     check_agent_count,
     check_alternative_count,
     check_profile_work,
+    env_whole_number,
 )
 from .rules import (
     MajorityLexRule,
@@ -122,7 +122,7 @@ DEFAULT_CENSUS_SAMPLES = 100_000
 
 
 def rule_space_budget() -> int:
-    return int(os.environ.get(RULE_SPACE_BUDGET_ENV, DEFAULT_RULE_SPACE_BUDGET))
+    return env_whole_number(RULE_SPACE_BUDGET_ENV, DEFAULT_RULE_SPACE_BUDGET)
 
 
 def rule_space_size(n: int, m: int) -> int:
@@ -243,8 +243,11 @@ def _resolve_mode(
     seed: int | None,
     default_samples: int,
     what: str,
+    draws_per_sample: int = 1,
 ) -> tuple[str, int | None, int | None]:
-    """Resolve auto/exhaustive/sampled against the work budget."""
+    """Resolve auto/exhaustive/sampled against the work budget: an
+    exhaustive run against its required rule checks, a sampled one against
+    the rules it draws, ``draws_per_sample`` per sample."""
     limit = rule_space_budget()
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -261,7 +264,14 @@ def _resolve_mode(
         return "exhaustive", None, None
     if seed is None:
         raise ValueError("sampled mode needs a seed")
-    return "sampled", default_samples if samples is None else samples, seed
+    samples = default_samples if samples is None else samples
+    draws = samples * draws_per_sample
+    if draws > limit:
+        raise BudgetExceededError(
+            f"sampled {what} draws {draws} rules, over the budget of {limit}; "
+            f"use fewer samples or raise {RULE_SPACE_BUDGET_ENV}"
+        )
+    return "sampled", samples, seed
 
 
 # Rules per block handed to the rule-block kernels; bounds a block's memory.
@@ -706,10 +716,10 @@ def verify_lemma(
     check_agent_count(n)
     check_alternative_count(m)
     size = rule_space_size(n, m)
-    required = size * size if lemma == "C2" else size
+    pairs = lemma == "C2"  # C2 draws two rules per sample
     resolved, eff_samples, eff_seed = _resolve_mode(
-        required, mode, samples, seed, _DEFAULT_SAMPLES[lemma],
-        f"{lemma} at (n={n}, m={m})",
+        size * size if pairs else size, mode, samples, seed, _DEFAULT_SAMPLES[lemma],
+        f"{lemma} at (n={n}, m={m})", 2 if pairs else 1,
     )
     check_profile_work(n, m)
     from . import _lemmas  # here, not at the top: a census never compiles the runners

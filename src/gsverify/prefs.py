@@ -40,14 +40,25 @@ DEFAULT_MAX_PROFILE_WORK = 2_000_000
 MAX_PROFILE_WORK_ENV = "GSVERIFY_MAX_PROFILE_WORK"
 
 
+def env_whole_number(name: str, default: int) -> int:
+    """The whole-number setting ``name`` from the environment, ``default``
+    when it is unset; any other value is rejected by name."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{name} must be a whole number, got {raw!r}")
+    return int(raw)
+
+
 def max_alternatives() -> int:
     """Current cap on the alternative count m; guards m! blowup."""
-    return int(os.environ.get(MAX_ALTERNATIVES_ENV, DEFAULT_MAX_ALTERNATIVES))
+    return env_whole_number(MAX_ALTERNATIVES_ENV, DEFAULT_MAX_ALTERNATIVES)
 
 
 def max_agents() -> int:
     """Current cap on the agent count n; guards (m!)^n blowup."""
-    return int(os.environ.get(MAX_AGENTS_ENV, DEFAULT_MAX_AGENTS))
+    return env_whole_number(MAX_AGENTS_ENV, DEFAULT_MAX_AGENTS)
 
 
 def check_alternative_count(m: int, cap: int | None = None) -> None:
@@ -56,8 +67,7 @@ def check_alternative_count(m: int, cap: int | None = None) -> None:
     limit = max_alternatives() if cap is None else cap
     if m > limit:
         raise CapExceededError(
-            f"m={m} exceeds the alternative cap {limit} "
-            f"({math.factorial(m)} orderings); set {MAX_ALTERNATIVES_ENV} to override"
+            f"m={m} exceeds the alternative cap {limit}; set {MAX_ALTERNATIVES_ENV} to override"
         )
 
 
@@ -73,7 +83,7 @@ def check_agent_count(n: int, cap: int | None = None) -> None:
 
 def profile_work_budget() -> int:
     """Current budget on the work of one walk over the profile space."""
-    return int(os.environ.get(MAX_PROFILE_WORK_ENV, DEFAULT_MAX_PROFILE_WORK))
+    return env_whole_number(MAX_PROFILE_WORK_ENV, DEFAULT_MAX_PROFILE_WORK)
 
 
 def check_profile_work(n: int, m: int) -> None:

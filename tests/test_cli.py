@@ -366,6 +366,26 @@ class TestDeterminismAndOutput:
         assert out == ""
         assert json.loads(target.read_text())["counts"]["total"] == 16
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        code, out, err = invoke(
+            capsys, "census", "--agents", "2", "--alts", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+        assert err == f"error: cannot write the report to {target}: {reason}\n"
+
+    def test_c2_bytes_equal_from_both_count_sources(self, capsys, monkeypatch):
+        # the budget one below the (2,3) rule space sends C2 to its drawn
+        # codes; 5000 pairs draw 10000 rules, inside that budget
+        argv = ("lemmas", "C2", "--agents", "2", "--alts", "3", "--samples", "5000")
+        code, stream, _ = invoke(capsys, *argv)
+        monkeypatch.setenv("GSVERIFY_MAX_RULE_SPACE", "19682")
+        assert invoke(capsys, *argv) == (code, stream, "")
+        assert code == 0
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["no-such-command"]) == 2
 
@@ -550,6 +570,56 @@ class TestSamplesValidation:
         assert code == 2
         assert out == ""
         assert "exhaustive mode takes no samples" in err
+
+    @pytest.mark.parametrize("argv,draws", [
+        (("census", "--mode", "sampled", "--samples", "100000000000"), 100_000_000_000),
+        (("lemmas", "C2", "--samples", "100001"), 200_002),
+        (("lemmas", "--suite", "all", "--agents", "3", "--samples", "200001"), 200_001),
+    ])
+    def test_samples_past_the_rule_budget_rejected(self, capsys, argv, draws):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"draws {draws} rules, over the budget of 200000" in err
+        assert "GSVERIFY_MAX_RULE_SPACE" in err
+
+    @pytest.mark.parametrize("command,samples,expected", [
+        ("census", "40", 0), ("census", "41", 2), ("lemmas", "20", 0), ("lemmas", "21", 2),
+    ])
+    def test_env_sets_the_sample_budget(self, capsys, monkeypatch, command, samples, expected):
+        # C2 draws two rules per sample
+        monkeypatch.setenv("GSVERIFY_MAX_RULE_SPACE", "40")
+        ids = ("C2",) if command == "lemmas" else ()
+        code, _, _ = invoke(capsys, command, *ids, "--samples", samples)
+        assert code == expected
+
+
+class TestSettings:
+    @pytest.mark.parametrize("setting", [
+        "GSVERIFY_MAX_RULE_SPACE", "GSVERIFY_MAX_ALTS", "GSVERIFY_MAX_AGENTS",
+        "GSVERIFY_MAX_PROFILE_WORK",
+    ])
+    @pytest.mark.parametrize("command", ["census", "lemmas"])
+    def test_setting_not_a_whole_number_exits_2(self, capsys, monkeypatch, setting, command):
+        monkeypatch.setenv(setting, "abc")
+        code, out, err = invoke(capsys, command, "--agents", "2", "--alts", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {setting} must be a whole number, got 'abc'\n"
+
+    @pytest.mark.parametrize("alts", ["5000", "1000000"])
+    def test_over_cap_alternatives_rejected_without_m_factorial(self, alts):
+        done = subprocess.run(
+            [sys.executable, "-m", "gsverify", "census", "--agents", "2", "--alts", alts],
+            capture_output=True, text=True, env=src_env(), timeout=5,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: m={alts} exceeds the alternative cap 6; set GSVERIFY_MAX_ALTS to override\n"
+        )
 
 
 class TestScanOptions:

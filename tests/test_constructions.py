@@ -501,6 +501,37 @@ class TestCensus:
         with pytest.raises(ValueError, match="samples must be at least 1"):
             verify_lemma("L1", 3, 3, mode="sampled", samples=samples, seed=1)
 
+    def test_samples_past_the_rule_budget_rejected(self, monkeypatch):
+        # a sampled scan draws its samples as rules, so they are held to the
+        # rule-space budget before any is drawn
+        with pytest.raises(BudgetExceededError) as raised:
+            census(2, 3, mode="sampled", samples=100_000_000_000, seed=1)
+        assert "draws 100000000000 rules, over the budget of 200000" in str(raised.value)
+        assert "GSVERIFY_MAX_RULE_SPACE" in str(raised.value)
+        monkeypatch.setenv("GSVERIFY_MAX_RULE_SPACE", "40")
+        assert census(3, 3, samples=40, seed=1).total == 40
+        with pytest.raises(BudgetExceededError, match="draws 41 rules, over the budget of 40"):
+            census(3, 3, samples=41, seed=1)
+        with pytest.raises(BudgetExceededError, match="draws 100000 rules"):
+            census(3, 3)  # the default sample count
+        with pytest.raises(BudgetExceededError, match="draws 41 rules"):
+            list(enumerate_tops_only_rules(3, 3, mode="sampled", samples=41))
+
+    @pytest.mark.parametrize("setting", [
+        "GSVERIFY_MAX_RULE_SPACE", "GSVERIFY_MAX_ALTS", "GSVERIFY_MAX_AGENTS",
+        "GSVERIFY_MAX_PROFILE_WORK",
+    ])
+    @pytest.mark.parametrize("value", ["abc", "2.5", "-1", ""])
+    def test_setting_not_a_whole_number_rejected(self, monkeypatch, setting, value):
+        monkeypatch.setenv(setting, value)
+        message = f"{setting} must be a whole number, got {value!r}"
+        with pytest.raises(ValueError) as raised:
+            census(2, 2)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            verify_lemma("L1", 2, 2)
+        assert str(raised.value) == message
+
     def test_exhaustive_mode_rejects_samples(self):
         # auto mode still drops them where the space fits: one suite mixes
         # exhaustive and sampled checks
@@ -911,6 +942,60 @@ class TestVerifyLemma:
             "m_f": 3, "d_f": 1, "m_g": 3, "d_g": 2,
         }
 
+    @staticmethod
+    def c2_sources(monkeypatch, n, m, **kwargs):
+        """C2's report from the exhaustive stream, then from the drawn codes
+        (the budget set one below the rule space), each with whether every
+        block it counted was kept by the memo (exhaustive stream blocks)."""
+        honest = _engine.block_profile_verdicts
+        kept = []
+
+        def spy(block):
+            kept.append(block.keep)
+            return honest(block)
+
+        monkeypatch.setattr(_engine, "block_profile_verdicts", spy)
+        runs = []
+        for budget in (None, rule_space_size(n, m) - 1):
+            if budget is not None:
+                monkeypatch.setenv("GSVERIFY_MAX_RULE_SPACE", str(budget))
+            kept.clear()
+            report = verify_lemma("C2", n, m, **kwargs)
+            runs.append((report, set(kept)))
+        monkeypatch.delenv("GSVERIFY_MAX_RULE_SPACE")
+        assert [blocks_kept for _, blocks_kept in runs] == [{True}, {False}]
+        return [report for report, _ in runs]
+
+    @pytest.mark.parametrize("n,m,kwargs", [
+        (2, 3, {"samples": 5000, "seed": 0}),
+        (2, 3, {"samples": 5000, "seed": 1}),
+        (2, 3, {"samples": 9841, "seed": 2026}),  # 19682 draws: at the lowered budget
+        (4, 2, {"mode": "sampled", "seed": 0}),
+    ])
+    def test_c2_count_sources_agree(self, monkeypatch, n, m, kwargs):
+        stream, drawn = self.c2_sources(monkeypatch, n, m, **kwargs)
+        assert stream.passed
+        assert stream.to_json_dict() == drawn.to_json_dict()
+
+    def test_doctored_verdicts_fail_c2_through_both_count_sources(self, monkeypatch):
+        # the first drawn pair (f, g) with |M_f| = |M_g| < 36; clearing f's
+        # verdicts at one of its dictatorial profiles lowers |D_f| alone,
+        # which breaks the duality at that pair or an earlier one with f first
+        draws = _draw_codes(random.Random(0), 3**9, 10_000)
+        table = lambda code: TopsTableRule(2, 3, tuple(_engine.digits_from_code(code, 9, 3)))
+        m_count = lambda code: classify_all(table(code)).m_count
+        f, g = next(
+            (f, g) for f, g in zip(draws[0::2], draws[1::2]) if 36 > m_count(f) == m_count(g)
+        )
+        pc = _lemmas._low_bit(classify_all(table(f), materialize_sets=True).d_set)
+        doctor_block_verdicts(monkeypatch, table(f).outcomes, {pc: 0})
+        stream, drawn = self.c2_sources(monkeypatch, 2, 3, samples=5000, seed=0)
+        assert not stream.passed
+        assert stream.counterexample["kind"] == "duality violation"
+        assert stream.counterexample["f"] == table(f).to_string()
+        assert stream.counterexample["d_f"] == 36 - m_count(f) - 1
+        assert stream.to_json_dict() == drawn.to_json_dict()
+
     def test_sampling_fallback_defaults_to_seed_zero(self):
         report = verify_lemma("C2", 2, 3)
         assert report.mode == "sampled"
@@ -1013,12 +1098,15 @@ class TestColumnMemo:
             return honest_lookup(joined, sp, wide, keep)
 
         monkeypatch.setattr(fresh_memo, "lookup", counted)
-        suite_reports()
+        misses = []  # before each check, then after the last
+        suite_reports(lambda: misses.append(fresh_memo.misses))
+        misses.append(fresh_memo.misses)
         assert fresh_memo.misses == len(computed) == len(set(computed)) == len(lookups)
         # the lemmas walk the same blocks again and read the kept columns
         assert sum(lookups.values()) > 2 * fresh_memo.misses
-        # C2 samples its rule pairs at (2,3); its blocks are read once
-        assert 0 < len(sampled) == sum(lookups[key] for key in sampled)
+        # C2 at (2,3) counts the exhaustive stream's kept blocks: no column miss
+        c2 = SUITE.index("C2")
+        assert misses[c2 + 1] == misses[c2]
         # nothing evicted
         assert len(fresh_memo.records) == fresh_memo.misses - len(sampled)
 

@@ -656,6 +656,22 @@ def test_bit_lanes_equal_per_bit_loops(count):
         ]
 
 
+@pytest.mark.parametrize("count", [1, 7, 8, 2048])
+@pytest.mark.parametrize("many", [0, 1, 255, 256, 300])
+def test_bit_counts_equal_per_bit_loop(count, many):
+    # 255 all-ones bitsets fill eight carry planes; 256 and 300 need a ninth,
+    # whose lanes are added as a second group
+    rng = random.Random(20275 + many)
+    ones = (1 << count) - 1
+    for bitsets in (
+        [ones] * many,
+        [rng.getrandbits(count) for _ in range(many)],
+        [ones if rng.random() < 0.5 else rng.getrandbits(count) for _ in range(many)],
+    ):
+        expected = [sum((bits >> r) & 1 for bits in bitsets) for r in range(count)]
+        assert bit_counts(iter(bitsets), count) == expected
+
+
 def per_digit_loop(code, cells, m):
     """The digits of a rule code by one divmod per digit (the reference)."""
     digits = [0] * cells

@@ -112,6 +112,15 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             enumerate_preferences(7)
 
+    @pytest.mark.parametrize("m", [7, 5000, 10**6])
+    def test_cap_message_leaves_m_factorial_out(self, m):
+        # m! of an over-cap m may be too large to print, or even to compute
+        with pytest.raises(CapExceededError) as raised:
+            prefs.check_alternative_count(m)
+        assert str(raised.value) == (
+            f"m={m} exceeds the alternative cap 6; set GSVERIFY_MAX_ALTS to override"
+        )
+
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("GSVERIFY_MAX_ALTS", "7")
         assert len(enumerate_preferences(7)) == math.factorial(7)
