@@ -118,7 +118,9 @@ class Space:
             (tc, t[0]) for tc, t in enumerate(self.tops_tuples) if len(set(t)) == 1
         )
         self.cell_tops_sets = tuple(tuple(sorted(set(t))) for t in self.tops_tuples)
-        self.dictator_tables = tuple(tuple(t[i] for t in self.tops_tuples) for i in range(n))
+        self.dictator_tables = tuple(
+            tuple(t[i] for t in self.tops_tuples) for i in range(n)
+        )
 
     def tops_code_of(self, pref_codes: Sequence[int]) -> int:
         code = 0
@@ -160,7 +162,9 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     check_profile_work(n, m)
     sp = space(n, m)
     above = tuple(
-        tuple(sum(1 << y for y in range(m) if pos[y] < pos[x]) for x in range(m))
+        tuple(
+            sum(1 << y for y in range(m) if pos[y] < pos[x]) for x in range(m)
+        )
         for pos in sp.position
     )
     # every misreport's offset, each distinct one kept once: ORing one
@@ -355,18 +359,12 @@ _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _spread(bits: int, count: int) -> int:
-    """Bit r of ``bits`` (r < count) moved to the low bit of byte r."""
-    return int.from_bytes(format(bits, f"0{count}b").encode().translate(_ASCII_BITS), "big")
-
-
 def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
     """Per rule r < count, how many of ``bitsets`` have bit r set (exact).
 
     The bitsets are added into carry planes, plane j holding bit j of every
     rule's running count, and only the ceil(log2(B + 1)) planes of B bitsets
-    are spread to byte lanes: up to eight at bit shifts 0 to 7, so no lane
-    carries, and past eight, each group of eight in lanes of its own.
+    are spread to byte lanes (``bit_flags``), eight planes at a time.
     """
     planes: list[int] = []
     for carry in bitsets:
@@ -376,11 +374,10 @@ def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
                 break
         else:
             planes.append(carry)
-    totals = [0] * count
-    for low in range(0, len(planes), 8):
-        lanes = sum(_spread(p, count) << j for j, p in enumerate(planes[low : low + 8]))
-        group = lanes.to_bytes(count, "little")
-        totals = [t | b << low for t, b in zip(totals, group)] if low else list(group)
+    totals = list(bit_flags(planes[:8], count))
+    for low in range(8, len(planes), 8):
+        group = bit_flags(planes[low : low + 8], count)
+        totals = [t | b << low for t, b in zip(totals, group)]
     return totals
 
 
@@ -389,7 +386,9 @@ def bit_flags(bitsets: Sequence[int], count: int) -> bytes:
     (at most 8 bitsets, so the byte lanes they are added in never carry)."""
     lanes = 0
     for i, bits in enumerate(bitsets):
-        lanes += _spread(bits, count) << i
+        # bit r of ``bits`` moved to the low bit of byte r
+        spread = format(bits, f"0{count}b").encode().translate(_ASCII_BITS)
+        lanes += int.from_bytes(spread, "big") << i
     return lanes.to_bytes(count, "little")
 
 

@@ -18,11 +18,11 @@ counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from
 the profile rows (``block_efficient_definitional``).  L1 and C1 are one scan
 (``_strategy_proof_unanimous_scan``) with their own counterexample kind and
 closed-form test.  C2 counts |M_f| and |D_f| apart, so the duality it checks
-is not built into its counts.  Whenever the rule space fits the budget it
-counts every rule of the exhaustive stream, indexed by rule code, sampled
-pairs too, so the suite at (2,3) reads the columns the other checks keep;
-only past the budget does it build blocks of its drawn codes.  THM is the
-census.
+is not built into its counts.  When the rule space is no larger than its
+draws (exhaustive, or sampled at (2,3) by default) it counts every rule of
+the exhaustive stream, indexed by rule code, so the suite at (2,3) reads the
+columns the other checks keep; otherwise ((4,2), (3,3), (2,4)) it builds
+blocks of its distinct drawn codes only.  THM is the census.
 
 Names these runners share with ``constructions`` that callers may patch
 there are read through that module at call time: ``_BLOCK_RULES``, the
@@ -35,8 +35,8 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from functools import reduce
-from itertools import chain, compress, islice
-from operator import and_, ge, ne, or_
+from itertools import chain, islice
+from operator import and_, or_
 
 from . import _engine, constructions
 from .constructions import (
@@ -273,24 +273,16 @@ def _draw_codes(rng: random.Random, size: int, count: int) -> list[int]:
     return draws
 
 
-def _verify_c2(n, m, mode, samples, seed):
-    """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
+def _c2_counts(n: int, m: int, codes) -> tuple[list[int], list[int]]:
+    """|M_f| and |D_f| of the rules ``codes``, in their order, or of every rule
+    of the space, read from the exhaustive stream, when ``codes`` is None."""
     sp = _engine.space(n, m)
     cells = sp.tops_count
-    size = rule_space_size(n, m)
-    # the pairs in order as runs of (f codes, g codes)
-    if mode == "exhaustive":
-        runs = (([f] * size, range(size)) for f in range(size))
-    else:
-        draws = _draw_codes(random.Random(seed), size, 2 * (samples or 0))  # f, g, f, ...
-        runs = [(draws[0::2], draws[1::2])]
-    if size <= constructions.rule_space_budget():
-        drawn = None  # every rule counted, its counts at its code
+    if codes is None:
         blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
-    else:  # only the distinct drawn codes, in first-seen order
-        drawn = dict.fromkeys(draws)
-        first_seen = iter(drawn)
-        parts = iter(lambda: list(islice(first_seen, constructions._BLOCK_RULES)), [])
+    else:
+        left = iter(codes)
+        parts = iter(lambda: list(islice(left, constructions._BLOCK_RULES)), [])
         blocks = (
             _engine.Block(
                 sp, b"".join([_engine.digits_from_code(code, cells, m) for code in part]), part
@@ -304,33 +296,49 @@ def _verify_c2(n, m, mode, samples, seed):
         dictatorial, manipulable = _engine.block_profile_verdicts(block)
         m_counts += _engine.bit_counts(manipulable, block.count)
         d_counts += _engine.bit_counts(dictatorial, block.count)
-    if drawn is None:
-        m_at, d_at = m_counts.__getitem__, d_counts.__getitem__
-    else:  # the counts keyed by code
-        m_at = dict(zip(drawn, m_counts)).__getitem__
-        d_at = dict(zip(drawn, d_counts)).__getitem__
+    return m_counts, d_counts
+
+
+def _verify_c2(n, m, mode, samples, seed):
+    """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
+    cells = _engine.space(n, m).tops_count
+    size = rule_space_size(n, m)
+    if mode == "exhaustive":
+        pairs = ((f, g) for f in range(size) for g in range(size))
+    else:
+        draws = _draw_codes(random.Random(seed), size, 2 * (samples or 0))  # f, g, f, ...
+        pairs = zip(draws[0::2], draws[1::2])
+    if mode == "exhaustive" or size <= len(draws):
+        # no more rules than the draws: every rule counted, its counts at its code
+        position = range(size)
+        m_counts, d_counts = _c2_counts(n, m, None)
+    else:
+        # the distinct codes in first-seen order, each mapped to its position
+        position = dict.fromkeys(draws)
+        for index, code in enumerate(position):
+            position[code] = index
+        m_counts, d_counts = _c2_counts(n, m, position)
     checks = 0
     counterexample = None
-    for fs, gs in runs:
-        # the first pair of the run where "f >=_d g" and "g >=_m f" disagree
-        f_geq_d_g = map(ge, map(d_at, fs), map(d_at, gs))  # |D_f| >= |D_g|
-        g_geq_m_f = map(ge, map(m_at, gs), map(m_at, fs))  # |M_g| >= |M_f|
-        first = next(compress(range(len(fs)), map(ne, f_geq_d_g, g_geq_m_f)), None)
-        if first is None:
-            checks += len(fs)
-            continue
-        checks += first + 1
-        f, g = fs[first], gs[first]
-        counterexample = {
-            "kind": "duality violation",
-            "f": _rule_string_from_digits(n, m, _engine.digits_from_code(f, cells, m)),
-            "g": _rule_string_from_digits(n, m, _engine.digits_from_code(g, cells, m)),
-            "m_f": m_at(f),
-            "d_f": d_at(f),
-            "m_g": m_at(g),
-            "d_g": d_at(g),
-        }
-        break
+    for f_code, g_code in pairs:
+        f, g = position[f_code], position[g_code]
+        mf, df, mg, dg = m_counts[f], d_counts[f], m_counts[g], d_counts[g]
+        checks += 1
+        if (df >= dg) != (mg >= mf):
+            counterexample = {
+                "kind": "duality violation",
+                "f": _rule_string_from_digits(
+                    n, m, _engine.digits_from_code(f_code, cells, m)
+                ),
+                "g": _rule_string_from_digits(
+                    n, m, _engine.digits_from_code(g_code, cells, m)
+                ),
+                "m_f": mf,
+                "d_f": df,
+                "m_g": mg,
+                "d_g": dg,
+            }
+            break
     if mode == "exhaustive":
         distinct = size
     else:  # the rules met up to the last pair checked

@@ -239,6 +239,10 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
     ids = [i.upper() for i in args.ids]
     if args.suite == "all" or not ids:
         ids = list(_LEMMA_CHOICES)
+    for lemma in ids:  # every check's inputs are rejected before any check runs
+        constructions._resolve_lemma(
+            lemma, args.agents, args.alts, args.mode, args.samples, args.seed
+        )
     results = []
     for lemma in ids:
         report = constructions.verify_lemma(

@@ -695,6 +695,27 @@ def _axiom_values(rule: Rule) -> dict:
     }
 
 
+def _resolve_lemma(
+    lemma: str, n: int, m: int, mode: str, samples: int | None, seed: int
+) -> tuple[str, str, int | None, int | None]:
+    """The check id, mode, samples and seed ``verify_lemma`` runs with; raises
+    for every input it rejects before the check starts."""
+    lemma = lemma.upper()
+    if lemma not in LEMMA_DESCRIPTIONS:
+        known = ", ".join(sorted(LEMMA_DESCRIPTIONS))
+        raise UnknownLemmaError(f"unknown check id {lemma!r}; known ids: {known}")
+    check_agent_count(n)
+    check_alternative_count(m)
+    size = rule_space_size(n, m)
+    pairs = lemma == "C2"  # C2 draws two rules per sample
+    resolved, eff_samples, eff_seed = _resolve_mode(
+        size * size if pairs else size, mode, samples, seed, _DEFAULT_SAMPLES[lemma],
+        f"{lemma} at (n={n}, m={m})", 2 if pairs else 1,
+    )
+    check_profile_work(n, m)
+    return lemma, resolved, eff_samples, eff_seed
+
+
 def verify_lemma(
     lemma: str,
     n: int,
@@ -709,19 +730,7 @@ def verify_lemma(
     ``mode="auto"`` runs exhaustively when the rule space (or, for C2, the
     pair space) fits the budget and falls back to seeded sampling otherwise.
     """
-    lemma = lemma.upper()
-    if lemma not in LEMMA_DESCRIPTIONS:
-        known = ", ".join(sorted(LEMMA_DESCRIPTIONS))
-        raise UnknownLemmaError(f"unknown check id {lemma!r}; known ids: {known}")
-    check_agent_count(n)
-    check_alternative_count(m)
-    size = rule_space_size(n, m)
-    pairs = lemma == "C2"  # C2 draws two rules per sample
-    resolved, eff_samples, eff_seed = _resolve_mode(
-        size * size if pairs else size, mode, samples, seed, _DEFAULT_SAMPLES[lemma],
-        f"{lemma} at (n={n}, m={m})", 2 if pairs else 1,
-    )
-    check_profile_work(n, m)
+    lemma, resolved, eff_samples, eff_seed = _resolve_lemma(lemma, n, m, mode, samples, seed)
     from . import _lemmas  # here, not at the top: a census never compiles the runners
 
     t0 = perf_counter()

@@ -42,13 +42,18 @@ MAX_PROFILE_WORK_ENV = "GSVERIFY_MAX_PROFILE_WORK"
 
 def env_whole_number(name: str, default: int) -> int:
     """The whole-number setting ``name`` from the environment, ``default``
-    when it is unset; any other value is rejected by name."""
+    when it is unset; a value ``int`` does not read, or a negative one, is
+    rejected by name."""
     raw = os.environ.get(name)
     if raw is None:
         return default
-    if not raw.strip().isdecimal():
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
         raise ValueError(f"{name} must be a whole number, got {raw!r}")
-    return int(raw)
+    return value
 
 
 def max_alternatives() -> int:

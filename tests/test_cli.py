@@ -377,15 +377,6 @@ class TestDeterminismAndOutput:
         reason = "No such file or directory" if where == "missing directory" else "Is a directory"
         assert err == f"error: cannot write the report to {target}: {reason}\n"
 
-    def test_c2_bytes_equal_from_both_count_sources(self, capsys, monkeypatch):
-        # the budget one below the (2,3) rule space sends C2 to its drawn
-        # codes; 5000 pairs draw 10000 rules, inside that budget
-        argv = ("lemmas", "C2", "--agents", "2", "--alts", "3", "--samples", "5000")
-        code, stream, _ = invoke(capsys, *argv)
-        monkeypatch.setenv("GSVERIFY_MAX_RULE_SPACE", "19682")
-        assert invoke(capsys, *argv) == (code, stream, "")
-        assert code == 0
-
     def test_usage_error_exit_code(self, capsys):
         assert run(["no-such-command"]) == 2
 
@@ -575,6 +566,8 @@ class TestSamplesValidation:
         (("census", "--mode", "sampled", "--samples", "100000000000"), 100_000_000_000),
         (("lemmas", "C2", "--samples", "100001"), 200_002),
         (("lemmas", "--suite", "all", "--agents", "3", "--samples", "200001"), 200_001),
+        # only C2, the sixth check, draws more rules than the budget
+        (("lemmas", "--suite", "all", "--agents", "3", "--samples", "150000"), 300_000),
     ])
     def test_samples_past_the_rule_budget_rejected(self, capsys, argv, draws):
         start = time.perf_counter()

@@ -944,38 +944,52 @@ class TestVerifyLemma:
 
     @staticmethod
     def c2_sources(monkeypatch, n, m, **kwargs):
-        """C2's report from the exhaustive stream, then from the drawn codes
-        (the budget set one below the rule space), each with whether every
-        block it counted was kept by the memo (exhaustive stream blocks)."""
-        honest = _engine.block_profile_verdicts
-        kept = []
+        """Whether C2 counts the exhaustive stream, and its report three ways:
+        from the source it takes, then with every count forced from the stream
+        and from blocks of codes (every code in order where it takes the
+        stream)."""
+        honest = _lemmas._c2_counts
+        size = rule_space_size(n, m)
+        took = []
 
-        def spy(block):
-            kept.append(block.keep)
-            return honest(block)
+        def taken(n, m, codes):
+            took.append(codes is None)
+            return honest(n, m, codes)
 
-        monkeypatch.setattr(_engine, "block_profile_verdicts", spy)
-        runs = []
-        for budget in (None, rule_space_size(n, m) - 1):
-            if budget is not None:
-                monkeypatch.setenv("GSVERIFY_MAX_RULE_SPACE", str(budget))
-            kept.clear()
-            report = verify_lemma("C2", n, m, **kwargs)
-            runs.append((report, set(kept)))
-        monkeypatch.delenv("GSVERIFY_MAX_RULE_SPACE")
-        assert [blocks_kept for _, blocks_kept in runs] == [{True}, {False}]
-        return [report for report, _ in runs]
+        def stream(n, m, codes):
+            m_counts, d_counts = honest(n, m, None)
+            if codes is None:
+                return m_counts, d_counts
+            return [m_counts[c] for c in codes], [d_counts[c] for c in codes]
 
-    @pytest.mark.parametrize("n,m,kwargs", [
-        (2, 3, {"samples": 5000, "seed": 0}),
-        (2, 3, {"samples": 5000, "seed": 1}),
-        (2, 3, {"samples": 9841, "seed": 2026}),  # 19682 draws: at the lowered budget
-        (4, 2, {"mode": "sampled", "seed": 0}),
+        def drawn(n, m, codes):
+            return honest(n, m, range(size) if codes is None else codes)
+
+        reports = []
+        for counts in (taken, stream, drawn):
+            monkeypatch.setattr(_lemmas, "_c2_counts", counts)
+            reports.append(verify_lemma("C2", n, m, **kwargs).to_json_dict())
+        monkeypatch.setattr(_lemmas, "_c2_counts", honest)
+        assert len(took) == 1
+        return took[0], reports
+
+    @pytest.mark.parametrize("n,m,kwargs,stream", [
+        (2, 3, {"seed": 0}, True),  # 20000 draws, the space 19683 rules
+        (2, 3, {"seed": 1}, True),
+        (2, 3, {"seed": 2026}, True),
+        (2, 3, {"samples": 9842, "seed": 0}, True),  # 19684 draws
+        (2, 3, {"samples": 9841, "seed": 0}, False),  # 19682 draws
+        (2, 3, {"samples": 5000, "seed": 1}, False),
+        (4, 2, {"mode": "sampled", "seed": 0}, False),  # 20000 draws of 65536 rules
+        (3, 2, {}, True),  # exhaustive
     ])
-    def test_c2_count_sources_agree(self, monkeypatch, n, m, kwargs):
-        stream, drawn = self.c2_sources(monkeypatch, n, m, **kwargs)
-        assert stream.passed
-        assert stream.to_json_dict() == drawn.to_json_dict()
+    def test_c2_count_sources_agree(self, monkeypatch, n, m, kwargs, stream):
+        took_stream, (taken, from_stream, from_codes) = self.c2_sources(
+            monkeypatch, n, m, **kwargs
+        )
+        assert took_stream == stream
+        assert taken["passed"]
+        assert taken == from_stream == from_codes
 
     def test_doctored_verdicts_fail_c2_through_both_count_sources(self, monkeypatch):
         # the first drawn pair (f, g) with |M_f| = |M_g| < 36; clearing f's
@@ -989,12 +1003,15 @@ class TestVerifyLemma:
         )
         pc = _lemmas._low_bit(classify_all(table(f), materialize_sets=True).d_set)
         doctor_block_verdicts(monkeypatch, table(f).outcomes, {pc: 0})
-        stream, drawn = self.c2_sources(monkeypatch, 2, 3, samples=5000, seed=0)
-        assert not stream.passed
-        assert stream.counterexample["kind"] == "duality violation"
-        assert stream.counterexample["f"] == table(f).to_string()
-        assert stream.counterexample["d_f"] == 36 - m_count(f) - 1
-        assert stream.to_json_dict() == drawn.to_json_dict()
+        took_stream, (taken, from_stream, from_codes) = self.c2_sources(
+            monkeypatch, 2, 3, samples=5000, seed=0
+        )
+        assert not took_stream
+        assert not taken["passed"]
+        assert taken["counterexample"]["kind"] == "duality violation"
+        assert taken["counterexample"]["f"] == table(f).to_string()
+        assert taken["counterexample"]["d_f"] == 36 - m_count(f) - 1
+        assert taken == from_stream == from_codes
 
     def test_sampling_fallback_defaults_to_seed_zero(self):
         report = verify_lemma("C2", 2, 3)

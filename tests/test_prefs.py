@@ -121,6 +121,12 @@ class TestEnumeration:
             f"m={m} exceeds the alternative cap 6; set GSVERIFY_MAX_ALTS to override"
         )
 
+    @pytest.mark.parametrize("value,read", [("7", 7), ("+7", 7), (" 7\n", 7), ("1_000", 1000)])
+    def test_cap_setting_read_as_int_reads_it(self, monkeypatch, value, read):
+        # a setting is any whole number int() reads; others are rejected by name
+        monkeypatch.setenv("GSVERIFY_MAX_ALTS", value)
+        assert prefs.max_alternatives() == read
+
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("GSVERIFY_MAX_ALTS", "7")
         assert len(enumerate_preferences(7)) == math.factorial(7)
