@@ -31,19 +31,20 @@ Rule streams go through the rule-block kernels a block at a time.  A
 their codes, and whether the column memo may keep it; bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
 operations covering the whole block.  ``Block.cols`` gives, per tops code
-and outcome, the rules selecting it.  A block fetches its columns at most
-once; the columns of each distinct block of an exhaustive stream, the only
-blocks built with ``keep=True``, are kept in ``COLUMN_MEMO``, at most
-``COLUMN_MEMO_BYTES`` of them, least recently used evicted first.  The other
-blocks (sampled streams, and the one-rule blocks of ``classify_all`` and
-``rules.efficient_via_tops``) are not asked for again, so their columns are
-computed without a memo record.  This module alone decides what the memo
-keeps.  The block predicates (``block_unanimous``,
-``block_efficient_cells``, ``block_efficient_definitional`` and
-``block_dictators``) read these columns and answer for the rules of a given
-bitset; ``block_unanimous_digits`` answers ``block_unanimous`` for a whole
-block from the digits of its m unanimous cells, with no columns, so the
-sampled census builds columns only for the unanimous rules it cuts out.
+and outcome, the rules selecting it, and ``Block.wide`` the same bitsets one
+int per tops code, both from one record built in one pass and fetched at
+most once per block.  The suite walks the exhaustive stream once per check,
+so ``COLUMN_MEMO`` keeps the records of its blocks, the only ones built with
+``keep=True``, first-come within ``COLUMN_MEMO_BYTES``, evicting none.  The
+other blocks (sampled streams, and the one-rule blocks of ``classify_all``
+and ``rules.efficient_via_tops``) are not asked for again, so their records
+are not kept.  This module alone decides what the memo keeps.  The block
+predicates (``block_unanimous``, ``block_efficient_cells``,
+``block_efficient_definitional`` and ``block_dictators``) read these columns
+and answer for the rules of a given bitset; ``block_unanimous_digits``
+answers ``block_unanimous`` for a whole block from the digits of its m
+unanimous cells, with no columns, so the sampled census builds columns only
+for the unanimous rules it cuts out.
 ``block_manipulable`` decides strategy-proofness for every rule-stream check;
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, permutations, product
@@ -200,46 +200,38 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
 # ---------------------------------------------------------------------------
 
 
-# Bytes of block columns the memo retains.  The serial (2,3) suite's 47
-# distinct blocks (0.55 MB with their keys) fit: its lemmas walk the same
-# blocks in the same order, so a memo too small for all of them evicts each
-# block just before it is asked for again.  One 2048-rule block at (5,3)
-# holds about 0.5 MB.
+# Bytes of block records the memo retains.  The suite rescans the same
+# exhaustive blocks in order once per check, so the first blocks that fit are
+# kept and none is evicted: an LRU memo smaller than the scan evicts each block
+# just before it is asked for again.  The (2,3) suite's 40 blocks (0.34 MB
+# with their keys) fit, the (4,2) suite's 1.98 MB do not.
 COLUMN_MEMO_BYTES = 1 << 20
 
 
 class ColumnMemo:
-    """Block columns per (block bytes, ``Space``), least recently used first,
-    evicted while their retained bytes exceed ``limit``.  It holds columns
-    only, never a verdict: every kernel computes its answer from them."""
+    """Block records per block bytes, one ``Space`` at a time, kept first-come
+    within ``limit`` and never evicted.  It holds columns only, never a
+    verdict: every kernel computes its answer from them."""
 
     def __init__(self, limit: int):
         self.limit = limit
-        self.records: OrderedDict = OrderedDict()  # key -> [count, cols, wide, bytes]
+        self.sp: Space | None = None
+        self.records: dict = {}  # block bytes -> (cols, wide, bytes)
         self.size = 0
         self.misses = 0
 
-    def lookup(self, joined: bytes, sp: Space, wide: bool, keep: bool = True) -> list:
-        """The block's record, made most recent; ``wide`` fills its wide
-        columns if they are missing.  A block the memo does not hold is
-        added only if ``keep``."""
-        key = (joined, sp)
-        record = self.records.pop(key, None)
+    def lookup(self, joined: bytes, sp: Space, keep: bool = True) -> tuple:
+        """The block's record.  A ``keep`` block of another space empties the
+        memo first; a missed block is kept only if ``keep`` and it fits."""
+        if keep and sp is not self.sp:
+            self.sp, self.records, self.size = sp, {}, 0
+        record = self.records.get(joined) if sp is self.sp else None
         if record is None:
             self.misses += 1
-            count, cols = _columns_of(joined, sp)
-            size = sys.getsizeof(joined) + sum(map(sys.getsizeof, chain(*cols)))
-            record = [count, cols, None, size]
-        else:
-            self.size -= record[3]
-            keep = True  # a held block goes back
-        if wide and record[2] is None:
-            record[3] += sum(map(sys.getsizeof, _widen(record, sp.m)))
-        if keep:
-            self.records[key] = record
-            self.size += record[3]
-            while self.size > self.limit:
-                self.size -= self.records.popitem(last=False)[1][3]
+            record = _columns_of(joined, sp)
+            if keep and self.size + record[2] <= self.limit:
+                self.records[joined] = record
+                self.size += record[2]
         return record
 
 
@@ -262,23 +254,22 @@ def _selecting(column: bytes, table: bytes) -> int:
     return int(column.translate(table)[::-1], 2)
 
 
-def _columns_of(joined: bytes, sp: Space) -> tuple[int, list[tuple[int, ...]]]:
+def _columns_of(joined: bytes, sp: Space) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """A block's memo record: per tops code, the rule bitset of each outcome;
+    the same bitsets in one int per tops code, outcome x in bits
+    ``[x * count, (x + 1) * count)``; and the bytes of both with the key."""
     cells = sp.tops_count
     eq = _outcome_tables(sp.m)
-    cols = []
+    count = len(joined) // cells
+    shifts = range(0, sp.m * count, count)
+    cols, wide = [], []
     for c in range(cells):
         col = joined[c::cells]
-        cols.append(tuple(_selecting(col, t) for t in eq))
-    return len(joined) // cells, cols
-
-
-def _widen(record: list, m: int) -> list[int]:
-    """Fill in a memo record's wide columns: per tops code, one int holding
-    every outcome's rule bitset, outcome x in bits ``[x * count, (x + 1) * count)``."""
-    count, cols = record[0], record[1]
-    shifts = range(0, m * count, count)
-    record[2] = [sum(s << shift for s, shift in zip(col, shifts)) for col in cols]
-    return record[2]
+        outs = tuple(_selecting(col, t) for t in eq)
+        cols.append(outs)
+        wide.append(sum(s << shift for s, shift in zip(outs, shifts)))
+    size = sys.getsizeof(joined) + sum(map(sys.getsizeof, chain(*cols, wide)))
+    return cols, wide, size
 
 
 COLUMN_MEMO = ColumnMemo(COLUMN_MEMO_BYTES)
@@ -302,8 +293,8 @@ class Block:
     ``COLUMN_MEMO`` may keep its columns.  Bit r of ``full`` stands for rule r.
 
     Only the exhaustive stream builds blocks with ``keep=True``: no later call
-    asks for any other block again.  A block fetches its columns from the
-    memo at most once, and its wide columns at most once more.
+    asks for any other block again.  A block fetches its memo record at most
+    once, and reads its columns and wide columns from it.
     """
 
     __slots__ = ("sp", "joined", "codes", "count", "full", "keep", "_record")
@@ -321,23 +312,16 @@ class Block:
     def cols(self) -> list[tuple[int, ...]]:
         """Per tops code, the bitset of rules selecting each outcome."""
         if self._record is None:
-            self._record = COLUMN_MEMO.lookup(self.joined, self.sp, False, self.keep)
-        return self._record[1]
+            self._record = COLUMN_MEMO.lookup(self.joined, self.sp, self.keep)
+        return self._record[0]
 
     @property
     def wide(self) -> list[int]:
         """Per tops code, every outcome's rule bitset in one int: outcome x in
         bits ``[x * count, (x + 1) * count)``."""
-        record = self._record
-        if record is None:
-            record = self._record = COLUMN_MEMO.lookup(self.joined, self.sp, True, self.keep)
-        elif record[2] is None:
-            if COLUMN_MEMO.records.get((self.joined, self.sp)) is record:
-                # the memo fills the record it holds and counts the new bytes
-                COLUMN_MEMO.lookup(self.joined, self.sp, True, self.keep)
-            else:
-                _widen(record, self.sp.m)
-        return record[2]
+        if self._record is None:
+            self._record = COLUMN_MEMO.lookup(self.joined, self.sp, self.keep)
+        return self._record[1]
 
     def digits(self, r: int) -> bytes:
         """The digits of rule r."""

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import classify as classify_mod
@@ -104,6 +105,26 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    created = False
+    if args.out:  # an unwritable path is rejected before the run, no byte of it changed
+        try:
+            created = not os.path.exists(args.out)
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
+    code = _report(args)
+    if code == 2 and created and os.path.exists(args.out):
+        os.remove(args.out)
+    return code
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write the report to {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _report(args: argparse.Namespace) -> int:
+    """Run the command and write its report; returns the exit code."""
     try:
         payload, failed = _execute(args)
     except (GsverifyError, ValueError) as exc:
@@ -115,9 +136,7 @@ def run(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
         except OSError as exc:
-            print(f"error: cannot write the report to {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc)
     else:
         sys.stdout.write(rendered)
     return 1 if failed else 0

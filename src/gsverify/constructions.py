@@ -224,18 +224,6 @@ def restrict(rule: Rule, fixed: Sequence[Preference]) -> Rule:
 # ---------------------------------------------------------------------------
 
 
-def _check_rule_space(n: int, m: int) -> int:
-    size = rule_space_size(n, m)
-    limit = rule_space_budget()
-    if size > limit:
-        raise BudgetExceededError(
-            f"tops-table space at (n={n}, m={m}) holds {size} rules "
-            f"({m}**{m**n}), over the budget of {limit}; "
-            f"use sampled mode or raise {RULE_SPACE_BUDGET_ENV}"
-        )
-    return size
-
-
 def _resolve_mode(
     required: int,
     mode: str,
@@ -618,7 +606,10 @@ def census_rows(
     """
     check_agent_count(n)
     check_alternative_count(m)
-    _check_rule_space(n, m)
+    _resolve_mode(
+        rule_space_size(n, m), "exhaustive", None, None, DEFAULT_CENSUS_SAMPLES,
+        f"census at (n={n}, m={m})",
+    )
     ordered = _ordered_filters(filters)
     check_profile_work(n, m)  # the strategy-proof column
 

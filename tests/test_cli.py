@@ -179,6 +179,15 @@ class TestCensusCommand:
         assert code == 2
         assert "4294967296" in err
 
+    def test_verbose_budget_exceeded_with_the_exhaustive_message(self, capsys):
+        # the per-rule census checks its budget where every exhaustive run does
+        code, out, err = invoke(
+            capsys, "census", "--format", "csv", "--verbose", "--agents", "2", "--alts", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exhaustive census at (n=2, m=4) needs 4294967296 rule checks")
+
     def test_text_format(self, capsys):
         code, out, _ = invoke(
             capsys, "census", "--agents", "2", "--alts", "2", "--format", "text",
@@ -377,6 +386,33 @@ class TestDeterminismAndOutput:
         reason = "No such file or directory" if where == "missing directory" else "Is a directory"
         assert err == f"error: cannot write the report to {target}: {reason}\n"
 
+    def test_unwritable_out_is_rejected_before_the_run(self, capsys, monkeypatch, tmp_path):
+        def never(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "_execute", never)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = invoke(
+            capsys, "lemmas", "--suite", "all", "--agents", "3", "--alts", "3",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write the report to {target}: No such file or directory\n"
+
+    def test_an_existing_out_file_keeps_its_bytes_after_an_error(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"earlier report\n")
+        code, _, err = invoke(capsys, "census", "--samples", "0", "--out", str(target))
+        assert code == 2
+        assert err == "error: --samples must be at least 1\n"
+        assert target.read_bytes() == b"earlier report\n"
+
+    def test_an_out_file_made_by_the_probe_is_removed_after_an_error(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, _, _ = invoke(capsys, "census", "--samples", "0", "--out", str(target))
+        assert code == 2
+        assert not target.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["no-such-command"]) == 2
 
@@ -462,6 +498,15 @@ class TestGoldenReports:
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_report_digest_of_a_suite_past_the_memo_bound(self, capsys):
+        # the one default-budget suite whose blocks overflow the column memo;
+        # at m = 2 the theorem does not hold, so L4, R2 and THM fail (exit 1)
+        code, out, _ = invoke(capsys, "lemmas", "--suite", "all", "--agents", "4", "--alts", "2")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4020e8c47f08078965226c21286d907d6bbeaa32f1a68d60a5555a1e90608263"
+        )
 
     # JSON witnesses of the single-rule questions: the csv forms carry none.
     # The FULL table is DICT:0 with profiles 5, 9 and 35 changed, so its

@@ -679,8 +679,8 @@ class TestCutCascade:
         report = census(2, 3, mode="exhaustive")
         blocks = list(_iter_rule_blocks(2, 3, "exhaustive", None, None))
         assert report.total == 19683
-        kept = {joined for joined, _sp in fresh_memo.records}
-        assert kept >= {block.joined for block in blocks}
+        assert fresh_memo.sp is _engine.space(2, 3)
+        assert set(fresh_memo.records) >= {block.joined for block in blocks}
 
 
 class TestVerifyLemma:
@@ -1067,12 +1067,12 @@ class TestDerivedRuleStrings:
 SUITE = ("L1", "L3", "L4", "L5", "C1", "C2", "R1", "R2", "THM")
 
 
-def suite_reports(before_each=lambda: None):
-    """The serial (2,3) suite's reports as JSON text, one per check."""
+def suite_reports(before_each=lambda: None, n=2, m=3):
+    """The serial suite's reports at (n, m) as JSON text, one per check."""
     reports = []
     for lemma in SUITE:
         before_each()
-        report = verify_lemma(lemma, 2, 3)
+        report = verify_lemma(lemma, n, m)
         reports.append(json.dumps(report.to_json_dict(), sort_keys=True))
     return reports
 
@@ -1108,11 +1108,11 @@ class TestColumnMemo:
         sampled = set()
         honest_lookup = fresh_memo.lookup
 
-        def counted(joined, sp, wide, keep=True):
+        def counted(joined, sp, keep=True):
             lookups[joined, sp] += 1
             if not keep:
                 sampled.add((joined, sp))
-            return honest_lookup(joined, sp, wide, keep)
+            return honest_lookup(joined, sp, keep)
 
         monkeypatch.setattr(fresh_memo, "lookup", counted)
         misses = []  # before each check, then after the last
@@ -1124,8 +1124,42 @@ class TestColumnMemo:
         # C2 at (2,3) counts the exhaustive stream's kept blocks: no column miss
         c2 = SUITE.index("C2")
         assert misses[c2 + 1] == misses[c2]
-        # nothing evicted
+        # every kept block fits, so the memo holds each one it computed
         assert len(fresh_memo.records) == fresh_memo.misses - len(sampled)
+
+    def test_a_suite_past_the_bound_keeps_its_first_blocks(self, fresh_memo, monkeypatch):
+        # the (4,2) suite's blocks overflow the memo; the blocks it holds are
+        # found again by every later scan instead of being evicted before it
+        built = spy_columns(monkeypatch)
+        reports = suite_reports(n=4, m=2)
+        assert fresh_memo.misses == len(built) < 200
+        assert 0 < fresh_memo.size <= _engine.COLUMN_MEMO_BYTES
+
+        def cold():
+            memo = _engine.ColumnMemo(_engine.COLUMN_MEMO_BYTES)
+            monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
+
+        assert suite_reports(cold, n=4, m=2) == reports
+
+    def test_a_kept_block_of_another_space_empties_the_memo(self, fresh_memo):
+        sp23, sp42 = _engine.space(2, 3), _engine.space(4, 2)
+        first, second = bytes(9), bytes([1] * 9)
+        fresh_memo.lookup(first, sp23)
+        fresh_memo.lookup(second, sp23)
+        held = dict(fresh_memo.records)
+        size = fresh_memo.size
+        # a block that is not kept, of another space, leaves the memo as it was
+        cols, _wide, _size = fresh_memo.lookup(bytes(16), sp42, keep=False)
+        assert cols == _engine._columns_of(bytes(16), sp42)[0]
+        assert fresh_memo.records == held and fresh_memo.size == size
+        assert fresh_memo.sp is sp23
+        # a kept one empties it first, then is the only block held
+        fresh_memo.lookup(bytes(16), sp42)
+        assert list(fresh_memo.records) == [bytes(16)] and fresh_memo.sp is sp42
+        assert fresh_memo.size == fresh_memo.records[bytes(16)][2]
+        misses = fresh_memo.misses
+        fresh_memo.lookup(first, sp23)
+        assert fresh_memo.misses == misses + 1
 
     @pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
     def test_sampled_stream_keeps_no_record(self, fresh_memo, monkeypatch, n, m):
@@ -1179,9 +1213,14 @@ class TestColumnMemo:
         cols, wide = block.cols, block.wide
         assert built == [5] and fresh_memo.misses == 1
         assert len(fresh_memo.records) == keep
-        _count, expected_cols, expected_wide, _size = _engine.ColumnMemo(0).lookup(
-            block.joined, sp, True, False
-        )
+        # bit r of outcome x's bitset at tops code tc: table r selects x there
+        expected_cols = [
+            tuple(sum(1 << r for r, t in enumerate(tables) if t[tc] == x) for x in range(3))
+            for tc in range(sp.tops_count)
+        ]
+        expected_wide = [
+            sum(bits << block.count * x for x, bits in enumerate(outs)) for outs in expected_cols
+        ]
         assert (cols, wide) == (expected_cols, expected_wide)
 
     def test_exhaustive_stream_stays_within_the_bound(self, monkeypatch):
@@ -1191,25 +1230,31 @@ class TestColumnMemo:
         peak = 0
         honest = memo.lookup
 
-        def watched(joined, sp, wide, keep=True):
+        def watched(joined, sp, keep=True):
             nonlocal peak
-            record = honest(joined, sp, wide, keep)
+            record = honest(joined, sp, keep)
             peak = max(peak, memo.size)
             return record
 
         monkeypatch.setattr(memo, "lookup", watched)
         census(2, 3, mode="exhaustive")
-        assert memo.misses > len(memo.records)  # the stream evicted
+        assert memo.misses > len(memo.records)  # the stream met blocks past the bound
         assert 0 < peak <= limit
-        assert memo.size == sum(r[3] for r in memo.records.values())
+        assert memo.size == sum(r[2] for r in memo.records.values())
+        # a second scan finds every held record, and holds no other
+        held, misses = dict(memo.records), memo.misses
+        census(2, 3, mode="exhaustive")
+        assert memo.records.keys() == held.keys()
+        assert all(memo.records[key] is record for key, record in held.items())
+        assert memo.misses - misses == misses - len(held)
 
     def test_a_block_over_the_bound_is_not_kept(self):
         memo = _engine.ColumnMemo(1000)
         sp = _engine.space(2, 3)
         block = bytes([0, 1, 2]) * 3 * 200
-        count, cols, wide, size = memo.lookup(block, sp, wide=True)
+        cols, wide, size = memo.lookup(block, sp)
         assert memo.size == 0 and not memo.records
-        assert (count, cols) == _engine._columns_of(block, sp)
+        assert (cols, wide, size) == _engine._columns_of(block, sp)
         assert len(wide) == sp.tops_count
         # the record counts the key, the columns and the wide columns
         ints = [bits for col in cols for bits in col] + wide
