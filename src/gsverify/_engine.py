@@ -33,18 +33,19 @@ the kernels return stands for rule r, so each visit above is a few big-int
 operations covering the whole block.  ``Block.cols`` gives, per tops code
 and outcome, the rules selecting it, and ``Block.wide`` the same bitsets one
 int per tops code, both from one record built in one pass and fetched at
-most once per block.  The suite walks the exhaustive stream once per check,
-so ``COLUMN_MEMO`` keeps the records of its blocks, the only ones built with
-``keep=True``, first-come within ``COLUMN_MEMO_BYTES``, evicting none.  The
-other blocks (sampled streams, and the one-rule blocks of ``classify_all``
-and ``rules.efficient_via_tops``) are not asked for again, so their records
-are not kept.  This module alone decides what the memo keeps.  The block
-predicates (``block_unanimous``, ``block_efficient_cells``,
-``block_efficient_definitional`` and ``block_dictators``) read these columns
-and answer for the rules of a given bitset; ``block_unanimous_digits``
-answers ``block_unanimous`` for a whole block from the digits of its m
-unanimous cells, with no columns, so the sampled census builds columns only
-for the unanimous rules it cuts out.
+most once per block.  The suite walks its exhaustive streams again and again
+(the tops-table stream in every check, the tops-only efficient class in L4
+and R2), so ``COLUMN_MEMO`` keeps the records of their blocks, the only ones
+built with ``keep=True``, first-come within ``COLUMN_MEMO_BYTES``, evicting
+none.  The other blocks (sampled streams, the tables a lemma runner draws,
+and the one-rule blocks of ``classify_all`` and ``rules.efficient_via_tops``)
+are not asked for again, so their records are not kept.  This module alone
+decides what the memo keeps.  The block predicates (``block_unanimous``,
+``block_efficient_cells``, ``block_efficient_definitional`` and
+``block_dictators``) read these columns and answer for the rules of a given
+bitset; ``block_unanimous_digits`` answers ``block_unanimous`` for a whole
+block from the digits of its m unanimous cells, with no columns, so the
+sampled census builds columns only for the unanimous rules it cuts out.
 ``block_manipulable`` decides strategy-proofness for every rule-stream check;
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
@@ -54,8 +55,8 @@ per-rule flag bytes ``bit_flags`` spreads from the stage bitsets) and
 unanimity and ``rules.efficient_via_tops``).  The per-rule twins of the
 block kernels are the tests' references.
 ``digits_from_code`` turns a rule code into its digits k at a time through
-the table of all k-digit strings that the exhaustive stream also builds its
-blocks from.
+a table of ``digit_strings``, the table the exhaustive streams build their
+blocks from, with ``digit_width`` choosing k for both.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
 # Bytes of block records the memo retains.  The suite rescans the same
 # exhaustive blocks in order once per check, so the first blocks that fit are
 # kept and none is evicted: an LRU memo smaller than the scan evicts each block
-# just before it is asked for again.  The (2,3) suite's 40 blocks (0.34 MB
-# with their keys) fit, the (4,2) suite's 1.98 MB do not.
+# just before it is asked for again.  The (2,3) suite's 41 blocks (0.34 MB
+# with their keys) fit, the (4,2) suite's 2.37 MB do not.
 COLUMN_MEMO_BYTES = 1 << 20
 
 
@@ -289,12 +290,13 @@ def bit_indices(bits: int) -> list[int]:
 class Block:
     """A block of tops-table rules: their digits back to back in ``joined``,
     ``tops_count`` per rule, so ``joined[c::cells]`` is column c, one byte per
-    rule; their ``codes`` (sample indices when sampled); and whether
+    rule; their ``codes`` (rule codes, indices in the product over the
+    efficient class, positions in a sampled or drawn stream); and whether
     ``COLUMN_MEMO`` may keep its columns.  Bit r of ``full`` stands for rule r.
 
-    Only the exhaustive stream builds blocks with ``keep=True``: no later call
-    asks for any other block again.  A block fetches its memo record at most
-    once, and reads its columns and wide columns from it.
+    Only the exhaustive streams build blocks with ``keep=True``: no later
+    call asks for any other block again.  A block fetches its memo record at
+    most once, and reads its columns and wide columns from it.
     """
 
     __slots__ = ("sp", "joined", "codes", "count", "full", "keep", "_record")
@@ -625,31 +627,36 @@ def full_table_dictatorial_count(table: Table, sp: Space) -> int:
 # Rule-code digit arithmetic (tops tables as base-m digit strings).
 # ---------------------------------------------------------------------------
 
-# Strings per digit table: a table of k-digit strings has m**k of them.
+# Strings per digit table of ``digits_from_code``.
 DIGIT_TABLE_STRINGS = 2048
 
 
-def digit_width(m: int, cells: int, strings: int) -> int:
-    """The most digits k <= cells whose m**k strings fit ``strings`` (at least 1)."""
-    k = 1
-    while k < cells and m ** (k + 1) <= strings:
+def digit_width(sets: Sequence[Sequence[int]], strings: int) -> int:
+    """The most trailing digit sets k <= len(sets) whose product holds at most
+    ``strings`` digit strings (at least 1)."""
+    k, size = 1, len(sets[-1])
+    while k < len(sets) and size * len(sets[-k - 1]) <= strings:
         k += 1
+        size *= len(sets[-k])
     return k
 
 
 @lru_cache(maxsize=None)
-def digit_strings(m: int, k: int) -> tuple[bytes, ...]:
-    """All k-digit base-m strings, ascending: entry c holds the digits of c."""
-    return tuple(map(bytes, product(range(m), repeat=k)))
+def digit_strings(sets: tuple[Sequence[int], ...]) -> tuple[bytes, ...]:
+    """Every digit string with digit i drawn from ``sets[i]``, in product
+    order: ascending when each set is.  Over k copies of ``range(m)``,
+    entry c holds the k base-m digits of c."""
+    return tuple(map(bytes, product(*sets)))
 
 
 @lru_cache(maxsize=None)
 def _digit_plan(cells: int, m: int) -> tuple[int, tuple[bytes, ...], int, tuple[bytes, ...]]:
     """(m**k, the k-digit table, whole k-digit groups, the table of the
     leading ``cells % k`` digits) for ``digits_from_code``."""
-    k = digit_width(m, cells, DIGIT_TABLE_STRINGS)
-    table = digit_strings(m, k)
-    return len(table), table, cells // k, digit_strings(m, cells % k)
+    sets = (range(m),) * cells
+    k = digit_width(sets, DIGIT_TABLE_STRINGS)
+    table = digit_strings(sets[:k])
+    return len(table), table, cells // k, digit_strings(sets[: cells % k])
 
 
 def digits_from_code(code: int, cells: int, m: int) -> bytes:

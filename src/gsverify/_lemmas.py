@@ -7,22 +7,29 @@ with the mode already resolved against the budget, and returns ``(passed,
 checks, counterexample, detail)``; ``_LEMMA_IMPLS`` maps the check ids of
 ``constructions.LEMMA_DESCRIPTIONS`` to them.
 
-The runners read the rule stream of ``constructions`` (``_iter_rule_blocks``,
-``_filter_rules``) an ``_engine.Block`` at a time, in this process, and
-every stage is a bitset over a block from the kernels of ``_engine``.  The
-blocks they build themselves (the sampled cell-efficient stream of L4 and
-R2, the dictatorships that anchor a sample, and C2's drawn codes) are read
-once, so the memo does not keep them.  L4, L5 and C2 read
-per-profile verdicts (``block_profile_verdicts``), R1 and R2 read cell
-counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from
-the profile rows (``block_efficient_definitional``).  L1 and C1 are one scan
-(``_strategy_proof_unanimous_scan``) with their own counterexample kind and
-closed-form test.  C2 counts |M_f| and |D_f| apart, so the duality it checks
-is not built into its counts.  When the rule space is no larger than its
-draws (exhaustive, or sampled at (2,3) by default) it counts every rule of
-the exhaustive stream, indexed by rule code, so the suite at (2,3) reads the
-columns the other checks keep; otherwise ((4,2), (3,3), (2,4)) it builds
-blocks of its distinct drawn codes only.  THM is the census.
+The runners read the rule stream of ``constructions`` (``_iter_rule_blocks``)
+an ``_engine.Block`` at a time, in this process, and every stage is a
+bitset over a block from the kernels of ``_engine``.  L4 and R2 quantify
+over the tops-only efficient class, the tables selecting one of the agents'
+tops at every tops cell.  Exhaustively they walk it as the product of the
+cells' tops sets (``constructions._exhaustive_blocks`` over
+``Space.cell_tops_sets``), whose blocks the memo keeps, as it keeps the
+tops-table stream's: both checks walk it.  Sampled, they draw from it.  L3
+still tests efficiency by its definition over the tops-table stream.  The
+other blocks the runners build (the sampled class, the dictatorships that
+anchor a sample, and C2's drawn codes) come from one chunker,
+``_table_blocks``, and are read once, so the memo does not keep them.  L4,
+L5 and C2 read per-profile verdicts (``block_profile_verdicts``), R1 and R2
+read cell counts (``block_cell_masks``), and L1, C1 and L3 read Pareto
+efficiency from the profile rows (``block_efficient_definitional``).  L1
+and C1 are one scan (``_strategy_proof_unanimous_scan``) with their own
+counterexample kind and closed-form test.  C2 counts |M_f| and |D_f| apart,
+so the duality it checks is not built into its counts.  When the rule space
+is no larger than its draws (exhaustive, or sampled at (2,3) by default) it
+counts every rule of the tops-table stream, indexed by rule code, so the
+suite at (2,3) reads the columns the other checks keep; otherwise ((4,2),
+(3,3), (2,4)) it reads blocks of its distinct drawn codes only.  THM is the
+census.
 
 Names these runners share with ``constructions`` that callers may patch
 there are read through that module at call time: ``_BLOCK_RULES``, the
@@ -33,14 +40,13 @@ the closed-form checks.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import chain, islice
 from operator import and_, or_
 
 from . import _engine, constructions
 from .constructions import (
-    _filter_rules,
     _iter_rule_blocks,
     _rule_string_from_digits,
     _sample_efficient_digits,
@@ -140,27 +146,25 @@ def _verify_l3(n, m, mode, samples, seed):
 
 
 def _te_blocks(n, m, mode, samples, seed):
-    """Blocks of unanimous and cell-efficient rules; sampled mode draws
-    directly from the cell-efficient space."""
+    """Blocks of the tops-only efficient class, the tables selecting one of
+    the agents' tops at every tops cell: the whole class as a product
+    stream, or ``samples`` uniform draws from it."""
     sp = _engine.space(n, m)
     if mode == "exhaustive":
-        blocks = _iter_rule_blocks(n, m, mode, None, None)
-        return _filter_rules(blocks, ("unanimous", "efficient"))
-    return _sampled_efficient_blocks(sp, samples or 0, random.Random(seed))
+        return constructions._exhaustive_blocks(sp, sp.cell_tops_sets)
+    rng = random.Random(seed)
+    draws = (bytes(_sample_efficient_digits(rng, sp)) for _ in range(samples or 0))
+    return _table_blocks(sp, draws)
 
 
-def _sampled_efficient_blocks(
-    sp: _engine.Space, count: int, rng: random.Random
-) -> Iterator[_engine.Block]:
-    for start in range(0, count, constructions._BLOCK_RULES):
-        stop = min(count, start + constructions._BLOCK_RULES)
-        tables = [bytes(_sample_efficient_digits(rng, sp)) for _ in range(start, stop)]
-        yield _engine.Block(sp, b"".join(tables), range(start, stop))
-
-
-def _dictator_block(sp: _engine.Space) -> _engine.Block:
-    """The dictatorships as one block, agent 0 first."""
-    return _engine.Block(sp, b"".join(map(bytes, sp.dictator_tables)), range(sp.n))
+def _table_blocks(sp: _engine.Space, tables: Iterable[bytes]) -> Iterator[_engine.Block]:
+    """An iterable of digit tables cut into blocks of at most ``_BLOCK_RULES``,
+    read once; a block's codes are its tables' positions in ``tables``."""
+    tables = iter(tables)
+    start = 0
+    while chunk := list(islice(tables, constructions._BLOCK_RULES)):
+        yield _engine.Block(sp, b"".join(chunk), range(start, start + len(chunk)))
+        start += len(chunk)
 
 
 def _verify_l4(n, m, mode, samples, seed):
@@ -277,18 +281,11 @@ def _c2_counts(n: int, m: int, codes) -> tuple[list[int], list[int]]:
     """|M_f| and |D_f| of the rules ``codes``, in their order, or of every rule
     of the space, read from the exhaustive stream, when ``codes`` is None."""
     sp = _engine.space(n, m)
-    cells = sp.tops_count
     if codes is None:
         blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
     else:
-        left = iter(codes)
-        parts = iter(lambda: list(islice(left, constructions._BLOCK_RULES)), [])
-        blocks = (
-            _engine.Block(
-                sp, b"".join([_engine.digits_from_code(code, cells, m) for code in part]), part
-            )
-            for part in parts
-        )
+        tables = (_engine.digits_from_code(code, sp.tops_count, m) for code in codes)
+        blocks = _table_blocks(sp, tables)
     m_counts: list[int] = []
     d_counts: list[int] = []
     for block in blocks:
@@ -385,7 +382,7 @@ def _verify_r1(n, m, mode, samples, seed):
     blocks = _iter_rule_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
-        blocks = chain(blocks, [_dictator_block(sp)])
+        blocks = chain(blocks, _table_blocks(sp, map(bytes, sp.dictator_tables)))
 
     def records():
         for block in blocks:
@@ -417,7 +414,7 @@ def _verify_r2(n, m, mode, samples, seed):
     blocks = _te_blocks(n, m, mode, samples, seed)
     if mode == "sampled":
         # the pool always contains the dictatorships; anchor the sample
-        blocks = chain(blocks, [_dictator_block(sp)])
+        blocks = chain(blocks, _table_blocks(sp, map(bytes, sp.dictator_tables)))
 
     def records():
         for block in blocks:

@@ -19,11 +19,10 @@ from collections.abc import Iterable
 
 from . import _engine
 from ._value import frozen
-from .prefs import Preference, Profile, enumerate_preferences, preferences_with_top
+from .prefs import Preference, Profile, check_dims, enumerate_preferences, preferences_with_top
 from .rules import (
     ManipulationWitness,
     Rule,
-    _check_caps,
     _check_same_dims,
     as_full_table,
     as_tops_table,
@@ -81,7 +80,7 @@ def find_dictatorial_violation(
 
     Defined for any rule; ``None`` means the profile is dictatorial.
     """
-    _check_caps(rule)
+    check_dims(rule.n, rule.m)
     out = rule.evaluate(profile)
     misreports = enumerate_preferences(profile.m)
     for i in range(profile.n):
@@ -105,7 +104,7 @@ def find_profile_manipulation(
     Only defined for tops-only rules; the witness profile is the varied
     profile where the stand-in preference replaced the agent's own.
     """
-    _check_caps(rule)
+    check_dims(rule.n, rule.m)
     require_tops_only(rule)
     misreports = enumerate_preferences(profile.m)
     for i in range(profile.n):
@@ -149,7 +148,7 @@ def classify_all(
     definitional per-profile checks instead.  Both must agree and the test
     suite compares them.
     """
-    _check_caps(rule)
+    check_dims(rule.n, rule.m)
     sp = _engine.space(rule.n, rule.m)
     # a block of one rule: each bitset below is that rule's bit
     block = _engine.Block(sp, bytes(as_tops_table(rule).outcomes), (0,))

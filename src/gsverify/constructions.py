@@ -15,11 +15,13 @@ with the same seed reproduce byte for byte.  Every rule walk reads the one
 rule stream, ``_iter_rule_blocks``, a block of at most ``_BLOCK_RULES``
 rules at a time: an ``_engine.Block``, the rules' digits back to back in one
 ``bytes`` with their codes.  Exhaustive blocks are runs of ascending codes
-built from their shared leading digits and one table of all k-digit
-suffixes, and are the only blocks whose columns the memo keeps; sampled
-blocks are consecutive slices of the ``randrange(m)``-per-tops-cell digits of
-``random.Random(seed)``, drawn a block of generator words at a time (the
-tests pin them to the ``randrange`` loop).  Every scan runs in this
+built from their shared leading digits and one table of all suffixes
+(``_exhaustive_blocks``, a product of per-cell digit sets: every digit over
+the tops-table space, the cells' tops sets over the tops-only efficient
+class of L4 and R2), and are the only blocks whose columns the memo keeps;
+sampled blocks are consecutive slices of the ``randrange(m)``-per-tops-cell
+digits of ``random.Random(seed)``, drawn a block of generator words at a
+time (the tests pin them to the ``randrange`` loop).  Every scan runs in this
 process, one block after the other.
 
 Within a block, bit r of every bitset stands for rule r.  The block's
@@ -29,17 +31,16 @@ one filter, from the block predicates of ``_engine`` (unanimous,
 cell-efficient, dictatorial), and "strategy-proof" cuts just those rules out
 of the block (``Block.cut``) for ``_engine.block_manipulable``, which
 decides every strategy-proofness question.  ``_filter_rules`` maps blocks to
-the blocks of their survivors (``enumerate_tops_only_rules`` and the
-exhaustive pool of L4 and R2); the census keeps the bitsets and counts them
-with ``int.bit_count``, ``census_rows`` yields them per block as one flags byte
-per rule (``_engine.bit_flags``), and a census stage that is also a
-prefilter reuses the prefilter's bitset.  A census block read once (the
-sampled stream) with no prefilter but unanimity is first cut to its
-unanimous rules, read from the digits of the m unanimous cells alone
-(``_engine.block_unanimous_digits``), and only the cut block's columns are
-built: about one rule in m**m is unanimous.  Blocks of an exhaustive
-stream keep all their rules, because the memo keeps their columns for the
-next scan of the same blocks.
+the blocks of their survivors (``enumerate_tops_only_rules``); the census
+keeps the bitsets and counts them with ``int.bit_count``, ``census_rows``
+yields them per block as one flags byte per rule (``_engine.bit_flags``),
+and a census stage that is also a prefilter reuses the prefilter's bitset.
+A census block read once (the sampled stream) with no prefilter but
+unanimity is first cut to its unanimous rules, read from the digits of the
+m unanimous cells alone (``_engine.block_unanimous_digits``), and only the
+cut block's columns are built: about one rule in m**m is unanimous.  Blocks
+of an exhaustive stream keep all their rules, because the memo keeps their
+columns for the next scan of the same blocks.
 
 The nine suite checks live in ``_lemmas``, which ``verify_lemma`` imports
 on its first call; ``VerificationReport``, the counterexample certificate
@@ -62,8 +63,7 @@ from .errors import BudgetExceededError, UnknownLemmaError
 from .prefs import (
     Preference,
     Profile,
-    check_agent_count,
-    check_alternative_count,
+    check_dims,
     check_profile_work,
     env_whole_number,
 )
@@ -277,21 +277,25 @@ def _iter_rule_blocks(
     """
     sp = _engine.space(n, m)
     if mode == "exhaustive":
-        return _exhaustive_blocks(sp)
+        return _exhaustive_blocks(sp, (range(m),) * sp.tops_count)
     sampled = _sampled_blocks(m, sp.tops_count, samples or 0, seed)
     return (_engine.Block(sp, joined, codes) for codes, joined in sampled)
 
 
-def _exhaustive_blocks(sp: _engine.Space) -> Iterator[_engine.Block]:
-    """Blocks of every rule code, one per run of codes that share their
+def _exhaustive_blocks(
+    sp: _engine.Space, sets: tuple[Sequence[int], ...]
+) -> Iterator[_engine.Block]:
+    """Blocks of every table whose digit at tops code c is drawn from
+    ``sets[c]``, in product order, one per run of tables that share their
     leading digits: ``prefix + prefix.join(suffixes)`` over the table of all
-    k-digit suffixes, m**k <= ``_BLOCK_RULES`` (k >= 1).  Later scans walk
-    these blocks again, so the memo may keep their columns."""
-    m, cells = sp.m, sp.tops_count
-    k = _engine.digit_width(m, cells, _BLOCK_RULES)
-    suffixes = _engine.digit_strings(m, k)
+    suffixes of the last k sets, whose product holds at most ``_BLOCK_RULES``
+    (k >= 1).  A block's codes are the tables' indices in the product: rule
+    codes over the tops-table space, ``(range(m),) * cells``.  Later scans
+    walk these blocks again, so the memo may keep their columns."""
+    k = _engine.digit_width(sets, _BLOCK_RULES)
+    suffixes = _engine.digit_strings(sets[-k:])
     width = len(suffixes)
-    for i, prefix in enumerate(map(bytes, product(range(m), repeat=cells - k))):
+    for i, prefix in enumerate(map(bytes, product(*sets[:-k]))):
         joined = prefix + prefix.join(suffixes)
         yield _engine.Block(sp, joined, range(i * width, (i + 1) * width), keep=True)
 
@@ -351,8 +355,7 @@ def sample_efficient_tops_tables(
 
     Such rules are unanimous and efficient by construction of the sample.
     """
-    check_agent_count(n)
-    check_alternative_count(m)
+    check_dims(n, m)
     sp = _engine.space(n, m)
     rng = random.Random(seed)
     return [
@@ -376,8 +379,7 @@ def enumerate_tops_only_rules(
     short-circuit cheapest first.  Exhaustive mode requires the rule space to
     fit the budget; sampled mode draws uniform tables from a seeded generator.
     """
-    check_agent_count(n)
-    check_alternative_count(m)
+    check_dims(n, m)
     ordered = _ordered_filters(filters)
     resolved, eff_samples, eff_seed = _resolve_mode(
         rule_space_size(n, m), mode, samples, seed, DEFAULT_CENSUS_SAMPLES,
@@ -566,8 +568,7 @@ def census(
     uniform rules from a seeded generator, so identical seeds reproduce
     identical reports.
     """
-    check_agent_count(n)
-    check_alternative_count(m)
+    check_dims(n, m)
     ordered_filters = _ordered_filters(filters)
     resolved, eff_samples, eff_seed = _resolve_mode(
         rule_space_size(n, m), mode, samples, seed, DEFAULT_CENSUS_SAMPLES,
@@ -604,8 +605,7 @@ def census_rows(
     verdict.  Strategy-proofness is decided by the definitional
     ``_engine.block_manipulable``, not read off |M_f|.
     """
-    check_agent_count(n)
-    check_alternative_count(m)
+    check_dims(n, m)
     _resolve_mode(
         rule_space_size(n, m), "exhaustive", None, None, DEFAULT_CENSUS_SAMPLES,
         f"census at (n={n}, m={m})",
@@ -695,8 +695,7 @@ def _resolve_lemma(
     if lemma not in LEMMA_DESCRIPTIONS:
         known = ", ".join(sorted(LEMMA_DESCRIPTIONS))
         raise UnknownLemmaError(f"unknown check id {lemma!r}; known ids: {known}")
-    check_agent_count(n)
-    check_alternative_count(m)
+    check_dims(n, m)
     size = rule_space_size(n, m)
     pairs = lemma == "C2"  # C2 draws two rules per sample
     resolved, eff_samples, eff_seed = _resolve_mode(

@@ -86,6 +86,13 @@ def check_agent_count(n: int, cap: int | None = None) -> None:
         )
 
 
+def check_dims(n: int, m: int) -> None:
+    """Reject an agent count n, then an alternative count m, outside its
+    bounds: below 2, or over its cap."""
+    check_agent_count(n)
+    check_alternative_count(m)
+
+
 def profile_work_budget() -> int:
     """Current budget on the work of one walk over the profile space."""
     return env_whole_number(MAX_PROFILE_WORK_ENV, DEFAULT_MAX_PROFILE_WORK)
@@ -297,8 +304,7 @@ class Profile:
 
 def profile_from_code(code: int, n: int, m: int) -> Profile:
     """Inverse of :attr:`Profile.code` at given (n, m)."""
-    check_agent_count(n)
-    check_alternative_count(m)
+    check_dims(n, m)
     total = math.factorial(m) ** n
     if not 0 <= code < total:
         raise ValueError(f"profile code {code} out of range [0, {total})")
@@ -319,8 +325,7 @@ def _decode_profile(code: int, n: int, m: int) -> Profile:
 
 def enumerate_profiles(n: int, m: int) -> Iterator[Profile]:
     """All (m!)^n profiles in ascending profile-code order."""
-    check_agent_count(n)
-    check_alternative_count(m)
+    check_dims(n, m)
     prefs = enumerate_preferences(m, cap=m)  # m is checked just above
 
     def gen() -> Iterator[Profile]:

@@ -37,7 +37,7 @@ from .prefs import (
     _decode_preference,
     _decode_profile,
     check_agent_count,
-    check_alternative_count,
+    check_dims,
     check_profile_work,
     enumerate_profiles,
 )
@@ -82,11 +82,6 @@ class Rule(abc.ABC):
             )
 
 
-def _check_dims(n: int, m: int) -> None:
-    check_agent_count(n)
-    check_alternative_count(m)
-
-
 @frozen
 class DictatorRule(Rule):
     """Always selects the dictator agent's top."""
@@ -98,7 +93,7 @@ class DictatorRule(Rule):
     tops_only_by_construction = True
 
     def __post_init__(self) -> None:
-        _check_dims(self.n, self.m)
+        check_dims(self.n, self.m)
         if not 0 <= self.agent < self.n:
             raise ValueError(f"dictator index {self.agent} out of range for n={self.n}")
 
@@ -125,7 +120,7 @@ class ConstantRule(Rule):
     tops_only_by_construction = True
 
     def __post_init__(self) -> None:
-        _check_dims(self.n, self.m)
+        check_dims(self.n, self.m)
         if not 0 <= self.alternative < self.m:
             raise ValueError(
                 f"alternative {self.alternative} out of range for m={self.m}"
@@ -154,7 +149,7 @@ class TopsTableRule(Rule):
     tops_only_by_construction = True
 
     def __post_init__(self) -> None:
-        _check_dims(self.n, self.m)
+        check_dims(self.n, self.m)
         outcomes = tuple(self.outcomes)
         object.__setattr__(self, "outcomes", outcomes)
         expected = self.m**self.n
@@ -194,7 +189,7 @@ class FullTableRule(Rule):
     outcomes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_dims(self.n, self.m)
+        check_dims(self.n, self.m)
         outcomes = tuple(self.outcomes)
         object.__setattr__(self, "outcomes", outcomes)
         expected = math.factorial(self.m) ** self.n
@@ -227,7 +222,7 @@ class BordaLexRule(Rule):
     m: int
 
     def __post_init__(self) -> None:
-        _check_dims(self.n, self.m)
+        check_dims(self.n, self.m)
 
     def evaluate(self, profile: Profile) -> Alternative:
         self._check_profile(profile)
@@ -336,6 +331,7 @@ def _parse_table(text: str, kind: str, n: int | None, m: int | None) -> Rule:
         raise RuleParseError(f"declared m={m_decl} conflicts with m={m}", body_start)
     if m_decl > 9:
         raise RuleParseError("digit-string tables support at most m=9", body_start)
+    check_dims(n_decl, m_decl)  # before the table length, which grows with them
     digits_start = match.end()
     digits = text[digits_start:]
     if kind == "TOPS":
@@ -383,11 +379,6 @@ class ManipulationWitness:
             and deviated == self.improved_outcome
             and self.profile.prefs[self.agent].prefers(deviated, sincere)
         )
-
-
-def _check_caps(rule: Rule) -> None:
-    check_agent_count(rule.n)
-    check_alternative_count(rule.m)
 
 
 def find_unanimity_violation(rule: Rule) -> Profile | None:
@@ -547,7 +538,7 @@ def as_full_table(rule: Rule) -> FullTableRule:
     its outcome off the rule's tops table at the profile's tops code; any
     other rule is evaluated at every profile.
     """
-    _check_caps(rule)
+    check_dims(rule.n, rule.m)
     check_profile_work(rule.n, rule.m)
     if isinstance(rule, FullTableRule):
         return rule

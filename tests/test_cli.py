@@ -659,6 +659,22 @@ class TestSettings:
             f"error: m={alts} exceeds the alternative cap 6; set GSVERIFY_MAX_ALTS to override\n"
         )
 
+    @pytest.mark.parametrize("form", ["FULL", "TOPS"])
+    def test_over_cap_table_rule_rejected_before_its_length(self, form):
+        # the table length of the declared (n, m) takes seconds to compute
+        # and cannot be printed, so the caps are checked before it
+        n = "10000000"
+        done = subprocess.run(
+            [sys.executable, "-m", "gsverify", "inspect", "--agents", n,
+             "--rule", f"{form}:n={n},m=3:0"],
+            capture_output=True, text=True, env=src_env(), timeout=5,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: n={n} exceeds the agent cap 5; set GSVERIFY_MAX_AGENTS to override\n"
+        )
+
 
 class TestScanOptions:
     # --mode and --samples steer the rule-space scans of census and lemmas,

@@ -1,6 +1,7 @@
 """Coalescing, restriction, the census engine, and the verification suite."""
 
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -372,6 +373,45 @@ class TestExhaustiveStream:
             assert b"".join(block.joined for block in blocks) == b"".join(
                 bytes(per_digit_loop(code, cells, m)) for code in codes
             )
+
+
+class TestEfficientClassStream:
+    """The exhaustive stream of L4 and R2: every tops table selecting one of
+    the agents' tops at every tops cell, as a product of the cells' tops sets."""
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
+    def test_equals_the_filtered_tops_table_stream(self, fresh_memo, monkeypatch, n, m):
+        tops_tables = _iter_rule_blocks(n, m, "exhaustive", None, None)
+        filtered = _filter_rules(tops_tables, ("unanimous", "efficient"))
+        expected = [block.digits(r) for block in filtered for r in range(block.count)]
+        for block_rules in (7, constructions._BLOCK_RULES):
+            monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
+            blocks = list(_lemmas._te_blocks(n, m, "exhaustive", None, None))
+            assert [b.digits(r) for b in blocks for r in range(b.count)] == expected
+            assert [code for b in blocks for code in b.codes] == list(range(len(expected)))
+            assert all(0 < b.count <= block_rules and b.keep for b in blocks)
+
+    def test_holds_the_product_of_the_tops_sets_at_2_4(self, fresh_memo):
+        # the 4**16 tops tables are never walked: only the class is
+        sets = _engine.space(2, 4).cell_tops_sets
+        tables = []
+        for block in _lemmas._te_blocks(2, 4, "exhaustive", None, None):
+            assert 0 < block.count <= constructions._BLOCK_RULES
+            tables += (block.digits(r) for r in range(block.count))
+        assert len(tables) == math.prod(map(len, sets)) == 4096
+        assert tables == sorted(set(tables))  # distinct, ascending
+        assert all(d in tops for t in tables for d, tops in zip(t, sets, strict=True))
+
+    def test_table_blocks_read_their_tables_once(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        sp = _engine.space(2, 3)
+        tables = [bytes(per_digit_loop(code, 9, 3)) for code in range(0, 19683, 1000)]
+        blocks = list(_lemmas._table_blocks(sp, iter(tables)))
+        assert [block.count for block in blocks] == [7, 7, 6]
+        assert [code for block in blocks for code in block.codes] == list(range(20))
+        assert b"".join(block.joined for block in blocks) == b"".join(tables)
+        assert not any(block.keep for block in blocks)
+        assert list(_lemmas._table_blocks(sp, [])) == []
 
 
 class TestCensus:

@@ -121,6 +121,17 @@ class TestEnumeration:
             f"m={m} exceeds the alternative cap 6; set GSVERIFY_MAX_ALTS to override"
         )
 
+    @pytest.mark.parametrize("n,m,message", [
+        (1, 1, "need at least 2 agents, got n=1"),
+        (6, 7, "n=6 exceeds the agent cap 5; set GSVERIFY_MAX_AGENTS to override"),
+        (2, 1, "need at least 2 alternatives, got m=1"),
+        (5, 7, "m=7 exceeds the alternative cap 6; set GSVERIFY_MAX_ALTS to override"),
+    ])
+    def test_check_dims_checks_the_agents_first(self, n, m, message):
+        with pytest.raises(ValueError) as raised:
+            prefs.check_dims(n, m)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("value,read", [("7", 7), ("+7", 7), (" 7\n", 7), ("1_000", 1000)])
     def test_cap_setting_read_as_int_reads_it(self, monkeypatch, value, read):
         # a setting is any whole number int() reads; others are rejected by name

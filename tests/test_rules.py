@@ -17,6 +17,7 @@ from gsverify import (
     NotTopsOnlyError,
     Preference,
     Profile,
+    CapExceededError,
     RuleParseError,
     TopsTableRule,
     as_full_table,
@@ -267,6 +268,12 @@ class TestRuleStrings:
     def test_unknown_form(self):
         with pytest.raises(RuleParseError):
             parse_rule("PLURALITY", 2, 3)
+
+    @pytest.mark.parametrize("text", ["TOPS:n=100000,m=3:0", "FULL:n=2,m=7:0"])
+    def test_over_cap_dimensions_fail_before_the_table_length(self, text):
+        # m**n or m!**n of the declared dimensions is never computed past a cap
+        with pytest.raises(CapExceededError):
+            parse_rule(text)
 
     def test_dimension_conflict(self):
         with pytest.raises(RuleParseError):
