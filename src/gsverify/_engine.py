@@ -20,40 +20,39 @@ block kernels (``block_profile_verdicts``, ``block_manipulable`` and
 read ``profile_rows``, built lazily once per (n, m), never at import or in
 ``Space``.  A row's Pareto-dominated mask is enumerated in full from the
 agents' rankings, never taken from the tops-cell masks; each agent's row
-holds the distinct offsets that its m! misreports reach, and each profile is
-decided from its own row: nothing is computed once per tops cell and copied
-to its profiles.  The verdict kernel tries every stand-in preference with
-the agent's top; ``block_manipulable`` ranks the reached outcomes by the
-agent's own preference at that profile.
+holds its line, the distinct tops codes that its m! misreports reach, and
+each profile is decided from its own row: nothing is computed once per tops
+cell and copied to its profiles.  The verdict kernel tries every stand-in
+preference with the agent's top; ``block_manipulable`` ranks the reached
+outcomes by the agent's own preference at that profile.
 
 Rule streams go through the rule-block kernels a block at a time.  A
 ``Block`` is one value: its rules' digits back to back in one ``bytes``,
 their codes, and whether the column memo may keep it; bit r of every bitset
 the kernels return stands for rule r, so each visit above is a few big-int
-operations covering the whole block.  ``Block.cols`` gives, per tops code
-and outcome, the rules selecting it, and ``Block.wide`` the same bitsets one
-int per tops code, both from one record built in one pass and fetched at
-most once per block.  The suite walks its exhaustive streams again and again
-(the tops-table stream in every check, the tops-only efficient class in L4
-and R2), so ``COLUMN_MEMO`` keeps the records of their blocks, the only ones
-built with ``keep=True``, first-come within ``COLUMN_MEMO_BYTES``, evicting
-none.  The other blocks (sampled streams, the tables a lemma runner draws,
-and the one-rule blocks of ``classify_all`` and ``rules.efficient_via_tops``)
-are not asked for again, so their records are not kept.  This module alone
-decides what the memo keeps.  The block predicates (``block_unanimous``,
-``block_efficient_cells``, ``block_efficient_definitional`` and
-``block_dictators``) read these columns and answer for the rules of a given
-bitset; ``block_unanimous_digits`` answers ``block_unanimous`` for a whole
-block from the digits of its m unanimous cells, with no columns, so the
-sampled census builds columns only for the unanimous rules it cuts out.
+operations covering the whole block.  ``Block.cols``, its one column form,
+gives per tops code and outcome the rules selecting it; the verdict kernels
+OR it over the cells of each agent's line.  The suite walks its exhaustive
+streams again and again (the tops-table stream in every check, the class in
+L4 and R2), so ``COLUMN_MEMO`` keeps the columns of their blocks, the only
+ones built with ``keep=True``, first-come within ``COLUMN_MEMO_BYTES``,
+evicting none.  No other block (sampled streams, drawn tables, the one-rule
+blocks of ``classify_all`` and ``rules.efficient_via_tops``) is asked for
+again, so none is kept.  This module alone decides what the memo keeps.
+The block predicates (``block_unanimous``, ``block_efficient_cells``,
+``block_efficient_definitional`` and ``block_dictators``) read these
+columns and answer for the rules of a given bitset; ``block_unanimous_digits``
+answers ``block_unanimous`` for a whole block from the digits of its m
+unanimous cells, with no columns, so the sampled census builds columns only
+for the unanimous rules it cuts out.
 ``block_manipulable`` decides strategy-proofness for every rule-stream check;
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
-tops cells and the exact |M_f| and |D_f| of R1, R2, ``census_rows`` (whose
-per-rule flag bytes ``bit_flags`` spreads from the stage bitsets) and
-``classify --method cells`` (a block of one rule, as are ``classify``'s
-unanimity and ``rules.efficient_via_tops``).  The per-rule twins of the
-block kernels are the tests' references.
+tops cells, and the counts of their profiles (|M_f|) and of the rest (|D_f|),
+to R1, R2, ``census_rows`` (whose per-rule flag bytes ``bit_flags`` spreads
+from the stage bitsets) and ``classify --method cells`` (a block of one rule,
+as are ``classify``'s unanimity and ``rules.efficient_via_tops``).  The
+per-rule twins of the block kernels are the tests' references.
 ``digits_from_code`` turns a rule code into its digits k at a time through
 a table of ``digit_strings``, the table the exhaustive streams build their
 blocks from, with ``digit_width`` choosing k for both.
@@ -153,9 +152,9 @@ def profile_tops_codes(n: int, m: int) -> tuple[int, ...]:
 def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
     """One (tops_code, dominated_mask, agents) row per profile code, ascending.
 
-    ``agents`` holds, per agent i, ``(top, base, offsets)``: the agent's top,
-    ``base = tops_code - top * w_i``, and the distinct offsets
-    ``top_of[q] * w_i`` over all m! misreports q.  Bit x of
+    ``agents`` holds, per agent i, ``(top, line)``: the agent's top and the
+    tops codes ``tops_code + (top_of[q] - top) * w_i`` that its m! misreports
+    q reach, each once, in the order first reached.  Bit x of
     ``dominated_mask`` is set when some other alternative is ranked above x
     by every agent.  Built on first use, never at import, and only within the
     profile-work budget.
@@ -168,16 +167,12 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
         )
         for pos in sp.position
     )
-    # every misreport's offset, each distinct one kept once: ORing one
-    # column twice adds nothing
-    offsets = tuple(
-        tuple(dict.fromkeys(sp.top_of[q] * w for q in range(sp.fact)))
-        for w in sp.tops_weights
-    )
+    # every misreport's cell, each distinct one kept once: ORing one column
+    # twice adds nothing
     cell_agents = tuple(
         tuple(
-            (t, tc - t * w, offs)
-            for t, w, offs in zip(tops, sp.tops_weights, offsets)
+            (t, tuple(dict.fromkeys(tc + (q - t) * w for q in sp.top_of)))
+            for t, w in zip(tops, sp.tops_weights)
         )
         for tc, tops in enumerate(sp.tops_tuples)
     )
@@ -201,28 +196,28 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
 # ---------------------------------------------------------------------------
 
 
-# Bytes of block records the memo retains.  The suite rescans the same
+# Bytes of block columns the memo retains.  The suite rescans the same
 # exhaustive blocks in order once per check, so the first blocks that fit are
 # kept and none is evicted: an LRU memo smaller than the scan evicts each block
-# just before it is asked for again.  The (2,3) suite's 41 blocks (0.34 MB
-# with their keys) fit, the (4,2) suite's 2.37 MB do not.
+# just before it is asked for again.  The (2,3) suite's 41 blocks (0.27 MB
+# with their keys) fit, the (4,2) suite's 1.96 MB do not.
 COLUMN_MEMO_BYTES = 1 << 20
 
 
 class ColumnMemo:
-    """Block records per block bytes, one ``Space`` at a time, kept first-come
+    """Block columns per block bytes, one ``Space`` at a time, kept first-come
     within ``limit`` and never evicted.  It holds columns only, never a
     verdict: every kernel computes its answer from them."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.sp: Space | None = None
-        self.records: dict = {}  # block bytes -> (cols, wide, bytes)
+        self.records: dict = {}  # block bytes -> (cols, bytes)
         self.size = 0
         self.misses = 0
 
-    def lookup(self, joined: bytes, sp: Space, keep: bool = True) -> tuple:
-        """The block's record.  A ``keep`` block of another space empties the
+    def lookup(self, joined: bytes, sp: Space, keep: bool = True) -> list[tuple[int, ...]]:
+        """The block's columns.  A ``keep`` block of another space empties the
         memo first; a missed block is kept only if ``keep`` and it fits."""
         if keep and sp is not self.sp:
             self.sp, self.records, self.size = sp, {}, 0
@@ -230,10 +225,10 @@ class ColumnMemo:
         if record is None:
             self.misses += 1
             record = _columns_of(joined, sp)
-            if keep and self.size + record[2] <= self.limit:
+            if keep and self.size + record[1] <= self.limit:
                 self.records[joined] = record
-                self.size += record[2]
-        return record
+                self.size += record[1]
+        return record[0]
 
 
 @lru_cache(maxsize=None)
@@ -255,22 +250,14 @@ def _selecting(column: bytes, table: bytes) -> int:
     return int(column.translate(table)[::-1], 2)
 
 
-def _columns_of(joined: bytes, sp: Space) -> tuple[list[tuple[int, ...]], list[int], int]:
-    """A block's memo record: per tops code, the rule bitset of each outcome;
-    the same bitsets in one int per tops code, outcome x in bits
-    ``[x * count, (x + 1) * count)``; and the bytes of both with the key."""
+def _columns_of(joined: bytes, sp: Space) -> tuple[list[tuple[int, ...]], int]:
+    """A block's memo record: per tops code, the rule bitset of each outcome,
+    and the bytes of those bitsets with the key."""
     cells = sp.tops_count
     eq = _outcome_tables(sp.m)
-    count = len(joined) // cells
-    shifts = range(0, sp.m * count, count)
-    cols, wide = [], []
-    for c in range(cells):
-        col = joined[c::cells]
-        outs = tuple(_selecting(col, t) for t in eq)
-        cols.append(outs)
-        wide.append(sum(s << shift for s, shift in zip(outs, shifts)))
-    size = sys.getsizeof(joined) + sum(map(sys.getsizeof, chain(*cols, wide)))
-    return cols, wide, size
+    cols = [tuple(_selecting(joined[c::cells], t) for t in eq) for c in range(cells)]
+    size = sys.getsizeof(joined) + sum(map(sys.getsizeof, chain(*cols)))
+    return cols, size
 
 
 COLUMN_MEMO = ColumnMemo(COLUMN_MEMO_BYTES)
@@ -287,6 +274,11 @@ def bit_indices(bits: int) -> list[int]:
     return found
 
 
+def low_bit(bits: int) -> int:
+    """The position of the lowest set bit of a non-zero int."""
+    return (bits & -bits).bit_length() - 1
+
+
 class Block:
     """A block of tops-table rules: their digits back to back in ``joined``,
     ``tops_count`` per rule, so ``joined[c::cells]`` is column c, one byte per
@@ -295,11 +287,10 @@ class Block:
     ``COLUMN_MEMO`` may keep its columns.  Bit r of ``full`` stands for rule r.
 
     Only the exhaustive streams build blocks with ``keep=True``: no later
-    call asks for any other block again.  A block fetches its memo record at
-    most once, and reads its columns and wide columns from it.
+    call asks for any other block again.  A block fetches its columns once.
     """
 
-    __slots__ = ("sp", "joined", "codes", "count", "full", "keep", "_record")
+    __slots__ = ("sp", "joined", "codes", "count", "full", "keep", "_cols")
 
     def __init__(self, sp: Space, joined: bytes, codes: Sequence[int], keep: bool = False):
         self.sp = sp
@@ -308,22 +299,14 @@ class Block:
         self.count = len(joined) // sp.tops_count
         self.full = (1 << self.count) - 1
         self.keep = keep
-        self._record = None
+        self._cols = None
 
     @property
     def cols(self) -> list[tuple[int, ...]]:
         """Per tops code, the bitset of rules selecting each outcome."""
-        if self._record is None:
-            self._record = COLUMN_MEMO.lookup(self.joined, self.sp, self.keep)
-        return self._record[0]
-
-    @property
-    def wide(self) -> list[int]:
-        """Per tops code, every outcome's rule bitset in one int: outcome x in
-        bits ``[x * count, (x + 1) * count)``."""
-        if self._record is None:
-            self._record = COLUMN_MEMO.lookup(self.joined, self.sp, self.keep)
-        return self._record[1]
+        if self._cols is None:
+            self._cols = COLUMN_MEMO.lookup(self.joined, self.sp, self.keep)
+        return self._cols
 
     def digits(self, r: int) -> bytes:
         """The digits of rule r."""
@@ -389,9 +372,7 @@ def block_profile_verdicts(block: Block) -> tuple[list[int], list[int]]:
     every stand-in with the agent's top, walked in its ranking order, the
     manipulable rules are those whose outcome is ranked below a reached one.
     """
-    sp, m, full = block.sp, block.sp.m, block.full
-    wide, cols = block.wide, block.cols
-    shifts = range(0, m * block.count, block.count)
+    sp, m, full, cols = block.sp, block.sp.m, block.full, block.cols
     orders = tuple(
         tuple(sp.rankings[p] for p in sp.prefs_with_top[t]) for t in range(m)
     )
@@ -400,14 +381,13 @@ def block_profile_verdicts(block: Block) -> tuple[list[int], list[int]]:
     for tc, _dominated, agents in profile_rows(sp.n, m):
         outs = cols[tc]
         powerful = manip = 0
-        for top, base, offsets in agents:
-            reached = 0
-            for off in offsets:
-                reached |= wide[base + off]
+        for top, line in agents:
             by_outcome = []
             seen = several = 0  # rules reaching some / at least two outcomes
-            for shift in shifts:
-                hits = (reached >> shift) & full
+            for x in range(m):
+                hits = 0
+                for c in line:
+                    hits |= cols[c][x]
                 several |= seen & hits
                 seen |= hits
                 by_outcome.append(hits)
@@ -435,23 +415,19 @@ def block_manipulable(block: Block) -> int:
     there when its outcome is ranked strictly below an outcome it reaches.
     The scan stops early only once every rule of the block is manipulable.
     """
-    sp, full = block.sp, block.full
-    wide, cols = block.wide, block.cols
-    shifts = range(0, sp.m * block.count, block.count)
+    sp, full, cols = block.sp, block.full, block.cols
     rankings = sp.rankings
     manip = 0
     for (tc, _dominated, agents), pref_codes in zip(
         profile_rows(sp.n, sp.m), product(range(sp.fact), repeat=sp.n)
     ):
         outs = cols[tc]
-        for (_top, base, offsets), p in zip(agents, pref_codes):
-            reached = 0
-            for off in offsets:
-                reached |= wide[base + off]
+        for (_top, line), p in zip(agents, pref_codes):
             above = 0  # rules reaching an outcome ranked above x
             for x in rankings[p]:
                 manip |= outs[x] & above
-                above |= (reached >> shifts[x]) & full
+                for c in line:
+                    above |= cols[c][x]
         if manip == full:
             break
     return manip
@@ -462,8 +438,10 @@ def block_cell_masks(block: Block) -> tuple[list[int], list[int], list[int]]:
 
     A cell is dictatorial for a rule when every agent whose top is not the
     outcome gets the outcome at all m cells of its line (the cell with its
-    top replaced by each alternative).  Manipulable profiles are the profiles
-    of the other cells, ``cell_profile_count`` per cell.
+    top replaced by each alternative).  |M_f| counts the profiles of the
+    other cells, ``cell_profile_count`` per cell: the non-dictatorial ones,
+    which are the manipulable ones only where L5 holds at the same (n, m).
+    |D_f| counts the rest.
     """
     sp, m, full, cols = block.sp, block.sp.m, block.full, block.cols
     nondictatorial = []

@@ -92,7 +92,7 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
         # tops-only (C1) holds by construction over this space
         inefficient = sp_rules & ~_engine.block_efficient_definitional(block, sp_rules)
         if inefficient:
-            r = _low_bit(inefficient)
+            r = _engine.low_bit(inefficient)
             upto = (2 << r) - 1
             unanimous += (unanimous_rules & upto).bit_count()
             strategy_proof += (sp_rules & upto).bit_count()
@@ -113,11 +113,6 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
     return unanimous + closed, counterexample, (unanimous, strategy_proof, closed)
 
 
-def _low_bit(bits: int) -> int:
-    """The position of the lowest set bit of a non-zero int."""
-    return (bits & -bits).bit_length() - 1
-
-
 def _verify_l3(n, m, mode, samples, seed):
     """Pareto-efficient tops-table rules select some agent's top everywhere."""
     sp = _engine.space(n, m)
@@ -127,7 +122,7 @@ def _verify_l3(n, m, mode, samples, seed):
         efficient = _engine.block_efficient_definitional(block, block.full)
         nobodys_top = efficient & ~_engine.block_efficient_cells(block, efficient)
         if nobodys_top:
-            r = _low_bit(nobodys_top)
+            r = _engine.low_bit(nobodys_top)
             checks += (efficient & ((2 << r) - 1)).bit_count()
             digits = block.digits(r)
             tc = next(
@@ -180,7 +175,7 @@ def _verify_l4(n, m, mode, samples, seed):
         is_dictator = reduce(or_, agents)
         mismatch = everywhere ^ is_dictator
         if mismatch:
-            r = _low_bit(mismatch)
+            r = _engine.low_bit(mismatch)
             checks += r + 1
             dictators += (is_dictator & ((2 << r) - 1)).bit_count()
             counterexample = {
@@ -223,7 +218,7 @@ def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
         any_failing |= failing[pc]
     if not any_failing:
         return count, count * sp.profile_count, None
-    r = (any_failing & -any_failing).bit_length() - 1
+    r = _engine.low_bit(any_failing)
     pc = next(pc for pc, bits in enumerate(failing) if (bits >> r) & 1)
     if (not_one[pc] >> r) & 1:
         kind = "profile not exactly one of dictatorial/manipulable"
@@ -364,7 +359,7 @@ def _extremum_scan(records, target: int, pick) -> tuple[int, int, tuple | None]:
         if extremum != target:  # then no rule hits the target
             failing = flags | sum(1 << r for r, v in enumerate(values) if v == extremum)
         if failing:
-            r = _low_bit(failing)
+            r = _engine.low_bit(failing)
             found = index + r, block.digits(r), values[r], bool((flags >> r) & 1)
             return total, extremum, found
         index += len(values)
@@ -377,7 +372,11 @@ def _no_cells(nondictatorial: list[int], block: _engine.Block) -> int:
 
 
 def _verify_r1(n, m, mode, samples, seed):
-    """Strategy-proof iff minimal in the manipulability order (iff M empty)."""
+    """Strategy-proof iff minimal in the manipulability order (iff M empty).
+
+    |M_f| from ``block_cell_masks`` counts the non-dictatorial profiles, the
+    manipulable ones only where L5 holds at this (n, m): "M empty" leans on L5.
+    """
     sp = _engine.space(n, m)
     blocks = _iter_rule_blocks(n, m, mode, samples, seed)
     if mode == "sampled":

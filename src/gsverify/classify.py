@@ -167,7 +167,7 @@ def classify_all(
         not_one = (d_set & m_set) | ((1 << sp.profile_count) - 1) & ~(d_set | m_set)
         if not_one:
             raise RuntimeError(
-                f"profile code {(not_one & -not_one).bit_length() - 1} is not exactly "
+                f"profile code {_engine.low_bit(not_one)} is not exactly "
                 "one of dictatorial/manipulable; rule is not tops-only"
             )
         d_count, m_count = d_set.bit_count(), m_set.bit_count()

@@ -17,8 +17,8 @@ import json
 import os
 import sys
 
+from . import _engine, constructions
 from . import classify as classify_mod
-from . import constructions
 from .errors import GsverifyError
 from .prefs import Profile, alternative_name, profile_from_code
 from .rules import (
@@ -216,7 +216,7 @@ def _classification_examples(rule: Rule, summary) -> dict:
 
 
 def _lowest_profile(rule: Rule, bits: int) -> Profile:
-    return profile_from_code((bits & -bits).bit_length() - 1, rule.n, rule.m)
+    return profile_from_code(_engine.low_bit(bits), rule.n, rule.m)
 
 
 def _check_scan_options(args: argparse.Namespace) -> None:

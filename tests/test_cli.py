@@ -499,6 +499,45 @@ class TestGoldenReports:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the text renderer of every command; the (3,2) suite fails L4 and R2
+    @pytest.mark.parametrize("argv,exit_code,digest", [
+        (
+            ("lemmas", "--suite", "all", "--agents", "2", "--alts", "3", "--format", "text"),
+            0,
+            "82ef093f4ddd3e9259d7a54a2d7e4ca80e96029be913d02d96b6597fb6745cfd",
+        ),
+        (
+            ("lemmas", "--suite", "all", "--agents", "3", "--alts", "2", "--format", "text"),
+            1,
+            "b1743d67531c3f5413c979269f7c8e961f1e428ab6029100ebbd6f306a93f3a5",
+        ),
+        (
+            ("census", "--agents", "4", "--alts", "2", "--format", "text"),
+            0,
+            "0c78a825718647e5afcc7496703dfbc47bf61ac50231f2a95ed95f8c22a27cc8",
+        ),
+        (
+            ("classify", "--rule", "DICT:1", "--agents", "3", "--alts", "3", "--sets",
+             "--format", "text"),
+            0,
+            "a44214629bb9b8c268940cdcb2e70575f4c37f027e9bcebf1c3a82702871d31c",
+        ),
+        (
+            ("inspect", "--rule", "BORDALEX", "--agents", "2", "--alts", "3", "--format", "text"),
+            0,
+            "273a9132922e07226d3bdd36504407117dd93a894573c571816a6d0fb80c2421",
+        ),
+        (
+            ("counterexample", "--agents", "3", "--format", "text"),
+            0,
+            "b97fc3d3a5b6c1062d2be0bddc6219cc6a71bafe5b71a7316429786eb30863cd",
+        ),
+    ])
+    def test_text_report_digest(self, capsys, argv, exit_code, digest):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_report_digest_of_a_suite_past_the_memo_bound(self, capsys):
         # the one default-budget suite whose blocks overflow the column memo;
         # at m = 2 the theorem does not hold, so L4, R2 and THM fail (exit 1)

@@ -706,7 +706,7 @@ class TestCutCascade:
 
     def test_the_cut_block_builds_its_columns_once(self, monkeypatch):
         # at m = 2 every unanimous rule is efficient, so the strategy-proof
-        # stage reads the wide columns of the block the efficient stage read
+        # stage reads the columns of the block the efficient stage read
         monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
         built = spy_columns(monkeypatch)
         report = census(4, 2, mode="sampled", samples=300, seed=5)
@@ -1041,7 +1041,7 @@ class TestVerifyLemma:
         f, g = next(
             (f, g) for f, g in zip(draws[0::2], draws[1::2]) if 36 > m_count(f) == m_count(g)
         )
-        pc = _lemmas._low_bit(classify_all(table(f), materialize_sets=True).d_set)
+        pc = _engine.low_bit(classify_all(table(f), materialize_sets=True).d_set)
         doctor_block_verdicts(monkeypatch, table(f).outcomes, {pc: 0})
         took_stream, (taken, from_stream, from_codes) = self.c2_sources(
             monkeypatch, 2, 3, samples=5000, seed=0
@@ -1189,14 +1189,14 @@ class TestColumnMemo:
         held = dict(fresh_memo.records)
         size = fresh_memo.size
         # a block that is not kept, of another space, leaves the memo as it was
-        cols, _wide, _size = fresh_memo.lookup(bytes(16), sp42, keep=False)
+        cols = fresh_memo.lookup(bytes(16), sp42, keep=False)
         assert cols == _engine._columns_of(bytes(16), sp42)[0]
         assert fresh_memo.records == held and fresh_memo.size == size
         assert fresh_memo.sp is sp23
         # a kept one empties it first, then is the only block held
         fresh_memo.lookup(bytes(16), sp42)
         assert list(fresh_memo.records) == [bytes(16)] and fresh_memo.sp is sp42
-        assert fresh_memo.size == fresh_memo.records[bytes(16)][2]
+        assert fresh_memo.size == fresh_memo.records[bytes(16)][1]
         misses = fresh_memo.misses
         fresh_memo.lookup(first, sp23)
         assert fresh_memo.misses == misses + 1
@@ -1245,12 +1245,13 @@ class TestColumnMemo:
         assert built == [1]
 
     @pytest.mark.parametrize("keep", [True, False])
-    def test_columns_then_wide_columns_are_computed_once(self, fresh_memo, monkeypatch, keep):
+    def test_columns_are_computed_once(self, fresh_memo, monkeypatch, keep):
         sp = _engine.space(2, 3)
         tables = constants_and_dictators(sp)
         block = _engine.Block(sp, b"".join(map(bytes, tables)), range(5), keep)
         built = spy_columns(monkeypatch)
-        cols, wide = block.cols, block.wide
+        cols = block.cols
+        assert block.cols is cols
         assert built == [5] and fresh_memo.misses == 1
         assert len(fresh_memo.records) == keep
         # bit r of outcome x's bitset at tops code tc: table r selects x there
@@ -1258,10 +1259,7 @@ class TestColumnMemo:
             tuple(sum(1 << r for r, t in enumerate(tables) if t[tc] == x) for x in range(3))
             for tc in range(sp.tops_count)
         ]
-        expected_wide = [
-            sum(bits << block.count * x for x, bits in enumerate(outs)) for outs in expected_cols
-        ]
-        assert (cols, wide) == (expected_cols, expected_wide)
+        assert cols == expected_cols
 
     def test_exhaustive_stream_stays_within_the_bound(self, monkeypatch):
         limit = 1 << 16  # a quarter of what the (2,3) census would keep
@@ -1280,7 +1278,7 @@ class TestColumnMemo:
         census(2, 3, mode="exhaustive")
         assert memo.misses > len(memo.records)  # the stream met blocks past the bound
         assert 0 < peak <= limit
-        assert memo.size == sum(r[2] for r in memo.records.values())
+        assert memo.size == sum(r[1] for r in memo.records.values())
         # a second scan finds every held record, and holds no other
         held, misses = dict(memo.records), memo.misses
         census(2, 3, mode="exhaustive")
@@ -1292,10 +1290,10 @@ class TestColumnMemo:
         memo = _engine.ColumnMemo(1000)
         sp = _engine.space(2, 3)
         block = bytes([0, 1, 2]) * 3 * 200
-        cols, wide, size = memo.lookup(block, sp)
+        cols = memo.lookup(block, sp)
         assert memo.size == 0 and not memo.records
-        assert (cols, wide, size) == _engine._columns_of(block, sp)
-        assert len(wide) == sp.tops_count
-        # the record counts the key, the columns and the wide columns
-        ints = [bits for col in cols for bits in col] + wide
-        assert size == sys.getsizeof(block) + sum(map(sys.getsizeof, ints)) > 1000
+        record = _engine._columns_of(block, sp)
+        assert record[0] == cols and len(cols) == sp.tops_count
+        # the record counts the key and the columns
+        ints = [bits for col in cols for bits in col]
+        assert record[1] == sys.getsizeof(block) + sum(map(sys.getsizeof, ints)) > 1000

@@ -16,6 +16,7 @@ from gsverify import (
     Verdict,
     classify_profile,
     decode_preference,
+    enumerate_preferences,
     enumerate_profiles,
     find_manipulation,
     profile_from_code,
@@ -97,12 +98,12 @@ def table_profile_verdicts(table, sp):
         out = table[tc]
         out_bit = bits[out]
         verdict = DICTATORIAL
-        for top, base, offsets in agents:
+        for top, line in agents:
             if top == out:
                 continue
             reached = 0
-            for off in offsets:
-                reached |= bits[table[base + off]]
+            for c in line:
+                reached |= bits[table[c]]
             if reached == out_bit:  # the sincere top always reaches the outcome
                 continue
             verdict = 0
@@ -536,16 +537,16 @@ def test_block_verdicts_read_each_profile_row(monkeypatch):
 
 
 def test_block_manipulable_tries_every_misreport(monkeypatch):
-    # what a rule reaches depends only on the set of misreport offsets; the
-    # real rows list each distinct offset once, lowest first, and these list
+    # what a rule reaches depends only on the set of cells on a line; the
+    # real rows list each distinct cell once, lowest first, and these list
     # them in reverse, so a kernel that skips an entry of the list misses
     # every misreport to some top whichever end it skips (at m = 2 every
     # manipulation also has a mirror image by the other misreport)
     n, m = 2, 3
     rows = tuple(
         (tc, dominated, tuple(
-            (top, base, tuple(sorted(set(offsets), reverse=True)))
-            for top, base, offsets in agents
+            (top, tuple(sorted(set(line), reverse=True)))
+            for top, line in agents
         ))
         for tc, dominated, agents in _engine.profile_rows(n, m)
     )
@@ -556,6 +557,28 @@ def test_block_manipulable_tries_every_misreport(monkeypatch):
     assert [(manipulable >> r) & 1 == 1 for r in range(len(tables))] == [
         table_manipulation(t, sp) is not None for t in tables
     ]
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_row_lines_are_the_cells_each_misreport_reaches(n, m):
+    # the block kernels and their per-rule twin read the same lines, so a
+    # wrong line moves both: check each against the object layer directly
+    def tops_code(profile):
+        code = 0
+        for t in profile.tops:
+            code = code * m + t
+        return code
+
+    misreports = enumerate_preferences(m)
+    rows = _engine.profile_rows(n, m)
+    assert len(rows) == math.factorial(m) ** n
+    for pc, (tc, _dominated, agents) in enumerate(rows):
+        profile = profile_from_code(pc, n, m)
+        assert tc == tops_code(profile)
+        assert [top for top, _line in agents] == list(profile.tops)
+        for i, (_top, line) in enumerate(agents):
+            reached = [tops_code(profile.with_replaced(i, q)) for q in misreports]
+            assert line == tuple(dict.fromkeys(reached)), (pc, i)
 
 
 # ---------------------------------------------------------------------------
