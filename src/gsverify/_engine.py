@@ -37,15 +37,16 @@ streams again and again (the tops-table stream in every check, the class in
 L4 and R2), so ``COLUMN_MEMO`` keeps the columns of their blocks, the only
 ones built with ``keep=True``, first-come within ``COLUMN_MEMO_BYTES``,
 evicting none.  No other block (sampled streams, drawn tables, the one-rule
-blocks of ``classify_all`` and ``rules.efficient_via_tops``) is asked for
-again, so none is kept.  This module alone decides what the memo keeps.
+blocks of ``classify_all`` and ``rules.efficient_via_tops``, and every
+``Block.cut``) is asked for again, so none is kept.  This module alone
+decides what the memo keeps.
 The block predicates (``block_unanimous``, ``block_efficient_cells``,
-``block_efficient_definitional`` and ``block_dictators``) read these
-columns and answer for the rules of a given bitset; ``block_unanimous_digits``
-answers ``block_unanimous`` for a whole block from the digits of its m
-unanimous cells, with no columns, so the sampled census builds columns only
-for the unanimous rules it cuts out.
-``block_manipulable`` decides strategy-proofness for every rule-stream check;
+``block_efficient_definitional``, ``block_dictators`` and
+``block_manipulable``, which decides strategy-proofness for every
+rule-stream check) read these columns and answer for the rules of a given
+bitset; ``block_unanimous_digits`` answers ``block_unanimous`` for a whole
+block from the digits of its m unanimous cells, with no columns, so the
+sampled census builds columns only for the unanimous rules it cuts out.
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
 ``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
 tops cells, and the counts of their profiles (|M_f|) and of the rest (|D_f|),
@@ -199,8 +200,8 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
 # Bytes of block columns the memo retains.  The suite rescans the same
 # exhaustive blocks in order once per check, so the first blocks that fit are
 # kept and none is evicted: an LRU memo smaller than the scan evicts each block
-# just before it is asked for again.  The (2,3) suite's 41 blocks (0.27 MB
-# with their keys) fit, the (4,2) suite's 1.96 MB do not.
+# just before it is asked for again.  The (2,3) suite's 28 blocks (0.25 MB
+# with their keys) fit, the (4,2) suite's 40 (1.63 MB) do not.
 COLUMN_MEMO_BYTES = 1 << 20
 
 
@@ -314,14 +315,12 @@ class Block:
         return self.joined[r * cells : (r + 1) * cells]
 
     def cut(self, bits: int) -> Block:
-        """The block of the rules in ``bits``, in order, with their codes; the
-        block itself when ``bits`` holds every rule."""
-        if bits == self.full:
-            return self
+        """The block of the rules in ``bits``, in order, with their codes.
+        Its callers read it once, so the memo does not keep its columns."""
         rows = bit_indices(bits)
         cells, joined = self.sp.tops_count, self.joined
         cut = b"".join([joined[r * cells : (r + 1) * cells] for r in rows])
-        return Block(self.sp, cut, [self.codes[r] for r in rows], self.keep)
+        return Block(self.sp, cut, [self.codes[r] for r in rows])
 
 
 _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -405,17 +404,17 @@ def block_profile_verdicts(block: Block) -> tuple[list[int], list[int]]:
     return dictatorial, manipulable
 
 
-def block_manipulable(block: Block) -> int:
-    """Bitset of the rules of a block that some agent can manipulate (bit r =
-    rule r): the rules that are not strategy-proof.
+def block_manipulable(block: Block, within: int) -> int:
+    """The rules of ``within`` that some agent can manipulate (bit r = rule
+    r): the ones that are not strategy-proof.
 
     Definitional, for every rule at once: every profile from its own row,
     every agent and all m! misreports.  The rules reaching each outcome are
     walked in the agent's own ranking at that profile; a rule is manipulable
     there when its outcome is ranked strictly below an outcome it reaches.
-    The scan stops early only once every rule of the block is manipulable.
+    The scan stops early only once every rule of ``within`` is manipulable.
     """
-    sp, full, cols = block.sp, block.full, block.cols
+    sp, cols = block.sp, block.cols
     rankings = sp.rankings
     manip = 0
     for (tc, _dominated, agents), pref_codes in zip(
@@ -428,9 +427,9 @@ def block_manipulable(block: Block) -> int:
                 manip |= outs[x] & above
                 for c in line:
                     above |= cols[c][x]
-        if manip == full:
+        if manip & within == within:
             break
-    return manip
+    return manip & within
 
 
 def block_cell_masks(block: Block) -> tuple[list[int], list[int], list[int]]:

@@ -386,7 +386,7 @@ def _verify_r1(n, m, mode, samples, seed):
     def records():
         for block in blocks:
             nondictatorial, m_counts, _ = _engine.block_cell_masks(block)
-            strategy_proof = block.full & ~_engine.block_manipulable(block)
+            strategy_proof = block.full & ~_engine.block_manipulable(block, block.full)
             yield block, strategy_proof, _no_cells(nondictatorial, block), m_counts
 
     rules, min_m, found = _extremum_scan(records(), 0, min)

@@ -28,13 +28,12 @@ Within a block, bit r of every bitset stands for rule r.  The block's
 columns (``_engine.Block.cols``) are computed once, and every cascade stage
 is a bitset over them: ``_stage_mask`` gives the rules of a bitset passing
 one filter, from the block predicates of ``_engine`` (unanimous,
-cell-efficient, dictatorial), and "strategy-proof" cuts just those rules out
-of the block (``Block.cut``) for ``_engine.block_manipulable``, which
-decides every strategy-proofness question.  ``_filter_rules`` maps blocks to
-the blocks of their survivors (``enumerate_tops_only_rules``); the census
-keeps the bitsets and counts them with ``int.bit_count``, ``census_rows``
-yields them per block as one flags byte per rule (``_engine.bit_flags``),
-and a census stage that is also a prefilter reuses the prefilter's bitset.
+cell-efficient, dictatorial, and ``block_manipulable``, which decides every
+strategy-proofness question).  ``enumerate_tops_only_rules`` reads the
+digits of the rules of ``_filter_mask``; the census keeps the bitsets and
+counts them with ``int.bit_count``, ``census_rows`` yields them per block as
+one flags byte per rule (``_engine.bit_flags``), and a census stage that is
+also a prefilter reuses the prefilter's bitset.
 A census block read once (the sampled stream) with no prefilter but
 unanimity is first cut to its unanimous rules, read from the digits of the
 m unanimous cells alone (``_engine.block_unanimous_digits``), and only the
@@ -389,9 +388,8 @@ def enumerate_tops_only_rules(
         check_profile_work(n, m)
 
     def gen() -> Iterator[TopsTableRule]:
-        blocks = _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed)
-        for block in _filter_rules(blocks, ordered):
-            for r in range(block.count):
+        for block in _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed):
+            for r in _engine.bit_indices(_filter_mask(ordered, block, block.full)):
                 yield TopsTableRule(n, m, tuple(block.digits(r)))
 
     return gen()
@@ -406,20 +404,6 @@ def _ordered_filters(filters: Sequence[str]) -> tuple[str, ...]:
     return tuple(name for name in _FILTER_ORDER if name in filters)
 
 
-def _filter_rules(
-    blocks: Iterable[_engine.Block], filters: tuple[str, ...]
-) -> Iterator[_engine.Block]:
-    """The blocks of a block stream cut down to the rules passing every one of
-    the ordered ``filters``; blocks left empty are dropped."""
-    if not filters:
-        yield from blocks
-        return
-    for block in blocks:
-        kept = _filter_mask(filters, block, block.full)
-        if kept:
-            yield block.cut(kept)
-
-
 def _filter_mask(filters: Iterable[str], block: _engine.Block, within: int) -> int:
     """The rules of ``within`` passing every one of ``filters``, each stage
     tested on the survivors of the stages before it."""
@@ -429,8 +413,7 @@ def _filter_mask(filters: Iterable[str], block: _engine.Block, within: int) -> i
 
 
 def _stage_mask(name: str, block: _engine.Block, within: int) -> int:
-    """The rules of ``within`` passing one filter, from the block's columns;
-    "strategy-proof" scans only those rules, cut out of the block."""
+    """The rules of ``within`` passing one filter, from the block's columns."""
     if not within:
         return 0
     if name == "unanimous":
@@ -439,17 +422,7 @@ def _stage_mask(name: str, block: _engine.Block, within: int) -> int:
         return _engine.block_efficient_cells(block, within)
     if name == "dictatorial":
         return reduce(or_, _engine.block_dictators(block, within))
-    return within & ~_manipulable(block, within)
-
-
-def _manipulable(block: _engine.Block, within: int) -> int:
-    """The rules of ``within`` that ``_engine.block_manipulable`` finds
-    manipulable; the other rules of the block are not scanned."""
-    if within == block.full:
-        return _engine.block_manipulable(block)
-    rows = _engine.bit_indices(within)
-    found = _engine.block_manipulable(block.cut(within))
-    return sum(1 << rows[j] for j in _engine.bit_indices(found))
+    return within & ~_engine.block_manipulable(block, within)
 
 
 # ---------------------------------------------------------------------------

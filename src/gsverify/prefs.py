@@ -66,20 +66,20 @@ def max_agents() -> int:
     return env_whole_number(MAX_AGENTS_ENV, DEFAULT_MAX_AGENTS)
 
 
-def check_alternative_count(m: int, cap: int | None = None) -> None:
+def check_alternative_count(m: int) -> None:
     if m < 2:
         raise ValueError(f"need at least 2 alternatives, got m={m}")
-    limit = max_alternatives() if cap is None else cap
+    limit = max_alternatives()
     if m > limit:
         raise CapExceededError(
             f"m={m} exceeds the alternative cap {limit}; set {MAX_ALTERNATIVES_ENV} to override"
         )
 
 
-def check_agent_count(n: int, cap: int | None = None) -> None:
+def check_agent_count(n: int) -> None:
     if n < 2:
         raise ValueError(f"need at least 2 agents, got n={n}")
-    limit = max_agents() if cap is None else cap
+    limit = max_agents()
     if n > limit:
         raise CapExceededError(
             f"n={n} exceeds the agent cap {limit}; set {MAX_AGENTS_ENV} to override"
@@ -221,17 +221,17 @@ def _decode_preference(code: int, m: int) -> Preference:
     return Preference(tuple(pool.pop(d) for d in digits))
 
 
-def enumerate_preferences(m: int, cap: int | None = None) -> list[Preference]:
+def enumerate_preferences(m: int) -> list[Preference]:
     """All m! strict preferences in ascending rank-code order."""
-    check_alternative_count(m, cap)
+    check_alternative_count(m)
     return [Preference(r) for r in permutations(range(m))]
 
 
-def preferences_with_top(m: int, x: Alternative, cap: int | None = None) -> list[Preference]:
+def preferences_with_top(m: int, x: Alternative) -> list[Preference]:
     """The (m-1)! preferences whose top is x, in ascending rank-code order."""
     if not 0 <= x < m:
         raise ValueError(f"alternative {x} out of range for m={m}")
-    return [p for p in enumerate_preferences(m, cap) if p.top == x]
+    return [p for p in enumerate_preferences(m) if p.top == x]
 
 
 @frozen
@@ -326,7 +326,7 @@ def _decode_profile(code: int, n: int, m: int) -> Profile:
 def enumerate_profiles(n: int, m: int) -> Iterator[Profile]:
     """All (m!)^n profiles in ascending profile-code order."""
     check_dims(n, m)
-    prefs = enumerate_preferences(m, cap=m)  # m is checked just above
+    prefs = [Preference(r) for r in permutations(range(m))]  # m is checked just above
 
     def gen() -> Iterator[Profile]:
         for combo in product(prefs, repeat=n):
@@ -354,9 +354,9 @@ class PreferenceDomain:
         return next(iter(self.members)).m
 
     @classmethod
-    def universal(cls, m: int, cap: int | None = None) -> "PreferenceDomain":
+    def universal(cls, m: int) -> "PreferenceDomain":
         """The full domain of all m! strict preferences."""
-        return cls(frozenset(enumerate_preferences(m, cap)))
+        return cls(frozenset(enumerate_preferences(m)))
 
     def sorted_members(self) -> list[Preference]:
         return sorted(self.members, key=lambda p: p.rank_code)

@@ -271,7 +271,7 @@ class MajorityLexRule(Rule):
 # Canonical rule strings.
 # ---------------------------------------------------------------------------
 
-_TABLE_HEADER = re.compile(r"n=(\d+),m=(\d+):")
+_TABLE_HEADER = re.compile(r"n=([0-9]+),m=([0-9]+):")
 
 
 def parse_rule(text: str, n: int | None = None, m: int | None = None) -> Rule:
@@ -288,7 +288,7 @@ def parse_rule(text: str, n: int | None = None, m: int | None = None) -> Rule:
     if head == "TOPS" or head == "FULL":
         return _parse_table(text, head, n, m)
     if head == "DICT":
-        if not sep or not rest.isdigit():
+        if not sep or not (rest.isascii() and rest.isdigit()):
             raise RuleParseError("DICT needs a decimal agent index", len("DICT:"))
         if n is None or m is None:
             raise RuleParseError("DICT:<i> needs ambient agents and alternatives", 0)
@@ -297,7 +297,7 @@ def parse_rule(text: str, n: int | None = None, m: int | None = None) -> Rule:
             raise RuleParseError(f"agent {agent} out of range for n={n}", len("DICT:"))
         return DictatorRule(n, m, agent)
     if head == "CONST":
-        if not sep or not rest.isdigit():
+        if not sep or not (rest.isascii() and rest.isdigit()):
             raise RuleParseError("CONST needs a decimal alternative index", len("CONST:"))
         if n is None or m is None:
             raise RuleParseError("CONST:<x> needs ambient agents and alternatives", 0)
@@ -345,7 +345,7 @@ def _parse_table(text: str, kind: str, n: int | None, m: int | None) -> Rule:
         )
     outcomes = []
     for offset, ch in enumerate(digits):
-        if not ch.isdigit() or int(ch) >= m_decl:
+        if not (ch.isascii() and ch.isdigit()) or int(ch) >= m_decl:
             raise RuleParseError(
                 f"invalid outcome digit {ch!r} for m={m_decl}", digits_start + offset
             )

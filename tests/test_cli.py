@@ -259,6 +259,11 @@ class TestClassifyCommand:
         assert code == 2
         assert "tops-only" in err
 
+    def test_non_ascii_index_reports_position(self, capsys):
+        code, out, err = invoke(capsys, "inspect", "--rule", "DICT:\u00b2")
+        assert (code, out) == (2, "")
+        assert "(at position 5)" in err
+
     def test_malformed_rule_reports_position(self, capsys):
         code, _, err = invoke(
             capsys, "classify", "--rule", "TOPS:n=2,m=3:00011122x",
@@ -492,6 +497,22 @@ class TestGoldenReports:
             ("census", "--agents", "3", "--alts", "3", "--mode", "sampled",
              "--samples", "20000", "--seed", "1", "--workers", "2"),
             "a332a4d52788986b8fb2ab52dec8d1b3db8c17f694ccad8c211d99f4e1212419",
+        ),
+        # the strategy-proofness stage asked about the filter's survivors:
+        # census_rows under --filter, and the cascade after a prefilter
+        (
+            ("census", "--agents", "2", "--alts", "3", "--format", "csv", "--verbose",
+             "--filter", "strategy-proof", "--filter", "dictatorial"),
+            "d9826819205f0c3395871a2fe6c7037b8a5573691bf11957e23c9bb3a452e675",
+        ),
+        (
+            ("census", "--agents", "2", "--alts", "3", "--filter", "strategy-proof"),
+            "b15ad158225f0bb0745e5f3ceb1804d64f3a30e6431a4a968280711942ec478d",
+        ),
+        (
+            ("census", "--agents", "4", "--alts", "2", "--filter", "strategy-proof",
+             "--format", "csv"),
+            "7efe91e8f29553d83dfeebccd77def81fd490078cd1c9a841b0102021e118ff0",
         ),
     ])
     def test_report_digest(self, capsys, argv, digest):

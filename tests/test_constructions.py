@@ -41,7 +41,7 @@ from gsverify import _engine, _lemmas, constructions
 from gsverify._lemmas import _draw_codes, _l5_block
 from gsverify.constructions import (
     _BLOCK_WORDS,
-    _filter_rules,
+    _filter_mask,
     _iter_rule_blocks,
     _sampled_blocks,
     census_rows,
@@ -61,6 +61,16 @@ def census_row_tuples(n, m, filters=()):
         (code, *(bool(f >> i & 1) for i in range(4)), m_count, d_count)
         for block in census_rows(n, m, filters)
         for code, f, m_count, d_count in zip(*block, strict=True)
+    ]
+
+
+def filtered_digits(n, m, filters):
+    """The digits of every rule of the exhaustive stream passing the ordered
+    ``filters``, in rule-code order."""
+    return [
+        block.digits(r)
+        for block in _iter_rule_blocks(n, m, "exhaustive", None, None)
+        for r in _engine.bit_indices(_filter_mask(filters, block, block.full))
     ]
 
 
@@ -91,13 +101,13 @@ def doctor_block_verdicts(monkeypatch, target, doctored):
 
 def doctor_block_manipulable(monkeypatch, target):
     """Patch the block manipulation kernel to clear the bit of the rule with
-    digits ``target`` wherever it occurs."""
+    digits ``target`` wherever it is asked about."""
     honest = _engine.block_manipulable
     target = bytes(target)
 
-    def doctored(block):
-        manipulable = honest(block)
-        for r in range(block.count):
+    def doctored(block, within):
+        manipulable = honest(block, within)
+        for r in _engine.bit_indices(within):
             if block.digits(r) == target:
                 assert (manipulable >> r) & 1, "the doctored rule is manipulable"
                 manipulable &= ~(1 << r)
@@ -129,12 +139,11 @@ def constants_and_dictators(sp):
 
 def count_block_predicates(monkeypatch):
     """Wrap the block predicates and ``block_manipulable`` to tally, per
-    function, the rules it is asked about: the bits of ``within``, or the
-    rules of the block handed to ``block_manipulable``."""
+    function, the rules it is asked about: the bits of ``within``."""
     asked = Counter()
     for name in (
         "block_unanimous", "block_efficient_cells", "block_efficient_definitional",
-        "block_dictators",
+        "block_dictators", "block_manipulable",
     ):
 
         def counted(block, within, honest=getattr(_engine, name), name=name):
@@ -142,13 +151,6 @@ def count_block_predicates(monkeypatch):
             return honest(block, within)
 
         monkeypatch.setattr(_engine, name, counted)
-    honest_manipulable = _engine.block_manipulable
-
-    def counted_manipulable(block):
-        asked["block_manipulable"] += block.count
-        return honest_manipulable(block)
-
-    monkeypatch.setattr(_engine, "block_manipulable", counted_manipulable)
     return asked
 
 
@@ -259,10 +261,7 @@ class TestEnumeration:
             bytes(r.outcomes) for r in enumerate_tops_only_rules(2, 3, ("unanimous", "efficient"))
         ]
         asked = count_block_predicates(monkeypatch)
-        blocks = _iter_rule_blocks(2, 3, "exhaustive", None, None)
-        kept = list(_filter_rules(blocks, ("unanimous", "efficient")))
-        assert sum(len(block.codes) for block in kept) == 64
-        assert b"".join(block.joined for block in kept) == b"".join(tables)
+        assert filtered_digits(2, 3, ("unanimous", "efficient")) == tables
         assert asked == {"block_unanimous": 19683, "block_efficient_cells": 729}
 
     def test_dictatorial_filter(self):
@@ -381,9 +380,7 @@ class TestEfficientClassStream:
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
     def test_equals_the_filtered_tops_table_stream(self, fresh_memo, monkeypatch, n, m):
-        tops_tables = _iter_rule_blocks(n, m, "exhaustive", None, None)
-        filtered = _filter_rules(tops_tables, ("unanimous", "efficient"))
-        expected = [block.digits(r) for block in filtered for r in range(block.count)]
+        expected = filtered_digits(n, m, ("unanimous", "efficient"))
         for block_rules in (7, constructions._BLOCK_RULES):
             monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
             blocks = list(_lemmas._te_blocks(n, m, "exhaustive", None, None))
@@ -696,9 +693,9 @@ class TestCutCascade:
 
         monkeypatch.setattr(_engine, "block_unanimous_digits", watched)
         report = census(n, m, mode="sampled", samples=samples, seed=5, filters=filters)
-        # the cascade's blocks, and the strategy-proof stage's cut of them
+        # the cut blocks alone, each built once: no stage cuts them again
         rules = [joined[i : i + cells] for joined in built for i in range(0, len(joined), cells)]
-        assert len(rules) >= report.unanimous > 0
+        assert len(rules) == report.unanimous > 0
         assert all(is_unanimous_digits(digits, sp) for digits in rules)
         # every block was asked, and some held no unanimous rule
         assert len(empty) == -(-samples // 7) and any(empty) and not all(empty)
@@ -1172,7 +1169,7 @@ class TestColumnMemo:
         # found again by every later scan instead of being evicted before it
         built = spy_columns(monkeypatch)
         reports = suite_reports(n=4, m=2)
-        assert fresh_memo.misses == len(built) < 200
+        assert fresh_memo.misses == len(built) < 100
         assert 0 < fresh_memo.size <= _engine.COLUMN_MEMO_BYTES
 
         def cold():
@@ -1180,6 +1177,26 @@ class TestColumnMemo:
             monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
 
         assert suite_reports(cold, n=4, m=2) == reports
+
+    def test_the_suite_keeps_the_exhaustive_stream_blocks_alone(self, fresh_memo):
+        # the 27 blocks of the tops-table stream and the one block of the
+        # tops-only efficient class, each built once; no cut block is built
+        suite_reports()
+        stream = [b.joined for b in _iter_rule_blocks(2, 3, "exhaustive", None, None)]
+        te = [b.joined for b in _lemmas._te_blocks(2, 3, "exhaustive", None, None)]
+        assert (len(stream), len(te)) == (27, 1)
+        assert set(fresh_memo.records) == set(stream + te)
+        assert fresh_memo.misses == 28
+
+    def test_a_cut_of_a_kept_block_is_not_kept(self, fresh_memo):
+        block = next(_iter_rule_blocks(2, 3, "exhaustive", None, None))
+        assert block.keep
+        for bits in (block.full, block.full >> 1, 0b1011):
+            cut = block.cut(bits)
+            assert not cut.keep
+            assert cut.joined == b"".join(block.digits(r) for r in _engine.bit_indices(bits))
+            assert cut.cols == _engine._columns_of(cut.joined, cut.sp)[0]
+        assert fresh_memo.misses == 3 and not fresh_memo.records
 
     def test_a_kept_block_of_another_space_empties_the_memo(self, fresh_memo):
         sp23, sp42 = _engine.space(2, 3), _engine.space(4, 2)

@@ -230,11 +230,12 @@ def routed_through_the_engine(name):
 
 
 def test_the_memo_policy_stays_in_the_engine():
-    # only _engine reaches the column memo, and only the block and the memo
-    # itself take a keep flag or loose columns
+    # only _engine reaches the column memo, only the block and the memo
+    # itself take a keep flag or loose columns, and only the exhaustive
+    # streams build a block with a keep flag
     memo_names = {"COLUMN_MEMO", "ColumnMemo", "_columns_of"}
     allowed = {"Block.__init__", "ColumnMemo.lookup"}
-    named, takes = [], []
+    named, takes, keeps = [], [], set()
     for path in sorted(Path(_engine.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -253,7 +254,14 @@ def test_the_memo_policy_stays_in_the_engine():
                 params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                 if params & {"keep", "cols"} and qualname not in allowed:
                     takes.append(f"{path.stem}.{qualname}")
+                for call in ast.walk(child):
+                    func = getattr(call, "func", None)
+                    if (getattr(func, "id", None) or getattr(func, "attr", None)) != "Block":
+                        continue
+                    flags = call.args[3:] + [k.value for k in call.keywords if k.arg == "keep"]
+                    keeps.update((f"{path.stem}.{qualname}", ast.unparse(f)) for f in flags)
     assert not named and not takes, (named, takes)
+    assert keeps == {("constructions._exhaustive_blocks", "True")}
 
 
 def test_oracle_imports_nothing_from_the_engine():
@@ -454,7 +462,7 @@ def assert_blocks_match_per_rule(n, m, tables, verdicts=True):
         nondictatorial, m_counts, d_counts = block_cell_masks(block)
         if verdicts:
             dictatorial, manipulable = block_profile_verdicts(block)
-            manipulable_rules = block_manipulable(block)
+            manipulable_rules = block_manipulable(block, block.full)
         for r in range(len(m_counts)):
             table = tables[rule]
             rule += 1
@@ -553,10 +561,40 @@ def test_block_manipulable_tries_every_misreport(monkeypatch):
     monkeypatch.setattr(_engine, "profile_rows", lambda n, m: rows)
     sp = space(n, m)
     tables = all_tables(n, m)
-    manipulable = block_manipulable(block_of(sp, tables))
+    block = block_of(sp, tables)
+    manipulable = block_manipulable(block, block.full)
     assert [(manipulable >> r) & 1 == 1 for r in range(len(tables))] == [
         table_manipulation(t, sp) is not None for t in tables
     ]
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_block_manipulable_answers_for_within(n, m):
+    # asked about any subset of a block, the kernel gives the rules of that
+    # subset the per-rule scan finds manipulable, and no rule outside it;
+    # sparse subsets stop early only once each of their rules is manipulable
+    sp = space(n, m)
+    if (n, m) == (3, 3):
+        tables = seeded_tables(3, 3, 150, 20272) + constants_and_dictators(3, 3)
+        tables += [r.outcomes for r in sample_efficient_tops_tables(3, 3, 150, 20273)]
+    else:
+        tables = all_tables(n, m)
+    rng = random.Random(20274)
+    done = 0
+    for block in rule_blocks(sp, tables):
+        manipulable = sum(
+            (table_manipulation(t, sp) is not None) << r
+            for r, t in enumerate(tables[done : done + block.count])
+        )
+        done += block.count
+        count = block.count
+        masks = [0, block.full] + [rng.getrandbits(count) for _ in range(3)]
+        masks += [rng.getrandbits(count) & rng.getrandbits(count) & rng.getrandbits(count)]
+        for within in masks:
+            got = block_manipulable(block, within)
+            assert got & ~within == 0, within
+            assert got == manipulable & within, within
+    assert done == len(tables)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])

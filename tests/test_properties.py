@@ -70,7 +70,8 @@ def mixed_rule_blocks(n, m, max_rules):
 
 def check_manipulable(n, m, tables):
     sp = space(n, m)
-    manipulable = block_manipulable(block_of(sp, tables))
+    block = block_of(sp, tables)
+    manipulable = block_manipulable(block, block.full)
     for r, table in enumerate(tables):
         assert (manipulable >> r) & 1 == (table_manipulation(table, sp) is not None)
 

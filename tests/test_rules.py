@@ -279,6 +279,21 @@ class TestRuleStrings:
         with pytest.raises(RuleParseError):
             parse_rule("TOPS:n=2,m=3:000111222", 3, 3)
 
+    @pytest.mark.parametrize("text,position", [
+        ("DICT:\u00b2", 5),  # superscript two: isdigit() but not int()
+        ("CONST:\u00b2", 6),
+        ("TOPS:n=2,m=3:00000000\u00b2", 21),
+        ("DICT:\uff11", 5),  # fullwidth one: int() reads it as 1
+        ("CONST:\u0661", 6),  # Arabic-Indic one
+        ("TOPS:n=\u0662,m=3:000000000", 5),  # Arabic-Indic two
+        ("TOPS:n=2,m=3:0000\u06610000", 17),
+    ])
+    def test_only_ascii_digits(self, text, position):
+        # a string that parses prints back as itself, so every digit is ASCII
+        with pytest.raises(RuleParseError) as excinfo:
+            parse_rule(text, 2, 3)
+        assert excinfo.value.position == position
+
     def test_dict_needs_valid_agent(self):
         with pytest.raises(RuleParseError):
             parse_rule("DICT:5", 2, 3)
