@@ -55,8 +55,7 @@ from the stage bitsets) and ``classify --method cells`` (a block of one rule,
 as are ``classify``'s unanimity and ``rules.efficient_via_tops``).  The
 per-rule twins of the block kernels are the tests' references.
 ``digits_from_code`` turns a rule code into its digits k at a time through
-a table of ``digit_strings``, the table the exhaustive streams build their
-blocks from, with ``digit_width`` choosing k for both.
+a table of every k-digit string.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
 # Bytes of block columns the memo retains.  The suite rescans the same
 # exhaustive blocks in order once per check, so the first blocks that fit are
 # kept and none is evicted: an LRU memo smaller than the scan evicts each block
-# just before it is asked for again.  The (2,3) suite's 28 blocks (0.25 MB
+# just before it is asked for again.  The (2,3) suite's 11 blocks (0.24 MB
 # with their keys) fit, the (4,2) suite's 40 (1.63 MB) do not.
 COLUMN_MEMO_BYTES = 1 << 20
 
@@ -608,37 +607,24 @@ def full_table_dictatorial_count(table: Table, sp: Space) -> int:
 DIGIT_TABLE_STRINGS = 2048
 
 
-def digit_width(sets: Sequence[Sequence[int]], strings: int) -> int:
-    """The most trailing digit sets k <= len(sets) whose product holds at most
-    ``strings`` digit strings (at least 1)."""
-    k, size = 1, len(sets[-1])
-    while k < len(sets) and size * len(sets[-k - 1]) <= strings:
-        k += 1
-        size *= len(sets[-k])
-    return k
-
-
-@lru_cache(maxsize=None)
-def digit_strings(sets: tuple[Sequence[int], ...]) -> tuple[bytes, ...]:
-    """Every digit string with digit i drawn from ``sets[i]``, in product
-    order: ascending when each set is.  Over k copies of ``range(m)``,
-    entry c holds the k base-m digits of c."""
-    return tuple(map(bytes, product(*sets)))
-
-
 @lru_cache(maxsize=None)
 def _digit_plan(cells: int, m: int) -> tuple[int, tuple[bytes, ...], int, tuple[bytes, ...]]:
-    """(m**k, the k-digit table, whole k-digit groups, the table of the
-    leading ``cells % k`` digits) for ``digits_from_code``."""
-    sets = (range(m),) * cells
-    k = digit_width(sets, DIGIT_TABLE_STRINGS)
-    table = digit_strings(sets[:k])
-    return len(table), table, cells // k, digit_strings(sets[: cells % k])
+    """(m**k, the table of every k-digit string, whole k-digit groups, the
+    table of the leading ``cells % k`` digits) for ``digits_from_code``: k
+    the most digits, at least 1, whose table holds at most
+    ``DIGIT_TABLE_STRINGS`` strings.  Entry c of a table holds the base-m
+    digits of c."""
+    k = 1
+    while k < cells and m ** (k + 1) <= DIGIT_TABLE_STRINGS:
+        k += 1
+    table = tuple(map(bytes, product(range(m), repeat=k)))
+    head = tuple(map(bytes, product(range(m), repeat=cells % k)))
+    return len(table), table, cells // k, head
 
 
 def digits_from_code(code: int, cells: int, m: int) -> bytes:
     """The ``cells`` base-m digits of a rule code, most significant first, k
-    digits per ``divmod`` through the k-digit table of ``digit_strings``."""
+    digits per ``divmod`` through the k-digit table of ``_digit_plan``."""
     radix, table, whole, head = _digit_plan(cells, m)
     parts = []
     for _ in range(whole):

@@ -49,7 +49,6 @@ from . import _engine, constructions
 from .constructions import (
     _iter_rule_blocks,
     _rule_string_from_digits,
-    _sample_efficient_digits,
     _stage_mask,
     rule_space_size,
 )
@@ -148,7 +147,8 @@ def _te_blocks(n, m, mode, samples, seed):
     if mode == "exhaustive":
         return constructions._exhaustive_blocks(sp, sp.cell_tops_sets)
     rng = random.Random(seed)
-    draws = (bytes(_sample_efficient_digits(rng, sp)) for _ in range(samples or 0))
+    # one uniform draw of each cell's digit from its tops set, in tops-code order
+    draws = (bytes(map(rng.choice, sp.cell_tops_sets)) for _ in range(samples or 0))
     return _table_blocks(sp, draws)
 
 
@@ -200,7 +200,12 @@ def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
 
     Per profile and rule, the verdict must be exactly one of dictatorial and
     manipulable, and equal to the verdict at the first profile of its tops
-    cell (which passed, or the scan would have stopped there).
+    cell (which passed, or the scan would have stopped there).  That second
+    half compares verdicts computed from the same inputs:
+    ``block_profile_verdicts`` reads only a row's tops code and agents'
+    lines, which every profile of a tops cell shares, and tries every
+    stand-in with the agent's top, not the agent's own ranking.  It can fail
+    only through a wrong row or a wrong kernel.
     """
     sp, count, full = block.sp, block.count, block.full
     dictatorial, manipulable = _engine.block_profile_verdicts(block)

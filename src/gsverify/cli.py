@@ -16,6 +16,8 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 from . import _engine, constructions
 from . import classify as classify_mod
@@ -130,15 +132,15 @@ def _report(args: argparse.Namespace) -> int:
     except (GsverifyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = _render(payload, args.format)
+    chunks = _render(payload, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
+                handle.writelines(chunks)
         except OSError as exc:
             return _cannot_write(args.out, exc)
     else:
-        sys.stdout.write(rendered)
+        sys.stdout.writelines(chunks)
     return 1 if failed else 0
 
 
@@ -236,8 +238,9 @@ def _cmd_census(args: argparse.Namespace) -> tuple[dict, bool]:
         raise ValueError("--verbose per-rule output is exhaustive only; drop --samples")
     payload = _base_payload(args)
     if args.verbose:
-        payload["per_rule"] = list(
-            constructions.census_rows(args.agents, args.alts, filters=args.filters)
+        # a generator: ``_report`` writes the rows one rule block at a time
+        payload["per_rule"] = constructions.census_rows(
+            args.agents, args.alts, filters=args.filters
         )
         payload["filters"] = list(constructions._ordered_filters(args.filters))
         return payload, False
@@ -339,12 +342,16 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _render(payload: dict, fmt: str) -> str:
+def _render(payload: dict, fmt: str) -> Iterable[str]:
+    """The report as the strings to write in turn: the per-rule csv a rule
+    block at a time as ``census_rows`` yields it, any other report whole."""
+    if "per_rule" in payload:
+        return chain([_PER_RULE_HEADER], map(_per_rule_csv, payload["per_rule"]))
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
     if fmt == "csv":
-        return _render_csv(payload)
-    return _render_text(payload)
+        return [_render_csv(payload)]
+    return [_render_text(payload)]
 
 
 def _bool(value: bool) -> str:
@@ -381,13 +388,14 @@ def _csv_rows(payload: dict) -> list[dict]:
     return [payload]
 
 
+def _per_rule_csv(record: tuple) -> str:
+    """The csv rows of one ``census_rows`` record."""
+    codes, flags, m_counts, d_counts = record
+    flag_text = map(_FLAG_TEXT.__getitem__, flags)
+    return "".join(map("{},{},{},{}\n".format, codes, flag_text, m_counts, d_counts))
+
+
 def _render_csv(payload: dict) -> str:
-    if "per_rule" in payload:
-        parts = [_PER_RULE_HEADER]
-        for codes, flags, m_counts, d_counts in payload["per_rule"]:
-            flag_text = map(_FLAG_TEXT.__getitem__, flags)
-            parts.append("".join(map("{},{},{},{}\n".format, codes, flag_text, m_counts, d_counts)))
-        return "".join(parts)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     rows = _csv_rows(payload)

@@ -14,11 +14,11 @@ larger spaces run in sampled mode with an explicit seed, and sampled runs
 with the same seed reproduce byte for byte.  Every rule walk reads the one
 rule stream, ``_iter_rule_blocks``, a block of at most ``_BLOCK_RULES``
 rules at a time: an ``_engine.Block``, the rules' digits back to back in one
-``bytes`` with their codes.  Exhaustive blocks are runs of ascending codes
-built from their shared leading digits and one table of all suffixes
-(``_exhaustive_blocks``, a product of per-cell digit sets: every digit over
-the tops-table space, the cells' tops sets over the tops-only efficient
-class of L4 and R2), and are the only blocks whose columns the memo keeps;
+``bytes`` with their codes.  Exhaustive blocks are the next
+``_BLOCK_RULES`` codes of a product of per-cell digit sets, written a cell
+at a time (``_exhaustive_blocks``: every digit over the tops-table space,
+the cells' tops sets over the tops-only efficient class of L4 and R2), and
+are the only blocks whose columns the memo keeps;
 sampled blocks are consecutive slices of the ``randrange(m)``-per-tops-cell
 digits of ``random.Random(seed)``, drawn a block of generator words at a
 time (the tests pin them to the ``randrange`` loop).  Every scan runs in this
@@ -52,7 +52,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import product
 from operator import or_
 from time import perf_counter
 
@@ -118,10 +117,6 @@ _DEFAULT_SAMPLES = {
     "THM": 100_000,
 }
 DEFAULT_CENSUS_SAMPLES = 100_000
-
-
-def rule_space_budget() -> int:
-    return env_whole_number(RULE_SPACE_BUDGET_ENV, DEFAULT_RULE_SPACE_BUDGET)
 
 
 def rule_space_size(n: int, m: int) -> int:
@@ -235,7 +230,7 @@ def _resolve_mode(
     """Resolve auto/exhaustive/sampled against the work budget: an
     exhaustive run against its required rule checks, a sampled one against
     the rules it draws, ``draws_per_sample`` per sample."""
-    limit = rule_space_budget()
+    limit = env_whole_number(RULE_SPACE_BUDGET_ENV, DEFAULT_RULE_SPACE_BUDGET)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if samples is not None and samples < 1:
@@ -285,18 +280,34 @@ def _exhaustive_blocks(
     sp: _engine.Space, sets: tuple[Sequence[int], ...]
 ) -> Iterator[_engine.Block]:
     """Blocks of every table whose digit at tops code c is drawn from
-    ``sets[c]``, in product order, one per run of tables that share their
-    leading digits: ``prefix + prefix.join(suffixes)`` over the table of all
-    suffixes of the last k sets, whose product holds at most ``_BLOCK_RULES``
-    (k >= 1).  A block's codes are the tables' indices in the product: rule
-    codes over the tops-table space, ``(range(m),) * cells``.  Later scans
+    ``sets[c]``, in product order, ``_BLOCK_RULES`` each but the last; a
+    block's codes are the tables' product indices (rule codes over
+    ``(range(m),) * cells``).  Column c repeats each digit of ``sets[c]``
+    run times in turn, run the product of the later sets' sizes: a block
+    writes its window of each column with one strided slice.  Later scans
     walk these blocks again, so the memo may keep their columns."""
-    k = _engine.digit_width(sets, _BLOCK_RULES)
-    suffixes = _engine.digit_strings(sets[-k:])
-    width = len(suffixes)
-    for i, prefix in enumerate(map(bytes, product(*sets[:-k]))):
-        joined = prefix + prefix.join(suffixes)
-        yield _engine.Block(sp, joined, range(i * width, (i + 1) * width), keep=True)
+    cells, columns, total = len(sets), [], 1
+    for digits in reversed(sets):
+        # one period of the column, built once if a block holds a whole one
+        fits = total * len(digits) <= _BLOCK_RULES
+        tile = b"".join(bytes((d,)) * total for d in digits) if fits else b""
+        columns.append((digits, total, tile))
+        total *= len(digits)
+    columns.reverse()
+    for start in range(0, total, _BLOCK_RULES):
+        end = min(start + _BLOCK_RULES, total)
+        out = bytearray(cells * (end - start))
+        for c, (digits, run, tile) in enumerate(columns):
+            if tile:
+                window = tile[start % len(tile) :] + tile * ((end - start) // len(tile) + 1)
+            else:  # the at most len(digits) + 1 runs that meet the block
+                window = b"".join([
+                    bytes((digits[i % len(digits)],))
+                    * (min(end, (i + 1) * run) - max(start, i * run))
+                    for i in range(start // run, (end - 1) // run + 1)
+                ])
+            out[c::cells] = window[: end - start]
+        yield _engine.Block(sp, bytes(out), range(start, end), keep=True)
 
 
 # Mersenne Twister words drawn per generator call by the sampled rule stream (32 KB).
@@ -342,11 +353,6 @@ def _sampled_blocks(
         buf = buf[need:]
 
 
-def _sample_efficient_digits(rng: random.Random, sp: _engine.Space) -> list[int]:
-    """One uniform sample from the cell-wise efficient tops tables."""
-    return [rng.choice(sp.cell_tops_sets[tc]) for tc in range(sp.tops_count)]
-
-
 def sample_efficient_tops_tables(
     n: int, m: int, count: int, seed: int
 ) -> list[TopsTableRule]:
@@ -358,7 +364,7 @@ def sample_efficient_tops_tables(
     sp = _engine.space(n, m)
     rng = random.Random(seed)
     return [
-        TopsTableRule(n, m, tuple(_sample_efficient_digits(rng, sp)))
+        TopsTableRule(n, m, tuple(map(rng.choice, sp.cell_tops_sets)))
         for _ in range(count)
     ]
 

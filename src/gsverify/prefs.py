@@ -42,18 +42,15 @@ MAX_PROFILE_WORK_ENV = "GSVERIFY_MAX_PROFILE_WORK"
 
 def env_whole_number(name: str, default: int) -> int:
     """The whole-number setting ``name`` from the environment, ``default``
-    when it is unset; a value ``int`` does not read, or a negative one, is
-    rejected by name."""
+    when it is unset; a value that is not ASCII digits alone (a sign, a
+    space, an underscore or another script's digit, all of which ``int``
+    reads) is rejected by name."""
     raw = os.environ.get(name)
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
+    if not (raw.isascii() and raw.isdigit()):
         raise ValueError(f"{name} must be a whole number, got {raw!r}")
-    return value
+    return int(raw)
 
 
 def max_alternatives() -> int:

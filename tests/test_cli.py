@@ -707,6 +707,13 @@ class TestSettings:
         assert out == ""
         assert err == f"error: {setting} must be a whole number, got 'abc'\n"
 
+    def test_setting_of_another_scripts_digit_exits_2(self, capsys, monkeypatch):
+        # int() reads the Arabic-Indic six as 6
+        monkeypatch.setenv("GSVERIFY_MAX_ALTS", "\u0666")
+        code, out, err = invoke(capsys, "census", "--agents", "2", "--alts", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: GSVERIFY_MAX_ALTS must be a whole number, got '\u0666'\n"
+
     @pytest.mark.parametrize("alts", ["5000", "1000000"])
     def test_over_cap_alternatives_rejected_without_m_factorial(self, alts):
         done = subprocess.run(

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -373,6 +374,30 @@ class TestExhaustiveStream:
                 bytes(per_digit_loop(code, cells, m)) for code in codes
             )
 
+    @pytest.mark.parametrize("block_rules", [7, 100, 2048])
+    @pytest.mark.parametrize("n,m,stream", [
+        (2, 2, "tables"), (3, 2, "tables"), (4, 2, "tables"), (2, 3, "tables"),
+        (2, 2, "class"), (3, 2, "class"), (4, 2, "class"), (2, 3, "class"), (2, 4, "class"),
+    ])
+    def test_blocks_fill_to_block_rules_in_product_order(
+        self, monkeypatch, n, m, stream, block_rules
+    ):
+        # both exhaustive streams: the tops tables and the tops-only efficient class
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
+        sp = _engine.space(n, m)
+        if stream == "tables":
+            sets = (range(m),) * sp.tops_count
+            blocks = list(_iter_rule_blocks(n, m, "exhaustive", None, None))
+        else:
+            sets = sp.cell_tops_sets
+            blocks = list(_lemmas._te_blocks(n, m, "exhaustive", None, None))
+        expected = list(map(bytes, product(*sets)))
+        assert [b.digits(r) for b in blocks for r in range(b.count)] == expected
+        assert [code for b in blocks for code in b.codes] == list(range(len(expected)))
+        whole, rest = divmod(len(expected), block_rules)
+        assert [b.count for b in blocks] == [block_rules] * whole + [rest] * (rest > 0)
+        assert all(b.keep and len(b.joined) == b.count * sp.tops_count for b in blocks)
+
 
 class TestEfficientClassStream:
     """The exhaustive stream of L4 and R2: every tops table selecting one of
@@ -558,7 +583,7 @@ class TestCensus:
         "GSVERIFY_MAX_RULE_SPACE", "GSVERIFY_MAX_ALTS", "GSVERIFY_MAX_AGENTS",
         "GSVERIFY_MAX_PROFILE_WORK",
     ])
-    @pytest.mark.parametrize("value", ["abc", "2.5", "-1", ""])
+    @pytest.mark.parametrize("value", ["abc", "2.5", "-1", "", "\u0666", "2_0", " 6 ", "+6"])
     def test_setting_not_a_whole_number_rejected(self, monkeypatch, setting, value):
         monkeypatch.setenv(setting, value)
         message = f"{setting} must be a whole number, got {value!r}"
@@ -1179,14 +1204,15 @@ class TestColumnMemo:
         assert suite_reports(cold, n=4, m=2) == reports
 
     def test_the_suite_keeps_the_exhaustive_stream_blocks_alone(self, fresh_memo):
-        # the 27 blocks of the tops-table stream and the one block of the
-        # tops-only efficient class, each built once; no cut block is built
+        # the 10 blocks of the tops-table stream (9 x 2048 + 1251 rules) and
+        # the one block of the tops-only efficient class, each built once; no
+        # cut block is built
         suite_reports()
         stream = [b.joined for b in _iter_rule_blocks(2, 3, "exhaustive", None, None)]
         te = [b.joined for b in _lemmas._te_blocks(2, 3, "exhaustive", None, None)]
-        assert (len(stream), len(te)) == (27, 1)
+        assert (len(stream), len(te)) == (10, 1)
         assert set(fresh_memo.records) == set(stream + te)
-        assert fresh_memo.misses == 28
+        assert fresh_memo.misses == 11
 
     def test_a_cut_of_a_kept_block_is_not_kept(self, fresh_memo):
         block = next(_iter_rule_blocks(2, 3, "exhaustive", None, None))

@@ -132,11 +132,19 @@ class TestEnumeration:
             prefs.check_dims(n, m)
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("value,read", [("7", 7), ("+7", 7), (" 7\n", 7), ("1_000", 1000)])
+    @pytest.mark.parametrize("value,read", [("7", 7), ("0012", 12)])
     def test_cap_setting_read_as_int_reads_it(self, monkeypatch, value, read):
-        # a setting is any whole number int() reads; others are rejected by name
+        # a setting is ASCII digits alone; others are rejected by name
         monkeypatch.setenv("GSVERIFY_MAX_ALTS", value)
         assert prefs.max_alternatives() == read
+
+    @pytest.mark.parametrize("value", ["+7", " 7\n", "1_000"])
+    def test_cap_setting_not_ascii_digits_rejected(self, monkeypatch, value):
+        # int() reads every one of these (more in test_setting_not_a_whole_number_rejected)
+        monkeypatch.setenv("GSVERIFY_MAX_ALTS", value)
+        with pytest.raises(ValueError) as raised:
+            prefs.max_alternatives()
+        assert str(raised.value) == f"GSVERIFY_MAX_ALTS must be a whole number, got {value!r}"
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("GSVERIFY_MAX_ALTS", "7")
