@@ -47,12 +47,13 @@ rule-stream check) read these columns and answer for the rules of a given
 bitset; ``block_unanimous_digits`` answers ``block_unanimous`` for a whole
 block from the digits of its m unanimous cells, with no columns, so the
 sampled census builds columns only for the unanimous rules it cuts out.
-``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2 and
-``classify --method scan``; ``block_cell_masks`` gives the non-dictatorial
-tops cells, and the counts of their profiles (|M_f|) and of the rest (|D_f|),
-to R1, R2, ``census_rows`` (whose per-rule flag bytes ``bit_flags`` spreads
-from the stage bitsets) and ``classify --method cells`` (a block of one rule,
-as are ``classify``'s unanimity and ``rules.efficient_via_tops``).  The
+``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2, R1
+and ``classify --method scan``, whose per-rule counts ``bit_planes`` sums
+into carry planes; ``block_cell_masks`` gives the non-dictatorial tops
+cells, and the counts of their profiles (|M_f|) and of the rest (|D_f|), to
+R2, ``census_rows`` (whose per-rule flag bytes ``bit_flags`` spreads from
+the stage bitsets) and ``classify --method cells`` (a block of one rule, as
+are ``classify``'s unanimity and ``rules.efficient_via_tops``).  The
 per-rule twins of the block kernels are the tests' references.
 ``digits_from_code`` turns a rule code into its digits k at a time through
 a table of every k-digit string.
@@ -252,10 +253,23 @@ def _selecting(column: bytes, table: bytes) -> int:
 
 def _columns_of(joined: bytes, sp: Space) -> tuple[list[tuple[int, ...]], int]:
     """A block's memo record: per tops code, the rule bitset of each outcome,
-    and the bytes of those bitsets with the key."""
+    and the bytes of those bitsets with the key.
+
+    Every ``Block`` holds digits below m (the exhaustive and sampled streams,
+    drawn codes, class draws, one-rule blocks of parsed rules and ``cut``
+    alike), so each rule selects exactly one outcome per cell: the last
+    outcome's rules are the ones selecting none of the others."""
     cells = sp.tops_count
-    eq = _outcome_tables(sp.m)
-    cols = [tuple(_selecting(joined[c::cells], t) for t in eq) for c in range(cells)]
+    eq = _outcome_tables(sp.m)[:-1]
+    full = (1 << len(joined) // cells) - 1
+    # reversed once: int() reads the most significant digit, the last rule, first
+    backwards = joined[::-1]
+    cols = []
+    for c in range(cells):
+        column = backwards[cells - 1 - c :: cells]
+        outs = [int(column.translate(t), 2) for t in eq]
+        outs.append(full - sum(outs))  # the others are disjoint subsets of full
+        cols.append(tuple(outs))
     size = sys.getsizeof(joined) + sum(map(sys.getsizeof, chain(*cols)))
     return cols, size
 
@@ -327,12 +341,14 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
-    """Per rule r < count, how many of ``bitsets`` have bit r set (exact).
+    """Per rule r < count, how many of ``bitsets`` have bit r set (exact)."""
+    return plane_counts(bit_planes(bitsets), count)
 
-    The bitsets are added into carry planes, plane j holding bit j of every
-    rule's running count, and only the ceil(log2(B + 1)) planes of B bitsets
-    are spread to byte lanes (``bit_flags``), eight planes at a time.
-    """
+
+def bit_planes(bitsets: Iterable[int]) -> list[int]:
+    """How many of ``bitsets`` have each bit set, as carry planes: bit r of
+    plane j is bit j of rule r's count, at most ceil(log2(B + 1)) planes for
+    B bitsets."""
     planes: list[int] = []
     for carry in bitsets:
         for j, plane in enumerate(planes):
@@ -341,6 +357,12 @@ def bit_counts(bitsets: Iterable[int], count: int) -> list[int]:
                 break
         else:
             planes.append(carry)
+    return planes
+
+
+def plane_counts(planes: Sequence[int], count: int) -> list[int]:
+    """Per rule r < count, its count from the carry planes of ``bit_planes``,
+    spread to byte lanes (``bit_flags``) eight planes at a time."""
     totals = list(bit_flags(planes[:8], count))
     for low in range(8, len(planes), 8):
         group = bit_flags(planes[low : low + 8], count)

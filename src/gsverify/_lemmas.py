@@ -2,10 +2,12 @@
 
 ``verify_lemma`` imports this module on its first call, so a run that never
 checks a lemma (the census, ``inspect``, ``classify``) never compiles it.
-Each ``_verify_*`` runner takes ``(n, m, mode, samples, seed)``
+Each ``_verify_*`` runner takes ``(n, m, mode, samples, seed, scope)``
 with the mode already resolved against the budget, and returns ``(passed,
 checks, counterexample, detail)``; ``_LEMMA_IMPLS`` maps the check ids of
-``constructions.LEMMA_DESCRIPTIONS`` to them.
+``constructions.LEMMA_DESCRIPTIONS`` to them.  ``scope`` is a dict that the
+checks of one ``lemmas`` run share (a call of its own gets an empty one),
+so nothing a check derives outlives the run.
 
 The runners read the rule stream of ``constructions`` (``_iter_rule_blocks``)
 an ``_engine.Block`` at a time, in this process, and every stage is a
@@ -19,17 +21,28 @@ still tests efficiency by its definition over the tops-table stream.  The
 other blocks the runners build (the sampled class, the dictatorships that
 anchor a sample, and C2's drawn codes) come from one chunker,
 ``_table_blocks``, and are read once, so the memo does not keep them.  L4,
-L5 and C2 read per-profile verdicts (``block_profile_verdicts``), R1 and R2
-read cell counts (``block_cell_masks``), and L1, C1 and L3 read Pareto
-efficiency from the profile rows (``block_efficient_definitional``).  L1
-and C1 are one scan (``_strategy_proof_unanimous_scan``) with their own
-counterexample kind and closed-form test.  C2 counts |M_f| and |D_f| apart,
-so the duality it checks is not built into its counts.  When the rule space
-is no larger than its draws (exhaustive, or sampled at (2,3) by default) it
-counts every rule of the tops-table stream, indexed by rule code, so the
-suite at (2,3) reads the columns the other checks keep; otherwise ((4,2),
-(3,3), (2,4)) it reads blocks of its distinct drawn codes only.  THM is the
-census.
+L5, C2 and R1 read per-profile verdicts (``block_profile_verdicts``), R2
+reads cell counts (``block_cell_masks``), and L1, C1 and L3 read Pareto
+efficiency from the profile rows (``block_efficient_definitional``).
+
+Within a run each block's verdicts are computed once.  An exhaustive L5
+that passes leaves in the scope, per block of the tops-table stream, the
+carry planes (``_engine.bit_planes``) of its rules' |M_f| and |D_f|; an
+exhaustive R1 and a C2 that counts the whole stream read them instead of
+scanning again.  Any other stream, a check before L5, or a run where L5
+found a counterexample scans for itself.  L1 and C1 are one scan
+(``_strategy_proof_unanimous_scan``) with their own counterexample kind and
+closed-form test, and the scope keeps its stream half for the second.
+
+C2 counts |M_f| and |D_f| apart, so the duality it checks is not built into
+its counts.  When the rule space is no larger than its draws (exhaustive,
+or sampled at (2,3) by default) it counts every rule of the tops-table
+stream, indexed by rule code; otherwise ((4,2), (3,3), (2,4)) it reads
+blocks of its distinct drawn codes only.  When the distinct (|M_f|, |D_f|)
+classes of the counted rules, sorted by |M_f|, strictly rise in |M_f| and
+strictly fall in |D_f|, no pair can fail and C2 reports every pair
+checked; otherwise it walks its pairs to the first failing one.  THM is
+the census.
 
 Names these runners share with ``constructions`` that callers may patch
 there are read through that module at call time: ``_BLOCK_RULES``, the
@@ -42,7 +55,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain, islice, product
 from operator import and_, or_
 
 from . import _engine, constructions
@@ -64,10 +77,10 @@ from .rules import (
 )
 
 
-def _verify_l1(n, m, mode, samples, seed):
+def _verify_l1(n, m, mode, samples, seed, scope):
     """No unanimous, inefficient, strategy-proof rule may exist."""
     checks, counterexample, (unanimous, _, closed) = _strategy_proof_unanimous_scan(
-        n, m, mode, samples, seed,
+        n, m, mode, samples, seed, scope,
         "strategy-proof unanimous rule that is not efficient",
         lambda rule: not constructions.is_efficient(rule),
     )
@@ -75,31 +88,25 @@ def _verify_l1(n, m, mode, samples, seed):
     return counterexample is None, checks, counterexample, detail
 
 
-def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_fails):
+def _strategy_proof_unanimous_scan(
+    n, m, mode, samples, seed, scope, kind, closed_form_fails
+):
     """The scan of L1 and C1: every unanimous rule of the stream, then the
     closed-form library; stops at the first strategy-proof unanimous rule
-    that is not efficient (``closed_form_fails`` for the closed forms).
+    that is not efficient (``closed_form_fails`` for the closed forms).  The
+    stream half is the same for both checks, so the run's scope keeps it.
 
     Returns checks, the counterexample of ``kind`` or None, and the counts
     (unanimous stream rules, strategy-proof unanimous rules, closed forms).
     """
-    unanimous = strategy_proof = closed = 0
+    key = ("strategy-proof unanimous stream", n, m, mode, samples, seed)
+    if key not in scope:
+        scope[key] = _strategy_proof_unanimous_stream(n, m, mode, samples, seed)
+    unanimous, strategy_proof, inefficient = scope[key]
+    closed = 0
     counterexample = None
-    for block in _iter_rule_blocks(n, m, mode, samples, seed):
-        unanimous_rules = _engine.block_unanimous(block, block.full)
-        sp_rules = _stage_mask("strategy-proof", block, unanimous_rules)
-        # tops-only (C1) holds by construction over this space
-        inefficient = sp_rules & ~_engine.block_efficient_definitional(block, sp_rules)
-        if inefficient:
-            r = _engine.low_bit(inefficient)
-            upto = (2 << r) - 1
-            unanimous += (unanimous_rules & upto).bit_count()
-            strategy_proof += (sp_rules & upto).bit_count()
-            rule_string = _rule_string_from_digits(n, m, block.digits(r))
-            counterexample = {"kind": kind, "rule": rule_string}
-            break
-        unanimous += unanimous_rules.bit_count()
-        strategy_proof += sp_rules.bit_count()
+    if inefficient:
+        counterexample = {"kind": kind, "rule": inefficient}
     else:
         for rule in _closed_form_library(n, m):
             closed += 1
@@ -112,7 +119,28 @@ def _strategy_proof_unanimous_scan(n, m, mode, samples, seed, kind, closed_form_
     return unanimous + closed, counterexample, (unanimous, strategy_proof, closed)
 
 
-def _verify_l3(n, m, mode, samples, seed):
+def _strategy_proof_unanimous_stream(n, m, mode, samples, seed):
+    """The stream half of ``_strategy_proof_unanimous_scan``: the unanimous
+    and the strategy-proof unanimous rules up to the first of those that is
+    not efficient, and that rule's string, or None."""
+    unanimous = strategy_proof = 0
+    for block in _iter_rule_blocks(n, m, mode, samples, seed):
+        unanimous_rules = _engine.block_unanimous(block, block.full)
+        sp_rules = _stage_mask("strategy-proof", block, unanimous_rules)
+        # tops-only (C1) holds by construction over this space
+        inefficient = sp_rules & ~_engine.block_efficient_definitional(block, sp_rules)
+        if inefficient:
+            r = _engine.low_bit(inefficient)
+            upto = (2 << r) - 1
+            unanimous += (unanimous_rules & upto).bit_count()
+            strategy_proof += (sp_rules & upto).bit_count()
+            return unanimous, strategy_proof, _rule_string_from_digits(n, m, block.digits(r))
+        unanimous += unanimous_rules.bit_count()
+        strategy_proof += sp_rules.bit_count()
+    return unanimous, strategy_proof, None
+
+
+def _verify_l3(n, m, mode, samples, seed, scope):
     """Pareto-efficient tops-table rules select some agent's top everywhere."""
     sp = _engine.space(n, m)
     checks = 0
@@ -162,7 +190,7 @@ def _table_blocks(sp: _engine.Space, tables: Iterable[bytes]) -> Iterator[_engin
         start += len(chunk)
 
 
-def _verify_l4(n, m, mode, samples, seed):
+def _verify_l4(n, m, mode, samples, seed, scope):
     """Within tops-only efficient rules: every profile dictatorial iff dictatorial."""
     sp = _engine.space(n, m)
     checks = 0
@@ -194,9 +222,10 @@ def _verify_l4(n, m, mode, samples, seed):
     return counterexample is None, checks, counterexample, detail
 
 
-def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
+def _l5_block(block: _engine.Block, planes=None) -> tuple[int, int, dict | None]:
     """Rules and checks of the partition scan over one block of rules, which
-    stops at the first failing (rule, profile) in (rule, profile code) order.
+    stops at the first failing (rule, profile) in (rule, profile code) order;
+    appends the block's ``_verdict_planes`` to ``planes`` if given.
 
     Per profile and rule, the verdict must be exactly one of dictatorial and
     manipulable, and equal to the verdict at the first profile of its tops
@@ -208,7 +237,9 @@ def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
     only through a wrong row or a wrong kernel.
     """
     sp, count, full = block.sp, block.count, block.full
-    dictatorial, manipulable = _engine.block_profile_verdicts(block)
+    dictatorial, manipulable = verdicts = _engine.block_profile_verdicts(block)
+    if planes is not None:
+        planes.append(_verdict_planes(block, verdicts))
     first_in_cell: dict[int, int] = {}
     not_one = []
     failing = []
@@ -238,24 +269,28 @@ def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
     }
 
 
-def _verify_l5(n, m, mode, samples, seed):
+def _verify_l5(n, m, mode, samples, seed, scope):
     """Partition: per rule and profile, exactly one verdict holds."""
     rules = checks = 0
     counterexample = None
+    planes = [] if mode == "exhaustive" else None
     for block in _iter_rule_blocks(n, m, mode, samples, seed):
-        block_rules, block_checks, counterexample = _l5_block(block)
+        block_rules, block_checks, counterexample = _l5_block(block, planes)
         rules += block_rules
         checks += block_checks
         if counterexample:
             break
+    else:
+        if planes is not None:  # every rule's verdicts passed: C2 and R1 count them
+            scope[("verdict planes", n, m)] = planes
     detail = {"rules": rules, "profiles_per_rule": _engine.space(n, m).profile_count}
     return counterexample is None, checks, counterexample, detail
 
 
-def _verify_c1(n, m, mode, samples, seed):
+def _verify_c1(n, m, mode, samples, seed, scope):
     """Strategy-proof unanimous rules are tops-only and efficient."""
     checks, counterexample, (_, strategy_proof, closed) = _strategy_proof_unanimous_scan(
-        n, m, mode, samples, seed,
+        n, m, mode, samples, seed, scope,
         "strategy-proof unanimous rule outside tops-only efficient",
         lambda rule: not (
             constructions.is_tops_only(rule) and constructions.is_efficient(rule)
@@ -277,44 +312,105 @@ def _draw_codes(rng: random.Random, size: int, count: int) -> list[int]:
     return draws
 
 
-def _c2_counts(n: int, m: int, codes) -> tuple[list[int], list[int]]:
-    """|M_f| and |D_f| of the rules ``codes``, in their order, or of every rule
-    of the space, read from the exhaustive stream, when ``codes`` is None."""
-    sp = _engine.space(n, m)
+def _verdict_planes(block: _engine.Block, verdicts=None) -> tuple[int, list[int], list[int]]:
+    """A block's rule count and the carry planes (``_engine.bit_planes``) of
+    its rules' |M_f| and |D_f|, counted apart from the per-profile verdicts
+    (``verdicts``, the block's ``block_profile_verdicts``, if given)."""
+    dictatorial, manipulable = verdicts or _engine.block_profile_verdicts(block)
+    return block.count, _engine.bit_planes(manipulable), _engine.bit_planes(dictatorial)
+
+
+def _c2_planes(n: int, m: int, codes, scope: dict) -> list:
+    """``_verdict_planes`` per block of the rules ``codes``, in their order,
+    or of every rule of the space, from the exhaustive stream, when ``codes``
+    is None: L5's, if it passed there earlier in the run."""
     if codes is None:
+        shared = scope.get(("verdict planes", n, m))
+        if shared is not None:
+            return shared
         blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
     else:
+        sp = _engine.space(n, m)
         tables = (_engine.digits_from_code(code, sp.tops_count, m) for code in codes)
         blocks = _table_blocks(sp, tables)
-    m_counts: list[int] = []
-    d_counts: list[int] = []
-    for block in blocks:
-        # |M_f| and |D_f| counted apart, from the per-profile verdicts
-        dictatorial, manipulable = _engine.block_profile_verdicts(block)
-        m_counts += _engine.bit_counts(manipulable, block.count)
-        d_counts += _engine.bit_counts(dictatorial, block.count)
-    return m_counts, d_counts
+    return [_verdict_planes(block) for block in blocks]
 
 
-def _verify_c2(n, m, mode, samples, seed):
-    """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs."""
-    cells = _engine.space(n, m).tops_count
+def _values(planes: list[int], rules: int) -> list[tuple[int, int]]:
+    """(rules, value) per distinct value the ``rules`` hold in ``planes``,
+    split by one plane after the other."""
+    groups = [(rules, 0)]
+    for j, plane in enumerate(planes):
+        groups = [
+            (part, value | bit << j)
+            for group, value in groups
+            for part, bit in ((group & ~plane, 0), (group & plane, 1))
+            if part
+        ]
+    return groups
+
+
+def _classes(records) -> set[tuple[int, int]]:
+    """The distinct (|M_f|, |D_f|) of the rules of ``_verdict_planes`` records."""
+    classes = set()
+    for count, m_planes, d_planes in records:
+        for rules, m_count in _values(m_planes, (1 << count) - 1):
+            classes.update((m_count, d_count) for _, d_count in _values(d_planes, rules))
+    return classes
+
+
+def _dual(classes) -> bool:
+    """Whether no pair of rules from these (|M_f|, |D_f|) classes can break
+    the duality: sorted by |M_f|, |M_f| strictly rises and |D_f| strictly
+    falls.  Equal |M_f| sort the larger |D_f| first, so that each comparison
+    alone rejects its own kind of tie."""
+    ordered = sorted(classes, key=lambda c: (c[0], -c[1]))
+    return all(m1 < m2 and d1 > d2 for (m1, d1), (m2, d2) in zip(ordered, ordered[1:]))
+
+
+def _verify_c2(n, m, mode, samples, seed, scope):
+    """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs.
+
+    The pairs are walked only when the (|M_f|, |D_f|) classes of the counted
+    rules could break the duality, so that the first failing pair is found."""
     size = rule_space_size(n, m)
-    if mode == "exhaustive":
-        pairs = ((f, g) for f in range(size) for g in range(size))
-    else:
-        draws = _draw_codes(random.Random(seed), size, 2 * (samples or 0))  # f, g, f, ...
-        pairs = zip(draws[0::2], draws[1::2])
+    if mode != "exhaustive":
+        draws = _draw_codes(random.Random(seed), size, 2 * samples)  # f, g, f, ...
     if mode == "exhaustive" or size <= len(draws):
         # no more rules than the draws: every rule counted, its counts at its code
         position = range(size)
-        m_counts, d_counts = _c2_counts(n, m, None)
+        records = _c2_planes(n, m, None, scope)
     else:
         # the distinct codes in first-seen order, each mapped to its position
         position = dict.fromkeys(draws)
         for index, code in enumerate(position):
             position[code] = index
-        m_counts, d_counts = _c2_counts(n, m, position)
+        records = _c2_planes(n, m, position, scope)
+    if _dual(_classes(records)):  # no pair of the counted rules can fail
+        checks = size * size if mode == "exhaustive" else samples
+        counterexample = None
+    else:
+        if mode == "exhaustive":
+            pairs = product(range(size), repeat=2)
+        else:
+            pairs = zip(draws[0::2], draws[1::2])
+        checks, counterexample = _c2_walk(n, m, pairs, position, records)
+    if mode == "exhaustive":
+        distinct = size
+    else:  # the rules met up to the last pair checked
+        distinct = len(set(draws[: 2 * checks]))
+    detail = {"distinct_rules": distinct}
+    return counterexample is None, checks, counterexample, detail
+
+
+def _c2_walk(n, m, pairs, position, records) -> tuple[int, dict | None]:
+    """C2's pairs in order, up to the first that breaks the duality: checks
+    and the counterexample or None."""
+    cells = _engine.space(n, m).tops_count
+    m_counts, d_counts = [], []
+    for count, m_planes, d_planes in records:
+        m_counts += _engine.plane_counts(m_planes, count)
+        d_counts += _engine.plane_counts(d_planes, count)
     checks = 0
     counterexample = None
     for f_code, g_code in pairs:
@@ -336,12 +432,7 @@ def _verify_c2(n, m, mode, samples, seed):
                 "d_g": dg,
             }
             break
-    if mode == "exhaustive":
-        distinct = size
-    else:  # the rules met up to the last pair checked
-        distinct = len(set(draws[: 2 * checks]))
-    detail = {"distinct_rules": distinct}
-    return counterexample is None, checks, counterexample, detail
+    return checks, counterexample
 
 
 def _extremum_scan(records, target: int, pick) -> tuple[int, int, tuple | None]:
@@ -371,28 +462,33 @@ def _extremum_scan(records, target: int, pick) -> tuple[int, int, tuple | None]:
     return total, extremum, None
 
 
-def _no_cells(nondictatorial: list[int], block: _engine.Block) -> int:
-    """The rules of a block with no non-dictatorial tops cell: |M_f| = 0."""
-    return block.full & ~reduce(or_, nondictatorial, 0)
+def _in_none(bitsets: list[int], block: _engine.Block) -> int:
+    """The rules of a block in none of ``bitsets``: with no non-dictatorial
+    tops cell, or with a count of 0 in ``bit_planes``."""
+    return block.full & ~reduce(or_, bitsets, 0)
 
 
-def _verify_r1(n, m, mode, samples, seed):
+def _verify_r1(n, m, mode, samples, seed, scope):
     """Strategy-proof iff minimal in the manipulability order (iff M empty).
 
-    |M_f| from ``block_cell_masks`` counts the non-dictatorial profiles, the
-    manipulable ones only where L5 holds at this (n, m): "M empty" leans on L5.
+    Strategy-proofness comes from ``block_manipulable`` and |M_f| from the
+    manipulable verdicts of ``block_profile_verdicts``: two kernels, neither
+    the tops-cell criterion.  An exhaustive R1 reads L5's planes of them
+    when L5 passed earlier in the run.
     """
     sp = _engine.space(n, m)
     blocks = _iter_rule_blocks(n, m, mode, samples, seed)
+    shared = scope.get(("verdict planes", n, m)) if mode == "exhaustive" else None
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
         blocks = chain(blocks, _table_blocks(sp, map(bytes, sp.dictator_tables)))
 
     def records():
-        for block in blocks:
-            nondictatorial, m_counts, _ = _engine.block_cell_masks(block)
+        for index, block in enumerate(blocks):
+            _, m_planes, _ = shared[index] if shared else _verdict_planes(block)
             strategy_proof = block.full & ~_engine.block_manipulable(block, block.full)
-            yield block, strategy_proof, _no_cells(nondictatorial, block), m_counts
+            m_counts = _engine.plane_counts(m_planes, block.count)
+            yield block, strategy_proof, _in_none(m_planes, block), m_counts
 
     rules, min_m, found = _extremum_scan(records(), 0, min)
     checks = rules
@@ -411,7 +507,7 @@ def _verify_r1(n, m, mode, samples, seed):
     return counterexample is None, checks, counterexample, detail
 
 
-def _verify_r2(n, m, mode, samples, seed):
+def _verify_r2(n, m, mode, samples, seed, scope):
     """Dictatorial iff maximal in the dictatorial-power order over the
     tops-only efficient pool (iff every profile is dictatorial)."""
     sp = _engine.space(n, m)
@@ -424,7 +520,7 @@ def _verify_r2(n, m, mode, samples, seed):
         for block in blocks:
             nondictatorial, _, d_counts = _engine.block_cell_masks(block)
             dictatorial = reduce(or_, _engine.block_dictators(block, block.full))
-            yield block, dictatorial, _no_cells(nondictatorial, block), d_counts
+            yield block, dictatorial, _in_none(nondictatorial, block), d_counts
 
     pool, max_d, found = _extremum_scan(records(), sp.profile_count, max)
     checks = pool
@@ -444,7 +540,7 @@ def _verify_r2(n, m, mode, samples, seed):
     return counterexample is None, checks, counterexample, detail
 
 
-def _verify_thm(n, m, mode, samples, seed):
+def _verify_thm(n, m, mode, samples, seed, scope):
     """Strategy-proof unanimous tops-table rules are exactly the dictatorships."""
     report = constructions.census(n, m, mode=mode, samples=samples, seed=seed)
     passed = report.sp_equals_dictators

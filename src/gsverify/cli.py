@@ -266,6 +266,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
             lemma, args.agents, args.alts, args.mode, args.samples, args.seed
         )
     results = []
+    scope: dict = {}  # what the checks of this run share
     for lemma in ids:
         report = constructions.verify_lemma(
             lemma,
@@ -274,6 +275,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
             mode=args.mode,
             samples=args.samples,
             seed=args.seed,
+            scope=scope,
         )
         results.append(report.to_json_dict())
     payload = _base_payload(args)

@@ -693,18 +693,23 @@ def verify_lemma(
     mode: str = "auto",
     samples: int | None = None,
     seed: int = 0,
+    scope: dict | None = None,
 ) -> VerificationReport:
     """Run one suite check and report pass/fail with any counterexample.
 
     ``mode="auto"`` runs exhaustively when the rule space (or, for C2, the
     pair space) fits the budget and falls back to seeded sampling otherwise.
+    ``scope`` is a dict shared by the calls of one run: a check keeps there
+    what a later check of the run reads instead of scanning again (L5's
+    verdict counts for C2 and R1, one stream pass for L1 and C1).  Pass a
+    new one per run; a call without one scans for itself.
     """
     lemma, resolved, eff_samples, eff_seed = _resolve_lemma(lemma, n, m, mode, samples, seed)
     from . import _lemmas  # here, not at the top: a census never compiles the runners
 
     t0 = perf_counter()
     passed, checks, counterexample, detail = _lemmas._LEMMA_IMPLS[lemma](
-        n, m, resolved, eff_samples, eff_seed
+        n, m, resolved, eff_samples, eff_seed, {} if scope is None else scope
     )
     return VerificationReport(
         lemma=lemma,

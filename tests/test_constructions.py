@@ -47,6 +47,7 @@ from gsverify.constructions import (
     _sampled_blocks,
     census_rows,
 )
+from gsverify.cli import run
 from gsverify.prefs import DEFAULT_MAX_AGENTS, DEFAULT_MAX_ALTERNATIVES
 from test_engine import DICTATORIAL, MANIPULABLE
 
@@ -95,6 +96,39 @@ def doctor_block_verdicts(monkeypatch, target, doctored):
                     dictatorial[pc] |= bit
                 if verdict & MANIPULABLE:
                     manipulable[pc] |= bit
+        return dictatorial, manipulable
+
+    monkeypatch.setattr(_engine, "block_profile_verdicts", doctored_verdicts)
+
+
+def record_counts(records):
+    """Per-rule |M_f| and |D_f| of C2's plane records, in rule order."""
+    m_counts, d_counts = [], []
+    for count, m_planes, d_planes in records:
+        m_counts += _engine.plane_counts(m_planes, count)
+        d_counts += _engine.plane_counts(d_planes, count)
+    return m_counts, d_counts
+
+
+def count_planes(counts):
+    """The carry planes of per-rule counts, built bit by bit: bit r of plane
+    j is bit j of ``counts[r]``."""
+    return [
+        int("".join(str(c >> j & 1) for c in reversed(counts)), 2)
+        for j in range(max(counts).bit_length())
+    ]
+
+
+def doctor_every_block_verdict(monkeypatch, doctored):
+    """Patch the block verdict kernel so that every rule gets the verdict
+    bits ``doctored[pc]`` at the listed profile codes."""
+    honest = _engine.block_profile_verdicts
+
+    def doctored_verdicts(block):
+        dictatorial, manipulable = honest(block)
+        for pc, verdict in doctored.items():
+            dictatorial[pc] = block.full if verdict & DICTATORIAL else 0
+            manipulable[pc] = block.full if verdict & MANIPULABLE else 0
         return dictatorial, manipulable
 
     monkeypatch.setattr(_engine, "block_profile_verdicts", doctored_verdicts)
@@ -955,38 +989,56 @@ class TestVerifyLemma:
         assert report.detail == detail
         assert report.counterexample == {"kind": kind, "rule": "DICT:0"}
 
-    # R1 and R2 when the cell kernel is wrong: for one dictatorship (which
-    # stays the strategy-proof minimum and the dictatorial maximum elsewhere),
-    # and for every rule (the extremum then misses the target, so the first
-    # rule fails)
-    @pytest.mark.parametrize("target,lemma,checks,counterexample", [
-        ((0, 0, 0, 1, 1, 1, 2, 2, 2), "R1", 378, {
-            "kind": "minimality mismatch", "rule": "TOPS:n=2,m=3:000111222",
-            "m_count": 36, "min_m_count": 0, "strategy_proof": True}),
-        ((0, 0, 0, 1, 1, 1, 2, 2, 2), "R2", 12, {
+    # R2 when the cell kernel is wrong, and R1 when the manipulable verdicts
+    # are: for one dictatorship (which stays the strategy-proof minimum and
+    # the dictatorial maximum elsewhere), and for every rule (the extremum
+    # then misses the target, so the first rule fails)
+    @pytest.mark.parametrize("target,checks,counterexample", [
+        ((0, 0, 0, 1, 1, 1, 2, 2, 2), 12, {
             "kind": "maximality mismatch", "rule": "TOPS:n=2,m=3:000111222",
             "d_count": 0, "max_d_count": 36, "profiles": 36, "dictatorial": True}),
-        (None, "R1", 1, {
-            "kind": "minimality mismatch", "rule": "TOPS:n=2,m=3:000000000",
-            "m_count": 36, "min_m_count": 36, "strategy_proof": True}),
-        (None, "R2", 1, {
+        (None, 1, {
             "kind": "maximality mismatch", "rule": "TOPS:n=2,m=3:000011012",
             "d_count": 0, "max_d_count": 0, "profiles": 36, "dictatorial": False}),
     ])
-    def test_doctored_cell_counts_fail_r1_and_r2(
-        self, monkeypatch, target, lemma, checks, counterexample
-    ):
+    def test_doctored_cell_counts_fail_r2(self, monkeypatch, target, checks, counterexample):
         monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
         doctor_block_cell_masks(monkeypatch, target)
-        report = verify_lemma(lemma, 2, 3)
+        report = verify_lemma("R2", 2, 3)
         assert not report.passed
         assert report.checks == checks
         assert report.counterexample == counterexample
-        assert report.detail == (
-            {"rules": 19683, "min_m_count": counterexample["min_m_count"]}
-            if lemma == "R1"
-            else {"pool": 64, "max_d_count": counterexample["max_d_count"]}
-        )
+        assert report.detail == {"pool": 64, "max_d_count": counterexample["max_d_count"]}
+
+    @pytest.mark.parametrize("target,checks,counterexample", [
+        ((0, 0, 0, 1, 1, 1, 2, 2, 2), 378, {
+            "kind": "minimality mismatch", "rule": "TOPS:n=2,m=3:000111222",
+            "m_count": 36, "min_m_count": 0, "strategy_proof": True}),
+        (None, 1, {
+            "kind": "minimality mismatch", "rule": "TOPS:n=2,m=3:000000000",
+            "m_count": 36, "min_m_count": 36, "strategy_proof": True}),
+    ])
+    def test_doctored_manipulable_verdicts_fail_r1(
+        self, monkeypatch, target, checks, counterexample
+    ):
+        # every profile manipulable under the verdict kernel, while
+        # block_manipulable still calls the rule strategy-proof: the flag
+        # mismatch comes from the verdicts, and doctored cells change nothing
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        honest = verify_lemma("R1", 2, 3).to_json_dict()
+        assert honest["passed"]
+        doctor_block_cell_masks(monkeypatch, target)
+        assert verify_lemma("R1", 2, 3).to_json_dict() == honest
+        everywhere = dict.fromkeys(range(36), MANIPULABLE)
+        if target is None:
+            doctor_every_block_verdict(monkeypatch, everywhere)
+        else:
+            doctor_block_verdicts(monkeypatch, target, everywhere)
+        report = verify_lemma("R1", 2, 3)
+        assert not report.passed
+        assert report.checks == checks
+        assert report.counterexample == counterexample
+        assert report.detail == {"rules": 19683, "min_m_count": counterexample["min_m_count"]}
 
     def test_doctored_verdicts_fail_c2(self, monkeypatch):
         # profile 0 of TOPS:n=2,m=2:1000 is manipulable; calling it
@@ -1006,32 +1058,37 @@ class TestVerifyLemma:
 
     @staticmethod
     def c2_sources(monkeypatch, n, m, **kwargs):
-        """Whether C2 counts the exhaustive stream, and its report three ways:
+        """Whether C2 counts the exhaustive stream, and its report four ways:
         from the source it takes, then with every count forced from the stream
         and from blocks of codes (every code in order where it takes the
-        stream)."""
-        honest = _lemmas._c2_counts
+        stream), and with its drawn pairs walked whatever its count classes."""
+        honest = _lemmas._c2_planes
         size = rule_space_size(n, m)
         took = []
 
-        def taken(n, m, codes):
+        def taken(n, m, codes, scope):
             took.append(codes is None)
-            return honest(n, m, codes)
+            return honest(n, m, codes, scope)
 
-        def stream(n, m, codes):
-            m_counts, d_counts = honest(n, m, None)
+        def stream(n, m, codes, scope):
+            records = honest(n, m, None, scope)
             if codes is None:
-                return m_counts, d_counts
-            return [m_counts[c] for c in codes], [d_counts[c] for c in codes]
+                return records
+            m_counts, d_counts = record_counts(records)
+            picked = [m_counts[c] for c in codes], [d_counts[c] for c in codes]
+            return [(len(codes), *map(count_planes, picked))]
 
-        def drawn(n, m, codes):
-            return honest(n, m, range(size) if codes is None else codes)
+        def drawn(n, m, codes, scope):
+            return honest(n, m, range(size) if codes is None else codes, scope)
 
         reports = []
         for counts in (taken, stream, drawn):
-            monkeypatch.setattr(_lemmas, "_c2_counts", counts)
+            monkeypatch.setattr(_lemmas, "_c2_planes", counts)
             reports.append(verify_lemma("C2", n, m, **kwargs).to_json_dict())
-        monkeypatch.setattr(_lemmas, "_c2_counts", honest)
+        monkeypatch.setattr(_lemmas, "_c2_planes", honest)
+        with monkeypatch.context() as walk:
+            walk.setattr(_lemmas, "_dual", lambda classes: False)
+            reports.append(verify_lemma("C2", n, m, **kwargs).to_json_dict())
         assert len(took) == 1
         return took[0], reports
 
@@ -1046,12 +1103,12 @@ class TestVerifyLemma:
         (3, 2, {}, True),  # exhaustive
     ])
     def test_c2_count_sources_agree(self, monkeypatch, n, m, kwargs, stream):
-        took_stream, (taken, from_stream, from_codes) = self.c2_sources(
+        took_stream, (taken, from_stream, from_codes, walked) = self.c2_sources(
             monkeypatch, n, m, **kwargs
         )
         assert took_stream == stream
         assert taken["passed"]
-        assert taken == from_stream == from_codes
+        assert taken == from_stream == from_codes == walked
 
     def test_doctored_verdicts_fail_c2_through_both_count_sources(self, monkeypatch):
         # the first drawn pair (f, g) with |M_f| = |M_g| < 36; clearing f's
@@ -1065,7 +1122,7 @@ class TestVerifyLemma:
         )
         pc = _engine.low_bit(classify_all(table(f), materialize_sets=True).d_set)
         doctor_block_verdicts(monkeypatch, table(f).outcomes, {pc: 0})
-        took_stream, (taken, from_stream, from_codes) = self.c2_sources(
+        took_stream, (taken, from_stream, from_codes, walked) = self.c2_sources(
             monkeypatch, 2, 3, samples=5000, seed=0
         )
         assert not took_stream
@@ -1073,7 +1130,65 @@ class TestVerifyLemma:
         assert taken["counterexample"]["kind"] == "duality violation"
         assert taken["counterexample"]["f"] == table(f).to_string()
         assert taken["counterexample"]["d_f"] == 36 - m_count(f) - 1
-        assert taken == from_stream == from_codes
+        assert taken == from_stream == from_codes == walked
+
+    def test_c2_walks_its_pairs_when_an_undrawn_class_breaks_duality(self, monkeypatch):
+        # 16 draws of the 16 (2,2) rules, so C2 counts the whole stream; the
+        # doctored rule's class (3, 2) breaks the duality against (3, 1), so
+        # C2 walks its pairs, and as no draw is that rule, every pair passes
+        doctored = TopsTableRule(2, 2, (1, 0, 0, 0))
+        code = int("1000", 2)
+        seed = next(s for s in range(100) if code not in _draw_codes(random.Random(s), 16, 16))
+        doctor_block_verdicts(monkeypatch, doctored.outcomes, {0: DICTATORIAL | MANIPULABLE})
+        honest_dual, decided = _lemmas._dual, []
+
+        def dual(classes):
+            decided.append(honest_dual(classes))
+            return decided[-1]
+
+        monkeypatch.setattr(_lemmas, "_dual", dual)
+        took_stream, reports = self.c2_sources(
+            monkeypatch, 2, 2, mode="sampled", samples=8, seed=seed
+        )
+        assert took_stream
+        assert decided == [False] * 3
+        assert reports[0]["passed"] and reports[0]["checks"] == 8
+        assert all(report == reports[0] for report in reports)
+
+    def test_doctored_verdicts_raising_m_alone_fail_c2(self, monkeypatch):
+        # (2,3) verdicts are constant on cells of four profiles, so no honest
+        # rule has |M_f| + 1 manipulable profiles: calling one dictatorial
+        # profile of f manipulable as well ties f's class with honest ones in
+        # |D_f| alone, which C2 must see at the first drawn pair (f, g) with
+        # |M_f| = |M_g| < 36
+        draws = _draw_codes(random.Random(0), 3**9, 20_000)
+        table = lambda code: TopsTableRule(2, 3, tuple(_engine.digits_from_code(code, 9, 3)))
+        m_count = lambda code: classify_all(table(code)).m_count
+        index, (f, g) = next(
+            (i, (f, g)) for i, (f, g) in enumerate(zip(draws[0::2], draws[1::2]))
+            if 36 > m_count(f) == m_count(g)
+        )
+        pc = _engine.low_bit(classify_all(table(f), materialize_sets=True).d_set)
+        doctor_block_verdicts(monkeypatch, table(f).outcomes, {pc: DICTATORIAL | MANIPULABLE})
+        took_stream, reports = self.c2_sources(monkeypatch, 2, 3)
+        assert took_stream
+        assert reports[0]["checks"] == index + 1
+        assert reports[0]["counterexample"] == {
+            "kind": "duality violation", "f": table(f).to_string(), "g": table(g).to_string(),
+            "m_f": m_count(f) + 1, "d_f": 36 - m_count(f),
+            "m_g": m_count(g), "d_g": 36 - m_count(g),
+        }
+        assert all(report == reports[0] for report in reports)
+
+    @pytest.mark.parametrize("classes,dual", [
+        ({(0, 4), (1, 3), (4, 0)}, True),
+        ({(5, 7)}, True),
+        ({(3, 1), (3, 2)}, False),  # |M_f| tied
+        ({(0, 4), (1, 4), (4, 0)}, False),  # |D_f| tied
+        ({(0, 4), (1, 3), (4, 5)}, False),  # |D_f| rises
+    ])
+    def test_c2_classes_decide_only_a_strict_order(self, classes, dual):
+        assert _lemmas._dual(classes) is dual
 
     def test_sampling_fallback_defaults_to_seed_zero(self):
         report = verify_lemma("C2", 2, 3)
@@ -1090,6 +1205,108 @@ class TestVerifyLemma:
         report = verify_lemma("THM", 3, 3, samples=2000, seed=79)
         assert report.mode == "sampled"
         assert report.passed
+
+
+def spy_verdict_blocks(monkeypatch):
+    """The rule count of every block ``block_profile_verdicts`` is asked
+    about, in order, kept in the returned list."""
+    honest, sizes = _engine.block_profile_verdicts, []
+
+    def spy(block):
+        sizes.append(block.count)
+        return honest(block)
+
+    monkeypatch.setattr(_engine, "block_profile_verdicts", spy)
+    return sizes
+
+
+class TestRunScope:
+    """The checks of one ``lemmas`` run share a scope: L5's verdict planes
+    for C2 and R1, one stream pass for L1 and C1.  Every entry must equal
+    the check's report from a call of its own."""
+
+    STREAM_2X3 = [2048] * 9 + [1251]  # the (2,3) tops-table stream's blocks
+
+    @staticmethod
+    def suite(capsys, n, m, *argv):
+        assert run(["lemmas", "--suite", "all", "--agents", str(n), "--alts", str(m), *argv]) in (0, 1)
+        return {r["lemma"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+
+    @pytest.mark.parametrize("n,m,kwargs", [
+        (2, 2, {}),
+        (3, 2, {}),
+        (4, 2, {}),
+        (2, 3, {}),
+        (3, 3, {"samples": 60, "seed": 4}),
+        (2, 4, {"samples": 60, "seed": 5}),
+    ])
+    def test_each_entry_equals_its_own_call(self, capsys, n, m, kwargs):
+        argv = [f"--{key}={value}" for key, value in kwargs.items()]
+        entries = self.suite(capsys, n, m, *argv)
+        assert list(entries) == list(constructions.LEMMA_DESCRIPTIONS)
+        for lemma, entry in entries.items():
+            assert entry == verify_lemma(lemma, n, m, **kwargs).to_json_dict(), lemma
+
+    def test_the_2x3_suite_computes_each_blocks_verdicts_once(self, capsys, monkeypatch):
+        # L4 over the class block and L5 over the 10 stream blocks; C2 and R1
+        # read L5's planes, and C1 reads L1's stream pass
+        sizes = spy_verdict_blocks(monkeypatch)
+        honest, streams = _lemmas._strategy_proof_unanimous_stream, []
+        monkeypatch.setattr(
+            _lemmas, "_strategy_proof_unanimous_stream",
+            lambda *args: streams.append(args) or honest(*args),
+        )
+        entries = self.suite(capsys, 2, 3)
+        assert all(entry["passed"] for entry in entries.values())
+        assert sizes == [64] + self.STREAM_2X3
+        assert len(streams) == 1
+
+    def test_doctored_verdicts_reach_c2_and_r1_through_l5(self, capsys, monkeypatch):
+        # DICT:0 called manipulable, not dictatorial, over one whole tops
+        # cell: L5 still passes, so C2 and R1 read its planes, and R1 fails
+        sp = _engine.space(2, 3)
+        cell = [pc for pc, (tc, *_) in enumerate(_engine.profile_rows(2, 3)) if tc == 1]
+        doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], dict.fromkeys(cell, MANIPULABLE))
+        sizes = spy_verdict_blocks(monkeypatch)
+        entries = self.suite(capsys, 2, 3)
+        assert sizes == [64] + self.STREAM_2X3
+        assert entries["L5"]["passed"]
+        assert entries["R1"]["counterexample"]["rule"] == "TOPS:n=2,m=3:000111222"
+        for lemma in ("C2", "R1"):
+            assert entries[lemma] == verify_lemma(lemma, 2, 3).to_json_dict()
+
+    def test_c2_and_r1_scan_for_themselves_once_l5_fails(self, capsys, monkeypatch):
+        doctor_block_verdicts(monkeypatch, (0,) * 8 + (1,), {5: DICTATORIAL | MANIPULABLE})
+        sizes = spy_verdict_blocks(monkeypatch)
+        entries = self.suite(capsys, 2, 3)
+        assert entries["L5"]["counterexample"]["rule"] == "TOPS:n=2,m=3:000000001"
+        # L4's class block; L5 stops in its first block; then C2's and R1's scans
+        assert sizes == [64, 2048] + self.STREAM_2X3 * 2
+        for lemma in ("C2", "R1"):
+            assert entries[lemma] == verify_lemma(lemma, 2, 3).to_json_dict()
+
+    def test_a_scope_keeps_other_streams_apart(self):
+        # L1 and C1 share a stream pass only over the same stream
+        scope = {}
+        verify_lemma("L1", 3, 3, mode="sampled", samples=40, seed=1, scope=scope)
+        for kwargs in ({"samples": 40, "seed": 2}, {"samples": 30, "seed": 1}):
+            shared = verify_lemma("C1", 3, 3, mode="sampled", scope=scope, **kwargs)
+            alone = verify_lemma("C1", 3, 3, mode="sampled", **kwargs)
+            assert shared.to_json_dict() == alone.to_json_dict()
+        verify_lemma("L1", 2, 2, scope=scope)
+        shared = verify_lemma("C1", 2, 3, scope=scope)
+        assert shared.to_json_dict() == verify_lemma("C1", 2, 3).to_json_dict()
+
+    def test_a_call_after_a_patch_sees_it(self, monkeypatch):
+        scope = {}
+        for lemma in ("L1", "L5", "C1", "C2", "R1"):
+            assert verify_lemma(lemma, 2, 3, scope=scope).passed
+        sp = _engine.space(2, 3)
+        doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], dict.fromkeys(range(36), MANIPULABLE))
+        assert not verify_lemma("R1", 2, 3).passed
+        assert not verify_lemma("R1", 2, 3, scope={}).passed
+        doctor_block_verdicts(monkeypatch, (1, 0, 0, 0), {0: DICTATORIAL | MANIPULABLE})
+        assert not verify_lemma("C2", 2, 2, mode="exhaustive").passed
 
 
 class TestMajorityCounterexample:
@@ -1213,6 +1430,44 @@ class TestColumnMemo:
         assert (len(stream), len(te)) == (10, 1)
         assert set(fresh_memo.records) == set(stream + te)
         assert fresh_memo.misses == 11
+
+    def test_columns_equal_the_per_outcome_build(self):
+        # the last outcome's column is derived from the others, which holds
+        # for the digits every kind of block carries
+        def per_outcome(block):
+            cells, joined = block.sp.tops_count, block.joined
+            return [
+                tuple(
+                    sum(1 << r for r, digit in enumerate(joined[c::cells]) if digit == x)
+                    for x in range(block.sp.m)
+                )
+                for c in range(cells)
+            ]
+
+        sp23 = _engine.space(2, 3)
+        one_rule = [
+            DictatorRule(3, 3, 1), ConstantRule(2, 4, 3),
+            MajorityLexRule(3), TopsTableRule(2, 3, (0, 1, 2, 2, 1, 0, 1, 1, 2)),
+        ]
+        first = next(_iter_rule_blocks(2, 3, "exhaustive", None, None))
+        blocks = [
+            *_iter_rule_blocks(2, 2, "exhaustive", None, None),
+            *_iter_rule_blocks(3, 2, "exhaustive", None, None),
+            *_iter_rule_blocks(2, 3, "exhaustive", None, None),
+            *_lemmas._te_blocks(2, 3, "exhaustive", None, None),
+            *_iter_rule_blocks(3, 3, "sampled", 300, 1),
+            *_iter_rule_blocks(2, 4, "sampled", 300, 2),
+            *_lemmas._table_blocks(sp23, (_engine.digits_from_code(c, 9, 3) for c in (5, 19682, 7))),
+            first.cut(0b1011), first.cut(first.full >> 1),
+            *(
+                _engine.Block(
+                    _engine.space(rule.n, rule.m), bytes(as_tops_table(rule).outcomes), (0,)
+                )
+                for rule in one_rule
+            ),
+        ]
+        for block in blocks:
+            assert _engine._columns_of(block.joined, block.sp)[0] == per_outcome(block)
 
     def test_a_cut_of_a_kept_block_is_not_kept(self, fresh_memo):
         block = next(_iter_rule_blocks(2, 3, "exhaustive", None, None))
