@@ -280,9 +280,8 @@ def _verify_l5(n, m, mode, samples, seed, scope):
         checks += block_checks
         if counterexample:
             break
-    else:
-        if planes is not None:  # every rule's verdicts passed: C2 and R1 count them
-            scope[("verdict planes", n, m)] = planes
+    if planes is not None and counterexample is None:  # C2 and R1 count them
+        scope[("verdict planes", n, m)] = planes
     detail = {"rules": rules, "profiles_per_rule": _engine.space(n, m).profile_count}
     return counterexample is None, checks, counterexample, detail
 
