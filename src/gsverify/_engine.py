@@ -56,7 +56,8 @@ the stage bitsets) and ``classify --method cells`` (a block of one rule, as
 are ``classify``'s unanimity and ``rules.efficient_via_tops``).  The
 per-rule twins of the block kernels are the tests' references.
 ``digits_from_code`` turns a rule code into its digits k at a time through
-a table of every k-digit string.
+a table of every k-digit string, and ``_tops_string`` prints a rule's
+digits as its canonical ``TOPS`` string.
 """
 
 from __future__ import annotations
@@ -655,3 +656,10 @@ def digits_from_code(code: int, cells: int, m: int) -> bytes:
     parts.append(head[code])
     parts.reverse()
     return b"".join(parts)
+
+
+def _tops_string(n: int, m: int, digits: Iterable[int]) -> str:
+    """The canonical ``TOPS`` string of the tops table ``digits`` at (n, m):
+    ``TopsTableRule.to_string`` and the rule-stream reports both print
+    through it, so a census never needs the rule objects."""
+    return f"TOPS:n={n},m={m}:{''.join(map(str, digits))}"

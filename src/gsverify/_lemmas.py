@@ -25,11 +25,13 @@ L5, C2 and R1 read per-profile verdicts (``block_profile_verdicts``), R2
 reads cell counts (``block_cell_masks``), and L1, C1 and L3 read Pareto
 efficiency from the profile rows (``block_efficient_definitional``).
 
-Within a run each block's verdicts are computed once.  An exhaustive L5
-that passes leaves in the scope, per block of the tops-table stream, the
-carry planes (``_engine.bit_planes``) of its rules' |M_f| and |D_f|; an
-exhaustive R1 and a C2 that counts the whole stream read them instead of
-scanning again.  Any other stream, a check before L5, or a run where L5
+Within a run each block's verdicts are computed once.  An L5 that passes
+leaves in the scope, per block of its stream, the carry planes
+(``_engine.bit_planes``) of its rules' |M_f| and |D_f|, keyed by (n, m,
+mode, samples, seed); R1 on the same stream, exhaustive or sampled, reads
+them for the stream's blocks and scans only a sample's dictatorship anchors
+itself, and a C2 that counts the whole exhaustive stream reads L5's
+exhaustive planes.  Any other stream, a check before L5, or a run where L5
 found a counterexample scans for itself.  L1 and C1 are one scan
 (``_strategy_proof_unanimous_scan``) with their own counterexample kind and
 closed-form test, and the scope keeps its stream half for the second.
@@ -46,8 +48,10 @@ the census.
 
 Names these runners share with ``constructions`` that callers may patch
 there are read through that module at call time: ``_BLOCK_RULES``, the
-census, the counterexample certificate and the object-layer predicates of
-the closed-form checks.
+census and the counterexample certificate.  The closed-form checks (L1, C1
+and THM) read the object layer's predicates and parser as ``rules.X`` at
+call time, so that a caller may patch them there.  Importing this module
+loads ``rules`` (the closed-form classes); no check compiles ``classify``.
 """
 
 from __future__ import annotations
@@ -58,23 +62,10 @@ from functools import reduce
 from itertools import chain, islice, product
 from operator import and_, or_
 
-from . import _engine, constructions
-from .constructions import (
-    _iter_rule_blocks,
-    _rule_string_from_digits,
-    _stage_mask,
-    rule_space_size,
-)
+from . import _engine, constructions, rules
+from .constructions import _iter_rule_blocks, _stage_mask, rule_space_size
 from .prefs import profile_from_code
-from .rules import (
-    BordaLexRule,
-    ConstantRule,
-    DictatorRule,
-    MajorityLexRule,
-    Rule,
-    as_tops_table,
-    parse_rule,
-)
+from .rules import BordaLexRule, ConstantRule, DictatorRule, MajorityLexRule
 
 
 def _verify_l1(n, m, mode, samples, seed, scope):
@@ -82,7 +73,7 @@ def _verify_l1(n, m, mode, samples, seed, scope):
     checks, counterexample, (unanimous, _, closed) = _strategy_proof_unanimous_scan(
         n, m, mode, samples, seed, scope,
         "strategy-proof unanimous rule that is not efficient",
-        lambda rule: not constructions.is_efficient(rule),
+        lambda rule: not rules.is_efficient(rule),
     )
     detail = {"unanimous_rules": unanimous, "closed_forms": closed}
     return counterexample is None, checks, counterexample, detail
@@ -110,8 +101,8 @@ def _strategy_proof_unanimous_scan(
     else:
         for rule in _closed_form_library(n, m):
             closed += 1
-            table = constructions.as_full_table(rule)  # built once; every question scans it
-            if constructions.is_strategy_proof(table) and constructions.is_unanimous(table):
+            table = rules.as_full_table(rule)  # built once; every question scans it
+            if rules.is_strategy_proof(table) and rules.is_unanimous(table):
                 strategy_proof += 1
                 if closed_form_fails(table):
                     counterexample = {"kind": kind, "rule": rule.to_string()}
@@ -134,7 +125,7 @@ def _strategy_proof_unanimous_stream(n, m, mode, samples, seed):
             upto = (2 << r) - 1
             unanimous += (unanimous_rules & upto).bit_count()
             strategy_proof += (sp_rules & upto).bit_count()
-            return unanimous, strategy_proof, _rule_string_from_digits(n, m, block.digits(r))
+            return unanimous, strategy_proof, _engine._tops_string(n, m, block.digits(r))
         unanimous += unanimous_rules.bit_count()
         strategy_proof += sp_rules.bit_count()
     return unanimous, strategy_proof, None
@@ -157,7 +148,7 @@ def _verify_l3(n, m, mode, samples, seed, scope):
             )
             counterexample = {
                 "kind": "efficient rule selecting nobody's top",
-                "rule": _rule_string_from_digits(n, m, digits),
+                "rule": _engine._tops_string(n, m, digits),
                 "tops": list(sp.tops_tuples[tc]),
                 "outcome": digits[tc],
             }
@@ -208,7 +199,7 @@ def _verify_l4(n, m, mode, samples, seed, scope):
             dictators += (is_dictator & ((2 << r) - 1)).bit_count()
             counterexample = {
                 "kind": "all-profiles-dictatorial mismatch",
-                "rule": _rule_string_from_digits(n, m, block.digits(r)),
+                "rule": _engine._tops_string(n, m, block.digits(r)),
                 "dictatorial_profiles": sum((d >> r) & 1 for d in dictatorial),
                 "profiles": sp.profile_count,
                 "dictator": next(
@@ -262,7 +253,7 @@ def _l5_block(block: _engine.Block, planes=None) -> tuple[int, int, dict | None]
         kind = "verdict not constant on a same-tops cell"
     return r + 1, r * sp.profile_count + pc + 1, {
         "kind": kind,
-        "rule": _rule_string_from_digits(sp.n, sp.m, block.digits(r)),
+        "rule": _engine._tops_string(sp.n, sp.m, block.digits(r)),
         "profile": profile_from_code(pc, sp.n, sp.m).to_text(),
         "dictatorial": bool((dictatorial[pc] >> r) & 1),
         "manipulable": bool((manipulable[pc] >> r) & 1),
@@ -273,15 +264,15 @@ def _verify_l5(n, m, mode, samples, seed, scope):
     """Partition: per rule and profile, exactly one verdict holds."""
     rules = checks = 0
     counterexample = None
-    planes = [] if mode == "exhaustive" else None
+    planes = []
     for block in _iter_rule_blocks(n, m, mode, samples, seed):
         block_rules, block_checks, counterexample = _l5_block(block, planes)
         rules += block_rules
         checks += block_checks
         if counterexample:
             break
-    if planes is not None and counterexample is None:  # C2 and R1 count them
-        scope[("verdict planes", n, m)] = planes
+    if counterexample is None:  # R1 (and C2, exhaustive) count them
+        scope[("verdict planes", n, m, mode, samples, seed)] = planes
     detail = {"rules": rules, "profiles_per_rule": _engine.space(n, m).profile_count}
     return counterexample is None, checks, counterexample, detail
 
@@ -291,9 +282,7 @@ def _verify_c1(n, m, mode, samples, seed, scope):
     checks, counterexample, (_, strategy_proof, closed) = _strategy_proof_unanimous_scan(
         n, m, mode, samples, seed, scope,
         "strategy-proof unanimous rule outside tops-only efficient",
-        lambda rule: not (
-            constructions.is_tops_only(rule) and constructions.is_efficient(rule)
-        ),
+        lambda rule: not (rules.is_tops_only(rule) and rules.is_efficient(rule)),
     )
     detail = {"strategy_proof_unanimous": strategy_proof, "closed_forms": closed}
     return counterexample is None, checks, counterexample, detail
@@ -324,7 +313,7 @@ def _c2_planes(n: int, m: int, codes, scope: dict) -> list:
     or of every rule of the space, from the exhaustive stream, when ``codes``
     is None: L5's, if it passed there earlier in the run."""
     if codes is None:
-        shared = scope.get(("verdict planes", n, m))
+        shared = scope.get(("verdict planes", n, m, "exhaustive", None, None))
         if shared is not None:
             return shared
         blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
@@ -419,12 +408,8 @@ def _c2_walk(n, m, pairs, position, records) -> tuple[int, dict | None]:
         if (df >= dg) != (mg >= mf):
             counterexample = {
                 "kind": "duality violation",
-                "f": _rule_string_from_digits(
-                    n, m, _engine.digits_from_code(f_code, cells, m)
-                ),
-                "g": _rule_string_from_digits(
-                    n, m, _engine.digits_from_code(g_code, cells, m)
-                ),
+                "f": _engine._tops_string(n, m, _engine.digits_from_code(f_code, cells, m)),
+                "g": _engine._tops_string(n, m, _engine.digits_from_code(g_code, cells, m)),
                 "m_f": mf,
                 "d_f": df,
                 "m_g": mg,
@@ -472,19 +457,21 @@ def _verify_r1(n, m, mode, samples, seed, scope):
 
     Strategy-proofness comes from ``block_manipulable`` and |M_f| from the
     manipulable verdicts of ``block_profile_verdicts``: two kernels, neither
-    the tops-cell criterion.  An exhaustive R1 reads L5's planes of them
-    when L5 passed earlier in the run.
+    the tops-cell criterion.  R1 reads L5's planes of the stream's blocks
+    when L5 passed earlier in the run on the same stream; a sample's
+    dictatorship anchors it always counts itself.
     """
     sp = _engine.space(n, m)
     blocks = _iter_rule_blocks(n, m, mode, samples, seed)
-    shared = scope.get(("verdict planes", n, m)) if mode == "exhaustive" else None
+    # L5's planes cover the stream's blocks, not the anchors chained after them
+    shared = scope.get(("verdict planes", n, m, mode, samples, seed), ())
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
         blocks = chain(blocks, _table_blocks(sp, map(bytes, sp.dictator_tables)))
 
     def records():
         for index, block in enumerate(blocks):
-            _, m_planes, _ = shared[index] if shared else _verdict_planes(block)
+            _, m_planes, _ = shared[index] if index < len(shared) else _verdict_planes(block)
             strategy_proof = block.full & ~_engine.block_manipulable(block, block.full)
             m_counts = _engine.plane_counts(m_planes, block.count)
             yield block, strategy_proof, _in_none(m_planes, block), m_counts
@@ -497,7 +484,7 @@ def _verify_r1(n, m, mode, samples, seed, scope):
         checks = index + 1
         counterexample = {
             "kind": "minimality mismatch",
-            "rule": _rule_string_from_digits(n, m, digits),
+            "rule": _engine._tops_string(n, m, digits),
             "m_count": m_count,
             "min_m_count": min_m,
             "strategy_proof": strategy_proof,
@@ -529,7 +516,7 @@ def _verify_r2(n, m, mode, samples, seed, scope):
         checks = index + 1
         counterexample = {
             "kind": "maximality mismatch",
-            "rule": _rule_string_from_digits(n, m, digits),
+            "rule": _engine._tops_string(n, m, digits),
             "d_count": d_count,
             "max_d_count": max_d,
             "profiles": sp.profile_count,
@@ -550,10 +537,10 @@ def _verify_thm(n, m, mode, samples, seed, scope):
         ]
         # prefer a recognizable counterexample (the majority control) when present
         chosen = next(
-            (r for r in extra if _known_equivalent(parse_rule(r, n, m)) is not None),
+            (r for r in extra if _known_equivalent(rules.parse_rule(r, n, m)) is not None),
             extra[0],
         )
-        rule = parse_rule(chosen, n, m)
+        rule = rules.parse_rule(chosen, n, m)
         counterexample = {
             "kind": "strategy-proof unanimous efficient rule with no dictator",
             "rule": chosen,
@@ -563,23 +550,23 @@ def _verify_thm(n, m, mode, samples, seed, scope):
     detail = {"counts": report.counts()}
     return passed, report.total, counterexample, detail
 
-def _known_equivalent(rule: Rule) -> str | None:
+def _known_equivalent(rule: rules.Rule) -> str | None:
     """Closed-form name of the rule if it matches one, else None."""
     for candidate in _closed_form_library(rule.n, rule.m):
         if not candidate.tops_only_by_construction:
             continue
-        if as_tops_table(candidate).outcomes == as_tops_table(rule).outcomes:
+        if rules.as_tops_table(candidate).outcomes == rules.as_tops_table(rule).outcomes:
             return candidate.to_string()
     return None
 
 
-def _closed_form_library(n: int, m: int) -> list[Rule]:
-    rules: list[Rule] = [DictatorRule(n, m, i) for i in range(n)]
-    rules.extend(ConstantRule(n, m, x) for x in range(m))
-    rules.append(BordaLexRule(n, m))
+def _closed_form_library(n: int, m: int) -> list[rules.Rule]:
+    library: list[rules.Rule] = [DictatorRule(n, m, i) for i in range(n)]
+    library.extend(ConstantRule(n, m, x) for x in range(m))
+    library.append(BordaLexRule(n, m))
     if m == 2:
-        rules.append(MajorityLexRule(n))
-    return rules
+        library.append(MajorityLexRule(n))
+    return library
 
 
 _LEMMA_IMPLS = {

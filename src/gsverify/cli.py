@@ -10,6 +10,16 @@ verification check failed (the counterexample is embedded in the report),
 
 from __future__ import annotations
 
+# The package's modules come before the standard library's: without a
+# bytecode cache each is compiled here, and compiling them before argparse,
+# csv and json are loaded keeps the run's peak memory lower.  The object
+# layer, ``rules`` and ``classify``, is read at call time: a census never
+# compiles it, and ``lemmas`` never compiles ``classify``.
+from . import _engine, constructions, rules
+from . import classify as classify_mod
+from .errors import GsverifyError
+from .prefs import Profile, alternative_name, profile_from_code
+
 import argparse
 import csv
 import io
@@ -18,22 +28,6 @@ import os
 import sys
 from collections.abc import Iterable
 from itertools import chain
-
-from . import _engine, constructions
-from . import classify as classify_mod
-from .errors import GsverifyError
-from .prefs import Profile, alternative_name, profile_from_code
-from .rules import (
-    ManipulationWitness,
-    Rule,
-    as_full_table,
-    find_dictator,
-    find_efficiency_violation,
-    find_manipulation,
-    find_tops_only_violation,
-    find_unanimity_violation,
-    parse_rule,
-)
 
 SCHEMA_VERSION = "1"
 
@@ -173,7 +167,7 @@ def _base_payload(args: argparse.Namespace) -> dict:
     }
 
 
-def _witness_payload(witness: ManipulationWitness) -> dict:
+def _witness_payload(witness: rules.ManipulationWitness) -> dict:
     return {
         "profile": witness.profile.to_text(),
         "agent": witness.agent,
@@ -184,7 +178,7 @@ def _witness_payload(witness: ManipulationWitness) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, bool]:
-    rule = parse_rule(args.rule, args.agents, args.alts)
+    rule = rules.parse_rule(args.rule, args.agents, args.alts)
     summary = classify_mod.classify_all(rule, materialize_sets=True, method=args.method)
     payload = _base_payload(args)
     payload.update(
@@ -204,7 +198,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, bool]:
     return payload, False
 
 
-def _classification_examples(rule: Rule, summary) -> dict:
+def _classification_examples(rule: rules.Rule, summary) -> dict:
     """The lowest-coded manipulable and dictatorial profiles of the summary's
     sets, the first with its manipulation witness."""
     manipulable = dictatorial = None
@@ -217,7 +211,7 @@ def _classification_examples(rule: Rule, summary) -> dict:
     return {"manipulable": manipulable, "dictatorial": dictatorial}
 
 
-def _lowest_profile(rule: Rule, bits: int) -> Profile:
+def _lowest_profile(rule: rules.Rule, bits: int) -> Profile:
     return profile_from_code(_engine.low_bit(bits), rule.n, rule.m)
 
 
@@ -259,7 +253,12 @@ def _cmd_census(args: argparse.Namespace) -> tuple[dict, bool]:
 def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
     _check_scan_options(args)
     ids = [i.upper() for i in args.ids]
-    if args.suite == "all" or not ids:
+    if args.suite == "all" and ids:
+        raise ValueError(
+            f"--suite all and the check ids {' '.join(args.ids)} both choose the checks; "
+            "give one or the other"
+        )
+    if not ids:
         ids = list(_LEMMA_CHOICES)
     for lemma in ids:  # every check's inputs are rejected before any check runs
         constructions._resolve_lemma(
@@ -285,12 +284,12 @@ def _cmd_lemmas(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> tuple[dict, bool]:
-    rule = parse_rule(args.rule, args.agents, args.alts)
-    table = as_full_table(rule)  # built once; every question scans it
-    unanimity_violation = find_unanimity_violation(table)
-    tops_violation = find_tops_only_violation(table)
-    efficiency_violation = find_efficiency_violation(table)
-    manipulation = find_manipulation(table)
+    rule = rules.parse_rule(args.rule, args.agents, args.alts)
+    table = rules.as_full_table(rule)  # built once; every question scans it
+    unanimity_violation = rules.find_unanimity_violation(table)
+    tops_violation = rules.find_tops_only_violation(table)
+    efficiency_violation = rules.find_efficiency_violation(table)
+    manipulation = rules.find_manipulation(table)
     payload = _base_payload(args)
     payload.update(
         {
@@ -299,7 +298,7 @@ def _cmd_inspect(args: argparse.Namespace) -> tuple[dict, bool]:
             "tops_only": tops_violation is None,
             "efficient": efficiency_violation is None,
             "strategy_proof": manipulation is None,
-            "dictator": find_dictator(table),
+            "dictator": rules.find_dictator(table),
             "witnesses": {
                 "unanimity": _maybe_text(unanimity_violation),
                 "tops_only": (

@@ -44,7 +44,12 @@ columns for the next scan of the same blocks.
 The nine suite checks live in ``_lemmas``, which ``verify_lemma`` imports
 on its first call; ``VerificationReport``, the counterexample certificate
 ``_axiom_values`` and the two-alternative control ``majority_counterexample``
-stay here.
+stay here.  This module reads the object layer, ``rules``, only inside the
+functions that build or certify rule objects (``coalesce`` and
+``restrict``, whose ``CoalescedRule`` and ``RestrictedRule`` live there,
+``enumerate_tops_only_rules``, ``sample_efficient_tops_tables`` and the
+certificates), so the census, which prints its survivors with
+``_engine._tops_string``, never compiles it.
 """
 
 from __future__ import annotations
@@ -55,28 +60,10 @@ from functools import reduce
 from operator import or_
 from time import perf_counter
 
-from . import _engine
+from . import _engine, rules
 from ._value import DefaultFactory, frozen
 from .errors import BudgetExceededError, UnknownLemmaError
-from .prefs import (
-    Preference,
-    Profile,
-    check_dims,
-    check_profile_work,
-    env_whole_number,
-)
-from .rules import (
-    MajorityLexRule,
-    Rule,
-    TopsTableRule,
-    as_full_table,
-    as_tops_table,
-    find_dictator,
-    is_efficient,
-    is_strategy_proof,
-    is_tops_only,
-    is_unanimous,
-)
+from .prefs import Preference, check_dims, check_profile_work, env_whole_number
 
 DEFAULT_RULE_SPACE_BUDGET = 200_000
 RULE_SPACE_BUDGET_ENV = "GSVERIFY_MAX_RULE_SPACE"
@@ -129,88 +116,14 @@ def rule_space_size(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@frozen
-class _DerivedRule(Rule):
-    """A rule built from a base rule; its string is its materialized table."""
-
-    base: Rule
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def tops_only_by_construction(self) -> bool:
-        return self.base.tops_only_by_construction
-
-    def to_string(self) -> str:
-        table = self if self.tops_only_by_construction else as_full_table(self)
-        if is_tops_only(table):
-            return as_tops_table(table).to_string()
-        return table.to_string()
-
-
-@frozen
-class CoalescedRule(_DerivedRule):
-    """An (n-1)-agent rule feeding its first preference into two slots of the base."""
-
-    def __post_init__(self) -> None:
-        if self.base.n < 3:
-            raise ValueError("coalescing needs a base rule with at least 3 agents")
-
-    @property
-    def n(self) -> int:
-        return self.base.n - 1
-
-    def evaluate(self, profile: Profile):
-        self._check_profile(profile)
-        prefs = profile.prefs
-        return self.base.evaluate(Profile((prefs[0], prefs[0]) + prefs[1:]))
-
-    def evaluate_tops(self, tops):
-        self._check_tops(tops)
-        return self.base.evaluate_tops((tops[0], tops[0]) + tuple(tops[1:]))
-
-
-@frozen
-class RestrictedRule(_DerivedRule):
-    """A 2-agent rule obtained by pinning the base rule's agents 3..n."""
-
-    fixed: tuple[Preference, ...]
-
-    def __post_init__(self) -> None:
-        fixed = tuple(self.fixed)
-        object.__setattr__(self, "fixed", fixed)
-        if self.base.n < 3:
-            raise ValueError("restriction needs a base rule with at least 3 agents")
-        if len(fixed) != self.base.n - 2:
-            raise ValueError(
-                f"need {self.base.n - 2} fixed preferences, got {len(fixed)}"
-            )
-        if any(p.m != self.base.m for p in fixed):
-            raise ValueError("fixed preferences disagree with the base alternative count")
-
-    @property
-    def n(self) -> int:
-        return 2
-
-    def evaluate(self, profile: Profile):
-        self._check_profile(profile)
-        return self.base.evaluate(Profile(profile.prefs + self.fixed))
-
-    def evaluate_tops(self, tops):
-        self._check_tops(tops)
-        return self.base.evaluate_tops(tuple(tops) + tuple(p.top for p in self.fixed))
-
-
-def coalesce(rule: Rule) -> Rule:
+def coalesce(rule: rules.Rule) -> rules.Rule:
     """Merge the first two agent slots: g(P1, P3, ..) = f(P1, P1, P3, ..)."""
-    return CoalescedRule(rule)
+    return rules.CoalescedRule(rule)
 
 
-def restrict(rule: Rule, fixed: Sequence[Preference]) -> Rule:
+def restrict(rule: rules.Rule, fixed: Sequence[Preference]) -> rules.Rule:
     """Pin agents 3..n to ``fixed``: h(P1, P2) = f(P1, P2, fixed...)."""
-    return RestrictedRule(rule, tuple(fixed))
+    return rules.RestrictedRule(rule, tuple(fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +268,7 @@ def _sampled_blocks(
 
 def sample_efficient_tops_tables(
     n: int, m: int, count: int, seed: int
-) -> list[TopsTableRule]:
+) -> list[rules.TopsTableRule]:
     """Seeded uniform sample of tops-table rules whose every cell selects a top.
 
     Such rules are unanimous and efficient by construction of the sample.
@@ -364,7 +277,7 @@ def sample_efficient_tops_tables(
     sp = _engine.space(n, m)
     rng = random.Random(seed)
     return [
-        TopsTableRule(n, m, tuple(map(rng.choice, sp.cell_tops_sets)))
+        rules.TopsTableRule(n, m, tuple(map(rng.choice, sp.cell_tops_sets)))
         for _ in range(count)
     ]
 
@@ -377,7 +290,7 @@ def enumerate_tops_only_rules(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int = 0,
-) -> Iterator[TopsTableRule]:
+) -> Iterator[rules.TopsTableRule]:
     """Stream tops-table rules in ascending rule-code order, optionally filtered.
 
     Filters (any of "unanimous", "efficient", "strategy-proof", "dictatorial")
@@ -393,10 +306,10 @@ def enumerate_tops_only_rules(
     if "strategy-proof" in ordered:
         check_profile_work(n, m)
 
-    def gen() -> Iterator[TopsTableRule]:
+    def gen() -> Iterator[rules.TopsTableRule]:
         for block in _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed):
             for r in _engine.bit_indices(_filter_mask(ordered, block, block.full)):
-                yield TopsTableRule(n, m, tuple(block.digits(r)))
+                yield rules.TopsTableRule(n, m, tuple(block.digits(r)))
 
     return gen()
 
@@ -525,7 +438,7 @@ def _census_scan(
         tallies = [t + c for t, c in zip(tallies, counts)]
         strategy_proof, dictatorial = cascade[3], cascade[4]
         for r in _engine.bit_indices(strategy_proof):
-            rule = _rule_string_from_digits(n, m, block.digits(r))
+            rule = _engine._tops_string(n, m, block.digits(r))
             survivors.append((rule, bool((dictatorial >> r) & 1)))
     return tallies, survivors
 
@@ -648,20 +561,16 @@ class VerificationReport:
         }
 
 
-def _rule_string_from_digits(n: int, m: int, digits: Sequence[int]) -> str:
-    return TopsTableRule(n, m, tuple(digits)).to_string()
-
-
-def _axiom_values(rule: Rule) -> dict:
+def _axiom_values(rule: rules.Rule) -> dict:
     """The five axiom values of a counterexample certificate, each a scan of
     the rule's full table, built once."""
-    table = as_full_table(rule)
+    table = rules.as_full_table(rule)
     return {
-        "unanimous": is_unanimous(table),
-        "tops_only": is_tops_only(table),
-        "efficient": is_efficient(table),
-        "strategy_proof": is_strategy_proof(table),
-        "dictator": find_dictator(table),
+        "unanimous": rules.is_unanimous(table),
+        "tops_only": rules.is_tops_only(table),
+        "efficient": rules.is_efficient(table),
+        "strategy_proof": rules.is_strategy_proof(table),
+        "dictator": rules.find_dictator(table),
     }
 
 
@@ -735,7 +644,7 @@ def verify_lemma(
 class CounterexampleCertificate:
     """Machine-checked properties of the two-alternative majority rule."""
 
-    rule: MajorityLexRule
+    rule: rules.MajorityLexRule
     unanimous: bool
     strategy_proof: bool
     tops_only: bool
@@ -768,5 +677,5 @@ def majority_counterexample(n: int = 3) -> CounterexampleCertificate:
     """Certify majority at m=2 as unanimous, strategy-proof, tops-only,
     efficient, and non-dictatorial; shows two alternatives are not enough
     for the dictatorship conclusion."""
-    rule = MajorityLexRule(n)
+    rule = rules.MajorityLexRule(n)
     return CounterexampleCertificate(rule=rule, **_axiom_values(rule))

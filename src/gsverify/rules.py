@@ -3,7 +3,10 @@
 A rule is a total deterministic map from profiles to alternatives.  Concrete
 representations: explicit tables over tops profiles or over full profiles,
 plus a small closed-form library (dictator, constant, Borda and two-candidate
-majority with lexicographic tie-breaks).
+majority with lexicographic tie-breaks), and the coalesced and restricted
+rules that ``constructions.coalesce`` and ``restrict`` build from a base
+rule.  The census and the rule-stream checks never build these objects, so
+only a run that parses, evaluates or certifies a rule compiles this module.
 
 Every axiom predicate scans the rule's full table, ``as_full_table(rule)``:
 the one walk over the whole profile space for one rule, and the one place
@@ -176,8 +179,7 @@ class TopsTableRule(Rule):
         return self.outcomes[code]
 
     def to_string(self) -> str:
-        digits = "".join(str(x) for x in self.outcomes)
-        return f"TOPS:n={self.n},m={self.m}:{digits}"
+        return _engine._tops_string(self.n, self.m, self.outcomes)
 
 
 @frozen
@@ -265,6 +267,85 @@ class MajorityLexRule(Rule):
 
     def to_string(self) -> str:
         return "MAJLEX"
+
+
+# ---------------------------------------------------------------------------
+# Coalescing and restriction (``constructions.coalesce`` and ``restrict``).
+# ---------------------------------------------------------------------------
+
+
+@frozen
+class _DerivedRule(Rule):
+    """A rule built from a base rule; its string is its materialized table."""
+
+    base: Rule
+
+    @property
+    def m(self) -> int:
+        return self.base.m
+
+    @property
+    def tops_only_by_construction(self) -> bool:
+        return self.base.tops_only_by_construction
+
+    def to_string(self) -> str:
+        table = self if self.tops_only_by_construction else as_full_table(self)
+        if is_tops_only(table):
+            return as_tops_table(table).to_string()
+        return table.to_string()
+
+
+@frozen
+class CoalescedRule(_DerivedRule):
+    """An (n-1)-agent rule feeding its first preference into two slots of the base."""
+
+    def __post_init__(self) -> None:
+        if self.base.n < 3:
+            raise ValueError("coalescing needs a base rule with at least 3 agents")
+
+    @property
+    def n(self) -> int:
+        return self.base.n - 1
+
+    def evaluate(self, profile: Profile):
+        self._check_profile(profile)
+        prefs = profile.prefs
+        return self.base.evaluate(Profile((prefs[0], prefs[0]) + prefs[1:]))
+
+    def evaluate_tops(self, tops):
+        self._check_tops(tops)
+        return self.base.evaluate_tops((tops[0], tops[0]) + tuple(tops[1:]))
+
+
+@frozen
+class RestrictedRule(_DerivedRule):
+    """A 2-agent rule obtained by pinning the base rule's agents 3..n."""
+
+    fixed: tuple[Preference, ...]
+
+    def __post_init__(self) -> None:
+        fixed = tuple(self.fixed)
+        object.__setattr__(self, "fixed", fixed)
+        if self.base.n < 3:
+            raise ValueError("restriction needs a base rule with at least 3 agents")
+        if len(fixed) != self.base.n - 2:
+            raise ValueError(
+                f"need {self.base.n - 2} fixed preferences, got {len(fixed)}"
+            )
+        if any(p.m != self.base.m for p in fixed):
+            raise ValueError("fixed preferences disagree with the base alternative count")
+
+    @property
+    def n(self) -> int:
+        return 2
+
+    def evaluate(self, profile: Profile):
+        self._check_profile(profile)
+        return self.base.evaluate(Profile(profile.prefs + self.fixed))
+
+    def evaluate_tops(self, tops):
+        self._check_tops(tops)
+        return self.base.evaluate_tops(tuple(tops) + tuple(p.top for p in self.fixed))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -300,6 +300,18 @@ class TestLemmasCommand:
         code, _, err = invoke(capsys, "lemmas", "L2", "--workers", "1")
         assert code == 2
         assert "unknown check id" in err
+
+    @pytest.mark.parametrize("ids", [("L1",), ("l1", "C2")])
+    def test_suite_with_ids_exits_2(self, capsys, tmp_path, ids):
+        # both choose the checks: neither may be dropped silently
+        out_path = tmp_path / "report.json"
+        code, out, err = invoke(capsys, "lemmas", "--suite", "all", *ids, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --suite all and the check ids {' '.join(ids)} both choose the checks; "
+            "give one or the other\n"
+        )
+        assert not out_path.exists()
 
     def test_csv_rows(self, capsys):
         code, out, _ = invoke(
@@ -781,6 +793,43 @@ class TestScanOptions:
         assert "--workers must be at least 1" in err
 
 
+# the names ``gsverify`` exports, by the submodule that defines each
+PUBLIC_NAMES = {
+    "errors": [
+        "BudgetExceededError", "CapExceededError", "DimensionMismatchError",
+        "GsverifyError", "NotTopsOnlyError", "RuleParseError", "UnknownLemmaError",
+    ],
+    "prefs": [
+        "Alternative", "Preference", "PreferenceDomain", "Profile", "TopsProfile",
+        "alternative_index", "alternative_name", "decode_preference", "encode_preference",
+        "enumerate_preferences", "enumerate_profiles", "is_minimally_rich",
+        "preferences_with_top", "profile_from_code", "satisfies_property_t_star",
+    ],
+    "rules": [
+        "BordaLexRule", "ConstantRule", "DictatorRule", "FullTableRule", "MajorityLexRule",
+        "ManipulationWitness", "Rule", "TopsTableRule", "as_full_table", "as_tops_table",
+        "efficient_via_tops", "extensionally_equal", "find_dictator",
+        "find_efficiency_violation", "find_manipulation", "find_tops_only_violation",
+        "find_unanimity_violation", "is_efficient", "is_strategy_proof", "is_tops_only",
+        "is_unanimous", "parse_rule",
+    ],
+    "classify": [
+        "ClassificationSummary", "ProfileClassification", "Verdict",
+        "at_least_as_dictatorial", "at_least_as_manipulable", "bitset_codes",
+        "bitset_to_hex", "check_duality", "classify_all", "classify_profile",
+        "dictatorial_profile_count", "find_dictatorial_violation",
+        "find_profile_manipulation", "hex_to_bitset", "is_dictatorial_profile",
+        "is_manipulable_profile", "manipulable_profile_count",
+        "remark_dictatorial_maximal", "remark_strategyproof_minimal",
+    ],
+    "constructions": [
+        "CensusReport", "CounterexampleCertificate", "VerificationReport", "census",
+        "coalesce", "enumerate_tops_only_rules", "majority_counterexample", "restrict",
+        "rule_space_size", "sample_efficient_tops_tables", "verify_lemma",
+    ],
+}
+
+
 def src_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -840,7 +889,8 @@ class TestModuleEntryPoints:
     def test_only_a_lemma_run_loads_the_runners(self):
         # the benchmark's tracer reads the six layer modules from sys.modules
         # right after importing gsverify.cli, and patches every name bound
-        # to a layer function; the lemma runners load on the first
+        # to a layer function (cli reads rules.find_manipulation at call
+        # time, so it binds none); the lemma runners load on the first
         # verify_lemma call
         code = (
             "import contextlib, io, json, sys\n"
@@ -854,7 +904,7 @@ class TestModuleEntryPoints:
             "layers = ('prefs', 'rules', '_engine', 'classify', 'constructions', 'cli')\n"
             "print(json.dumps({\n"
             "    'layers': [f'gsverify.{name}' in sys.modules for name in layers],\n"
-            "    'bound': cli.find_manipulation is rules.find_manipulation,\n"
+            "    'bound': hasattr(cli, 'find_manipulation'),\n"
             "    'import': runners_loaded(),\n"
             "    'census': runners_loaded(['census', '--agents', '3', '--alts', '3',\n"
             "                              '--mode', 'sampled', '--samples', '500']),\n"
@@ -867,9 +917,74 @@ class TestModuleEntryPoints:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == {
-            "layers": [True] * 6, "bound": True, "import": False,
+            "layers": [True] * 6, "bound": False, "import": False,
             "census": False, "csv": False, "lemmas": True,
         }
+
+    def test_a_command_compiles_only_the_layers_it_runs(self):
+        # pytest loads the object layer early, so only a fresh process shows
+        # it left out: rules and classify stay LazyLoader modules, never
+        # compiled, until a command reads one of their attributes
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from importlib.util import _LazyModule\n"
+            "from gsverify import cli\n"
+            "def lazy(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0\n"
+            "    return [type(sys.modules[f'gsverify.{name}']) is _LazyModule\n"
+            "            for name in ('rules', 'classify')]\n"
+            "print(json.dumps([\n"
+            "    lazy(['census', '--agents', '3', '--alts', '3', '--mode', 'sampled',\n"
+            "          '--samples', '500', '--seed', '1']),\n"
+            "    lazy(['census', '--format', 'csv', '--verbose']),\n"
+            "    lazy(['lemmas', '--suite', 'all']),\n"
+            "    lazy(['inspect', '--rule', 'DICT:0']),\n"
+            "    lazy(['classify', '--rule', 'DICT:0']),\n"
+            "]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # (rules lazy, classify lazy) after each command in turn; the suite's
+        # closed-form checks load rules
+        assert json.loads(done.stdout.splitlines()[-1]) == [
+            [True, True], [True, True], [False, True], [False, True], [False, False],
+        ]
+
+    def test_every_public_name_resolves_to_its_submodule_object(self):
+        # the package's names resolve lazily; each must be its submodule's own
+        # object through attribute access and through a star import alike
+        code = (
+            "import json, sys\n"
+            "from importlib import import_module\n"
+            "import gsverify\n"
+            "homes = json.loads(sys.argv[1])\n"
+            "star = {}\n"
+            "exec('from gsverify import *', star)\n"
+            "wrong = []\n"
+            "for home, names in homes.items():\n"
+            "    module = import_module(f'gsverify.{home}')\n"
+            "    wrong += [home] if gsverify.__dict__[home] is not module else []\n"
+            "    wrong += [name for name in names\n"
+            "              if not getattr(gsverify, name) is star[name] is vars(module)[name]]\n"
+            "try:\n"
+            "    gsverify.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    missing = str(exc)\n"
+            "exported = sorted(k for k in star if not k.startswith('__'))\n"
+            "print(json.dumps([wrong, missing, exported]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(PUBLIC_NAMES)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        wrong, missing, exported = json.loads(done.stdout.splitlines()[-1])
+        assert wrong == []
+        assert missing == "module 'gsverify' has no attribute 'no_such_name'"
+        assert exported == sorted([*PUBLIC_NAMES, *chain(*PUBLIC_NAMES.values())])
 
     def test_import_leaves_typing_out(self):
         # annotations are never evaluated, so nothing needs typing at run

@@ -38,7 +38,7 @@ from gsverify import (
     sample_efficient_tops_tables,
     verify_lemma,
 )
-from gsverify import _engine, _lemmas, constructions
+from gsverify import _engine, _lemmas, constructions, rules
 from gsverify._lemmas import _draw_codes, _l5_block
 from gsverify.constructions import (
     _BLOCK_WORDS,
@@ -982,7 +982,7 @@ class TestVerifyLemma:
     def test_closed_form_counterexample(self, monkeypatch, lemma, kind, detail):
         # the tops-table scan passes; with the object-layer efficiency check
         # doctored, the first closed form (DICT:0) is the counterexample
-        monkeypatch.setattr(constructions, "is_efficient", lambda rule: False)
+        monkeypatch.setattr(rules, "is_efficient", lambda rule: False)
         report = verify_lemma(lemma, 2, 3)
         assert not report.passed
         assert report.checks == 730
@@ -1285,6 +1285,17 @@ class TestRunScope:
         for lemma in ("C2", "R1"):
             assert entries[lemma] == verify_lemma(lemma, 2, 3).to_json_dict()
 
+    @pytest.mark.parametrize("n,m,samples,seed", [(3, 3, 60, 4), (2, 4, 60, 5)])
+    def test_a_sampled_r1_scans_only_its_anchors(self, capsys, monkeypatch, n, m, samples, seed):
+        # L4's sampled class and L5's sampled stream, one block each, and
+        # C2's drawn codes; R1 reads L5's planes of the stream and scans the
+        # n dictatorships that anchor its sample, nothing more
+        sizes = spy_verdict_blocks(monkeypatch)
+        entries = self.suite(capsys, n, m, f"--samples={samples}", f"--seed={seed}")
+        assert entries["L5"]["passed"] and entries["R1"]["passed"]
+        assert sizes[:2] == [samples, samples]
+        assert sizes[3:] == [n]
+
     def test_a_scope_keeps_other_streams_apart(self):
         # L1 and C1 share a stream pass only over the same stream
         scope = {}
@@ -1296,6 +1307,12 @@ class TestRunScope:
         verify_lemma("L1", 2, 2, scope=scope)
         shared = verify_lemma("C1", 2, 3, scope=scope)
         assert shared.to_json_dict() == verify_lemma("C1", 2, 3).to_json_dict()
+        # and R1 reads L5's planes only from L5's own stream
+        verify_lemma("L5", 3, 3, mode="sampled", samples=40, seed=1, scope=scope)
+        for kwargs in ({"samples": 40, "seed": 2}, {"samples": 30, "seed": 1}):
+            shared = verify_lemma("R1", 3, 3, mode="sampled", scope=scope, **kwargs)
+            alone = verify_lemma("R1", 3, 3, mode="sampled", **kwargs)
+            assert shared.to_json_dict() == alone.to_json_dict()
 
     def test_a_call_after_a_patch_sees_it(self, monkeypatch):
         scope = {}

@@ -1,6 +1,8 @@
 """Property tests: random rule blocks through the block kernels and block
 predicates equal the per-rule kernels, predicates and reference scans, rule
-by rule."""
+by rule; random rules of every table and index form print and parse back."""
+
+import math
 
 import pytest
 
@@ -12,6 +14,13 @@ from gsverify._engine import (  # noqa: E402
     block_manipulable,
     block_profile_verdicts,
     space,
+)
+from gsverify.rules import (  # noqa: E402
+    ConstantRule,
+    DictatorRule,
+    FullTableRule,
+    TopsTableRule,
+    parse_rule,
 )
 from test_engine import (  # noqa: E402
     DICTATORIAL,
@@ -98,3 +107,27 @@ def test_block_predicates_equal_per_rule_at_n3_m3(tables):
 @given(mixed_rule_blocks(2, 4, 8))
 def test_block_predicates_equal_per_rule_at_n2_m4(tables):
     assert_predicates_match_per_rule(2, 4, tables)
+
+
+@st.composite
+def printable_rules(draw):
+    """A DICT, CONST, TOPS or FULL rule at a drawn (n, m)."""
+    n, m = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]))
+    form = draw(st.sampled_from(["DICT", "CONST", "TOPS", "FULL"]))
+    if form == "DICT":
+        return DictatorRule(n, m, draw(st.integers(0, n - 1)))
+    if form == "CONST":
+        return ConstantRule(n, m, draw(st.integers(0, m - 1)))
+    cls, cells = (TopsTableRule, m**n) if form == "TOPS" else (FullTableRule, math.factorial(m) ** n)
+    return cls(n, m, draw(st.lists(st.integers(0, m - 1), min_size=cells, max_size=cells)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(printable_rules())
+def test_rule_strings_round_trip(rule):
+    text = rule.to_string()
+    parsed = parse_rule(text, rule.n, rule.m)
+    assert parsed == rule
+    assert parsed.to_string() == text
+    if text.startswith(("TOPS:", "FULL:")):  # the table forms carry their dimensions
+        assert parse_rule(text) == rule

@@ -39,9 +39,9 @@ from gsverify import (
     parse_rule,
     sample_efficient_tops_tables,
 )
-from gsverify import prefs, rules
+from gsverify import _engine, prefs, rules
 from gsverify._lemmas import _closed_form_library
-from gsverify.constructions import coalesce, restrict
+from gsverify.constructions import _iter_rule_blocks, coalesce, restrict, rule_space_size
 
 
 def profile(text):
@@ -249,6 +249,27 @@ class TestRuleStrings:
     def test_full_table_round_trip(self):
         rule = as_full_table(BordaLexRule(2, 2))
         assert parse_rule(rule.to_string(), 2, 2) == rule
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+    def test_rule_codes_and_tops_tables_are_a_bijection(self, n, m):
+        # the census prints a rule straight from the stream's digits and the
+        # object layer through TopsTableRule: both must give one string per
+        # code, and the string must parse back to the code's table
+        cells, texts, expected = m**n, set(), 0
+        for block in _iter_rule_blocks(n, m, "exhaustive", None, None):
+            for r, code in enumerate(block.codes):
+                assert code == expected  # every code once, ascending
+                expected += 1
+                digits = block.digits(r)
+                assert digits == _engine.digits_from_code(code, cells, m)
+                text = _engine._tops_string(n, m, digits)
+                rule = TopsTableRule(n, m, tuple(digits))
+                assert rule.to_string() == text
+                parsed = parse_rule(text)
+                assert parsed == rule
+                assert int("".join(map(str, parsed.outcomes)), m) == code
+                texts.add(text)
+        assert expected == len(texts) == rule_space_size(n, m)
 
     def test_bad_digit_position(self):
         with pytest.raises(RuleParseError) as excinfo:

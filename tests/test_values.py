@@ -34,7 +34,7 @@ from gsverify import (
     VerificationReport,
     Verdict,
 )
-from gsverify.constructions import CoalescedRule, RestrictedRule
+from gsverify.rules import CoalescedRule, RestrictedRule
 
 
 def pref(text):
