@@ -889,8 +889,7 @@ class TestModuleEntryPoints:
     def test_only_a_lemma_run_loads_the_runners(self):
         # the benchmark's tracer reads the six layer modules from sys.modules
         # right after importing gsverify.cli, and patches every name bound
-        # to a layer function (cli reads rules.find_manipulation at call
-        # time, so it binds none); the lemma runners load on the first
+        # to a layer function; the lemma runners load on the first
         # verify_lemma call
         code = (
             "import contextlib, io, json, sys\n"
@@ -904,7 +903,7 @@ class TestModuleEntryPoints:
             "layers = ('prefs', 'rules', '_engine', 'classify', 'constructions', 'cli')\n"
             "print(json.dumps({\n"
             "    'layers': [f'gsverify.{name}' in sys.modules for name in layers],\n"
-            "    'bound': hasattr(cli, 'find_manipulation'),\n"
+            "    'bound': cli.find_manipulation is rules.find_manipulation,\n"
             "    'import': runners_loaded(),\n"
             "    'census': runners_loaded(['census', '--agents', '3', '--alts', '3',\n"
             "                              '--mode', 'sampled', '--samples', '500']),\n"
@@ -917,7 +916,7 @@ class TestModuleEntryPoints:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == {
-            "layers": [True] * 6, "bound": False, "import": False,
+            "layers": [True] * 6, "bound": True, "import": False,
             "census": False, "csv": False, "lemmas": True,
         }
 
