@@ -50,14 +50,14 @@ sampled census builds columns only for the unanimous rules it cuts out.
 ``block_profile_verdicts`` gives the per-profile verdicts of L4, L5, C2, R1
 and ``classify --method scan``, whose per-rule counts ``bit_planes`` sums
 into carry planes; ``block_cell_masks`` gives the non-dictatorial tops
-cells, and the counts of their profiles (|M_f|) and of the rest (|D_f|), to
-R2, ``census_rows`` (whose per-rule flag bytes ``bit_flags`` spreads from
-the stage bitsets) and ``classify --method cells`` (a block of one rule, as
-are ``classify``'s unanimity and ``rules.efficient_via_tops``).  The
-per-rule twins of the block kernels are the tests' references.
-``digits_from_code`` turns a rule code into its digits k at a time through
-a table of every k-digit string, and ``_tops_string`` prints a rule's
-digits as its canonical ``TOPS`` string.
+cells and the counts of their profiles (|M_f|) and of the rest (|D_f|) to R2
+and ``classify --method cells`` (a block of one rule, as are ``classify``'s
+unanimity and ``rules.efficient_via_tops``); ``census_rows`` sums the cells
+alone with its stage bitsets into one class key per rule.  The per-rule
+twins of the block kernels are the tests' references.  ``digits_from_code``
+turns a rule code into its digits k at a time through a table of every
+k-digit string, and ``_tops_string`` prints a rule's digits as its
+canonical ``TOPS`` string.
 """
 
 from __future__ import annotations
@@ -455,15 +455,17 @@ def block_manipulable(block: Block, within: int) -> int:
 
 
 def block_cell_masks(block: Block) -> tuple[list[int], list[int], list[int]]:
-    """Non-dictatorial-cell rule bitsets per tops code, and |M_f| and |D_f| per rule.
+    """``_nondictatorial_cells``, and per rule |M_f|, their profiles (the
+    manipulable ones only where L5 holds at that (n, m)), and |D_f|, the rest."""
+    sp, nondictatorial = block.sp, _nondictatorial_cells(block)
+    m_counts = [k * sp.cell_profile_count for k in bit_counts(nondictatorial, block.count)]
+    return nondictatorial, m_counts, [sp.profile_count - k for k in m_counts]
 
-    A cell is dictatorial for a rule when every agent whose top is not the
-    outcome gets the outcome at all m cells of its line (the cell with its
-    top replaced by each alternative).  |M_f| counts the profiles of the
-    other cells, ``cell_profile_count`` per cell: the non-dictatorial ones,
-    which are the manipulable ones only where L5 holds at the same (n, m).
-    |D_f| counts the rest.
-    """
+
+def _nondictatorial_cells(block: Block) -> list[int]:
+    """Per tops code, the rules for which the cell is not dictatorial: some
+    agent whose top is not the outcome gets another one at a cell of its line
+    (the cell with the agent's top replaced by each alternative)."""
     sp, m, full, cols = block.sp, block.sp.m, block.full, block.cols
     nondictatorial = []
     for tc, tops in enumerate(sp.tops_tuples):
@@ -481,10 +483,7 @@ def block_cell_masks(block: Block) -> tuple[list[int], list[int], list[int]]:
                         stays &= cols[c][x]
             nd |= outs[x] & ~stays
         nondictatorial.append(nd)
-    cpc = sp.cell_profile_count
-    m_counts = [k * cpc for k in bit_counts(nondictatorial, block.count)]
-    d_counts = [sp.profile_count - k for k in m_counts]
-    return nondictatorial, m_counts, d_counts
+    return nondictatorial
 
 
 def expand_cells_to_profiles(sp: Space, cells_mask: int) -> int:

@@ -26,7 +26,7 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 SCHEMA_VERSION = "1"
@@ -355,7 +355,7 @@ def _render(payload: dict, fmt: str) -> Iterable[str]:
     """The report as the strings to write in turn: the per-rule csv a rule
     block at a time as ``census_rows`` yields it, any other report whole."""
     if "per_rule" in payload:
-        return chain([_PER_RULE_HEADER], map(_per_rule_csv, payload["per_rule"]))
+        return _per_rule_csv(payload["agents"], payload["alternatives"], payload["per_rule"])
     if fmt == "json":
         return [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
     if fmt == "csv":
@@ -383,9 +383,8 @@ _CSV_COLUMNS = {
 }
 # nested payload dicts whose keys join the top-level ones in the csv row
 _CSV_NESTED = {"census": "counts", "counterexample": "certificate"}
-_PER_RULE_HEADER = "rule_code,unanimous,efficient,strategy_proof,dictatorial,m_count,d_count\n"
-# the flag columns of a ``census_rows`` flags byte, bit i for ``FILTER_NAMES[i]``
-_FLAG_TEXT = [",".join(_bool(flags >> i & 1) for i in range(4)) for flags in range(16)]
+_PER_RULE_HEADER = "rule_code,%s,m_count,d_count\n" % ",".join(
+    name.replace("-", "_") for name in constructions.FILTER_NAMES)
 
 
 def _csv_rows(payload: dict) -> list[dict]:
@@ -397,11 +396,17 @@ def _csv_rows(payload: dict) -> list[dict]:
     return [payload]
 
 
-def _per_rule_csv(record: tuple) -> str:
-    """The csv rows of one ``census_rows`` record."""
-    codes, flags, m_counts, d_counts = record
-    flag_text = map(_FLAG_TEXT.__getitem__, flags)
-    return "".join(map("{},{},{},{}\n".format, codes, flag_text, m_counts, d_counts))
+def _per_rule_csv(n: int, m: int, records: Iterable[tuple]) -> Iterator[str]:
+    """The per-rule csv, one format call per ``census_rows`` record through a
+    table from class key (bit i for ``FILTER_NAMES[i]``, k above) to row suffix."""
+    sp, width = _engine.space(n, m), len(constructions.FILTER_NAMES)
+    flags = [",".join(_bool(f >> i & 1) for i in range(width)) for f in range(1 << width)]
+    m_counts = [k * sp.cell_profile_count for k in range(sp.tops_count + 1)]
+    suffixes = [f",{f},{c},{sp.profile_count - c}\n" for c in m_counts for f in flags]
+    yield _PER_RULE_HEADER
+    for codes, keys in records:
+        rows = zip(codes, map(suffixes.__getitem__, keys))
+        yield ("%d%s" * len(keys)) % tuple(chain.from_iterable(rows))
 
 
 def _render_csv(payload: dict) -> str:

@@ -31,9 +31,9 @@ one filter, from the block predicates of ``_engine`` (unanimous,
 cell-efficient, dictatorial, and ``block_manipulable``, which decides every
 strategy-proofness question).  ``enumerate_tops_only_rules`` reads the
 digits of the rules of ``_filter_mask``; the census keeps the bitsets and
-counts them with ``int.bit_count``, ``census_rows`` yields them per block as
-one flags byte per rule (``_engine.bit_flags``), and a census stage that is
-also a prefilter reuses the prefilter's bitset.
+counts them with ``int.bit_count``, ``census_rows`` sums them per block into
+one class key per rule (``_engine.plane_counts``), and a census stage that
+is also a prefilter reuses the prefilter's bitset.
 A census block read once (the sampled stream) with no prefilter but
 unanimity is first cut to its unanimous rules, read from the digits of the
 m unanimous cells alone (``_engine.block_unanimous_digits``), and only the
@@ -489,13 +489,12 @@ def census(
 
 def census_rows(
     n: int, m: int, filters: Sequence[str] = ()
-) -> Iterator[tuple[Sequence[int], bytes, list[int], list[int]]]:
-    """Per-rule census detail, one record per rule block (exhaustive only).
-
-    Yields (rule codes, flags, |M_f|, |D_f|) of the rules passing ``filters``,
-    ascending code, one flags byte per rule: bit i is its ``FILTER_NAMES[i]``
-    verdict.  Strategy-proofness is decided by the definitional
-    ``_engine.block_manipulable``, not read off |M_f|.
+) -> Iterator[tuple[Sequence[int], list[int]]]:
+    """Per-rule census detail (exhaustive only): per rule block, the codes
+    of the rules passing ``filters``, ascending, and one class key per rule:
+    bit i is its ``FILTER_NAMES[i]`` verdict, the bits above them k, its
+    count of non-dictatorial tops cells.  The definitional
+    ``_engine.block_manipulable`` decides strategy-proofness, never k.
     """
     check_dims(n, m)
     _resolve_mode(
@@ -505,21 +504,18 @@ def census_rows(
     ordered = _ordered_filters(filters)
     check_profile_work(n, m)  # the strategy-proof column
 
-    def gen() -> Iterator[tuple[Sequence[int], bytes, list[int], list[int]]]:
+    def gen() -> Iterator[tuple[Sequence[int], list[int]]]:
         for block in _iter_rule_blocks(n, m, "exhaustive", None, None):
             kept = _filter_mask(ordered, block, block.full)
             if not kept:
                 continue
-            # a column that is also a prefilter holds for every kept rule
-            flags = _engine.bit_flags([
-                kept if name in ordered else _stage_mask(name, block, kept)
-                for name in FILTER_NAMES
-            ], block.count)
             if kept != block.full:
-                flags = bytes(map(flags.__getitem__, _engine.bit_indices(kept)))
                 block = block.cut(kept)
-            _, m_counts, d_counts = _engine.block_cell_masks(block)
-            yield block.codes, flags, m_counts, d_counts
+            # a column that is also a prefilter holds for every kept rule
+            planes = [block.full if name in ordered else _stage_mask(name, block, block.full)
+                      for name in FILTER_NAMES]
+            planes += _engine.bit_planes(_engine._nondictatorial_cells(block))
+            yield block.codes, _engine.plane_counts(planes, block.count)
 
     return gen()
 

@@ -126,6 +126,18 @@ class TestCensusCommand:
         # not dictatorial, with every profile dictatorial for it
         assert lines[2] == "1,true,true,true,false,0,4"
 
+    def test_verbose_csv_flag_columns_are_the_filters_in_key_order(self, capsys):
+        # a census_rows key holds bit i for FILTER_NAMES[i]; the header names
+        # the flag columns from the same tuple
+        code, out, _ = invoke(
+            capsys, "census", "--agents", "2", "--alts", "2", "--format", "csv", "--verbose",
+        )
+        assert code == 0
+        names = constructions.FILTER_NAMES
+        columns = out.split("\n", 1)[0].split(",")
+        assert columns[0] == "rule_code" and columns[len(names) + 1 :] == ["m_count", "d_count"]
+        assert columns[1 : len(names) + 1] == [name.replace("-", "_") for name in names]
+
     @pytest.mark.parametrize("block_rules", [7, constructions._BLOCK_RULES])
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
     def test_verbose_csv_equals_per_rule_rendering(self, capsys, monkeypatch, n, m, block_rules):
@@ -487,6 +499,16 @@ class TestGoldenReports:
             ("census", "--agents", "3", "--alts", "2", "--format", "csv", "--verbose",
              "--filter", "unanimous"),
             "20a6dc9c96a514bf0f4c8e19a93b0d6e89fefb9ef697b299de2d609827aa5ec8",
+        ),
+        # 16 cells: k takes 5 carry planes, so a class key spans two 8-plane groups
+        (
+            ("census", "--agents", "4", "--alts", "2", "--format", "csv", "--verbose"),
+            "7ee932b67658f6ffdad797a47a2beb56e1ce34c1769ac17bc9d31046c4033301",
+        ),
+        (
+            ("census", "--agents", "4", "--alts", "2", "--format", "csv", "--verbose",
+             "--filter", "unanimous"),
+            "49fe5e41ddd55ea8091b4c6077f4a1b54d888a982ec89ab538ce1df346c5eb48",
         ),
         # --workers only parses: the same bytes without it and at 2
         (

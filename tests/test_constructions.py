@@ -58,12 +58,16 @@ def pref(text):
 
 def census_row_tuples(n, m, filters=()):
     """``census_rows`` as one tuple per rule: (rule code, unanimous, efficient,
-    strategy-proof, dictatorial, |M_f|, |D_f|)."""
-    return [
-        (code, *(bool(f >> i & 1) for i in range(4)), m_count, d_count)
-        for block in census_rows(n, m, filters)
-        for code, f, m_count, d_count in zip(*block, strict=True)
-    ]
+    strategy-proof, dictatorial, |M_f|, |D_f|), decoded from its class key:
+    one flag bit per filter, then k, the rule's non-dictatorial cells."""
+    sp, width = _engine.space(n, m), len(constructions.FILTER_NAMES)
+    rows = []
+    for codes, keys in census_rows(n, m, filters):
+        for code, key in zip(codes, keys, strict=True):
+            m_count = (key >> width) * sp.cell_profile_count
+            flags = (bool(key >> i & 1) for i in range(width))
+            rows.append((code, *flags, m_count, sp.profile_count - m_count))
+    return rows
 
 
 def filtered_digits(n, m, filters):
@@ -538,14 +542,12 @@ class TestCensus:
         # with every |M_f| doctored to 0 the tops-cell criterion would call
         # every rule strategy-proof; the column still lists exactly the 5
         # strategy-proof (2,3) rules: the 2 dictators and the 3 constants
-        honest = _engine.block_cell_masks
+        honest = _engine._nondictatorial_cells
 
         def no_manipulable_cells(block):
-            nondictatorial, m_counts, _ = honest(block)
-            count = len(m_counts)
-            return [0] * len(nondictatorial), [0] * count, [block.sp.profile_count] * count
+            return [0] * len(honest(block))
 
-        monkeypatch.setattr(_engine, "block_cell_masks", no_manipulable_cells)
+        monkeypatch.setattr(_engine, "_nondictatorial_cells", no_manipulable_cells)
         rows = census_row_tuples(2, 3)
         assert len(rows) == 19683
         assert {m_count for *_, m_count, _ in rows} == {0}
