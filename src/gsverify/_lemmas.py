@@ -43,8 +43,10 @@ stream, indexed by rule code; otherwise ((4,2), (3,3), (2,4)) it reads
 blocks of its distinct drawn codes only.  When the distinct (|M_f|, |D_f|)
 classes of the counted rules, sorted by |M_f|, strictly rise in |M_f| and
 strictly fall in |D_f|, no pair can fail and C2 reports every pair
-checked; otherwise it walks its pairs to the first failing one.  THM is
-the census.
+checked; otherwise it walks its pairs to the first failing one.  Its
+draws are never kept: ``_draw_codes`` yields them, and C2 streams them
+from the seed at most twice, once to count the distinct codes and once to
+walk the pairs.  THM is the census.
 
 Names these runners share with ``constructions`` that callers may patch
 there are read through that module at call time: ``_BLOCK_RULES``, the
@@ -288,16 +290,15 @@ def _verify_c1(n, m, mode, samples, seed, scope):
     return counterexample is None, checks, counterexample, detail
 
 
-def _draw_codes(rng: random.Random, size: int, count: int) -> list[int]:
-    """``[rng.randrange(size) for _ in range(count)]``, drawn as CPython does."""
+def _draw_codes(rng: random.Random, size: int, count: int) -> Iterator[int]:
+    """The draws of ``rng.randrange(size)``, ``count`` times, drawn as
+    CPython does and yielded one at a time."""
     getrandbits, k = rng.getrandbits, size.bit_length()
-    draws = []
     for _ in range(count):
         r = getrandbits(k)
         while r >= size:
             r = getrandbits(k)
-        draws.append(r)
-    return draws
+        yield r
 
 
 def _verdict_planes(block: _engine.Block, verdicts=None) -> tuple[int, list[int], list[int]]:
@@ -360,49 +361,62 @@ def _verify_c2(n, m, mode, samples, seed, scope):
     """Duality of the orders: f >=_d g iff g >=_m f, over rule pairs.
 
     The pairs are walked only when the (|M_f|, |D_f|) classes of the counted
-    rules could break the duality, so that the first failing pair is found."""
+    rules could break the duality, so that the first failing pair is found.
+    Sampled, the drawn codes are streamed from ``random.Random(seed)`` and
+    never kept: once to count the distinct ones (into the ``position`` dict
+    when fewer than the rules, else into a ``bytearray`` of the rule space)
+    and once more only to walk the pairs."""
     size = rule_space_size(n, m)
-    if mode != "exhaustive":
-        draws = _draw_codes(random.Random(seed), size, 2 * samples)  # f, g, f, ...
-    if mode == "exhaustive" or size <= len(draws):
+
+    def draws():  # f, g, f, ... afresh from the seed
+        return _draw_codes(random.Random(seed), size, 2 * samples)
+
+    if mode == "exhaustive" or size <= 2 * samples:
         # no more rules than the draws: every rule counted, its counts at its code
         position = range(size)
         records = _c2_planes(n, m, None, scope)
     else:
         # the distinct codes in first-seen order, each mapped to its position
-        position = dict.fromkeys(draws)
+        position = dict.fromkeys(draws())
         for index, code in enumerate(position):
             position[code] = index
         records = _c2_planes(n, m, position, scope)
     if _dual(_classes(records)):  # no pair of the counted rules can fail
         checks = size * size if mode == "exhaustive" else samples
         counterexample = None
+        if mode == "exhaustive" or isinstance(position, dict):
+            distinct = len(position)
+        else:  # every rule counted: mark the drawn ones
+            seen = bytearray(size)
+            for code in draws():
+                seen[code] = 1
+            distinct = seen.count(1)
     else:
         if mode == "exhaustive":
             pairs = product(range(size), repeat=2)
         else:
-            pairs = zip(draws[0::2], draws[1::2])
-        checks, counterexample = _c2_walk(n, m, pairs, position, records)
-    if mode == "exhaustive":
-        distinct = size
-    else:  # the rules met up to the last pair checked
-        distinct = len(set(draws[: 2 * checks]))
+            draw = draws()
+            pairs = zip(draw, draw)
+        checks, counterexample, met = _c2_walk(n, m, pairs, position, records)
+        distinct = size if mode == "exhaustive" else met  # sampled: the rules met
     detail = {"distinct_rules": distinct}
     return counterexample is None, checks, counterexample, detail
 
 
-def _c2_walk(n, m, pairs, position, records) -> tuple[int, dict | None]:
-    """C2's pairs in order, up to the first that breaks the duality: checks
-    and the counterexample or None."""
+def _c2_walk(n, m, pairs, position, records) -> tuple[int, dict | None, int]:
+    """C2's pairs in order, up to the first that breaks the duality: checks,
+    the counterexample or None, and the distinct rules of the pairs checked."""
     cells = _engine.space(n, m).tops_count
     m_counts, d_counts = [], []
     for count, m_planes, d_planes in records:
         m_counts += _engine.plane_counts(m_planes, count)
         d_counts += _engine.plane_counts(d_planes, count)
+    seen = bytearray(len(position))
     checks = 0
     counterexample = None
     for f_code, g_code in pairs:
         f, g = position[f_code], position[g_code]
+        seen[f] = seen[g] = 1
         mf, df, mg, dg = m_counts[f], d_counts[f], m_counts[g], d_counts[g]
         checks += 1
         if (df >= dg) != (mg >= mf):
@@ -416,7 +430,7 @@ def _c2_walk(n, m, pairs, position, records) -> tuple[int, dict | None]:
                 "d_g": dg,
             }
             break
-    return checks, counterexample
+    return checks, counterexample, seen.count(1)
 
 
 def _extremum_scan(records, target: int, pick) -> tuple[int, int, tuple | None]:

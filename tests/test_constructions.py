@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -386,7 +387,7 @@ class TestSampledStream:
         for seed in (0, 1, 7, -5, 2**40 + 3):
             rng = random.Random(seed)
             expected = [rng.randrange(size) for _ in range(500)]
-            assert _draw_codes(random.Random(seed), size, 500) == expected, seed
+            assert list(_draw_codes(random.Random(seed), size, 500)) == expected, seed
 
     def test_rejects_digits_wider_than_a_byte(self):
         with pytest.raises(ValueError, match="m < 256"):
@@ -1116,7 +1117,7 @@ class TestVerifyLemma:
         # the first drawn pair (f, g) with |M_f| = |M_g| < 36; clearing f's
         # verdicts at one of its dictatorial profiles lowers |D_f| alone,
         # which breaks the duality at that pair or an earlier one with f first
-        draws = _draw_codes(random.Random(0), 3**9, 10_000)
+        draws = list(_draw_codes(random.Random(0), 3**9, 10_000))
         table = lambda code: TopsTableRule(2, 3, tuple(_engine.digits_from_code(code, 9, 3)))
         m_count = lambda code: classify_all(table(code)).m_count
         f, g = next(
@@ -1132,6 +1133,7 @@ class TestVerifyLemma:
         assert taken["counterexample"]["kind"] == "duality violation"
         assert taken["counterexample"]["f"] == table(f).to_string()
         assert taken["counterexample"]["d_f"] == 36 - m_count(f) - 1
+        assert taken["detail"]["distinct_rules"] == len(set(draws[: 2 * taken["checks"]]))
         assert taken == from_stream == from_codes == walked
 
     def test_c2_walks_its_pairs_when_an_undrawn_class_breaks_duality(self, monkeypatch):
@@ -1140,7 +1142,7 @@ class TestVerifyLemma:
         # C2 walks its pairs, and as no draw is that rule, every pair passes
         doctored = TopsTableRule(2, 2, (1, 0, 0, 0))
         code = int("1000", 2)
-        seed = next(s for s in range(100) if code not in _draw_codes(random.Random(s), 16, 16))
+        seed = next(s for s in range(100) if code not in list(_draw_codes(random.Random(s), 16, 16)))
         doctor_block_verdicts(monkeypatch, doctored.outcomes, {0: DICTATORIAL | MANIPULABLE})
         honest_dual, decided = _lemmas._dual, []
 
@@ -1163,7 +1165,7 @@ class TestVerifyLemma:
         # profile of f manipulable as well ties f's class with honest ones in
         # |D_f| alone, which C2 must see at the first drawn pair (f, g) with
         # |M_f| = |M_g| < 36
-        draws = _draw_codes(random.Random(0), 3**9, 20_000)
+        draws = list(_draw_codes(random.Random(0), 3**9, 20_000))
         table = lambda code: TopsTableRule(2, 3, tuple(_engine.digits_from_code(code, 9, 3)))
         m_count = lambda code: classify_all(table(code)).m_count
         index, (f, g) = next(
@@ -1180,6 +1182,7 @@ class TestVerifyLemma:
             "m_f": m_count(f) + 1, "d_f": 36 - m_count(f),
             "m_g": m_count(g), "d_g": 36 - m_count(g),
         }
+        assert reports[0]["detail"]["distinct_rules"] == len(set(draws[: 2 * (index + 1)]))
         assert all(report == reports[0] for report in reports)
 
     @pytest.mark.parametrize("classes,dual", [
@@ -1297,6 +1300,21 @@ class TestRunScope:
         assert entries["L5"]["passed"] and entries["R1"]["passed"]
         assert sizes[:2] == [samples, samples]
         assert sizes[3:] == [n]
+
+    def test_c2_after_l5_keeps_no_draws(self):
+        # C2 at (2,3) reads L5's planes and marks its 20000 drawn codes in a
+        # bytearray of the 19683 rules; a list of the draws and their set
+        # would peak at about 1.5 MB
+        scope = {}
+        assert verify_lemma("L5", 2, 3, scope=scope).passed
+        tracemalloc.start()
+        try:
+            report = verify_lemma("C2", 2, 3, scope=scope)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.detail == {"distinct_rules": 12591}
+        assert peak < 64 * 1024
 
     def test_a_scope_keeps_other_streams_apart(self):
         # L1 and C1 share a stream pass only over the same stream
