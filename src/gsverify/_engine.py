@@ -14,17 +14,20 @@ profiles of such a table from the same misreport slices (``classify``, for
 rules not tops-only by construction).  ``profile_tops_codes`` gives each
 profile code's tops code: ``rules.as_full_table`` expands the tops table of
 a rule tops-only by construction with it, and the unanimity, tops-only and
-dictator scans of ``rules`` read a full table with it.  The per-profile
-block kernels (``block_profile_verdicts``, ``block_manipulable`` and
-``block_efficient_definitional``) and ``rules.find_efficiency_violation``
-read ``profile_rows``, built lazily once per (n, m), never at import or in
-``Space``.  A row's Pareto-dominated mask is enumerated in full from the
-agents' rankings, never taken from the tops-cell masks; each agent's row
-holds its line, the distinct tops codes that its m! misreports reach, and
-each profile is decided from its own row: nothing is computed once per tops
-cell and copied to its profiles.  The verdict kernel tries every stand-in
-preference with the agent's top; ``block_manipulable`` ranks the reached
-outcomes by the agent's own preference at that profile.
+dictator scans of ``rules`` read a full table with it.
+``profile_dominated``, each profile code's Pareto-dominated mask, is
+enumerated from the agents' rankings, never taken from the tops-cell masks.
+``cell_lines`` gives, per tops cell and agent, the agent's top and its line,
+the m cells its m! misreports reach.  Both are built lazily once per (n, m),
+never at import or in ``Space``.
+
+A tops-table rule's per-profile verdicts read the rule only at the
+profile's cell and its agents' lines, so ``block_profile_verdicts`` decides
+each cell once, the dictatorial verdict by ``_nondictatorial_cells`` (the
+one dictatorial-cell kernel), and gives it to the cell's profiles through
+``profile_tops_codes``.  ``block_manipulable`` walks every (cell, agent,
+ranking with the agent's top): each profile's agent term is one such
+triple, and every triple occurs.
 
 Rule streams go through the rule-block kernels a block at a time.  A
 ``Block`` is one value: its rules' digits back to back in one ``bytes``,
@@ -124,12 +127,6 @@ class Space:
             tuple(t[i] for t in self.tops_tuples) for i in range(n)
         )
 
-    def tops_code_of(self, pref_codes: Sequence[int]) -> int:
-        code = 0
-        for p in pref_codes:
-            code = code * self.m + self.top_of[p]
-        return code
-
 
 @lru_cache(maxsize=None)
 def space(n: int, m: int) -> Space:
@@ -145,22 +142,27 @@ def profile_tops_codes(n: int, m: int) -> tuple[int, ...]:
     return tuple(map(sum, product(*per_agent)))
 
 
-# ---------------------------------------------------------------------------
-# Per-profile rows, definitional path.
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def cell_lines(n: int, m: int) -> tuple[tuple[tuple[int, range], ...], ...]:
+    """Per tops code, per agent i, ``(top, line)``: the agent's top and the m
+    cells ``tops_code + (x - top) * w_i`` reached by replacing it with each
+    alternative x, ascending.  These are the cells that the agent's m!
+    misreports reach, each once: ORing one column twice adds nothing."""
+    sp = space(n, m)
+    return tuple(
+        tuple(
+            (t, range(tc - t * w, tc + (m - t) * w, w))
+            for t, w in zip(tops, sp.tops_weights)
+        )
+        for tc, tops in enumerate(sp.tops_tuples)
+    )
 
 
 @lru_cache(maxsize=None)
-def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
-    """One (tops_code, dominated_mask, agents) row per profile code, ascending.
-
-    ``agents`` holds, per agent i, ``(top, line)``: the agent's top and the
-    tops codes ``tops_code + (top_of[q] - top) * w_i`` that its m! misreports
-    q reach, each once, in the order first reached.  Bit x of
-    ``dominated_mask`` is set when some other alternative is ranked above x
-    by every agent.  Built on first use, never at import, and only within the
-    profile-work budget.
-    """
+def profile_dominated(n: int, m: int) -> tuple[int, ...]:
+    """The Pareto-dominated mask of every profile code, ascending: bit x is set
+    when some other alternative is ranked above x by every agent.  Enumerated
+    from the agents' rankings, and only within the profile-work budget."""
     check_profile_work(n, m)
     sp = space(n, m)
     above = tuple(
@@ -169,17 +171,8 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
         )
         for pos in sp.position
     )
-    # every misreport's cell, each distinct one kept once: ORing one column
-    # twice adds nothing
-    cell_agents = tuple(
-        tuple(
-            (t, tuple(dict.fromkeys(tc + (q - t) * w for q in sp.top_of)))
-            for t, w in zip(tops, sp.tops_weights)
-        )
-        for tc, tops in enumerate(sp.tops_tuples)
-    )
     everything = (1 << m) - 1
-    rows = []
+    masks = []
     for pref_codes in product(range(sp.fact), repeat=n):
         dominated = 0
         for x in range(m):
@@ -188,9 +181,8 @@ def profile_rows(n: int, m: int) -> tuple[tuple[int, int, tuple], ...]:
                 beaten_by &= above[p][x]
             if beaten_by:
                 dominated |= 1 << x
-        tc = sp.tops_code_of(pref_codes)
-        rows.append((tc, dominated, cell_agents[tc]))
-    return tuple(rows)
+        masks.append(dominated)
+    return tuple(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -386,69 +378,67 @@ def block_profile_verdicts(block: Block) -> tuple[list[int], list[int]]:
     """(dictatorial, manipulable) rule bitsets per profile code for a block of
     tops-table rules: bit r of entry pc is rule r's verdict at profile pc.
 
-    The semantics of ``table_profile_verdicts``, for every rule at once.  Each
-    profile is computed from its own row.  For every agent, the rules reaching
-    each outcome by some of all m! misreports; the agent has power under the
-    rules whose outcome is not its top and which reach another outcome.  For
-    every stand-in with the agent's top, walked in its ranking order, the
-    manipulable rules are those whose outcome is ranked below a reached one.
+    The semantics of ``table_profile_verdicts``, for every rule at once, each
+    tops cell decided once and its verdicts given to every profile of the
+    cell.  The cell is dictatorial for the rules ``_nondictatorial_cells``
+    leaves out.  For every agent, the rules reaching each outcome at a cell of
+    its line; for every stand-in with the agent's top, walked in its ranking
+    order, the manipulable rules are those whose outcome is ranked below a
+    reached one.
     """
-    sp, m, full, cols = block.sp, block.sp.m, block.full, block.cols
+    sp, m = block.sp, block.sp.m
+    tops_codes = profile_tops_codes(sp.n, m)  # within the profile-work budget
+    cols = block.cols
     orders = tuple(
         tuple(sp.rankings[p] for p in sp.prefs_with_top[t]) for t in range(m)
     )
-    dictatorial = []
     manipulable = []
-    for tc, _dominated, agents in profile_rows(sp.n, m):
-        outs = cols[tc]
-        powerful = manip = 0
+    for outs, agents in zip(cols, cell_lines(sp.n, m)):
+        manip = 0
         for top, line in agents:
             by_outcome = []
-            seen = several = 0  # rules reaching some / at least two outcomes
             for x in range(m):
                 hits = 0
                 for c in line:
                     hits |= cols[c][x]
-                several |= seen & hits
-                seen |= hits
                 by_outcome.append(hits)
-            for x in range(m):
-                if x != top:
-                    # rules selecting x here that reach an outcome other than x
-                    powerful |= outs[x] & (several | (seen & ~by_outcome[x]))
             for order in orders[top]:
                 above = by_outcome[top]
                 for x in order[1:]:
                     manip |= outs[x] & above
                     above |= by_outcome[x]
-        dictatorial.append(full ^ powerful)
         manipulable.append(manip)
-    return dictatorial, manipulable
+    dictatorial = [block.full ^ nd for nd in _nondictatorial_cells(block)]
+    return (
+        list(map(dictatorial.__getitem__, tops_codes)),
+        list(map(manipulable.__getitem__, tops_codes)),
+    )
 
 
 def block_manipulable(block: Block, within: int) -> int:
     """The rules of ``within`` that some agent can manipulate (bit r = rule
     r): the ones that are not strategy-proof.
 
-    Definitional, for every rule at once: every profile from its own row,
-    every agent and all m! misreports.  The rules reaching each outcome are
-    walked in the agent's own ranking at that profile; a rule is manipulable
-    there when its outcome is ranked strictly below an outcome it reaches.
-    The scan stops early only once every rule of ``within`` is manipulable.
+    Definitional, for every rule at once.  An agent's term at a profile reads
+    the rule at the profile's cell and the cells of the agent's line (every
+    cell its m! misreports reach), ranked by the agent's own ranking, so the
+    kernel walks every (cell, agent, ranking with the agent's top): each
+    profile's agent term is one of these, and each occurs.  The rules reaching
+    each outcome are walked in that ranking; a rule is manipulable there when
+    its outcome is ranked strictly below an outcome it reaches.  The scan
+    stops early only once every rule of ``within`` is manipulable.
     """
     sp, cols = block.sp, block.cols
-    rankings = sp.rankings
+    rankings, prefs_with_top = sp.rankings, sp.prefs_with_top
     manip = 0
-    for (tc, _dominated, agents), pref_codes in zip(
-        profile_rows(sp.n, sp.m), product(range(sp.fact), repeat=sp.n)
-    ):
-        outs = cols[tc]
-        for (_top, line), p in zip(agents, pref_codes):
-            above = 0  # rules reaching an outcome ranked above x
-            for x in rankings[p]:
-                manip |= outs[x] & above
-                for c in line:
-                    above |= cols[c][x]
+    for outs, agents in zip(cols, cell_lines(sp.n, sp.m)):
+        for top, line in agents:
+            for p in prefs_with_top[top]:
+                above = 0  # rules reaching an outcome ranked above x
+                for x in rankings[p]:
+                    manip |= outs[x] & above
+                    for c in line:
+                        above |= cols[c][x]
         if manip & within == within:
             break
     return manip & within
@@ -465,19 +455,15 @@ def block_cell_masks(block: Block) -> tuple[list[int], list[int], list[int]]:
 def _nondictatorial_cells(block: Block) -> list[int]:
     """Per tops code, the rules for which the cell is not dictatorial: some
     agent whose top is not the outcome gets another one at a cell of its line
-    (the cell with the agent's top replaced by each alternative)."""
+    (``cell_lines``).  The one dictatorial-cell kernel: ``block_cell_masks``,
+    ``constructions.census_rows`` and ``block_profile_verdicts`` read it."""
     sp, m, full, cols = block.sp, block.sp.m, block.full, block.cols
     nondictatorial = []
-    for tc, tops in enumerate(sp.tops_tuples):
-        lines = [
-            (t, range(tc - t * w, tc - t * w + m * w, w))
-            for t, w in zip(tops, sp.tops_weights)
-        ]
-        outs = cols[tc]
+    for outs, agents in zip(cols, cell_lines(sp.n, m)):
         nd = 0
         for x in range(m):
             stays = full
-            for t, line in lines:
+            for t, line in agents:
                 if t != x:
                     for c in line:
                         stays &= cols[c][x]
@@ -534,10 +520,12 @@ def block_efficient_cells(block: Block, within: int) -> int:
 def block_efficient_definitional(block: Block, within: int) -> int:
     """Pareto check over every profile: the rules of ``within`` whose outcome no
     alternative beats in every agent's ranking, read from the enumerated
-    dominated masks of the rows (never from the tops-cell masks)."""
+    dominated masks of ``profile_dominated`` (never from the tops-cell masks)."""
     sp, cols = block.sp, block.cols
     alternatives = range(sp.m)
-    for tc, dominated, _agents in profile_rows(sp.n, sp.m):
+    for tc, dominated in zip(
+        profile_tops_codes(sp.n, sp.m), profile_dominated(sp.n, sp.m)
+    ):
         outs = cols[tc]
         for x in alternatives:
             if (dominated >> x) & 1:

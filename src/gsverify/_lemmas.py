@@ -23,7 +23,8 @@ anchor a sample, and C2's drawn codes) come from one chunker,
 ``_table_blocks``, and are read once, so the memo does not keep them.  L4,
 L5, C2 and R1 read per-profile verdicts (``block_profile_verdicts``), R2
 reads cell counts (``block_cell_masks``), and L1, C1 and L3 read Pareto
-efficiency from the profile rows (``block_efficient_definitional``).
+efficiency from each profile's enumerated dominated mask
+(``block_efficient_definitional``).
 
 Within a run each block's verdicts are computed once.  An L5 that passes
 leaves in the scope, per block of its stream, the carry planes
@@ -223,11 +224,9 @@ def _l5_block(block: _engine.Block, planes=None) -> tuple[int, int, dict | None]
     Per profile and rule, the verdict must be exactly one of dictatorial and
     manipulable, and equal to the verdict at the first profile of its tops
     cell (which passed, or the scan would have stopped there).  That second
-    half compares verdicts computed from the same inputs:
-    ``block_profile_verdicts`` reads only a row's tops code and agents'
-    lines, which every profile of a tops cell shares, and tries every
-    stand-in with the agent's top, not the agent's own ranking.  It can fail
-    only through a wrong row or a wrong kernel.
+    half compares copies of one verdict: ``block_profile_verdicts`` decides
+    each tops cell once and gives its verdicts to every profile of the cell.
+    It can fail only through a wrong kernel or a wrong ``profile_tops_codes``.
     """
     sp, count, full = block.sp, block.count, block.full
     dictatorial, manipulable = verdicts = _engine.block_profile_verdicts(block)
@@ -237,7 +236,7 @@ def _l5_block(block: _engine.Block, planes=None) -> tuple[int, int, dict | None]
     not_one = []
     failing = []
     any_failing = 0
-    for pc, (tc, _dominated, _agents) in enumerate(_engine.profile_rows(sp.n, sp.m)):
+    for pc, tc in enumerate(_engine.profile_tops_codes(sp.n, sp.m)):
         d, mp = dictatorial[pc], manipulable[pc]
         first = first_in_cell.setdefault(tc, pc)
         not_one.append(full ^ d ^ mp)

@@ -13,13 +13,13 @@ the one walk over the whole profile space for one rule, and the one place
 the caps and the profile-work budget are checked.  A full table passed in
 comes back as it is, so a caller asking several questions builds it once.
 Unanimity, tops-onlyness and dictatorship read the tops code of each profile
-(``_engine.profile_tops_codes``), efficiency the enumerated dominated masks of
-``_engine.profile_rows``, and strategy-proofness runs the integer scan
-``_engine.full_table_manipulation``.  A witness is decoded to ``Profile``
-objects only on failure, in a fixed order: (shared top, profile code) for
-unanimity, (tops code, profile code) for tops-onlyness, and profile code
-first for efficiency and strategy-proofness (then agent and misreport code),
-so failures reproduce byte for byte.
+(``_engine.profile_tops_codes``), efficiency each profile's enumerated
+dominated mask (``_engine.profile_dominated``), and strategy-proofness runs
+the integer scan ``_engine.full_table_manipulation``.  A witness is decoded
+to ``Profile`` objects only on failure, in a fixed order: (shared top,
+profile code) for unanimity, (tops code, profile code) for tops-onlyness,
+and profile code first for efficiency and strategy-proofness (then agent
+and misreport code), so failures reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -518,11 +518,11 @@ def require_tops_only(rule: Rule) -> None:
 
 def find_efficiency_violation(rule: Rule) -> tuple[Profile, Alternative] | None:
     """A profile and an alternative every agent strictly prefers to the outcome:
-    the first profile code whose outcome is set in its row's enumerated
-    dominated mask, and the lowest alternative that dominates it there."""
+    the first profile code whose outcome is set in its enumerated dominated
+    mask, and the lowest alternative that dominates it there."""
     outcomes = as_full_table(rule).outcomes
-    rows = _engine.profile_rows(rule.n, rule.m)
-    for pc, ((_tc, dominated, _agents), out) in enumerate(zip(rows, outcomes)):
+    masks = _engine.profile_dominated(rule.n, rule.m)
+    for pc, (dominated, out) in enumerate(zip(masks, outcomes)):
         if (dominated >> out) & 1:
             profile = _decode_profile(pc, rule.n, rule.m)
             for x in range(rule.m):

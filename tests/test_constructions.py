@@ -588,7 +588,12 @@ class TestCensus:
         with pytest.raises(BudgetExceededError, match="needs 3456000 steps"):
             verify_lemma("L1", 2, 5, mode="sampled", samples=10, seed=1)
         with pytest.raises(BudgetExceededError, match="needs 31850496 steps"):
-            _engine.profile_rows(4, 4)
+            _engine.profile_dominated(4, 4)
+        # the verdict kernel decides each cell once, but still hands its
+        # verdicts to every profile
+        sp = _engine.space(4, 4)
+        with pytest.raises(BudgetExceededError, match="needs 31850496 steps"):
+            _engine.block_profile_verdicts(_engine.Block(sp, bytes(sp.tops_count), (0,)))
         # C2 reads per-profile verdicts, so it walks the profile space too
         with pytest.raises(BudgetExceededError, match="needs 3456000 steps"):
             verify_lemma("C2", 2, 5, mode="sampled", samples=10, seed=1)
@@ -1270,7 +1275,7 @@ class TestRunScope:
         # DICT:0 called manipulable, not dictatorial, over one whole tops
         # cell: L5 still passes, so C2 and R1 read its planes, and R1 fails
         sp = _engine.space(2, 3)
-        cell = [pc for pc, (tc, *_) in enumerate(_engine.profile_rows(2, 3)) if tc == 1]
+        cell = [pc for pc, tc in enumerate(_engine.profile_tops_codes(2, 3)) if tc == 1]
         doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], dict.fromkeys(cell, MANIPULABLE))
         sizes = spy_verdict_blocks(monkeypatch)
         entries = self.suite(capsys, 2, 3)

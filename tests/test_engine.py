@@ -57,8 +57,8 @@ def table_manipulation(table, sp):
     top_of = sp.top_of
     weights = sp.tops_weights
     pref_range = range(sp.fact)
-    for pc, pref_codes in enumerate(product(pref_range, repeat=sp.n)):
-        tc = sp.tops_code_of(pref_codes)
+    tops_codes = _engine.profile_tops_codes(sp.n, sp.m)
+    for pc, (tc, pref_codes) in enumerate(zip(tops_codes, product(pref_range, repeat=sp.n))):
         out = table[tc]
         for i, p in enumerate(pref_codes):
             pos = position[p]
@@ -76,9 +76,9 @@ def table_profile_verdicts(table, sp):
     """Per-rule reference for ``block_profile_verdicts``: the verdict per
     profile code of a tops-table rule, DICTATORIAL | MANIPULABLE bits.
 
-    Raw quantifiers, each profile from its own row: for each agent whose top
-    is not the outcome, the outcomes reached by all m! misreports form a
-    bitmask.  The agent has power if it reaches anything but the outcome, and
+    Raw quantifiers, each profile on its own, from its tops code and its
+    cell's agent lines (``cell_lines``): for each agent whose top is not the
+    outcome, the outcomes reached by all m! misreports form a bitmask.  The agent has power if it reaches anything but the outcome, and
     the profile is manipulable if some stand-in preference with that agent's
     top ranks a reached outcome strictly above the outcome.
     """
@@ -94,7 +94,9 @@ def table_profile_verdicts(table, sp):
     ]
     verdicts = []
     append = verdicts.append
-    for tc, _dominated, agents in _engine.profile_rows(sp.n, sp.m):
+    lines = _engine.cell_lines(sp.n, sp.m)
+    for tc in _engine.profile_tops_codes(sp.n, sp.m):
+        agents = lines[tc]
         out = table[tc]
         out_bit = bits[out]
         verdict = DICTATORIAL
@@ -118,9 +120,11 @@ def table_profile_verdicts(table, sp):
 
 
 def table_efficient_definitional(table, sp):
-    """Per-rule reference for ``block_efficient_definitional``: no profile row's
-    enumerated dominated mask holds the rule's outcome at that row's cell."""
-    for tc, dominated, _agents in _engine.profile_rows(sp.n, sp.m):
+    """Per-rule reference for ``block_efficient_definitional``: no profile's
+    enumerated dominated mask holds the rule's outcome at the profile's cell."""
+    for tc, dominated in zip(
+        _engine.profile_tops_codes(sp.n, sp.m), _engine.profile_dominated(sp.n, sp.m)
+    ):
         if (dominated >> table[tc]) & 1:
             return False
     return True
@@ -165,7 +169,7 @@ def test_kernel_matches_object_layer_on_whole_space(n, m, strategy_proof):
     # witness; the full tables repeat each tops cell's outcome at its profiles
     sp = space(n, m)
     tops_codes = [
-        sp.tops_code_of([q.rank_code for q in p.prefs]) for p in enumerate_profiles(n, m)
+        sum(t * w for t, w in zip(p.tops, sp.tops_weights)) for p in enumerate_profiles(n, m)
     ]
     oracle = {t: object_witness(n, m, t) for t in all_tables(n, m)}
     mismatches = [t for t, w in oracle.items() if table_manipulation(list(t), sp) != w]
@@ -512,6 +516,20 @@ def test_block_manipulable_on_cell_efficient_tables(odd_blocks):
     assert assert_blocks_match_per_rule(3, 3, tables) == 3 + 3
 
 
+def test_block_kernels_on_cell_efficient_tables_at_2_4(odd_blocks):
+    # a (2,4) cell holds 36 profiles, the widest cell whose verdicts these
+    # tests check profile by profile; cell-efficient tables keep more cells
+    # dictatorial than uniform ones
+    tables = [rule.outcomes for rule in sample_efficient_tops_tables(2, 4, 60, 20276)]
+    sp = space(2, 4)
+    assert sp.cell_profile_count == 36
+    assert any(
+        0 < cells_masks(t, sp)[1].bit_count() < sp.tops_count for t in tables
+    )
+    tables += constants_and_dictators(2, 4)
+    assert assert_blocks_match_per_rule(2, 4, tables) == 4 + 2
+
+
 def test_block_cell_counts_exact_past_255_cells(odd_blocks):
     # (4, 4) has 256 cells; the last table is non-dictatorial at every one
     # (agent 0 never gets its top and moves the outcome), so a count lane
@@ -524,41 +542,43 @@ def test_block_cell_counts_exact_past_255_cells(odd_blocks):
     assert cell_counts(every_cell, sp) == (sp.profile_count, 0)
 
 
-def test_block_verdicts_read_each_profile_row(monkeypatch):
-    # give profile 1 the agents of another cell while keeping its tops code:
-    # a kernel that copies one verdict per tops cell to its profiles cannot
-    # follow, both per-profile kernels must
-    sp = space(2, 3)
-    rows = list(_engine.profile_rows(2, 3))
-    tc, dominated, _ = rows[1]
-    rows[1] = (tc, dominated, rows[12][2])
-    monkeypatch.setattr(_engine, "profile_rows", lambda n, m: tuple(rows))
-    tables = seeded_tables(2, 3, 50, 20267)
-    dictatorial, manipulable = block_profile_verdicts(block_of(sp, tables))
-    per_rule = [table_profile_verdicts(t, sp) for t in tables]
-    assert sum(v[1] != v[0] for v in per_rule) > 0
-    for r, verdicts in enumerate(per_rule):
+def test_block_verdicts_follow_each_cells_lines(monkeypatch):
+    # give cell 1, tops (0, 1), the agents and lines of cell 5, tops (1, 2):
+    # every profile of cell 1, and no other profile, must follow the patch,
+    # in the cell kernels and in the per-profile twin alike
+    n, m = 2, 3
+    sp = space(n, m)
+    tables = seeded_tables(n, m, 50, 20267)
+    honest = block_profile_verdicts(block_of(sp, tables))
+    lines = list(_engine.cell_lines(n, m))
+    lines[1] = lines[5]
+    monkeypatch.setattr(_engine, "cell_lines", lambda n, m: tuple(lines))
+    patched = block_profile_verdicts(block_of(sp, tables))
+    for r, table in enumerate(tables):
         assert [
             ((d >> r) & 1) * DICTATORIAL | ((mp >> r) & 1) * MANIPULABLE
-            for d, mp in zip(dictatorial, manipulable)
-        ] == verdicts
+            for d, mp in zip(*patched)
+        ] == table_profile_verdicts(table, sp), table
+    moved = [
+        pc for pc in range(sp.profile_count)
+        if (honest[0][pc], honest[1][pc]) != (patched[0][pc], patched[1][pc])
+    ]
+    tops_codes = _engine.profile_tops_codes(n, m)
+    assert moved == [pc for pc, tc in enumerate(tops_codes) if tc == 1]
 
 
 def test_block_manipulable_tries_every_misreport(monkeypatch):
     # what a rule reaches depends only on the set of cells on a line; the
-    # real rows list each distinct cell once, lowest first, and these list
-    # them in reverse, so a kernel that skips an entry of the list misses
-    # every misreport to some top whichever end it skips (at m = 2 every
+    # real lines list each cell once, lowest first, and these list them in
+    # reverse, so a kernel that skips an entry of a line misses every
+    # misreport to some top whichever end it skips (at m = 2 every
     # manipulation also has a mirror image by the other misreport)
     n, m = 2, 3
-    rows = tuple(
-        (tc, dominated, tuple(
-            (top, tuple(sorted(set(line), reverse=True)))
-            for top, line in agents
-        ))
-        for tc, dominated, agents in _engine.profile_rows(n, m)
+    lines = tuple(
+        tuple((top, tuple(reversed(line))) for top, line in agents)
+        for agents in _engine.cell_lines(n, m)
     )
-    monkeypatch.setattr(_engine, "profile_rows", lambda n, m: rows)
+    monkeypatch.setattr(_engine, "cell_lines", lambda n, m: lines)
     sp = space(n, m)
     tables = all_tables(n, m)
     block = block_of(sp, tables)
@@ -599,8 +619,8 @@ def test_block_manipulable_answers_for_within(n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
 def test_row_lines_are_the_cells_each_misreport_reaches(n, m):
-    # the block kernels and their per-rule twin read the same lines, so a
-    # wrong line moves both: check each against the object layer directly
+    # the block kernels and their per-rule twin read the same lines and tops
+    # codes, so a wrong entry moves both: check each against the object layer
     def tops_code(profile):
         code = 0
         for t in profile.tops:
@@ -608,15 +628,37 @@ def test_row_lines_are_the_cells_each_misreport_reaches(n, m):
         return code
 
     misreports = enumerate_preferences(m)
-    rows = _engine.profile_rows(n, m)
-    assert len(rows) == math.factorial(m) ** n
-    for pc, (tc, _dominated, agents) in enumerate(rows):
+    lines = _engine.cell_lines(n, m)
+    tops_codes = _engine.profile_tops_codes(n, m)
+    assert len(lines) == m**n
+    assert len(tops_codes) == math.factorial(m) ** n
+    for pc, tc in enumerate(tops_codes):
         profile = profile_from_code(pc, n, m)
         assert tc == tops_code(profile)
+        agents = lines[tc]
         assert [top for top, _line in agents] == list(profile.tops)
         for i, (_top, line) in enumerate(agents):
             reached = [tops_code(profile.with_replaced(i, q)) for q in misreports]
-            assert line == tuple(dict.fromkeys(reached)), (pc, i)
+            assert list(line) == sorted(set(reached)), (pc, i)
+            assert len(line) == m
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_profile_dominated_masks_are_the_pareto_comparison(n, m):
+    # bit x of a profile's mask is set iff another alternative beats x in
+    # every agent's preference, compared on the object layer's profile
+    masks = _engine.profile_dominated(n, m)
+    assert len(masks) == math.factorial(m) ** n
+    for pc, mask in enumerate(masks):
+        prefs = profile_from_code(pc, n, m).prefs
+        expected = sum(
+            1 << x for x in range(m)
+            if any(all(p.prefers(y, x) for p in prefs) for y in range(m) if y != x)
+        )
+        assert mask == expected, pc
+    # unanimous profiles dominate every alternative but the shared top
+    assert max(mask.bit_count() for mask in masks) == m - 1
+    assert 0 in masks
 
 
 # ---------------------------------------------------------------------------
@@ -684,17 +726,19 @@ def test_block_predicates_match_per_rule_on_sampled_tables(block_rules, n, m, co
     assert assert_predicates_match_per_rule(n, m, tables)["dictator"] == n
 
 
-def test_block_efficient_definitional_reads_the_rows(monkeypatch):
-    # mark agent 0's top dominated in every row: Pareto efficiency read from
-    # these rows differs from the tops-cell criterion, which a kernel reading
-    # the cell masks would still give (on honest rows the two agree on every
-    # tops-table rule)
-    rows = tuple(
-        (tc, dominated | (1 << agents[0][0]), agents)
-        for tc, dominated, agents in _engine.profile_rows(2, 3)
-    )
-    monkeypatch.setattr(_engine, "profile_rows", lambda n, m: rows)
+def test_block_efficient_definitional_reads_the_dominated_masks(monkeypatch):
+    # mark agent 0's top dominated at every profile: Pareto efficiency read
+    # from these masks differs from the tops-cell criterion, which a kernel
+    # reading the cell masks would still give (on honest masks the two agree
+    # on every tops-table rule)
     sp = space(2, 3)
+    masks = tuple(
+        dominated | (1 << sp.tops_tuples[tc][0])
+        for tc, dominated in zip(
+            _engine.profile_tops_codes(2, 3), _engine.profile_dominated(2, 3)
+        )
+    )
+    monkeypatch.setattr(_engine, "profile_dominated", lambda n, m: masks)
     tables = all_tables(2, 3)
     assert_predicates_match_per_rule(2, 3, tables)
     assert any(
