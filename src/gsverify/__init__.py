@@ -22,21 +22,18 @@ compiles ``classify``.  Every command compiles ``errors``, ``prefs`` and
 __version__ = "0.1.0"
 
 
-def _register_lazily(*names: str) -> None:
-    """Put each submodule in ``sys.modules`` and in this namespace now, to
-    be compiled and executed when one of its attributes is first read."""
-    import sys
-    from importlib.util import LazyLoader, find_spec, module_from_spec
+# ``rules`` and ``classify`` go into ``sys.modules`` and this namespace now,
+# before ``constructions``, which binds ``rules`` at import; each is compiled
+# and executed when one of its attributes is first read
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-    for name in names:
-        spec = find_spec(f"{__name__}.{name}")
-        spec.loader = LazyLoader(spec.loader)
-        module = sys.modules[spec.name] = globals()[name] = module_from_spec(spec)
-        spec.loader.exec_module(module)
-
-
-# before ``constructions``, which binds ``rules`` at import
-_register_lazily("rules", "classify")
+for _name in ("rules", "classify"):
+    _spec = find_spec(f"{__name__}.{_name}")
+    _spec.loader = LazyLoader(_spec.loader)
+    _module = sys.modules[_spec.name] = globals()[_name] = module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del sys, LazyLoader, find_spec, module_from_spec, _name, _spec, _module
 
 from .errors import (
     BudgetExceededError,

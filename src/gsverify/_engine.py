@@ -30,19 +30,14 @@ ranking with the agent's top): each profile's agent term is one such
 triple, and every triple occurs.
 
 Rule streams go through the rule-block kernels a block at a time.  A
-``Block`` is one value: its rules' digits back to back in one ``bytes``,
-their codes, and whether the column memo may keep it; bit r of every bitset
-the kernels return stands for rule r, so each visit above is a few big-int
-operations covering the whole block.  ``Block.cols``, its one column form,
-gives per tops code and outcome the rules selecting it; the verdict kernels
-OR it over the cells of each agent's line.  The suite walks its exhaustive
-streams again and again (the tops-table stream in every check, the class in
-L4 and R2), so ``COLUMN_MEMO`` keeps the columns of their blocks, the only
-ones built with ``keep=True``, first-come within ``COLUMN_MEMO_BYTES``,
-evicting none.  No other block (sampled streams, drawn tables, the one-rule
-blocks of ``classify_all`` and ``rules.efficient_via_tops``, and every
-``Block.cut``) is asked for again, so none is kept.  This module alone
-decides what the memo keeps.
+``Block`` is one value: its rules' digits back to back in one ``bytes``
+and their codes; bit r of every bitset the kernels return stands for rule
+r, so each visit above is a few big-int operations covering the whole
+block.  ``Block.cols``, its one column form, gives per tops code and
+outcome the rules selecting it, built once per block; the verdict kernels
+OR it over the cells of each agent's line.  This module keeps no columns
+between calls: a block that is scanned again (the exhaustive streams a
+``lemmas`` run keeps in its scope) is the same object, columns and all.
 The block predicates (``block_unanimous``, ``block_efficient_cells``,
 ``block_efficient_definitional``, ``block_dictators`` and
 ``block_manipulable``, which decides strategy-proofness for every
@@ -66,10 +61,9 @@ canonical ``TOPS`` string.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import permutations, product
 
 from .prefs import check_profile_work
 
@@ -190,41 +184,6 @@ def profile_dominated(n: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-# Bytes of block columns the memo retains.  The suite rescans the same
-# exhaustive blocks in order once per check, so the first blocks that fit are
-# kept and none is evicted: an LRU memo smaller than the scan evicts each block
-# just before it is asked for again.  The (2,3) suite's 11 blocks (0.24 MB
-# with their keys) fit, the (4,2) suite's 40 (1.63 MB) do not.
-COLUMN_MEMO_BYTES = 1 << 20
-
-
-class ColumnMemo:
-    """Block columns per block bytes, one ``Space`` at a time, kept first-come
-    within ``limit`` and never evicted.  It holds columns only, never a
-    verdict: every kernel computes its answer from them."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.sp: Space | None = None
-        self.records: dict = {}  # block bytes -> (cols, bytes)
-        self.size = 0
-        self.misses = 0
-
-    def lookup(self, joined: bytes, sp: Space, keep: bool = True) -> list[tuple[int, ...]]:
-        """The block's columns.  A ``keep`` block of another space empties the
-        memo first; a missed block is kept only if ``keep`` and it fits."""
-        if keep and sp is not self.sp:
-            self.sp, self.records, self.size = sp, {}, 0
-        record = self.records.get(joined) if sp is self.sp else None
-        if record is None:
-            self.misses += 1
-            record = _columns_of(joined, sp)
-            if keep and self.size + record[1] <= self.limit:
-                self.records[joined] = record
-                self.size += record[1]
-        return record[0]
-
-
 @lru_cache(maxsize=None)
 def _outcome_tables(m: int) -> tuple[bytes, ...]:
     """Per outcome x, the ``translate`` table taking byte x to b"1" and any
@@ -244,9 +203,8 @@ def _selecting(column: bytes, table: bytes) -> int:
     return int(column.translate(table)[::-1], 2)
 
 
-def _columns_of(joined: bytes, sp: Space) -> tuple[list[tuple[int, ...]], int]:
-    """A block's memo record: per tops code, the rule bitset of each outcome,
-    and the bytes of those bitsets with the key.
+def _columns_of(joined: bytes, sp: Space) -> list[tuple[int, ...]]:
+    """A block's columns: per tops code, the rule bitset of each outcome.
 
     Every ``Block`` holds digits below m (the exhaustive and sampled streams,
     drawn codes, class draws, one-rule blocks of parsed rules and ``cut``
@@ -263,11 +221,7 @@ def _columns_of(joined: bytes, sp: Space) -> tuple[list[tuple[int, ...]], int]:
         outs = [int(column.translate(t), 2) for t in eq]
         outs.append(full - sum(outs))  # the others are disjoint subsets of full
         cols.append(tuple(outs))
-    size = sys.getsizeof(joined) + sum(map(sys.getsizeof, chain(*cols)))
-    return cols, size
-
-
-COLUMN_MEMO = ColumnMemo(COLUMN_MEMO_BYTES)
+    return cols
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -289,30 +243,27 @@ def low_bit(bits: int) -> int:
 class Block:
     """A block of tops-table rules: their digits back to back in ``joined``,
     ``tops_count`` per rule, so ``joined[c::cells]`` is column c, one byte per
-    rule; their ``codes`` (rule codes, indices in the product over the
-    efficient class, positions in a sampled or drawn stream); and whether
-    ``COLUMN_MEMO`` may keep its columns.  Bit r of ``full`` stands for rule r.
-
-    Only the exhaustive streams build blocks with ``keep=True``: no later
-    call asks for any other block again.  A block fetches its columns once.
+    rule; and their ``codes`` (rule codes, indices in the product over the
+    efficient class, positions in a sampled or drawn stream).  Bit r of
+    ``full`` stands for rule r.  A block builds its columns once, on first
+    use, and keeps them as long as it lives.
     """
 
-    __slots__ = ("sp", "joined", "codes", "count", "full", "keep", "_cols")
+    __slots__ = ("sp", "joined", "codes", "count", "full", "_cols")
 
-    def __init__(self, sp: Space, joined: bytes, codes: Sequence[int], keep: bool = False):
+    def __init__(self, sp: Space, joined: bytes, codes: Sequence[int]):
         self.sp = sp
         self.joined = joined
         self.codes = codes
         self.count = len(joined) // sp.tops_count
         self.full = (1 << self.count) - 1
-        self.keep = keep
         self._cols = None
 
     @property
     def cols(self) -> list[tuple[int, ...]]:
         """Per tops code, the bitset of rules selecting each outcome."""
         if self._cols is None:
-            self._cols = COLUMN_MEMO.lookup(self.joined, self.sp, self.keep)
+            self._cols = _columns_of(self.joined, self.sp)
         return self._cols
 
     def digits(self, r: int) -> bytes:
@@ -321,8 +272,7 @@ class Block:
         return self.joined[r * cells : (r + 1) * cells]
 
     def cut(self, bits: int) -> Block:
-        """The block of the rules in ``bits``, in order, with their codes.
-        Its callers read it once, so the memo does not keep its columns."""
+        """The block of the rules in ``bits``, in order, with their codes."""
         rows = bit_indices(bits)
         cells, joined = self.sp.tops_count, self.joined
         cut = b"".join([joined[r * cells : (r + 1) * cells] for r in rows])

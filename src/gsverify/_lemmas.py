@@ -9,22 +9,25 @@ checks, counterexample, detail)``; ``_LEMMA_IMPLS`` maps the check ids of
 checks of one ``lemmas`` run share (a call of its own gets an empty one),
 so nothing a check derives outlives the run.
 
-The runners read the rule stream of ``constructions`` (``_iter_rule_blocks``)
-an ``_engine.Block`` at a time, in this process, and every stage is a
-bitset over a block from the kernels of ``_engine``.  L4 and R2 quantify
-over the tops-only efficient class, the tables selecting one of the agents'
-tops at every tops cell.  Exhaustively they walk it as the product of the
-cells' tops sets (``constructions._exhaustive_blocks`` over
-``Space.cell_tops_sets``), whose blocks the memo keeps, as it keeps the
-tops-table stream's: both checks walk it.  Sampled, they draw from it.  L3
-still tests efficiency by its definition over the tops-table stream.  The
-other blocks the runners build (the sampled class, the dictatorships that
-anchor a sample, and C2's drawn codes) come from one chunker,
-``_table_blocks``, and are read once, so the memo does not keep them.  L4,
-L5, C2 and R1 read per-profile verdicts (``block_profile_verdicts``), R2
-reads cell counts (``block_cell_masks``), and L1, C1 and L3 read Pareto
-efficiency from each profile's enumerated dominated mask
-(``block_efficient_definitional``).
+The runners read their streams an ``_engine.Block`` at a time, in this
+process, and every stage is a bitset over a block from the kernels of
+``_engine``.  Every check gets its stream from ``_blocks``: the tops-table
+stream of ``constructions`` (``_iter_rule_blocks``), or the tops-only
+efficient class of L4 and R2, the tables selecting one of the agents' tops
+at every tops cell.  Exhaustively the class is the product of the cells'
+tops sets (``constructions._exhaustive_blocks`` over
+``Space.cell_tops_sets``); sampled, it is drawn.  The run's scope keeps
+each exhaustive stream of at most ``_KEPT_RULES`` rules as a list of
+blocks, so the columns a block builds in its first scan serve every later
+check: at (2,3) the suite builds columns 11 times, once per block of the
+two streams.  THM reads the kept tops tables through the body of the
+census.  L3 still tests efficiency by its definition over the tops-table
+stream.  The other blocks the runners build (the sampled class, the
+dictatorships that anchor a sample, and C2's drawn codes) come from one
+chunker, ``_table_blocks``, and are read once.  L4, L5, C2 and R1 read
+per-profile verdicts (``block_profile_verdicts``), R2 reads cell counts
+(``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from each
+profile's enumerated dominated mask (``block_efficient_definitional``).
 
 Within a run each block's verdicts are computed once.  An L5 that passes
 leaves in the scope, per block of its stream, the carry planes
@@ -51,14 +54,16 @@ walk the pairs.  THM is the census.
 
 Names these runners share with ``constructions`` that callers may patch
 there are read through that module at call time: ``_BLOCK_RULES``, the
-census and the counterexample certificate.  The closed-form checks (L1, C1
-and THM) read the object layer's predicates and parser as ``rules.X`` at
-call time, so that a caller may patch them there.  Importing this module
-loads ``rules`` (the closed-form classes); no check compiles ``classify``.
+census body and the counterexample certificate.  The closed-form checks
+(L1, C1 and THM) read the object layer's predicates and parser as
+``rules.X`` at call time, so that a caller may patch them there.
+Importing this module loads ``rules`` (the closed-form classes); no check
+compiles ``classify``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Iterator
 from functools import reduce
@@ -69,6 +74,36 @@ from . import _engine, constructions, rules
 from .constructions import _iter_rule_blocks, _stage_mask, rule_space_size
 from .prefs import profile_from_code
 from .rules import BordaLexRule, ConstantRule, DictatorRule, MajorityLexRule
+
+
+# Rules of an exhaustive stream that a run keeps in its scope.  At the
+# default budget this holds every exhaustive stream: the largest is the
+# 65536 tops tables at (4,2).
+_KEPT_RULES = 1 << 16
+
+
+def _blocks(stream, n, m, mode, samples, seed, scope):
+    """The blocks of a check's stream: the tops tables (``stream`` "tables",
+    the one rule stream ``_iter_rule_blocks``) or the tops-only efficient
+    class ("class", the tables selecting one of the agents' tops at every
+    tops cell).  Exhaustively, a stream of at most ``_KEPT_RULES`` rules is
+    built once per run into a list in ``scope``, keyed by (stream, n, m): its
+    blocks keep the columns the first scan builds, and every later check
+    reads them.  A larger stream is built afresh per scan, and ``samples``
+    uniform draws (``constructions._efficient_tables`` for the class) are
+    read once."""
+    sp = _engine.space(n, m)
+    if mode == "sampled":
+        if stream == "tables":
+            return _iter_rule_blocks(n, m, mode, samples, seed)
+        return _table_blocks(sp, constructions._efficient_tables(sp, samples, seed))
+    sets = (range(m),) * sp.tops_count if stream == "tables" else sp.cell_tops_sets
+    if math.prod(map(len, sets)) > _KEPT_RULES:
+        return constructions._exhaustive_blocks(sp, sets)
+    key = (stream, n, m)
+    if key not in scope:
+        scope[key] = list(constructions._exhaustive_blocks(sp, sets))
+    return scope[key]
 
 
 def _verify_l1(n, m, mode, samples, seed, scope):
@@ -95,7 +130,8 @@ def _strategy_proof_unanimous_scan(
     """
     key = ("strategy-proof unanimous stream", n, m, mode, samples, seed)
     if key not in scope:
-        scope[key] = _strategy_proof_unanimous_stream(n, m, mode, samples, seed)
+        blocks = _blocks("tables", n, m, mode, samples, seed, scope)
+        scope[key] = _strategy_proof_unanimous_stream(n, m, blocks)
     unanimous, strategy_proof, inefficient = scope[key]
     closed = 0
     counterexample = None
@@ -113,12 +149,12 @@ def _strategy_proof_unanimous_scan(
     return unanimous + closed, counterexample, (unanimous, strategy_proof, closed)
 
 
-def _strategy_proof_unanimous_stream(n, m, mode, samples, seed):
+def _strategy_proof_unanimous_stream(n, m, blocks):
     """The stream half of ``_strategy_proof_unanimous_scan``: the unanimous
-    and the strategy-proof unanimous rules up to the first of those that is
-    not efficient, and that rule's string, or None."""
+    and the strategy-proof unanimous rules of ``blocks`` up to the first of
+    those that is not efficient, and that rule's string, or None."""
     unanimous = strategy_proof = 0
-    for block in _iter_rule_blocks(n, m, mode, samples, seed):
+    for block in blocks:
         unanimous_rules = _engine.block_unanimous(block, block.full)
         sp_rules = _stage_mask("strategy-proof", block, unanimous_rules)
         # tops-only (C1) holds by construction over this space
@@ -139,7 +175,7 @@ def _verify_l3(n, m, mode, samples, seed, scope):
     sp = _engine.space(n, m)
     checks = 0
     counterexample = None
-    for block in _iter_rule_blocks(n, m, mode, samples, seed):
+    for block in _blocks("tables", n, m, mode, samples, seed, scope):
         efficient = _engine.block_efficient_definitional(block, block.full)
         nobodys_top = efficient & ~_engine.block_efficient_cells(block, efficient)
         if nobodys_top:
@@ -161,19 +197,6 @@ def _verify_l3(n, m, mode, samples, seed, scope):
     return counterexample is None, checks, counterexample, detail
 
 
-def _te_blocks(n, m, mode, samples, seed):
-    """Blocks of the tops-only efficient class, the tables selecting one of
-    the agents' tops at every tops cell: the whole class as a product
-    stream, or ``samples`` uniform draws from it."""
-    sp = _engine.space(n, m)
-    if mode == "exhaustive":
-        return constructions._exhaustive_blocks(sp, sp.cell_tops_sets)
-    rng = random.Random(seed)
-    # one uniform draw of each cell's digit from its tops set, in tops-code order
-    draws = (bytes(map(rng.choice, sp.cell_tops_sets)) for _ in range(samples or 0))
-    return _table_blocks(sp, draws)
-
-
 def _table_blocks(sp: _engine.Space, tables: Iterable[bytes]) -> Iterator[_engine.Block]:
     """An iterable of digit tables cut into blocks of at most ``_BLOCK_RULES``,
     read once; a block's codes are its tables' positions in ``tables``."""
@@ -190,7 +213,7 @@ def _verify_l4(n, m, mode, samples, seed, scope):
     checks = 0
     counterexample = None
     dictators = 0
-    for block in _te_blocks(n, m, mode, samples, seed):
+    for block in _blocks("class", n, m, mode, samples, seed, scope):
         dictatorial, _ = _engine.block_profile_verdicts(block)
         everywhere = reduce(and_, dictatorial, block.full)  # every profile dictatorial
         agents = _engine.block_dictators(block, block.full)
@@ -266,7 +289,7 @@ def _verify_l5(n, m, mode, samples, seed, scope):
     rules = checks = 0
     counterexample = None
     planes = []
-    for block in _iter_rule_blocks(n, m, mode, samples, seed):
+    for block in _blocks("tables", n, m, mode, samples, seed, scope):
         block_rules, block_checks, counterexample = _l5_block(block, planes)
         rules += block_rules
         checks += block_checks
@@ -316,7 +339,7 @@ def _c2_planes(n: int, m: int, codes, scope: dict) -> list:
         shared = scope.get(("verdict planes", n, m, "exhaustive", None, None))
         if shared is not None:
             return shared
-        blocks = _iter_rule_blocks(n, m, "exhaustive", None, None)
+        blocks = _blocks("tables", n, m, "exhaustive", None, None, scope)
     else:
         sp = _engine.space(n, m)
         tables = (_engine.digits_from_code(code, sp.tops_count, m) for code in codes)
@@ -475,7 +498,7 @@ def _verify_r1(n, m, mode, samples, seed, scope):
     dictatorship anchors it always counts itself.
     """
     sp = _engine.space(n, m)
-    blocks = _iter_rule_blocks(n, m, mode, samples, seed)
+    blocks = _blocks("tables", n, m, mode, samples, seed, scope)
     # L5's planes cover the stream's blocks, not the anchors chained after them
     shared = scope.get(("verdict planes", n, m, mode, samples, seed), ())
     if mode == "sampled":
@@ -510,7 +533,7 @@ def _verify_r2(n, m, mode, samples, seed, scope):
     """Dictatorial iff maximal in the dictatorial-power order over the
     tops-only efficient pool (iff every profile is dictatorial)."""
     sp = _engine.space(n, m)
-    blocks = _te_blocks(n, m, mode, samples, seed)
+    blocks = _blocks("class", n, m, mode, samples, seed, scope)
     if mode == "sampled":
         # the pool always contains the dictatorships; anchor the sample
         blocks = chain(blocks, _table_blocks(sp, map(bytes, sp.dictator_tables)))
@@ -541,7 +564,8 @@ def _verify_r2(n, m, mode, samples, seed, scope):
 
 def _verify_thm(n, m, mode, samples, seed, scope):
     """Strategy-proof unanimous tops-table rules are exactly the dictatorships."""
-    report = constructions.census(n, m, mode=mode, samples=samples, seed=seed)
+    blocks = _blocks("tables", n, m, mode, samples, seed, scope)
+    report = constructions._census(n, m, mode, samples, seed, (), blocks)
     passed = report.sp_equals_dictators
     counterexample = None
     if not passed:

@@ -17,8 +17,7 @@ rules at a time: an ``_engine.Block``, the rules' digits back to back in one
 ``bytes`` with their codes.  Exhaustive blocks are the next
 ``_BLOCK_RULES`` codes of a product of per-cell digit sets, written a cell
 at a time (``_exhaustive_blocks``: every digit over the tops-table space,
-the cells' tops sets over the tops-only efficient class of L4 and R2), and
-are the only blocks whose columns the memo keeps;
+the cells' tops sets over the tops-only efficient class of L4 and R2);
 sampled blocks are consecutive slices of the ``randrange(m)``-per-tops-cell
 digits of ``random.Random(seed)``, drawn a block of generator words at a
 time (the tests pin them to the ``randrange`` loop).  Every scan runs in this
@@ -34,12 +33,13 @@ digits of the rules of ``_filter_mask``; the census keeps the bitsets and
 counts them with ``int.bit_count``, ``census_rows`` sums them per block into
 one class key per rule (``_engine.plane_counts``), and a census stage that
 is also a prefilter reuses the prefilter's bitset.
-A census block read once (the sampled stream) with no prefilter but
-unanimity is first cut to its unanimous rules, read from the digits of the
-m unanimous cells alone (``_engine.block_unanimous_digits``), and only the
-cut block's columns are built: about one rule in m**m is unanimous.  Blocks
-of an exhaustive stream keep all their rules, because the memo keeps their
-columns for the next scan of the same blocks.
+A census block read once (any stream ``census`` walks itself) with no
+prefilter but unanimity is first cut to its unanimous rules, read from the
+digits of the m unanimous cells alone (``_engine.block_unanimous_digits``),
+and only the cut block's columns are built: about one rule in m**m is
+unanimous.  The blocks of a list, the stream a ``lemmas`` run keeps in its
+scope (``_lemmas``), keep all their rules, because the other checks of the
+run read the columns the census builds.
 
 The nine suite checks live in ``_lemmas``, which ``verify_lemma`` imports
 on its first call; ``VerificationReport``, the counterexample certificate
@@ -197,8 +197,7 @@ def _exhaustive_blocks(
     block's codes are the tables' product indices (rule codes over
     ``(range(m),) * cells``).  Column c repeats each digit of ``sets[c]``
     run times in turn, run the product of the later sets' sizes: a block
-    writes its window of each column with one strided slice.  Later scans
-    walk these blocks again, so the memo may keep their columns."""
+    writes its window of each column with one strided slice."""
     cells, columns, total = len(sets), [], 1
     for digits in reversed(sets):
         # one period of the column, built once if a block holds a whole one
@@ -220,7 +219,7 @@ def _exhaustive_blocks(
                     for i in range(start // run, (end - 1) // run + 1)
                 ])
             out[c::cells] = window[: end - start]
-        yield _engine.Block(sp, bytes(out), range(start, end), keep=True)
+        yield _engine.Block(sp, bytes(out), range(start, end))
 
 
 # Mersenne Twister words drawn per generator call by the sampled rule stream (32 KB).
@@ -274,12 +273,17 @@ def sample_efficient_tops_tables(
     Such rules are unanimous and efficient by construction of the sample.
     """
     check_dims(n, m)
-    sp = _engine.space(n, m)
+    tables = _efficient_tables(_engine.space(n, m), count, seed)
+    return [rules.TopsTableRule(n, m, tuple(table)) for table in tables]
+
+
+def _efficient_tables(sp: _engine.Space, count: int, seed: int | None) -> Iterator[bytes]:
+    """``count`` seeded uniform draws from the tops-only efficient class: per
+    table, one ``random.Random(seed).choice`` of each cell's digit from its
+    tops set, in tops-code order."""
     rng = random.Random(seed)
-    return [
-        rules.TopsTableRule(n, m, tuple(map(rng.choice, sp.cell_tops_sets)))
-        for _ in range(count)
-    ]
+    for _ in range(count):
+        yield bytes(map(rng.choice, sp.cell_tops_sets))
 
 
 def enumerate_tops_only_rules(
@@ -399,22 +403,23 @@ class CensusReport:
 
 
 def _census_scan(
-    blocks: Iterator[_engine.Block], n: int, m: int, filters: tuple[str, ...]
+    blocks: Iterable[_engine.Block], n: int, m: int, filters: tuple[str, ...]
 ) -> tuple[list[int], list[tuple[str, bool]]]:
     """Cascade tallies in ``CENSUS_STAGES`` order, and (rule string,
     dictatorial) per strategy-proof survivor.
 
     Per block, each stage is one bitset within the stage before it.  The
     rules passing the prefilters pass those stages already, so a stage that
-    is also a prefilter keeps its input and is not tested again.  A block
-    read once (one the memo does not keep) with no prefilter but unanimity
-    is cut to its unanimous rules first, from the unanimous cells' digits,
-    and the rest of the cascade reads the columns of the cut block alone.
+    is also a prefilter keeps its input and is not tested again.  Unless
+    ``blocks`` is a list, kept for later scans, a block with no prefilter
+    but unanimity is read once: it is cut to its unanimous rules first, from
+    the unanimous cells' digits, and the rest of the cascade reads the
+    columns of the cut block alone.
     """
     tallies = [0] * len(CENSUS_STAGES)
     survivors: list[tuple[str, bool]] = []
+    cut_first = not isinstance(blocks, list) and filters in ((), ("unanimous",))
     for block in blocks:
-        cut_first = not block.keep and filters in ((), ("unanimous",))
         # stages every rule of a (cut) block has passed already
         passed = ("unanimous",) if cut_first else filters
         if cut_first:
@@ -467,18 +472,28 @@ def census(
         f"census at (n={n}, m={m})",
     )
     check_profile_work(n, m)  # the cascade's strategy-proofness stage
-    t0 = perf_counter()
     blocks = _iter_rule_blocks(n, m, resolved, eff_samples, eff_seed)
-    tallies, survivors = _census_scan(blocks, n, m, ordered_filters)
+    return _census(n, m, resolved, eff_samples, eff_seed, ordered_filters, blocks)
+
+
+def _census(
+    n: int, m: int, mode: str, samples: int | None, seed: int | None,
+    filters: tuple[str, ...], blocks: Iterable[_engine.Block],
+) -> CensusReport:
+    """The census of ``blocks``, the rule stream of the resolved ``mode``,
+    ``samples`` and ``seed``: the body of ``census``, and THM's census over
+    the stream its ``lemmas`` run keeps."""
+    t0 = perf_counter()
+    tallies, survivors = _census_scan(blocks, n, m, filters)
     sp_rules = tuple(rule for rule, _ in survivors)
     dict_rules = tuple(rule for rule, is_dictator in survivors if is_dictator)
     return CensusReport(
         n=n,
         m=m,
-        mode=resolved,
-        samples=eff_samples,
-        seed=eff_seed,
-        filters=ordered_filters,
+        mode=mode,
+        samples=samples,
+        seed=seed,
+        filters=filters,
         **dict(zip(CENSUS_STAGES, tallies)),
         strategy_proof_rules=sp_rules,
         dictator_rules=dict_rules,
@@ -605,9 +620,11 @@ def verify_lemma(
     ``mode="auto"`` runs exhaustively when the rule space (or, for C2, the
     pair space) fits the budget and falls back to seeded sampling otherwise.
     ``scope`` is a dict shared by the calls of one run: a check keeps there
-    what a later check of the run reads instead of scanning again (L5's
-    verdict counts for C2 and R1, one stream pass for L1 and C1).  Pass a
-    new one per run; a call without one scans for itself.
+    what a later check of the run reads instead of building it again (the
+    blocks of the exhaustive streams with their columns, L5's verdict counts
+    for C2 and R1, one stream pass for L1 and C1).  Pass a new one per run;
+    a call without one builds everything for itself, and nothing outlives
+    the run.
     """
     lemma, resolved, eff_samples, eff_seed = _resolve_lemma(lemma, n, m, mode, samples, seed)
     from . import _lemmas  # here, not at the top: a census never compiles the runners

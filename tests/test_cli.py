@@ -20,7 +20,6 @@ from gsverify import (
     ConstantRule,
     DictatorRule,
     TopsTableRule,
-    _engine,
     classify_all,
     cli,
     constructions,
@@ -143,8 +142,6 @@ class TestCensusCommand:
     def test_verbose_csv_equals_per_rule_rendering(self, capsys, monkeypatch, n, m, block_rules):
         # every filter subset, with block boundaries inside the stream or not
         monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
-        # a memo holding every block, so each subset's scan computes no column twice
-        monkeypatch.setattr(_engine, "COLUMN_MEMO", _engine.ColumnMemo(1 << 26))
         names = constructions.FILTER_NAMES
         for k in range(len(names) + 1):
             for subset in combinations(names, k):
@@ -593,9 +590,10 @@ class TestGoldenReports:
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_report_digest_of_a_suite_past_the_memo_bound(self, capsys):
-        # the one default-budget suite whose blocks overflow the column memo;
-        # at m = 2 the theorem does not hold, so L4, R2 and THM fail (exit 1)
+    def test_report_digest_of_the_largest_kept_suite(self, capsys):
+        # the default-budget suite with the largest streams its run keeps
+        # (65536 tops tables); at m = 2 the theorem does not hold, so L4, R2
+        # and THM fail (exit 1)
         code, out, _ = invoke(capsys, "lemmas", "--suite", "all", "--agents", "4", "--alts", "2")
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -3,7 +3,6 @@
 import json
 import math
 import random
-import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -429,13 +428,13 @@ class TestExhaustiveStream:
             blocks = list(_iter_rule_blocks(n, m, "exhaustive", None, None))
         else:
             sets = sp.cell_tops_sets
-            blocks = list(_lemmas._te_blocks(n, m, "exhaustive", None, None))
+            blocks = list(_lemmas._blocks("class", n, m, "exhaustive", None, None, {}))
         expected = list(map(bytes, product(*sets)))
         assert [b.digits(r) for b in blocks for r in range(b.count)] == expected
         assert [code for b in blocks for code in b.codes] == list(range(len(expected)))
         whole, rest = divmod(len(expected), block_rules)
         assert [b.count for b in blocks] == [block_rules] * whole + [rest] * (rest > 0)
-        assert all(b.keep and len(b.joined) == b.count * sp.tops_count for b in blocks)
+        assert all(len(b.joined) == b.count * sp.tops_count for b in blocks)
 
 
 class TestEfficientClassStream:
@@ -443,20 +442,20 @@ class TestEfficientClassStream:
     the agents' tops at every tops cell, as a product of the cells' tops sets."""
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (2, 3)])
-    def test_equals_the_filtered_tops_table_stream(self, fresh_memo, monkeypatch, n, m):
+    def test_equals_the_filtered_tops_table_stream(self, monkeypatch, n, m):
         expected = filtered_digits(n, m, ("unanimous", "efficient"))
         for block_rules in (7, constructions._BLOCK_RULES):
             monkeypatch.setattr(constructions, "_BLOCK_RULES", block_rules)
-            blocks = list(_lemmas._te_blocks(n, m, "exhaustive", None, None))
+            blocks = _lemmas._blocks("class", n, m, "exhaustive", None, None, {})
             assert [b.digits(r) for b in blocks for r in range(b.count)] == expected
             assert [code for b in blocks for code in b.codes] == list(range(len(expected)))
-            assert all(0 < b.count <= block_rules and b.keep for b in blocks)
+            assert all(0 < b.count <= block_rules for b in blocks)
 
-    def test_holds_the_product_of_the_tops_sets_at_2_4(self, fresh_memo):
+    def test_holds_the_product_of_the_tops_sets_at_2_4(self):
         # the 4**16 tops tables are never walked: only the class is
         sets = _engine.space(2, 4).cell_tops_sets
         tables = []
-        for block in _lemmas._te_blocks(2, 4, "exhaustive", None, None):
+        for block in _lemmas._blocks("class", 2, 4, "exhaustive", None, None, {}):
             assert 0 < block.count <= constructions._BLOCK_RULES
             tables += (block.digits(r) for r in range(block.count))
         assert len(tables) == math.prod(map(len, sets)) == 4096
@@ -471,8 +470,20 @@ class TestEfficientClassStream:
         assert [block.count for block in blocks] == [7, 7, 6]
         assert [code for block in blocks for code in block.codes] == list(range(20))
         assert b"".join(block.joined for block in blocks) == b"".join(tables)
-        assert not any(block.keep for block in blocks)
         assert list(_lemmas._table_blocks(sp, [])) == []
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
+    def test_the_public_sampler_draws_the_sampled_class(self, monkeypatch, n, m):
+        # one seeded draw of the class: per table, rng.choice of each cell's
+        # tops set in tops-code order, in the public sampler and in L4 and R2
+        monkeypatch.setattr(constructions, "_BLOCK_RULES", 7)
+        rng = random.Random(11)
+        sets = _engine.space(n, m).cell_tops_sets
+        expected = [bytes(rng.choice(tops) for tops in sets) for _ in range(30)]
+        public = sample_efficient_tops_tables(n, m, 30, seed=11)
+        assert [bytes(rule.outcomes) for rule in public] == expected
+        blocks = _lemmas._blocks("class", n, m, "sampled", 30, 11, {})
+        assert [b.digits(r) for b in blocks for r in range(b.count)] == expected
 
 
 class TestCensus:
@@ -522,8 +533,9 @@ class TestCensus:
         assert report.filters == ("unanimous",)
 
     @pytest.mark.parametrize("filters,asked", [
-        ((), {"block_unanimous": 19683, "block_efficient_cells": 729,
-              "block_manipulable": 64, "block_dictators": 2}),
+        # cut to its unanimous rules from their digits: no block_unanimous
+        ((), {"block_efficient_cells": 729, "block_manipulable": 64,
+              "block_dictators": 2}),
         (("unanimous", "efficient"), {"block_unanimous": 19683,
                                       "block_efficient_cells": 729,
                                       "block_manipulable": 64, "block_dictators": 2}),
@@ -698,6 +710,19 @@ def spy_columns(monkeypatch):
     return built
 
 
+def spy_built(monkeypatch):
+    """The digits of every block whose columns are computed, in order."""
+    built = []
+    honest = _engine._columns_of
+
+    def spy(joined, sp):
+        built.append(joined)
+        return honest(joined, sp)
+
+    monkeypatch.setattr(_engine, "_columns_of", spy)
+    return built
+
+
 def is_unanimous_digits(digits, sp):
     return all(digits[tc] == x for tc, x in sp.unanimous_cells)
 
@@ -777,14 +802,19 @@ class TestCutCascade:
         assert report.unanimous == 75
         assert sum(built) == report.unanimous
 
-    def test_exhaustive_blocks_keep_their_columns(self, fresh_memo):
-        # the memo keeps an exhaustive block's columns for the next scan, so
-        # the cut is never taken there
+    def test_a_census_cuts_every_stream_but_a_kept_list(self, monkeypatch):
+        # a census walks the exhaustive stream once, so it cuts it too; THM
+        # reads the blocks its run keeps whole, with the columns L1 built
+        built = spy_columns(monkeypatch)
         report = census(2, 3, mode="exhaustive")
-        blocks = list(_iter_rule_blocks(2, 3, "exhaustive", None, None))
         assert report.total == 19683
-        assert fresh_memo.sp is _engine.space(2, 3)
-        assert set(fresh_memo.records) >= {block.joined for block in blocks}
+        assert sum(built) == report.unanimous == 729
+        built.clear()
+        scope = {}
+        verify_lemma("L1", 2, 3, scope=scope)
+        assert sum(built) == 19683
+        assert verify_lemma("THM", 2, 3, scope=scope).passed
+        assert sum(built) == 19683
 
 
 class TestVerifyLemma:
@@ -1388,91 +1418,110 @@ class TestDerivedRuleStrings:
 SUITE = ("L1", "L3", "L4", "L5", "C1", "C2", "R1", "R2", "THM")
 
 
-def suite_reports(before_each=lambda: None, n=2, m=3):
-    """The serial suite's reports at (n, m) as JSON text, one per check."""
-    reports = []
-    for lemma in SUITE:
-        before_each()
-        report = verify_lemma(lemma, n, m)
-        reports.append(json.dumps(report.to_json_dict(), sort_keys=True))
-    return reports
+def suite_reports(n, m, scope, **kwargs):
+    """The suite's reports at (n, m) as JSON text, one per check, the checks
+    sharing ``scope`` as the checks of one ``lemmas`` run do."""
+    return [
+        json.dumps(verify_lemma(lemma, n, m, scope=scope, **kwargs).to_json_dict(), sort_keys=True)
+        for lemma in SUITE
+    ]
 
 
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    memo = _engine.ColumnMemo(_engine.COLUMN_MEMO_BYTES)
-    monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
-    return memo
+def kept_streams(scope):
+    """The (stream, n, m) keys of the streams a run's scope keeps."""
+    return sorted(key for key in scope if key[0] in ("tables", "class"))
 
 
-class TestColumnMemo:
-    def test_suite_reports_equal_with_a_cold_memo(self, fresh_memo, monkeypatch):
-        warm = suite_reports()
-        assert fresh_memo.records and suite_reports() == warm
+class TestKeptStreams:
+    """A ``lemmas`` run keeps each exhaustive stream of at most
+    ``_lemmas._KEPT_RULES`` rules in its scope as a list of blocks, whose
+    columns are built in the first scan and read by every later check.
+    Nothing else keeps columns: every call outside a run builds its own."""
 
-        def cold():
-            memo = _engine.ColumnMemo(_engine.COLUMN_MEMO_BYTES)
-            monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
+    @staticmethod
+    def exhaustive(stream, n, m):
+        return [b.joined for b in _lemmas._blocks(stream, n, m, "exhaustive", None, None, {})]
 
-        assert suite_reports(cold) == warm
+    @pytest.mark.parametrize("n,m,blocks", [(2, 2, 2), (3, 2, 2), (2, 3, 11)])
+    def test_each_run_builds_each_blocks_columns_once(self, capsys, monkeypatch, n, m, blocks):
+        # L1 builds the blocks of the tops-table stream (10 at (2,3)) and L4
+        # the class's (1); the other checks, C2 counting the whole stream
+        # among them, read them.  A second run in the same process keeps
+        # nothing from the first, so it builds them again
+        expected = self.exhaustive("tables", n, m) + self.exhaustive("class", n, m)
+        assert len(expected) == blocks
+        built = spy_built(monkeypatch)
+        argv = ["lemmas", "--suite", "all", "--agents", str(n), "--alts", str(m)]
+        outs = []
+        for _ in range(2):
+            built.clear()
+            assert run(argv) == (m == 2)  # at m = 2 L4, R2 and THM fail
+            outs.append(capsys.readouterr().out)
+            assert built == expected
+        assert outs[0] == outs[1]
 
-    def test_suite_computes_each_block_once(self, fresh_memo, monkeypatch):
-        computed = []
-        honest = _engine._columns_of
+    def test_the_4x2_suite_builds_each_blocks_columns_once(self, monkeypatch):
+        # the largest exhaustive streams at the default budget: 65536 tops
+        # tables in 32 blocks and 16384 class tables in 8, both kept; C2
+        # samples its pairs, and builds the blocks of its drawn codes once
+        stream, te = self.exhaustive("tables", 4, 2), self.exhaustive("class", 4, 2)
+        assert (len(stream), len(te)) == (32, 8)
+        built = spy_built(monkeypatch)
+        scope = {}
+        suite_reports(4, 2, scope)
+        assert kept_streams(scope) == [("class", 4, 2), ("tables", 4, 2)]
+        assert len(built) == len(set(built))
+        assert set(stream + te) <= set(built)
 
-        def spy(joined, sp):
-            computed.append((joined, sp))
-            return honest(joined, sp)
+    @pytest.mark.parametrize("call", [
+        lambda: suite_reports(3, 3, {}, samples=60, seed=4),
+        lambda: census(2, 3).to_json_dict(),
+        lambda: census(3, 3, mode="sampled", samples=3000, seed=3).to_json_dict(),
+        lambda: census_row_tuples(2, 3),
+        lambda: [
+            classify_all(parse_rule(text, 2, 3), method=method)
+            for text in ("DICT:0", "TOPS:n=2,m=3:000011012") for method in ("cells", "scan")
+        ],
+    ], ids=["sampled-suite", "census", "sampled-census", "census-rows", "classify-all"])
+    def test_a_call_outside_a_run_keeps_no_columns(self, monkeypatch, call):
+        built = spy_built(monkeypatch)
+        first = call()
+        builds = list(built)
+        built.clear()
+        assert call() == first
+        assert builds and built == builds
 
-        monkeypatch.setattr(_engine, "_columns_of", spy)
-        lookups = Counter()
-        sampled = set()
-        honest_lookup = fresh_memo.lookup
+    @pytest.mark.parametrize("lemma", SUITE)
+    def test_a_sampled_check_keeps_no_stream(self, monkeypatch, lemma):
+        built = spy_built(monkeypatch)
+        scope = {}
+        first = verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1, scope=scope)
+        assert not kept_streams(scope)
+        builds = list(built)
+        built.clear()
+        again = verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1, scope={})
+        assert again.to_json_dict() == first.to_json_dict()
+        assert builds and built == builds
 
-        def counted(joined, sp, keep=True):
-            lookups[joined, sp] += 1
-            if not keep:
-                sampled.add((joined, sp))
-            return honest_lookup(joined, sp, keep)
+    @pytest.mark.parametrize("n,m,bound,kept", [
+        # the (2,3) class holds 64 rules, the (4,2) class 16384
+        (2, 3, 63, []), (2, 3, 64, ["class"]), (4, 2, 63, []), (4, 2, 16384, ["class"]),
+    ])
+    def test_a_stream_over_the_bound_is_not_kept(self, monkeypatch, n, m, bound, kept):
+        # past the bound a stream is built afresh for every scan, with the
+        # same reports
+        expected = suite_reports(n, m, {})
+        monkeypatch.setattr(_lemmas, "_KEPT_RULES", bound)
+        built = spy_built(monkeypatch)
+        scope = {}
+        assert suite_reports(n, m, scope) == expected
+        assert kept_streams(scope) == [(stream, n, m) for stream in kept]
+        stream = self.exhaustive("tables", n, m)
+        # every scan of the tables builds the blocks again
+        assert all(built.count(joined) > 1 for joined in stream)
 
-        monkeypatch.setattr(fresh_memo, "lookup", counted)
-        misses = []  # before each check, then after the last
-        suite_reports(lambda: misses.append(fresh_memo.misses))
-        misses.append(fresh_memo.misses)
-        assert fresh_memo.misses == len(computed) == len(set(computed)) == len(lookups)
-        # the lemmas walk the same blocks again and read the kept columns
-        assert sum(lookups.values()) > 2 * fresh_memo.misses
-        # C2 at (2,3) counts the exhaustive stream's kept blocks: no column miss
-        c2 = SUITE.index("C2")
-        assert misses[c2 + 1] == misses[c2]
-        # every kept block fits, so the memo holds each one it computed
-        assert len(fresh_memo.records) == fresh_memo.misses - len(sampled)
 
-    def test_a_suite_past_the_bound_keeps_its_first_blocks(self, fresh_memo, monkeypatch):
-        # the (4,2) suite's blocks overflow the memo; the blocks it holds are
-        # found again by every later scan instead of being evicted before it
-        built = spy_columns(monkeypatch)
-        reports = suite_reports(n=4, m=2)
-        assert fresh_memo.misses == len(built) < 100
-        assert 0 < fresh_memo.size <= _engine.COLUMN_MEMO_BYTES
-
-        def cold():
-            memo = _engine.ColumnMemo(_engine.COLUMN_MEMO_BYTES)
-            monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
-
-        assert suite_reports(cold, n=4, m=2) == reports
-
-    def test_the_suite_keeps_the_exhaustive_stream_blocks_alone(self, fresh_memo):
-        # the 10 blocks of the tops-table stream (9 x 2048 + 1251 rules) and
-        # the one block of the tops-only efficient class, each built once; no
-        # cut block is built
-        suite_reports()
-        stream = [b.joined for b in _iter_rule_blocks(2, 3, "exhaustive", None, None)]
-        te = [b.joined for b in _lemmas._te_blocks(2, 3, "exhaustive", None, None)]
-        assert (len(stream), len(te)) == (10, 1)
-        assert set(fresh_memo.records) == set(stream + te)
-        assert fresh_memo.misses == 11
-
+class TestBlockColumns:
     def test_columns_equal_the_per_outcome_build(self):
         # the last outcome's column is derived from the others, which holds
         # for the digits every kind of block carries
@@ -1496,7 +1545,7 @@ class TestColumnMemo:
             *_iter_rule_blocks(2, 2, "exhaustive", None, None),
             *_iter_rule_blocks(3, 2, "exhaustive", None, None),
             *_iter_rule_blocks(2, 3, "exhaustive", None, None),
-            *_lemmas._te_blocks(2, 3, "exhaustive", None, None),
+            *_lemmas._blocks("class", 2, 3, "exhaustive", None, None, {}),
             *_iter_rule_blocks(3, 3, "sampled", 300, 1),
             *_iter_rule_blocks(2, 4, "sampled", 300, 2),
             *_lemmas._table_blocks(sp23, (_engine.digits_from_code(c, 9, 3) for c in (5, 19682, 7))),
@@ -1509,131 +1558,35 @@ class TestColumnMemo:
             ),
         ]
         for block in blocks:
-            assert _engine._columns_of(block.joined, block.sp)[0] == per_outcome(block)
+            assert _engine._columns_of(block.joined, block.sp) == per_outcome(block)
 
-    def test_a_cut_of_a_kept_block_is_not_kept(self, fresh_memo):
+    def test_a_cut_block_holds_the_columns_of_its_rules(self):
         block = next(_iter_rule_blocks(2, 3, "exhaustive", None, None))
-        assert block.keep
         for bits in (block.full, block.full >> 1, 0b1011):
             cut = block.cut(bits)
-            assert not cut.keep
-            assert cut.joined == b"".join(block.digits(r) for r in _engine.bit_indices(bits))
-            assert cut.cols == _engine._columns_of(cut.joined, cut.sp)[0]
-        assert fresh_memo.misses == 3 and not fresh_memo.records
-
-    def test_a_kept_block_of_another_space_empties_the_memo(self, fresh_memo):
-        sp23, sp42 = _engine.space(2, 3), _engine.space(4, 2)
-        first, second = bytes(9), bytes([1] * 9)
-        fresh_memo.lookup(first, sp23)
-        fresh_memo.lookup(second, sp23)
-        held = dict(fresh_memo.records)
-        size = fresh_memo.size
-        # a block that is not kept, of another space, leaves the memo as it was
-        cols = fresh_memo.lookup(bytes(16), sp42, keep=False)
-        assert cols == _engine._columns_of(bytes(16), sp42)[0]
-        assert fresh_memo.records == held and fresh_memo.size == size
-        assert fresh_memo.sp is sp23
-        # a kept one empties it first, then is the only block held
-        fresh_memo.lookup(bytes(16), sp42)
-        assert list(fresh_memo.records) == [bytes(16)] and fresh_memo.sp is sp42
-        assert fresh_memo.size == fresh_memo.records[bytes(16)][1]
-        misses = fresh_memo.misses
-        fresh_memo.lookup(first, sp23)
-        assert fresh_memo.misses == misses + 1
-
-    @pytest.mark.parametrize("n,m", [(3, 3), (2, 4)])
-    def test_sampled_stream_keeps_no_record(self, fresh_memo, monkeypatch, n, m):
-        # no later call asks for a sampled block again
-        computed = []
-        honest = _engine._columns_of
-
-        def spy(joined, sp):
-            computed.append(joined)
-            return honest(joined, sp)
-
-        monkeypatch.setattr(_engine, "_columns_of", spy)
-        census(n, m, mode="sampled", samples=100_000, seed=3)
-        assert fresh_memo.misses == len(computed) > 0
-        assert not fresh_memo.records and fresh_memo.size == 0
-
-    @pytest.mark.parametrize("lemma", sorted(constructions.LEMMA_DESCRIPTIONS))
-    def test_sampled_lemma_keeps_no_record(self, fresh_memo, lemma):
-        verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1)
-        assert fresh_memo.misses > 0
-        assert not fresh_memo.records and fresh_memo.size == 0
-
-    def test_one_rule_blocks_leave_the_memo_alone(self, fresh_memo):
-        # classify_all asks about a block of one rule once; keeping it would
-        # evict the suite's blocks
-        verify_lemma("L1", 2, 3)
-        keys = list(fresh_memo.records)
-        rng = random.Random(14)
-        for i in range(2000):
-            rule = TopsTableRule(2, 3, tuple(rng.randrange(3) for _ in range(9)))
-            classify_all(rule, method=("cells", "scan")[i % 2])
-        assert list(fresh_memo.records) == keys
-        misses = fresh_memo.misses
-        verify_lemma("L1", 2, 3)
-        assert fresh_memo.misses == misses
-        assert list(fresh_memo.records) == keys
+            rows = _engine.bit_indices(bits)
+            assert cut.joined == b"".join(block.digits(r) for r in rows)
+            assert list(cut.codes) == [block.codes[r] for r in rows]
+            assert cut.cols == _engine._columns_of(cut.joined, cut.sp)
 
     @pytest.mark.parametrize("method", ["cells", "scan"])
-    def test_a_one_rule_block_builds_its_columns_once(self, fresh_memo, monkeypatch, method):
+    def test_a_one_rule_block_builds_its_columns_once(self, monkeypatch, method):
         # the verdict kernel and the unanimity bit read the same block
         built = spy_columns(monkeypatch)
         classify_all(TopsTableRule(2, 3, (0, 0, 0, 0, 1, 1, 0, 1, 2)), method=method)
         assert built == [1]
 
-    @pytest.mark.parametrize("keep", [True, False])
-    def test_columns_are_computed_once(self, fresh_memo, monkeypatch, keep):
+    def test_columns_are_computed_once(self, monkeypatch):
         sp = _engine.space(2, 3)
         tables = constants_and_dictators(sp)
-        block = _engine.Block(sp, b"".join(map(bytes, tables)), range(5), keep)
+        block = _engine.Block(sp, b"".join(map(bytes, tables)), range(5))
         built = spy_columns(monkeypatch)
         cols = block.cols
         assert block.cols is cols
-        assert built == [5] and fresh_memo.misses == 1
-        assert len(fresh_memo.records) == keep
+        assert built == [5]
         # bit r of outcome x's bitset at tops code tc: table r selects x there
         expected_cols = [
             tuple(sum(1 << r for r, t in enumerate(tables) if t[tc] == x) for x in range(3))
             for tc in range(sp.tops_count)
         ]
         assert cols == expected_cols
-
-    def test_exhaustive_stream_stays_within_the_bound(self, monkeypatch):
-        limit = 1 << 16  # a quarter of what the (2,3) census would keep
-        memo = _engine.ColumnMemo(limit)
-        monkeypatch.setattr(_engine, "COLUMN_MEMO", memo)
-        peak = 0
-        honest = memo.lookup
-
-        def watched(joined, sp, keep=True):
-            nonlocal peak
-            record = honest(joined, sp, keep)
-            peak = max(peak, memo.size)
-            return record
-
-        monkeypatch.setattr(memo, "lookup", watched)
-        census(2, 3, mode="exhaustive")
-        assert memo.misses > len(memo.records)  # the stream met blocks past the bound
-        assert 0 < peak <= limit
-        assert memo.size == sum(r[1] for r in memo.records.values())
-        # a second scan finds every held record, and holds no other
-        held, misses = dict(memo.records), memo.misses
-        census(2, 3, mode="exhaustive")
-        assert memo.records.keys() == held.keys()
-        assert all(memo.records[key] is record for key, record in held.items())
-        assert memo.misses - misses == misses - len(held)
-
-    def test_a_block_over_the_bound_is_not_kept(self):
-        memo = _engine.ColumnMemo(1000)
-        sp = _engine.space(2, 3)
-        block = bytes([0, 1, 2]) * 3 * 200
-        cols = memo.lookup(block, sp)
-        assert memo.size == 0 and not memo.records
-        record = _engine._columns_of(block, sp)
-        assert record[0] == cols and len(cols) == sp.tops_count
-        # the record counts the key and the columns
-        ints = [bits for col in cols for bits in col]
-        assert record[1] == sys.getsizeof(block) + sum(map(sys.getsizeof, ints)) > 1000

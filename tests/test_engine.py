@@ -233,41 +233,6 @@ def routed_through_the_engine(name):
     )
 
 
-def test_the_memo_policy_stays_in_the_engine():
-    # only _engine reaches the column memo, only the block and the memo
-    # itself take a keep flag or loose columns, and only the exhaustive
-    # streams build a block with a keep flag
-    memo_names = {"COLUMN_MEMO", "ColumnMemo", "_columns_of"}
-    allowed = {"Block.__init__", "ColumnMemo.lookup"}
-    named, takes, keeps = [], [], set()
-    for path in sorted(Path(_engine.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if isinstance(node, ast.alias):
-                name = node.name
-            if name in memo_names and path.stem != "_engine":
-                named.append(f"{path.stem}: {name}")
-            for child in ast.iter_child_nodes(node):
-                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                qualname = child.name
-                if isinstance(node, ast.ClassDef):
-                    qualname = f"{node.name}.{child.name}"
-                args = child.args
-                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-                if params & {"keep", "cols"} and qualname not in allowed:
-                    takes.append(f"{path.stem}.{qualname}")
-                for call in ast.walk(child):
-                    func = getattr(call, "func", None)
-                    if (getattr(func, "id", None) or getattr(func, "attr", None)) != "Block":
-                        continue
-                    flags = call.args[3:] + [k.value for k in call.keywords if k.arg == "keep"]
-                    keeps.update((f"{path.stem}.{qualname}", ast.unparse(f)) for f in flags)
-    assert not named and not takes, (named, takes)
-    assert keeps == {("constructions._exhaustive_blocks", "True")}
-
-
 def test_oracle_imports_nothing_from_the_engine():
     tree = ast.parse(Path(_definitional.__file__).read_text())
     imported = []
