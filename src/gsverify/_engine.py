@@ -35,9 +35,10 @@ and their codes; bit r of every bitset the kernels return stands for rule
 r, so each visit above is a few big-int operations covering the whole
 block.  ``Block.cols``, its one column form, gives per tops code and
 outcome the rules selecting it, built once per block; the verdict kernels
-OR it over the cells of each agent's line.  This module keeps no columns
-between calls: a block that is scanned again (the exhaustive streams a
-``lemmas`` run keeps in its scope) is the same object, columns and all.
+OR it over the cells of each agent's line.  ``Block.verdicts`` keeps the
+block's ``block_profile_verdicts`` the same way.  This module keeps nothing
+between calls: a block that is scanned again (a stream a ``lemmas`` run
+keeps in its scope) is the same object, columns, verdicts and all.
 The block predicates (``block_unanimous``, ``block_efficient_cells``,
 ``block_efficient_definitional``, ``block_dictators`` and
 ``block_manipulable``, which decides strategy-proofness for every
@@ -245,11 +246,11 @@ class Block:
     ``tops_count`` per rule, so ``joined[c::cells]`` is column c, one byte per
     rule; and their ``codes`` (rule codes, indices in the product over the
     efficient class, positions in a sampled or drawn stream).  Bit r of
-    ``full`` stands for rule r.  A block builds its columns once, on first
-    use, and keeps them as long as it lives.
+    ``full`` stands for rule r.  A block builds its columns and verdicts on
+    first use and keeps them as long as it lives.
     """
 
-    __slots__ = ("sp", "joined", "codes", "count", "full", "_cols")
+    __slots__ = ("sp", "joined", "codes", "count", "full", "_cols", "_verdicts")
 
     def __init__(self, sp: Space, joined: bytes, codes: Sequence[int]):
         self.sp = sp
@@ -257,7 +258,7 @@ class Block:
         self.codes = codes
         self.count = len(joined) // sp.tops_count
         self.full = (1 << self.count) - 1
-        self._cols = None
+        self._cols = self._verdicts = None
 
     @property
     def cols(self) -> list[tuple[int, ...]]:
@@ -265,6 +266,13 @@ class Block:
         if self._cols is None:
             self._cols = _columns_of(self.joined, self.sp)
         return self._cols
+
+    @property
+    def verdicts(self) -> tuple[list[int], list[int]]:
+        """The block's ``block_profile_verdicts``, decided on first use."""
+        if self._verdicts is None:
+            self._verdicts = block_profile_verdicts(self)
+        return self._verdicts
 
     def digits(self, r: int) -> bytes:
         """The digits of rule r."""

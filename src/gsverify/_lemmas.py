@@ -17,26 +17,25 @@ efficient class of L4 and R2, the tables selecting one of the agents' tops
 at every tops cell.  Exhaustively the class is the product of the cells'
 tops sets (``constructions._exhaustive_blocks`` over
 ``Space.cell_tops_sets``); sampled, it is drawn.  The run's scope keeps
-each exhaustive stream of at most ``_KEPT_RULES`` rules as a list of
-blocks, so the columns a block builds in its first scan serve every later
-check: at (2,3) the suite builds columns 11 times, once per block of the
-two streams.  THM reads the kept tops tables through the body of the
-census.  L3 still tests efficiency by its definition over the tops-table
-stream.  The other blocks the runners build (the sampled class, the
-dictatorships that anchor a sample, and C2's drawn codes) come from one
-chunker, ``_table_blocks``, and are read once.  L4, L5, C2 and R1 read
-per-profile verdicts (``block_profile_verdicts``), R2 reads cell counts
-(``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency from each
-profile's enumerated dominated mask (``block_efficient_definitional``).
+each stream of at most ``_KEPT_RULES`` rules, exhaustive or sampled, as a
+list of blocks, so the columns and verdicts a block builds in its first
+scan serve every later check: at (2,3) the suite builds columns 11 times,
+once per block of the two streams, and a sampled suite draws each stream
+once.  THM reads the kept tops tables through the body of the census.  L3
+still tests efficiency by its definition over the tops-table stream.  One
+chunker, ``_table_blocks``, cuts the tables the runners draw into blocks:
+the sampled class, and the dictatorships that anchor a sample and C2's
+drawn codes, which are read once.  L4 reads per-profile verdicts
+(``block_profile_verdicts``); L5, C2 and R1 read them through
+``Block.verdicts``, which a block decides once and keeps; R2 reads cell
+counts (``block_cell_masks``), and L1, C1 and L3 read Pareto efficiency
+from each profile's enumerated dominated mask
+(``block_efficient_definitional``).
 
-Within a run each block's verdicts are computed once.  An L5 that passes
-leaves in the scope, per block of its stream, the carry planes
-(``_engine.bit_planes``) of its rules' |M_f| and |D_f|, keyed by (n, m,
-mode, samples, seed); R1 on the same stream, exhaustive or sampled, reads
-them for the stream's blocks and scans only a sample's dictatorship anchors
-itself, and a C2 that counts the whole exhaustive stream reads L5's
-exhaustive planes.  Any other stream, a check before L5, or a run where L5
-found a counterexample scans for itself.  L1 and C1 are one scan
+Within a run each kept block's verdicts are decided once, whichever check
+asks first and whether or not L5 found a counterexample: C2 counts the
+carry planes (``_engine.bit_planes``) of its rules' |M_f| and |D_f|, and
+R1 those of |M_f|, from them.  L1 and C1 are one scan
 (``_strategy_proof_unanimous_scan``) with their own counterexample kind and
 closed-form test, and the scope keeps its stream half for the second.
 
@@ -76,9 +75,9 @@ from .prefs import profile_from_code
 from .rules import BordaLexRule, ConstantRule, DictatorRule, MajorityLexRule
 
 
-# Rules of an exhaustive stream that a run keeps in its scope.  At the
-# default budget this holds every exhaustive stream: the largest is the
-# 65536 tops tables at (4,2).
+# Rules of a stream that a run keeps in its scope: every exhaustive stream
+# at the default budget (at most the 65536 tops tables at (4,2)) and every
+# default sample but THM's 100000 rules.
 _KEPT_RULES = 1 << 16
 
 
@@ -86,23 +85,27 @@ def _blocks(stream, n, m, mode, samples, seed, scope):
     """The blocks of a check's stream: the tops tables (``stream`` "tables",
     the one rule stream ``_iter_rule_blocks``) or the tops-only efficient
     class ("class", the tables selecting one of the agents' tops at every
-    tops cell).  Exhaustively, a stream of at most ``_KEPT_RULES`` rules is
-    built once per run into a list in ``scope``, keyed by (stream, n, m): its
-    blocks keep the columns the first scan builds, and every later check
-    reads them.  A larger stream is built afresh per scan, and ``samples``
-    uniform draws (``constructions._efficient_tables`` for the class) are
-    read once."""
+    tops cell), all of it or ``samples`` draws (``_efficient_tables`` for the
+    class).  A stream of at most ``_KEPT_RULES`` rules is built once per run
+    into a list in ``scope``, keyed by (stream, n, m, mode, samples, seed),
+    whose blocks keep the columns and verdicts of their first scan; a larger
+    one is built afresh per scan."""
     sp = _engine.space(n, m)
     if mode == "sampled":
+        size = samples
         if stream == "tables":
-            return _iter_rule_blocks(n, m, mode, samples, seed)
-        return _table_blocks(sp, constructions._efficient_tables(sp, samples, seed))
-    sets = (range(m),) * sp.tops_count if stream == "tables" else sp.cell_tops_sets
-    if math.prod(map(len, sets)) > _KEPT_RULES:
-        return constructions._exhaustive_blocks(sp, sets)
-    key = (stream, n, m)
+            blocks = _iter_rule_blocks(n, m, mode, samples, seed)
+        else:
+            blocks = _table_blocks(sp, constructions._efficient_tables(sp, samples, seed))
+    else:
+        sets = (range(m),) * sp.tops_count if stream == "tables" else sp.cell_tops_sets
+        size = math.prod(map(len, sets))
+        blocks = constructions._exhaustive_blocks(sp, sets)
+    if size > _KEPT_RULES:
+        return blocks
+    key = (stream, n, m, mode, samples, seed)
     if key not in scope:
-        scope[key] = list(constructions._exhaustive_blocks(sp, sets))
+        scope[key] = list(blocks)
     return scope[key]
 
 
@@ -239,10 +242,9 @@ def _verify_l4(n, m, mode, samples, seed, scope):
     return counterexample is None, checks, counterexample, detail
 
 
-def _l5_block(block: _engine.Block, planes=None) -> tuple[int, int, dict | None]:
+def _l5_block(block: _engine.Block) -> tuple[int, int, dict | None]:
     """Rules and checks of the partition scan over one block of rules, which
-    stops at the first failing (rule, profile) in (rule, profile code) order;
-    appends the block's ``_verdict_planes`` to ``planes`` if given.
+    stops at the first failing (rule, profile) in (rule, profile code) order.
 
     Per profile and rule, the verdict must be exactly one of dictatorial and
     manipulable, and equal to the verdict at the first profile of its tops
@@ -252,9 +254,7 @@ def _l5_block(block: _engine.Block, planes=None) -> tuple[int, int, dict | None]
     It can fail only through a wrong kernel or a wrong ``profile_tops_codes``.
     """
     sp, count, full = block.sp, block.count, block.full
-    dictatorial, manipulable = verdicts = _engine.block_profile_verdicts(block)
-    if planes is not None:
-        planes.append(_verdict_planes(block, verdicts))
+    dictatorial, manipulable = block.verdicts
     first_in_cell: dict[int, int] = {}
     not_one = []
     failing = []
@@ -288,15 +288,12 @@ def _verify_l5(n, m, mode, samples, seed, scope):
     """Partition: per rule and profile, exactly one verdict holds."""
     rules = checks = 0
     counterexample = None
-    planes = []
     for block in _blocks("tables", n, m, mode, samples, seed, scope):
-        block_rules, block_checks, counterexample = _l5_block(block, planes)
+        block_rules, block_checks, counterexample = _l5_block(block)
         rules += block_rules
         checks += block_checks
         if counterexample:
             break
-    if counterexample is None:  # R1 (and C2, exhaustive) count them
-        scope[("verdict planes", n, m, mode, samples, seed)] = planes
     detail = {"rules": rules, "profiles_per_rule": _engine.space(n, m).profile_count}
     return counterexample is None, checks, counterexample, detail
 
@@ -323,22 +320,19 @@ def _draw_codes(rng: random.Random, size: int, count: int) -> Iterator[int]:
         yield r
 
 
-def _verdict_planes(block: _engine.Block, verdicts=None) -> tuple[int, list[int], list[int]]:
+def _verdict_planes(block: _engine.Block) -> tuple[int, list[int], list[int]]:
     """A block's rule count and the carry planes (``_engine.bit_planes``) of
-    its rules' |M_f| and |D_f|, counted apart from the per-profile verdicts
-    (``verdicts``, the block's ``block_profile_verdicts``, if given)."""
-    dictatorial, manipulable = verdicts or _engine.block_profile_verdicts(block)
+    its rules' |M_f| and |D_f|, counted apart from its per-profile verdicts
+    (``Block.verdicts``)."""
+    dictatorial, manipulable = block.verdicts
     return block.count, _engine.bit_planes(manipulable), _engine.bit_planes(dictatorial)
 
 
 def _c2_planes(n: int, m: int, codes, scope: dict) -> list:
     """``_verdict_planes`` per block of the rules ``codes``, in their order,
-    or of every rule of the space, from the exhaustive stream, when ``codes``
-    is None: L5's, if it passed there earlier in the run."""
+    or of every rule of the space, from the exhaustive stream (the run's
+    kept blocks and their verdicts), when ``codes`` is None."""
     if codes is None:
-        shared = scope.get(("verdict planes", n, m, "exhaustive", None, None))
-        if shared is not None:
-            return shared
         blocks = _blocks("tables", n, m, "exhaustive", None, None, scope)
     else:
         sp = _engine.space(n, m)
@@ -492,22 +486,19 @@ def _verify_r1(n, m, mode, samples, seed, scope):
     """Strategy-proof iff minimal in the manipulability order (iff M empty).
 
     Strategy-proofness comes from ``block_manipulable`` and |M_f| from the
-    manipulable verdicts of ``block_profile_verdicts``: two kernels, neither
-    the tops-cell criterion.  R1 reads L5's planes of the stream's blocks
-    when L5 passed earlier in the run on the same stream; a sample's
-    dictatorship anchors it always counts itself.
+    manipulable verdicts of ``block_profile_verdicts`` (``Block.verdicts``,
+    which a kept block decides once per run): two kernels, neither the
+    tops-cell criterion.
     """
     sp = _engine.space(n, m)
     blocks = _blocks("tables", n, m, mode, samples, seed, scope)
-    # L5's planes cover the stream's blocks, not the anchors chained after them
-    shared = scope.get(("verdict planes", n, m, mode, samples, seed), ())
     if mode == "sampled":
         # the full pool always contains the dictatorships; anchor the sample
         blocks = chain(blocks, _table_blocks(sp, map(bytes, sp.dictator_tables)))
 
     def records():
-        for index, block in enumerate(blocks):
-            _, m_planes, _ = shared[index] if index < len(shared) else _verdict_planes(block)
+        for block in blocks:
+            m_planes = _engine.bit_planes(block.verdicts[1])
             strategy_proof = block.full & ~_engine.block_manipulable(block, block.full)
             m_counts = _engine.plane_counts(m_planes, block.count)
             yield block, strategy_proof, _in_none(m_planes, block), m_counts

@@ -621,8 +621,8 @@ def verify_lemma(
     pair space) fits the budget and falls back to seeded sampling otherwise.
     ``scope`` is a dict shared by the calls of one run: a check keeps there
     what a later check of the run reads instead of building it again (the
-    blocks of the exhaustive streams with their columns, L5's verdict counts
-    for C2 and R1, one stream pass for L1 and C1).  Pass a new one per run;
+    blocks of its streams, exhaustive or sampled, with their columns and
+    verdicts, and one stream pass for L1 and C1).  Pass a new one per run;
     a call without one builds everything for itself, and nothing outlives
     the run.
     """

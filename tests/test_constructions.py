@@ -1261,9 +1261,10 @@ def spy_verdict_blocks(monkeypatch):
 
 
 class TestRunScope:
-    """The checks of one ``lemmas`` run share a scope: L5's verdict planes
-    for C2 and R1, one stream pass for L1 and C1.  Every entry must equal
-    the check's report from a call of its own."""
+    """The checks of one ``lemmas`` run share a scope: the kept streams,
+    whose blocks decide their verdicts once for L5, C2 and R1, and one
+    stream pass for L1 and C1.  Every entry must equal the check's report
+    from a call of its own."""
 
     STREAM_2X3 = [2048] * 9 + [1251]  # the (2,3) tops-table stream's blocks
 
@@ -1289,7 +1290,8 @@ class TestRunScope:
 
     def test_the_2x3_suite_computes_each_blocks_verdicts_once(self, capsys, monkeypatch):
         # L4 over the class block and L5 over the 10 stream blocks; C2 and R1
-        # read L5's planes, and C1 reads L1's stream pass
+        # read the verdicts those kept blocks decided, and C1 reads L1's
+        # stream pass
         sizes = spy_verdict_blocks(monkeypatch)
         honest, streams = _lemmas._strategy_proof_unanimous_stream, []
         monkeypatch.setattr(
@@ -1303,7 +1305,8 @@ class TestRunScope:
 
     def test_doctored_verdicts_reach_c2_and_r1_through_l5(self, capsys, monkeypatch):
         # DICT:0 called manipulable, not dictatorial, over one whole tops
-        # cell: L5 still passes, so C2 and R1 read its planes, and R1 fails
+        # cell: L5 still passes, C2 and R1 read the verdicts its blocks
+        # decided, and R1 fails
         sp = _engine.space(2, 3)
         cell = [pc for pc, tc in enumerate(_engine.profile_tops_codes(2, 3)) if tc == 1]
         doctor_block_verdicts(monkeypatch, sp.dictator_tables[0], dict.fromkeys(cell, MANIPULABLE))
@@ -1315,21 +1318,23 @@ class TestRunScope:
         for lemma in ("C2", "R1"):
             assert entries[lemma] == verify_lemma(lemma, 2, 3).to_json_dict()
 
-    def test_c2_and_r1_scan_for_themselves_once_l5_fails(self, capsys, monkeypatch):
+    def test_each_block_decides_its_verdicts_once_after_l5_fails(self, capsys, monkeypatch):
         doctor_block_verdicts(monkeypatch, (0,) * 8 + (1,), {5: DICTATORIAL | MANIPULABLE})
         sizes = spy_verdict_blocks(monkeypatch)
         entries = self.suite(capsys, 2, 3)
         assert entries["L5"]["counterexample"]["rule"] == "TOPS:n=2,m=3:000000001"
-        # L4's class block; L5 stops in its first block; then C2's and R1's scans
-        assert sizes == [64, 2048] + self.STREAM_2X3 * 2
+        # L4's class block; L5 stops in the first stream block, and C2
+        # decides the other nine; R1 reads them all
+        assert sizes == [64] + self.STREAM_2X3
         for lemma in ("C2", "R1"):
             assert entries[lemma] == verify_lemma(lemma, 2, 3).to_json_dict()
 
     @pytest.mark.parametrize("n,m,samples,seed", [(3, 3, 60, 4), (2, 4, 60, 5)])
     def test_a_sampled_r1_scans_only_its_anchors(self, capsys, monkeypatch, n, m, samples, seed):
         # L4's sampled class and L5's sampled stream, one block each, and
-        # C2's drawn codes; R1 reads L5's planes of the stream and scans the
-        # n dictatorships that anchor its sample, nothing more
+        # C2's drawn codes; R1 reads the verdicts of the stream L5 kept and
+        # decides those of the n dictatorships that anchor its sample, nothing
+        # more
         sizes = spy_verdict_blocks(monkeypatch)
         entries = self.suite(capsys, n, m, f"--samples={samples}", f"--seed={seed}")
         assert entries["L5"]["passed"] and entries["R1"]["passed"]
@@ -1337,9 +1342,9 @@ class TestRunScope:
         assert sizes[3:] == [n]
 
     def test_c2_after_l5_keeps_no_draws(self):
-        # C2 at (2,3) reads L5's planes and marks its 20000 drawn codes in a
-        # bytearray of the 19683 rules; a list of the draws and their set
-        # would peak at about 1.5 MB
+        # C2 at (2,3) counts the verdicts of the blocks L5 kept and marks its
+        # 20000 drawn codes in a bytearray of the 19683 rules; a list of the
+        # draws and their set would peak at about 1.5 MB
         scope = {}
         assert verify_lemma("L5", 2, 3, scope=scope).passed
         tracemalloc.start()
@@ -1362,12 +1367,14 @@ class TestRunScope:
         verify_lemma("L1", 2, 2, scope=scope)
         shared = verify_lemma("C1", 2, 3, scope=scope)
         assert shared.to_json_dict() == verify_lemma("C1", 2, 3).to_json_dict()
-        # and R1 reads L5's planes only from L5's own stream
-        verify_lemma("L5", 3, 3, mode="sampled", samples=40, seed=1, scope=scope)
-        for kwargs in ({"samples": 40, "seed": 2}, {"samples": 30, "seed": 1}):
-            shared = verify_lemma("R1", 3, 3, mode="sampled", scope=scope, **kwargs)
-            alone = verify_lemma("R1", 3, 3, mode="sampled", **kwargs)
-            assert shared.to_json_dict() == alone.to_json_dict()
+        # and R1 and R2 read the kept blocks of L5 and L4 only on the same
+        # stream
+        for first, then in (("L5", "R1"), ("L4", "R2")):
+            verify_lemma(first, 3, 3, mode="sampled", samples=40, seed=1, scope=scope)
+            for kwargs in ({"samples": 40, "seed": 2}, {"samples": 30, "seed": 1}):
+                shared = verify_lemma(then, 3, 3, mode="sampled", scope=scope, **kwargs)
+                alone = verify_lemma(then, 3, 3, mode="sampled", **kwargs)
+                assert shared.to_json_dict() == alone.to_json_dict()
 
     def test_a_call_after_a_patch_sees_it(self, monkeypatch):
         scope = {}
@@ -1428,15 +1435,18 @@ def suite_reports(n, m, scope, **kwargs):
 
 
 def kept_streams(scope):
-    """The (stream, n, m) keys of the streams a run's scope keeps."""
+    """The (stream, n, m, mode, samples, seed) keys of the streams a run's
+    scope keeps."""
     return sorted(key for key in scope if key[0] in ("tables", "class"))
 
 
 class TestKeptStreams:
-    """A ``lemmas`` run keeps each exhaustive stream of at most
-    ``_lemmas._KEPT_RULES`` rules in its scope as a list of blocks, whose
+    """A ``lemmas`` run keeps each stream of at most ``_lemmas._KEPT_RULES``
+    rules, exhaustive or sampled, in its scope as a list of blocks, whose
     columns are built in the first scan and read by every later check.
     Nothing else keeps columns: every call outside a run builds its own."""
+
+    EXHAUSTIVE = ("exhaustive", None, None)
 
     @staticmethod
     def exhaustive(stream, n, m):
@@ -1469,7 +1479,9 @@ class TestKeptStreams:
         built = spy_built(monkeypatch)
         scope = {}
         suite_reports(4, 2, scope)
-        assert kept_streams(scope) == [("class", 4, 2), ("tables", 4, 2)]
+        assert kept_streams(scope) == [
+            ("class", 4, 2, *self.EXHAUSTIVE), ("tables", 4, 2, *self.EXHAUSTIVE)
+        ]
         assert len(built) == len(set(built))
         assert set(stream + te) <= set(built)
 
@@ -1491,17 +1503,54 @@ class TestKeptStreams:
         assert call() == first
         assert builds and built == builds
 
+    @pytest.mark.parametrize("bound", [50, 49])
     @pytest.mark.parametrize("lemma", SUITE)
-    def test_a_sampled_check_keeps_no_stream(self, monkeypatch, lemma):
+    def test_a_sampled_check_keeps_its_stream(self, monkeypatch, lemma, bound):
+        # a sample of 50 is kept within the bound only; C2 draws rule codes,
+        # never a stream; a fresh scope builds again
+        stream = {"C2": [], "L4": ["class"], "R2": ["class"]}.get(lemma, ["tables"])
+        monkeypatch.setattr(_lemmas, "_KEPT_RULES", bound)
         built = spy_built(monkeypatch)
         scope = {}
         first = verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1, scope=scope)
-        assert not kept_streams(scope)
+        kept = [(s, 3, 3, "sampled", 50, 1) for s in stream if bound >= 50]
+        assert kept_streams(scope) == kept
         builds = list(built)
         built.clear()
         again = verify_lemma(lemma, 3, 3, mode="sampled", samples=50, seed=1, scope={})
         assert again.to_json_dict() == first.to_json_dict()
         assert builds and built == builds
+
+    SAMPLED_3X3 = ["lemmas", "--suite", "all", "--agents", "3", "--alts", "3",
+                   "--samples", "60", "--seed", "4"]
+
+    def test_a_sampled_suite_builds_its_streams_columns_once(self, capsys, monkeypatch):
+        # L1 builds the tables sample's one block and L4 the class sample's;
+        # then C2's drawn codes and the dictatorships anchoring R1 and R2,
+        # once each.  L3, L5, R1 and THM read the kept tables
+        tables = [b.joined for b in _iter_rule_blocks(3, 3, "sampled", 60, 4)]
+        te = [b.joined for b in _lemmas._blocks("class", 3, 3, "sampled", 60, 4, {})]
+        built = spy_built(monkeypatch)
+        assert run(self.SAMPLED_3X3) == 0
+        capsys.readouterr()
+        assert built[:2] == tables + te
+        assert len(built) == 5
+
+    def test_a_sampled_suite_draws_the_class_once(self, capsys, monkeypatch):
+        # R2 reads the class sample L4 kept; a generator that is made but
+        # never read draws nothing, so the tables read are counted
+        drawn = []
+        honest = constructions._efficient_tables
+
+        def counted(*args):
+            for table in honest(*args):
+                drawn.append(table)
+                yield table
+
+        monkeypatch.setattr(constructions, "_efficient_tables", counted)
+        assert run(self.SAMPLED_3X3) == 0
+        capsys.readouterr()
+        assert len(drawn) == 60
 
     @pytest.mark.parametrize("n,m,bound,kept", [
         # the (2,3) class holds 64 rules, the (4,2) class 16384
@@ -1515,7 +1564,7 @@ class TestKeptStreams:
         built = spy_built(monkeypatch)
         scope = {}
         assert suite_reports(n, m, scope) == expected
-        assert kept_streams(scope) == [(stream, n, m) for stream in kept]
+        assert kept_streams(scope) == [(stream, n, m, *self.EXHAUSTIVE) for stream in kept]
         stream = self.exhaustive("tables", n, m)
         # every scan of the tables builds the blocks again
         assert all(built.count(joined) > 1 for joined in stream)
